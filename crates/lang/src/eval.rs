@@ -663,12 +663,14 @@ fn exec_builtin(b: Builtin, at: usize, s: &mut Session) -> Result<RtValue, LangE
                 dbpl_obs::trace::capture("explain_analyze_join", || a.natural_join(&b));
             let delta = dbpl_obs::global().snapshot().delta_since(&before);
             let header = format!(
-                "join: strategy=partitioned left={} right={} out={} buckets={} fallback_rows={}",
+                "join: strategy=partitioned left={} right={} out={} buckets={} fallback_rows={} \
+                 reduce_pairs_compared={}",
                 a.len(),
                 b.len(),
                 joined.len(),
                 delta.counter("join.partitioned.buckets"),
                 delta.counter("join.partitioned.fallback_rows"),
+                delta.counter("join.reduce.pairs_compared"),
             );
             Ok(RtValue::Str(format!(
                 "{header}\n{}",

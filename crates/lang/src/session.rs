@@ -1506,6 +1506,16 @@ mod obs_tests {
         for stage in ["join.partition", "join.reduce"] {
             assert!(text.contains(&format!("{stage} dur_us=")), "{text}");
         }
+        // The bucketed reduction explains itself: one bucket per B value,
+        // no key-partial rows, and the one joined row meets no rival.
+        let reduce = text
+            .lines()
+            .find(|l| l.trim_start().starts_with("join.reduce "))
+            .expect("join.reduce line");
+        for attr in ["buckets=1", "partial_rows=0", "pairs_compared=0"] {
+            assert!(reduce.contains(attr), "{reduce}");
+        }
+        assert!(text.contains("reduce_pairs_compared="), "{text}");
     }
 
     #[test]

@@ -48,15 +48,18 @@ pub enum Reduction {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinStrategy {
     /// Examine every pair of rows — the Figure 1 semantics transcribed
-    /// directly, O(n·m) object joins. The naive baseline, kept reachable
-    /// so benches can measure it.
+    /// directly, O(n·m) object joins, reduced by the literal all-pairs
+    /// `reduce_maximal`. The naive baseline and the oracle, kept
+    /// reachable so tests and benches can compare against it.
     Nested,
     /// Hash-partition both sides by their ground values on the shared
     /// definite paths and join within buckets; rows partial on the
     /// partition key fall back to the nested loop. Pairs in different
     /// buckets are provably joinless (they disagree on a shared base
     /// field), so skipping them cannot change the result. Parallelizes
-    /// over scoped threads above a work cutoff. The default.
+    /// over scoped threads above a work cutoff. A maximal reduction is
+    /// bucketed on the same key, comparing only rows that can subsume
+    /// each other. The default.
     #[default]
     Partitioned,
 }
@@ -88,7 +91,7 @@ impl GenRelation {
     /// subsumption (maximal reduction).
     pub fn from_values<I: IntoIterator<Item = Value>>(items: I) -> Self {
         GenRelation {
-            rows: reduce_maximal(items.into_iter().collect()),
+            rows: reduce_maximal_own_key(items.into_iter().collect()),
         }
     }
 
@@ -228,9 +231,19 @@ impl GenRelation {
         let rows = {
             let mut reduce = dbpl_obs::span!("join.reduce");
             reduce.set_attr("rows_in", out.len());
-            let rows = match reduction {
-                Reduction::Maximal => reduce_maximal(out),
-                Reduction::Minimal => reduce_minimal(out),
+            let rows = match (strategy, reduction) {
+                (JoinStrategy::Partitioned, Reduction::Maximal) => {
+                    let (rows, stats) = reduce_maximal_keyed(out, &hoisted);
+                    reduce.set_attr("buckets", stats.buckets);
+                    reduce.set_attr("partial_rows", stats.partial_rows);
+                    reduce.set_attr("pairs_compared", stats.pairs_compared);
+                    crate::metrics::reduce_pairs_compared().add(stats.pairs_compared as u64);
+                    rows
+                }
+                // Nested, and the minimal form, keep the paper-literal
+                // reduction: the oracle the bucketed one is tested against.
+                (JoinStrategy::Nested, Reduction::Maximal) => reduce_maximal(out),
+                (_, Reduction::Minimal) => reduce_minimal(out),
             };
             reduce.set_attr("rows_out", rows.len());
             rows
@@ -270,7 +283,7 @@ impl GenRelation {
             out.push(proj);
         }
         GenRelation {
-            rows: reduce_maximal(out),
+            rows: reduce_maximal_own_key(out),
         }
     }
 
@@ -286,7 +299,7 @@ impl GenRelation {
     /// on relations; also the effect of bulk insertion).
     pub fn union(&self, other: &GenRelation) -> GenRelation {
         GenRelation {
-            rows: reduce_maximal(self.rows.iter().chain(&other.rows).cloned().collect()),
+            rows: reduce_maximal_own_key(self.rows.iter().chain(&other.rows).cloned().collect()),
         }
     }
 
@@ -302,7 +315,7 @@ impl GenRelation {
             }
         }
         GenRelation {
-            rows: reduce_maximal(out),
+            rows: reduce_maximal_own_key(out),
         }
     }
 
@@ -403,18 +416,26 @@ fn ground_coverage(rows: &[Value]) -> HashMap<Path, usize> {
 /// is used; with no shared ground path the key is empty and the join
 /// degenerates to the full pair product.
 fn partition_key(a: &[Value], b: &[Value]) -> Vec<Path> {
-    let ca = ground_coverage(a);
-    let cb = ground_coverage(b);
+    shared_key(&ground_coverage(a), a.len(), &ground_coverage(b), b.len())
+}
+
+/// [`partition_key`] over precomputed coverage maps of `na` and `nb` rows.
+fn shared_key(
+    ca: &HashMap<Path, usize>,
+    na: usize,
+    cb: &HashMap<Path, usize>,
+    nb: usize,
+) -> Vec<Path> {
     let mut shared: Vec<(Path, usize)> = ca
         .iter()
-        .filter_map(|(p, na)| cb.get(p).map(|nb| (p.clone(), na + nb)))
+        .filter_map(|(p, a)| cb.get(p).map(|b| (p.clone(), a + b)))
         .collect();
     if shared.is_empty() {
         return Vec::new();
     }
     let mut full: Vec<Path> = shared
         .iter()
-        .filter(|(p, _)| ca[p] == a.len() && cb[p] == b.len())
+        .filter(|(p, _)| ca[p] == na && cb[p] == nb)
         .map(|(p, _)| p.clone())
         .collect();
     if !full.is_empty() {
@@ -433,26 +454,84 @@ type Product<'r> = (Vec<&'r Value>, Vec<&'r Value>);
 
 /// Split rows into buckets keyed by their ground values on `key`, plus
 /// the fallback rows that are partial (or non-ground) somewhere on it.
-fn bucket<'r>(
-    rows: &'r [Value],
+/// Each row comes with a tag (the row itself, or its index), and the
+/// buckets hold the tags in input order.
+fn bucket<'r, T>(
+    rows: impl IntoIterator<Item = (T, &'r Value)>,
     key: &[Path],
-) -> (HashMap<Vec<&'r Value>, Vec<&'r Value>>, Vec<&'r Value>) {
-    let mut keyed: HashMap<Vec<&Value>, Vec<&Value>> = HashMap::new();
+) -> (HashMap<Vec<&'r Value>, Vec<T>>, Vec<T>) {
+    let mut keyed: HashMap<Vec<&Value>, Vec<T>> = HashMap::new();
     let mut partial = Vec::new();
-    'rows: for r in rows {
+    'rows: for (tag, r) in rows {
         let mut k = Vec::with_capacity(key.len());
         for p in key {
             match get_path(r, p) {
                 Some(v) if is_ground(v) => k.push(v),
                 _ => {
-                    partial.push(r);
+                    partial.push(tag);
                     continue 'rows;
                 }
             }
         }
-        keyed.entry(k).or_default().push(r);
+        keyed.entry(k).or_default().push(tag);
     }
     (keyed, partial)
+}
+
+/// What one bucketed reduction examined, for the `join.reduce` span.
+struct ReduceStats {
+    buckets: usize,
+    partial_rows: usize,
+    pairs_compared: usize,
+}
+
+/// [`reduce_maximal`] keyed on the rows' own ground paths: the
+/// [`partition_key`] of the rows with themselves.
+fn reduce_maximal_own_key(items: Vec<Value>) -> Vec<Value> {
+    let cov = ground_coverage(&items);
+    let key = shared_key(&cov, items.len(), &cov, items.len());
+    reduce_maximal_keyed(items, &key).0
+}
+
+/// [`reduce_maximal`], comparing only rows that can subsume each other.
+///
+/// The deduplicated, sorted rows are bucketed on `key`. If `x ⊑ y` and
+/// `x` holds a base value at some path, `y` holds the same value there;
+/// so rows in different buckets never subsume each other, and a row
+/// ground at every key path is never `⊑` a key-partial row. A keyed row
+/// is therefore compared only within its bucket, a key-partial row with
+/// every row. This is exact for any `key`; a finer key is only faster.
+/// The literal rule `leq(x, y) && (!leq(y, x) || j < i)` over sorted
+/// indices decides each pair, so the result equals `reduce_maximal`'s
+/// element for element, in order, Hoare-equivalent rows included.
+fn reduce_maximal_keyed(mut rows: Vec<Value>, key: &[Path]) -> (Vec<Value>, ReduceStats) {
+    rows.sort_unstable();
+    rows.dedup();
+    let mut pairs_compared = 0;
+    let mut dominated = |i: usize, rivals: &mut dyn Iterator<Item = usize>| {
+        rivals.filter(|&j| j != i).any(|j| {
+            pairs_compared += 1;
+            leq(&rows[i], &rows[j]) && (!leq(&rows[j], &rows[i]) || j < i)
+        })
+    };
+    let (keyed, partial) = bucket(rows.iter().enumerate(), key);
+    let mut keep = vec![true; rows.len()];
+    for members in keyed.values() {
+        for &i in members {
+            keep[i] = !dominated(i, &mut members.iter().copied());
+        }
+    }
+    for &i in &partial {
+        keep[i] = !dominated(i, &mut (0..rows.len()));
+    }
+    let stats = ReduceStats {
+        buckets: keyed.len(),
+        partial_rows: partial.len(),
+        pairs_compared,
+    };
+    let mut keep = keep.into_iter();
+    rows.retain(|_| keep.next().expect("one flag per row"));
+    (rows, stats)
 }
 
 /// Every pair — the paper's definition, transcribed. Deliberately
@@ -495,8 +574,8 @@ fn join_pairs_partitioned(a: &[Value], b: &[Value], workers: usize) -> (Vec<Valu
     }
     let (keyed_a, partial_a, keyed_b, partial_b) = {
         let mut bucket_span = dbpl_obs::span!("join.bucket");
-        let (keyed_a, partial_a) = bucket(a, &key);
-        let (keyed_b, partial_b) = bucket(b, &key);
+        let (keyed_a, partial_a) = bucket(a.iter().map(|r| (r, r)), &key);
+        let (keyed_b, partial_b) = bucket(b.iter().map(|r| (r, r)), &key);
         bucket_span.set_attr("buckets", keyed_a.len() + keyed_b.len());
         bucket_span.set_attr("fallback_rows", partial_a.len() + partial_b.len());
         (keyed_a, partial_a, keyed_b, partial_b)
@@ -537,11 +616,6 @@ fn join_product(l: &[&Value], r: &[&Value], out: &mut Vec<Value>) {
     }
 }
 
-/// Evaluate slice products: sequentially under [`PAR_JOIN_CUTOFF`] total
-/// work, otherwise over scoped threads with oversized products split and
-/// pieces placed longest-first on the least-loaded worker. Output order
-/// varies with scheduling, which is harmless — the caller canonicalizes
-/// through a reduction that sorts first.
 /// The worker cap derived from the machine: available parallelism,
 /// clamped to 8 (the fan-out stops paying for itself beyond that on this
 /// workload).
@@ -552,6 +626,11 @@ fn detected_workers() -> usize {
         .min(8)
 }
 
+/// Evaluate slice products: sequentially under [`PAR_JOIN_CUTOFF`] total
+/// work, otherwise over scoped threads with oversized products split and
+/// pieces placed longest-first on the least-loaded worker. Output order
+/// varies with scheduling, which is harmless — the caller canonicalizes
+/// through a reduction that sorts first.
 fn run_products(products: Vec<Product>, workers: usize) -> Vec<Value> {
     let mut span = dbpl_obs::span!("join.product");
     let work: usize = products.iter().map(|(l, r)| l.len() * r.len()).sum();
@@ -919,6 +998,104 @@ mod tests {
         let r2 = side(1);
         assert!(r1.len() * r2.len() >= PAR_JOIN_CUTOFF);
         strategies_agree(&r1, &r2);
+    }
+}
+
+#[cfg(test)]
+mod reduce_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn rec(pairs: &[(&str, Value)]) -> Value {
+        Value::record(pairs.iter().map(|(l, v)| (l.to_string(), v.clone())))
+    }
+
+    /// Partial records over `a` and `b` with two-value domains, so that
+    /// duplicates and subsumption are common.
+    fn arb_flat() -> impl Strategy<Value = Value> {
+        prop::collection::btree_map("[ab]", 0i64..2, 0..3)
+            .prop_map(|m| Value::Record(m.into_iter().map(|(k, v)| (k, Value::Int(v))).collect()))
+    }
+
+    /// A flat partial record, plus an optional nested record `n` and an
+    /// optional set `s` of flat records. Sets such as `{{a=1}}` and
+    /// `{{a=1}, {}}` are Hoare-equivalent but unequal, so the `j < i`
+    /// tie-break decides which of two such rows survives.
+    fn arb_row() -> impl Strategy<Value = Value> {
+        (
+            arb_flat(),
+            prop::option::of(arb_flat()),
+            prop::option::of(prop::collection::btree_set(arb_flat(), 0..3)),
+        )
+            .prop_map(|(mut row, n, s)| {
+                let fields = row.as_record_mut().expect("arb_flat builds records");
+                if let Some(n) = n {
+                    fields.insert("n".to_string(), n);
+                }
+                if let Some(s) = s {
+                    fields.insert("s".to_string(), Value::Set(s));
+                }
+                row
+            })
+    }
+
+    /// Key paths that are ground, nested, non-ground (`n` is a record,
+    /// `s` a set) or absent from every row (`z`, `n.z`).
+    fn arb_key() -> impl Strategy<Value = Vec<Path>> {
+        let path = prop::sample::select(vec!["a", "b", "n", "n.a", "n.b", "s", "z", "n.z"]);
+        prop::collection::vec(path, 0..4).prop_map(|ps| ps.into_iter().map(Path::parse).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The bucketed reduction is the literal one for every key: the
+        /// same rows, in the same order.
+        #[test]
+        fn keyed_reduction_equals_reduce_maximal(
+            rows in prop::collection::vec(arb_row(), 0..14),
+            key in arb_key()
+        ) {
+            let literal = reduce_maximal(rows.clone());
+            prop_assert_eq!(reduce_maximal_keyed(rows.clone(), &key).0, literal.clone());
+            prop_assert_eq!(reduce_maximal_own_key(rows), literal);
+        }
+    }
+
+    #[test]
+    fn hoare_equivalent_rows_keep_the_first_in_sorted_order() {
+        let one = rec(&[("a", Value::Int(1))]);
+        let small = rec(&[("k", Value::Int(0)), ("s", Value::set([one.clone()]))]);
+        let large = rec(&[("k", Value::Int(0)), ("s", Value::set([one, rec(&[])]))]);
+        assert!(leq(&small, &large) && leq(&large, &small) && small != large);
+        let rows = vec![large.clone(), small.clone()];
+        let literal = reduce_maximal(rows.clone());
+        assert_eq!(literal.len(), 1);
+        for key in [vec![], vec![Path::parse("k")], vec![Path::parse("s")]] {
+            assert_eq!(
+                reduce_maximal_keyed(rows.clone(), &key).0,
+                literal,
+                "key {key:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn keyed_rows_meet_only_their_bucket_and_partial_rows_meet_all() {
+        // Two buckets of two rows on `K`, one row without `K`: each keyed
+        // row meets only its bucket-mate (4 pairs), the undominated
+        // partial row meets all four other rows (4 pairs).
+        let rows = vec![
+            rec(&[("K", Value::Int(1)), ("A", Value::Int(1))]),
+            rec(&[("K", Value::Int(1)), ("A", Value::Int(2))]),
+            rec(&[("K", Value::Int(2)), ("A", Value::Int(1))]),
+            rec(&[("K", Value::Int(2)), ("A", Value::Int(2))]),
+            rec(&[("B", Value::Int(7))]),
+        ];
+        let (kept, stats) = reduce_maximal_keyed(rows.clone(), &[Path::parse("K")]);
+        assert_eq!(kept, reduce_maximal(rows));
+        assert_eq!((stats.buckets, stats.partial_rows), (2, 1));
+        assert_eq!(stats.pairs_compared, 4 + 4);
     }
 }
 

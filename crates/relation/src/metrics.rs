@@ -20,3 +20,4 @@ counter_fn!(partition_buckets, "join.partitioned.buckets");
 counter_fn!(fallback_rows, "join.partitioned.fallback_rows");
 counter_fn!(products_serial, "join.products.serial");
 counter_fn!(products_parallel, "join.products.parallel");
+counter_fn!(reduce_pairs_compared, "join.reduce.pairs_compared");

@@ -8,7 +8,7 @@ use dbpl_relation::{
     Relation, Schema,
 };
 use dbpl_types::Type;
-use dbpl_values::{is_antichain, Value};
+use dbpl_values::{is_antichain, reduce_maximal, Path, Value};
 use proptest::prelude::*;
 
 // ---------- generators ----------
@@ -33,6 +33,29 @@ fn arb_nested_record() -> impl Strategy<Value = Value> {
         }
         outer
     })
+}
+
+/// A relation whose rows mostly carry a shared key field `k` holding a
+/// base value, plus explicit key-partial rows without `k`, and rows whose
+/// `k` holds a partial record (non-ground at `k`, ground at `k.a` or
+/// `k.b` perhaps).
+fn arb_key_partial_relation() -> impl Strategy<Value = GenRelation> {
+    fn with_k(mut row: Value, k: Value) -> Value {
+        if let Value::Record(fields) = &mut row {
+            fields.insert("k".to_string(), k);
+        }
+        row
+    }
+    let keyed = (arb_partial_record(), 0i64..3).prop_map(|(row, k)| with_k(row, Value::Int(k)));
+    let record_k = (arb_partial_record(), arb_partial_record()).prop_map(|(row, k)| with_k(row, k));
+    (
+        prop::collection::vec(keyed, 3..9),
+        prop::collection::vec(arb_partial_record(), 0..3),
+        prop::collection::vec(record_k, 0..3),
+    )
+        .prop_map(|(keyed, partial, record_k)| {
+            GenRelation::from_values(keyed.into_iter().chain(partial).chain(record_k))
+        })
 }
 
 /// Flat relations over a fixed 3-attribute schema with small domains.
@@ -118,6 +141,56 @@ proptest! {
         let nested = a.natural_join_strategy(&b, Reduction::Maximal, JoinStrategy::Nested);
         let partitioned = a.natural_join_strategy(&b, Reduction::Maximal, JoinStrategy::Partitioned);
         prop_assert_eq!(nested, partitioned);
+    }
+
+    /// Partitioned ≡ nested where the hoisted key `k` is missing from
+    /// some rows and holds a record in others, so both the join's
+    /// fallback products and the bucketed reduction's key-partial rows
+    /// are exercised.
+    #[test]
+    fn partitioned_join_equals_nested_join_with_key_partial_rows(
+        a in arb_key_partial_relation(),
+        b in arb_key_partial_relation()
+    ) {
+        for red in [Reduction::Maximal, Reduction::Minimal] {
+            let nested = a.natural_join_strategy(&b, red, JoinStrategy::Nested);
+            let partitioned = a.natural_join_strategy(&b, red, JoinStrategy::Partitioned);
+            prop_assert_eq!(nested, partitioned, "strategies diverged under {:?}", red);
+        }
+    }
+
+    /// The relation operations that canonicalize through the bucketed
+    /// reduction (keyed on the rows' own ground paths) keep exactly the
+    /// rows, in order, that the literal `reduce_maximal` keeps.
+    #[test]
+    fn canonicalization_equals_reduce_maximal(
+        a in prop::collection::vec(arb_nested_record(), 0..10),
+        b in arb_key_partial_relation()
+    ) {
+        let rows = |r: GenRelation| r.into_iter().collect::<Vec<Value>>();
+        prop_assert_eq!(rows(GenRelation::from_values(a.clone())), reduce_maximal(a.clone()));
+        let a = GenRelation::from_values(a);
+        let both: Vec<Value> = a.iter().chain(b.iter()).cloned().collect();
+        prop_assert_eq!(rows(a.union(&b)), reduce_maximal(both));
+        let meets: Vec<Value> = a
+            .iter()
+            .flat_map(|x| b.iter().filter_map(move |y| dbpl_values::meet(x, y)))
+            .collect();
+        prop_assert_eq!(rows(a.meet(&b)), reduce_maximal(meets));
+        let paths = [Path::parse("k"), Path::parse("n.a"), Path::parse("a")];
+        let projections: Vec<Value> = b
+            .iter()
+            .map(|row| {
+                let mut proj = Value::record::<[(&str, Value); 0], &str>([]);
+                for p in &paths {
+                    if let Some(v) = dbpl_values::get_path(row, p) {
+                        dbpl_values::put_path(&mut proj, p, v.clone()).unwrap();
+                    }
+                }
+                proj
+            })
+            .collect();
+        prop_assert_eq!(rows(b.project(paths.clone())), reduce_maximal(projections));
     }
 
     #[test]
