@@ -461,6 +461,14 @@ fn mvcc_throughput(smoke: bool) {
             });
             done.load(Ordering::Relaxed) as f64 / start.elapsed().as_secs_f64().max(1e-9)
         };
+        // The trials read flat out for a fixed time, so under
+        // `--trace-out` their span count grows with read speed until it
+        // fills the ring and evicts earlier phases' spans. They measure
+        // the recorder, not tracing: run them untraced.
+        let traced = dbpl_obs::trace::is_active();
+        if traced {
+            dbpl_obs::trace::disable();
+        }
         let mut best_off = 0f64;
         let mut best_on = 0f64;
         for _ in 0..5 {
@@ -469,6 +477,9 @@ fn mvcc_throughput(smoke: bool) {
                 dbpl_obs::timeline::Recorder::start(dbpl_obs::timeline::RecorderConfig::default());
             best_on = best_on.max(trial());
             drop(rec.stop());
+        }
+        if traced {
+            dbpl_obs::trace::enable(1 << 16);
         }
         let ratio = best_on / best_off.max(1e-9);
         println!("| recorder (100ms sampling) | reads/sec | vs off |");

@@ -18,8 +18,11 @@
 
 use crate::error::CoreError;
 use crate::extent::{ExtentManager, TypedListIndex};
-use crate::get::{conformance_sweep, scan_get, scan_get_cached, scan_get_par, ExistsPkg};
+use crate::get::{
+    conformance_sweep, detected_workers, scan_get, scan_get_cached, scan_parts_par, ExistsPkg,
+};
 use crate::hierarchy::ClassHierarchy;
+use crate::store::Store;
 use dbpl_persist::{Image, QuarantineEntry, QuarantineReason, QuarantineReport};
 use dbpl_stats::StatsCatalog;
 use dbpl_types::{is_subtype, Type, TypeEnv};
@@ -71,13 +74,15 @@ impl GetStrategy {
 /// component with the original. This is what makes epoch-stamped MVCC
 /// snapshots cheap — the engine clones the published database per reader
 /// and per writer frame, and only a component a writer actually touches
-/// is copied (once per exclusive lineage, not per clone). The public API
+/// is copied (once per exclusive lineage, not per clone). The dynamic
+/// store is chunked, so a `put` on a shared snapshot copies the chunk
+/// pointers and at most one chunk of rows, not the store. The public API
 /// is unchanged: `&mut self` methods transparently un-share first.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     env: TypeEnv,
     heap: Arc<Heap>,
-    dynamics: Arc<Vec<DynValue>>,
+    dynamics: Store,
     index: Arc<TypedListIndex>,
     extents: Arc<ExtentManager>,
     bindings: Arc<BTreeMap<String, DynValue>>,
@@ -195,7 +200,10 @@ impl Database {
             Arc::make_mut(&mut self.stats).observe_put(&d);
             crate::metrics::stats_observed_puts().inc();
         }
-        Arc::make_mut(&mut self.dynamics).push(d);
+        let copied = self.dynamics.push(d);
+        if copied > 0 {
+            crate::metrics::store_rows_copied().add(copied as u64);
+        }
         Ok(pos)
     }
 
@@ -204,9 +212,18 @@ impl Database {
         self.put(d.ty, d.value)
     }
 
-    /// The raw dynamic store.
+    /// The raw dynamic store as one contiguous slice. The store is kept
+    /// in chunks, so the first call after a write builds (and caches) a
+    /// deep copy: a compatibility view for oracles and tests. Iterate
+    /// with [`Database::rows_from`] instead where a slice is not needed.
     pub fn dynamics(&self) -> &[DynValue] {
-        &self.dynamics
+        self.dynamics.as_slice()
+    }
+
+    /// The stored dynamic values from position `start` on, in order,
+    /// without copying (`rows_from(0)` is the whole store).
+    pub fn rows_from(&self, start: usize) -> impl Iterator<Item = &DynValue> {
+        self.dynamics.iter_from(start)
     }
 
     /// Number of stored dynamic values.
@@ -216,7 +233,7 @@ impl Database {
 
     /// Is the dynamic store empty?
     pub fn is_empty(&self) -> bool {
-        self.dynamics.is_empty()
+        self.dynamics.len() == 0
     }
 
     /// `Get[t](db)`: every stored value whose type is a subtype of
@@ -247,27 +264,34 @@ impl Database {
         let mut root = dbpl_obs::span!("get");
         root.set_attr("strategy", strategy.name());
         crate::metrics::strategy_counter(strategy).inc();
-        // Fast path: no quarantine, scan the store as-is.
-        let filtered;
-        let dynamics: &[DynValue] = {
+        {
             let mut plan = dbpl_obs::span!("get.plan");
             plan.set_attr("store_rows", self.dynamics.len());
             plan.set_attr("quarantined", self.quarantined_positions.len());
-            if self.quarantined_positions.is_empty() {
-                &self.dynamics
-            } else {
-                filtered = self.healthy_dynamics();
-                &filtered
-            }
-        };
+        }
         let out = match strategy {
             GetStrategy::Scan | GetStrategy::CachedScan | GetStrategy::ParScan => {
+                // Fast path: no quarantine, scan the store's chunks as-is;
+                // otherwise scan a copy of the healthy rows.
+                let healthy: Vec<DynValue>;
+                let parts: Vec<&[DynValue]> = if self.quarantined_positions.is_empty() {
+                    self.dynamics.parts().collect()
+                } else {
+                    healthy = self.healthy_rows().cloned().collect();
+                    vec![&healthy]
+                };
                 let mut scan = dbpl_obs::span!("get.scan");
-                scan.set_attr("rows_in", dynamics.len());
+                scan.set_attr("rows_in", parts.iter().map(|p| p.len()).sum::<usize>());
                 let out = match strategy {
-                    GetStrategy::Scan => scan_get(dynamics, bound, &self.env),
-                    GetStrategy::CachedScan => scan_get_cached(dynamics, bound, &self.env),
-                    _ => scan_get_par(dynamics, bound, &self.env),
+                    GetStrategy::Scan => parts
+                        .iter()
+                        .flat_map(|p| scan_get(p, bound, &self.env))
+                        .collect(),
+                    GetStrategy::CachedScan => parts
+                        .iter()
+                        .flat_map(|p| scan_get_cached(p, bound, &self.env))
+                        .collect(),
+                    _ => scan_parts_par(&parts, bound, &self.env, detected_workers()),
                 };
                 scan.set_attr("rows_out", out.len());
                 out
@@ -284,10 +308,11 @@ impl Database {
                     .into_iter()
                     .filter(|i| !self.quarantined_positions.contains(i))
                     .map(|i| {
-                        let d = &self.dynamics[i];
                         // Index membership *is* the `witness ≤ bound`
-                        // judgement, so no per-element re-verification.
-                        ExistsPkg::seal_trusted(d.ty.clone(), d.value.clone(), bound.clone())
+                        // judgement, so no per-element re-verification;
+                        // the package shares the stored row.
+                        let (chunk, at) = self.dynamics.locate(i);
+                        ExistsPkg::seal_trusted(chunk, at, bound.clone())
                     })
                     .collect();
                 seal.set_attr("rows_out", out.len());
@@ -306,16 +331,6 @@ impl Database {
             dur_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
         });
         out
-    }
-
-    /// The dynamic store with quarantined positions filtered out.
-    fn healthy_dynamics(&self) -> Vec<DynValue> {
-        self.dynamics
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.quarantined_positions.contains(i))
-            .map(|(_, d)| d.clone())
-            .collect()
     }
 
     /// Record a damaged unit skipped at a persistence boundary (e.g. an
@@ -341,8 +356,8 @@ impl Database {
                 // The element is still readable here (quarantine excludes,
                 // never erases), so the catalog can retract exactly what
                 // `put` once observed for it.
-                let d = self.dynamics[pos].clone();
-                Arc::make_mut(&mut self.stats).observe_remove(&d);
+                let (chunk, at) = self.dynamics.locate(pos);
+                Arc::make_mut(&mut self.stats).observe_remove(&chunk[at]);
                 crate::metrics::stats_observed_removes().inc();
             }
             let entry = QuarantineEntry {
@@ -371,7 +386,16 @@ impl Database {
     /// structural damage). Returns how many new positions were
     /// quarantined. Queries keep working on the healthy remainder.
     pub fn verify_dynamics(&mut self) -> usize {
-        let bad = conformance_sweep(&self.dynamics, &self.env, &self.heap);
+        let mut bad = Vec::new();
+        let mut base = 0;
+        for part in self.dynamics.parts() {
+            bad.extend(
+                conformance_sweep(part, &self.env, &self.heap)
+                    .into_iter()
+                    .map(|(pos, cause)| (base + pos, cause)),
+            );
+            base += part.len();
+        }
         let mut added = 0;
         for (pos, cause) in bad {
             if !self.quarantined_positions.contains(&pos) {
@@ -553,7 +577,7 @@ impl Database {
         Ok(Database {
             env,
             heap: Arc::new(heap),
-            dynamics: Arc::new(dynamics),
+            dynamics: dynamics.into_iter().collect(),
             index: Arc::new(index),
             extents: Arc::new(ExtentManager::new()),
             bindings: Arc::new(bindings),
@@ -571,7 +595,7 @@ impl Database {
     /// face of copy-on-write snapshots, used by tests and the engine to
     /// assert that snapshot capture is O(1).
     pub fn shares_storage_with(&self, other: &Database) -> bool {
-        Arc::ptr_eq(&self.dynamics, &other.dynamics)
+        self.dynamics.same_storage(&other.dynamics)
     }
 }
 

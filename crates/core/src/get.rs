@@ -28,18 +28,28 @@
 //! element.
 
 use crate::error::CoreError;
+use crate::store::Chunk;
 use dbpl_types::{is_subtype, is_subtype_uncached, Type, TypeEnv};
 use dbpl_values::{conforms, DynValue, Heap, Mode, Value};
+use std::fmt;
+use std::sync::Arc;
 
 /// An existential package `∃t' ≤ bound. t'`.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The package holds its row — the hidden witness type and the value —
+/// as a shared pointer to a chunk of rows plus an offset. A package
+/// sealed from the typed-list index points into the store itself, so
+/// `Get` copies pointers, not rows: querying an extent is not
+/// replication, and copy semantics stay with `extern`/`intern`. Packages
+/// built by [`ExistsPkg::seal`], the scans and [`ExistsPkg::widen`] own a
+/// private one-row chunk. Either way a package compares and prints as
+/// its `(bound, witness, value)`.
+#[derive(Clone)]
 pub struct ExistsPkg {
     /// The package's *bound*: the type the caller asked for.
     pub bound: Type,
-    /// The hidden witness: the value's actual (more specific) type.
-    witness: Type,
-    /// The packaged value.
-    value: Value,
+    chunk: Chunk,
+    at: usize,
 }
 
 impl ExistsPkg {
@@ -56,17 +66,25 @@ impl ExistsPkg {
                 "cannot seal: witness {witness} is not a subtype of bound {bound}"
             )));
         }
-        Ok(ExistsPkg {
+        Ok(ExistsPkg::owned(DynValue::new(witness, value), bound))
+    }
+
+    fn owned(row: DynValue, bound: Type) -> ExistsPkg {
+        ExistsPkg {
             bound,
-            witness,
-            value,
-        })
+            chunk: Arc::new(vec![row]),
+            at: 0,
+        }
+    }
+
+    fn row(&self) -> &DynValue {
+        &self.chunk[self.at]
     }
 
     /// The hidden witness type (inspection is allowed — Amber's `typeOf` —
     /// but values can only be *used* through a checked opening).
     pub fn witness(&self) -> &Type {
-        &self.witness
+        &self.row().ty
     }
 
     /// Open the package at a requested type: succeeds iff the package's
@@ -74,7 +92,7 @@ impl ExistsPkg {
     /// interface offers is supported. This is the "use at bound" rule.
     pub fn open_at(&self, request: &Type, env: &TypeEnv) -> Result<&Value, CoreError> {
         if is_subtype(&self.bound, request, env) {
-            Ok(&self.value)
+            Ok(self.open())
         } else {
             Err(CoreError::Invalid(format!(
                 "package bound {} does not support interface {request}",
@@ -85,7 +103,7 @@ impl ExistsPkg {
 
     /// Open at the package's own bound (always succeeds).
     pub fn open(&self) -> &Value {
-        &self.value
+        &self.row().value
     }
 
     /// Re-seal at a *wider* bound (existential subsumption:
@@ -98,28 +116,44 @@ impl ExistsPkg {
                 self.bound
             )));
         }
-        Ok(ExistsPkg {
-            bound,
-            witness: self.witness.clone(),
-            value: self.value.clone(),
-        })
+        Ok(ExistsPkg::owned(self.row().clone(), bound))
     }
 
     /// Dissolve into a dynamic value carrying the witness type.
     pub fn into_dynamic(self) -> DynValue {
-        DynValue::new(self.witness, self.value)
+        match Arc::try_unwrap(self.chunk) {
+            Ok(mut rows) => rows.swap_remove(self.at),
+            Err(chunk) => chunk[self.at].clone(),
+        }
     }
 
-    /// Package a value whose `witness ≤ bound` has *already* been
-    /// established (by the typed-list index, whose membership is exactly
-    /// that judgement). Crate-private: a public caller could seal a lie,
-    /// breaking the static discipline [`ExistsPkg::seal`] enforces.
-    pub(crate) fn seal_trusted(witness: Type, value: Value, bound: Type) -> ExistsPkg {
+    /// Package the stored row at offset `at` of `chunk`, whose
+    /// `witness ≤ bound` has *already* been established (by the
+    /// typed-list index, whose membership is exactly that judgement).
+    /// Crate-private: a public caller could seal a lie, breaking the
+    /// static discipline [`ExistsPkg::seal`] enforces.
+    pub(crate) fn seal_trusted(chunk: &Chunk, at: usize, bound: Type) -> ExistsPkg {
         ExistsPkg {
             bound,
-            witness,
-            value,
+            chunk: Arc::clone(chunk),
+            at,
         }
+    }
+}
+
+impl PartialEq for ExistsPkg {
+    fn eq(&self, other: &ExistsPkg) -> bool {
+        self.bound == other.bound && self.row() == other.row()
+    }
+}
+
+impl fmt::Debug for ExistsPkg {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ExistsPkg")
+            .field("bound", &self.bound)
+            .field("witness", self.witness())
+            .field("value", self.open())
+            .finish()
     }
 }
 
@@ -154,11 +188,7 @@ pub fn scan_get(dynamics: &[DynValue], bound: &Type, env: &TypeEnv) -> Vec<Exist
     dynamics
         .iter()
         .filter(|d| is_subtype_uncached(&d.ty, bound, env))
-        .map(|d| ExistsPkg {
-            bound: bound.clone(),
-            witness: d.ty.clone(),
-            value: d.value.clone(),
-        })
+        .map(|d| ExistsPkg::owned(d.clone(), bound.clone()))
         .collect()
 }
 
@@ -172,11 +202,7 @@ pub fn scan_get_cached(dynamics: &[DynValue], bound: &Type, env: &TypeEnv) -> Ve
     dynamics
         .iter()
         .filter(|d| is_subtype(&d.ty, bound, env))
-        .map(|d| ExistsPkg {
-            bound: bound.clone(),
-            witness: d.ty.clone(),
-            value: d.value.clone(),
-        })
+        .map(|d| ExistsPkg::owned(d.clone(), bound.clone()))
         .collect()
 }
 
@@ -191,11 +217,15 @@ pub const PAR_SCAN_CUTOFF: usize = 4096;
 /// tested). The shared memo table means the first chunk to meet a carried
 /// type pays its structural walk for everyone.
 pub fn scan_get_par(dynamics: &[DynValue], bound: &Type, env: &TypeEnv) -> Vec<ExistsPkg> {
-    let workers = std::thread::available_parallelism()
+    scan_get_par_workers(dynamics, bound, env, detected_workers())
+}
+
+/// The worker count [`scan_get_par`] fans out to.
+pub(crate) fn detected_workers() -> usize {
+    std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-        .min(8);
-    scan_get_par_workers(dynamics, bound, env, workers)
+        .min(8)
 }
 
 /// [`scan_get_par`] with an explicit worker count instead of the detected
@@ -208,22 +238,55 @@ pub fn scan_get_par_workers(
     env: &TypeEnv,
     workers: usize,
 ) -> Vec<ExistsPkg> {
-    if dynamics.len() < PAR_SCAN_CUTOFF || workers <= 1 {
-        return scan_get_cached(dynamics, bound, env);
+    scan_parts_par(&[dynamics], bound, env, workers)
+}
+
+/// [`scan_get_par_workers`] over a store held as consecutive slices (the
+/// chunked store's parts): the rows are split into `workers` runs of about
+/// equal length regardless of part boundaries, and the runs' results are
+/// rejoined in order.
+pub(crate) fn scan_parts_par(
+    parts: &[&[DynValue]],
+    bound: &Type,
+    env: &TypeEnv,
+    workers: usize,
+) -> Vec<ExistsPkg> {
+    let rows: usize = parts.iter().map(|p| p.len()).sum();
+    if rows < PAR_SCAN_CUTOFF || workers <= 1 {
+        return parts
+            .iter()
+            .flat_map(|p| scan_get_cached(p, bound, env))
+            .collect();
     }
-    let chunk = dynamics.len().div_ceil(workers);
+    let per_worker = rows.div_ceil(workers);
+    let mut runs: Vec<Vec<&[DynValue]>> = vec![Vec::new()];
+    let mut room = per_worker;
+    for mut part in parts.iter().copied() {
+        while !part.is_empty() {
+            if room == 0 {
+                runs.push(Vec::new());
+                room = per_worker;
+            }
+            let (head, rest) = part.split_at(room.min(part.len()));
+            runs.last_mut().expect("a run is open").push(head);
+            room -= head.len();
+            part = rest;
+        }
+    }
     // Capture the tracing context before the fan-out so worker spans hang
     // off the enclosing `get` tree instead of starting orphan traces.
     let ctx = dbpl_obs::trace::current();
     std::thread::scope(|s| {
-        let handles: Vec<_> = dynamics
-            .chunks(chunk)
-            .map(|c| {
+        let handles: Vec<_> = runs
+            .iter()
+            .map(|run| {
                 s.spawn(move || {
                     let _ctx = dbpl_obs::trace::adopt(ctx);
                     let mut sp = dbpl_obs::span!("get.scan.worker");
-                    sp.set_attr("rows_in", c.len());
-                    scan_get_cached(c, bound, env)
+                    sp.set_attr("rows_in", run.iter().map(|p| p.len()).sum::<usize>());
+                    run.iter()
+                        .flat_map(|p| scan_get_cached(p, bound, env))
+                        .collect::<Vec<_>>()
                 })
             })
             .collect();

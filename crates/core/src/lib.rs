@@ -30,6 +30,7 @@ pub mod hierarchy;
 pub mod instance;
 pub mod keys;
 mod metrics;
+mod store;
 
 pub use database::{Database, GetStrategy};
 pub use error::CoreError;

@@ -25,6 +25,7 @@ counter_fn!(rows_sealed, "get.rows_sealed");
 counter_fn!(stats_observed_puts, "stats.observed_puts");
 counter_fn!(stats_observed_removes, "stats.observed_removes");
 counter_fn!(stats_rebuilds, "stats.rebuilds");
+counter_fn!(store_rows_copied, "store.rows_copied");
 
 /// The selection counter for one `Get` strategy.
 pub(crate) fn strategy_counter(strategy: GetStrategy) -> &'static Counter {

@@ -1,6 +1,7 @@
 //! The abstract syntax of MiniDBPL.
 
 use dbpl_types::Type;
+use std::rc::Rc;
 
 /// A binary operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,8 +71,8 @@ pub enum ExprKind {
     /// `let x (: T)? = e1 in e2`.
     Let(String, Option<Type>, Box<Expr>, Box<Expr>),
     /// Lambda `fn(x: T) => e` (multi-parameter surface forms are curried
-    /// by the parser).
-    Lambda(String, Type, Box<Expr>),
+    /// by the parser). The body is shared with every closure made from it.
+    Lambda(String, Type, Rc<Expr>),
     /// Application `f(e)` (multi-argument calls are curried).
     App(Box<Expr>, Box<Expr>),
     /// Type application `f[T]`.

@@ -4,6 +4,11 @@
 //! at run time are the ones the paper requires to be dynamic — the
 //! subtype test inside `coerce` (which raises the paper's "run-time
 //! exception" on mismatch) and the per-element test inside `get`.
+//!
+//! `get` yields unopened [`RtValue::Stored`] packages that share the
+//! stored rows. A package is converted to its runtime form only where
+//! the evaluator inspects a value's shape: variable lookup, builtin
+//! arguments, the `head` result and the elements `sum` adds.
 
 use crate::ast::{BinOp, Expr, ExprKind};
 use crate::error::LangError;
@@ -24,7 +29,10 @@ pub fn eval(e: &Expr, env: &Env, s: &mut Session) -> Result<RtValue, LangError> 
         ExprKind::Unit => Ok(RtValue::Unit),
         ExprKind::Var(x) => {
             if let Some(v) = env.lookup(x) {
-                return Ok(v.clone());
+                return Ok(match v {
+                    RtValue::Stored(p) => RtValue::from_value(p.open()),
+                    v => v.clone(),
+                });
             }
             if x == "db" {
                 return Ok(RtValue::DbToken);
@@ -89,7 +97,7 @@ pub fn eval(e: &Expr, env: &Env, s: &mut Session) -> Result<RtValue, LangError> 
         ExprKind::Lambda(x, _, body) => Ok(RtValue::Closure(Rc::new(Closure {
             name: None,
             param: x.clone(),
-            body: (**body).clone(),
+            body: Rc::clone(body),
             env: env.clone(),
         }))),
         ExprKind::App(f, a) => {
@@ -239,7 +247,7 @@ pub fn apply(f: RtValue, arg: RtValue, at: usize, s: &mut Session) -> Result<RtV
             eval(&c.body, &env, s)
         }
         RtValue::Builtin(mut b) => {
-            b.args.push(arg);
+            b.args.push(arg.unpack());
             if b.args.len() >= b.arity {
                 exec_builtin(b, at, s)
             } else {
@@ -330,9 +338,11 @@ fn exec_builtin(b: Builtin, at: usize, s: &mut Session) -> Result<RtValue, LangE
         mut args,
         ..
     } = b;
-    let list_arg = |v: &RtValue, at: usize| -> Result<Vec<RtValue>, LangError> {
+    // List builtins consume their arguments: moved out, never cloned.
+    let take = |args: &mut Vec<RtValue>, i: usize| std::mem::replace(&mut args[i], RtValue::Unit);
+    let list_arg = |v: RtValue, at: usize| -> Result<Vec<RtValue>, LangError> {
         match v {
-            RtValue::List(xs) => Ok(xs.clone()),
+            RtValue::List(xs) => Ok(xs),
             other => Err(LangError::eval(
                 at,
                 format!("expected a list, found {other}"),
@@ -359,12 +369,9 @@ fn exec_builtin(b: Builtin, at: usize, s: &mut Session) -> Result<RtValue, LangE
                 .cloned()
                 .ok_or_else(|| LangError::eval(at, "get needs a type argument".to_string()))?;
             match args.remove(0) {
-                RtValue::DbToken => {
-                    let pkgs = s.db.get(&bound);
-                    Ok(RtValue::List(
-                        pkgs.iter().map(|p| RtValue::from_value(p.open())).collect(),
-                    ))
-                }
+                RtValue::DbToken => Ok(RtValue::List(
+                    s.db.get(&bound).into_iter().map(RtValue::Stored).collect(),
+                )),
                 other => Err(LangError::eval(at, format!("get on non-database {other}"))),
             }
         }
@@ -385,34 +392,37 @@ fn exec_builtin(b: Builtin, at: usize, s: &mut Session) -> Result<RtValue, LangE
             }
         }
         "cons" => {
-            let xs = list_arg(&args[1], at)?;
-            let mut out = vec![args[0].clone()];
+            let xs = list_arg(take(&mut args, 1), at)?;
+            let mut out = Vec::with_capacity(xs.len() + 1);
+            out.push(take(&mut args, 0));
             out.extend(xs);
             Ok(RtValue::List(out))
         }
         "head" => {
-            let xs = list_arg(&args[0], at)?;
+            let xs = list_arg(take(&mut args, 0), at)?;
             xs.into_iter()
                 .next()
+                .map(RtValue::unpack)
                 .ok_or_else(|| LangError::eval(at, "head of empty list"))
         }
         "tail" => {
-            let xs = list_arg(&args[0], at)?;
+            let mut xs = list_arg(take(&mut args, 0), at)?;
             if xs.is_empty() {
                 return Err(LangError::eval(at, "tail of empty list".to_string()));
             }
-            Ok(RtValue::List(xs[1..].to_vec()))
+            xs.remove(0);
+            Ok(RtValue::List(xs))
         }
-        "isEmpty" => Ok(RtValue::Bool(list_arg(&args[0], at)?.is_empty())),
-        "len" => Ok(RtValue::Int(list_arg(&args[0], at)?.len() as i64)),
+        "isEmpty" => Ok(RtValue::Bool(list_arg(take(&mut args, 0), at)?.is_empty())),
+        "len" => Ok(RtValue::Int(list_arg(take(&mut args, 0), at)?.len() as i64)),
         "append" => {
-            let mut xs = list_arg(&args[0], at)?;
-            xs.extend(list_arg(&args[1], at)?);
+            let mut xs = list_arg(take(&mut args, 0), at)?;
+            xs.extend(list_arg(take(&mut args, 1), at)?);
             Ok(RtValue::List(xs))
         }
         "map" => {
-            let f = args[0].clone();
-            let xs = list_arg(&args[1], at)?;
+            let f = take(&mut args, 0);
+            let xs = list_arg(take(&mut args, 1), at)?;
             let mut out = Vec::with_capacity(xs.len());
             for x in xs {
                 out.push(apply(f.clone(), x, at, s)?);
@@ -420,8 +430,8 @@ fn exec_builtin(b: Builtin, at: usize, s: &mut Session) -> Result<RtValue, LangE
             Ok(RtValue::List(out))
         }
         "filter" => {
-            let f = args[0].clone();
-            let xs = list_arg(&args[1], at)?;
+            let f = take(&mut args, 0);
+            let xs = list_arg(take(&mut args, 1), at)?;
             let mut out = Vec::new();
             for x in xs {
                 match apply(f.clone(), x.clone(), at, s)? {
@@ -438,9 +448,9 @@ fn exec_builtin(b: Builtin, at: usize, s: &mut Session) -> Result<RtValue, LangE
             Ok(RtValue::List(out))
         }
         "fold" => {
-            let f = args[0].clone();
-            let mut acc = args[1].clone();
-            let xs = list_arg(&args[2], at)?;
+            let f = take(&mut args, 0);
+            let mut acc = take(&mut args, 1);
+            let xs = list_arg(take(&mut args, 2), at)?;
             for x in xs {
                 let partial = apply(f.clone(), acc, at, s)?;
                 acc = apply(partial, x, at, s)?;
@@ -448,12 +458,12 @@ fn exec_builtin(b: Builtin, at: usize, s: &mut Session) -> Result<RtValue, LangE
             Ok(acc)
         }
         "reverse" => {
-            let mut xs = list_arg(&args[0], at)?;
+            let mut xs = list_arg(take(&mut args, 0), at)?;
             xs.reverse();
             Ok(RtValue::List(xs))
         }
         "distinct" => {
-            let xs = list_arg(&args[0], at)?;
+            let xs = list_arg(take(&mut args, 0), at)?;
             let mut out: Vec<RtValue> = Vec::new();
             for x in xs {
                 let dup = out.iter().any(|y| y.data_eq(&x) == Some(true));
@@ -471,10 +481,10 @@ fn exec_builtin(b: Builtin, at: usize, s: &mut Session) -> Result<RtValue, LangE
             Ok(RtValue::List((lo..hi).map(RtValue::Int).collect()))
         }
         "sum" => {
-            let xs = list_arg(&args[0], at)?;
+            let xs = list_arg(take(&mut args, 0), at)?;
             let mut total = 0.0;
             for x in xs {
-                total += match x {
+                total += match x.unpack() {
                     RtValue::Int(i) => i as f64,
                     RtValue::Float(f) => f,
                     other => return Err(LangError::eval(at, format!("sum of {other}"))),
@@ -511,8 +521,8 @@ fn exec_builtin(b: Builtin, at: usize, s: &mut Session) -> Result<RtValue, LangE
             }
         }
         "explainJoin" => {
-            let rhs = list_arg(&args[1], at)?;
-            let lhs = list_arg(&args[0], at)?;
+            let rhs = list_arg(take(&mut args, 1), at)?;
+            let lhs = list_arg(take(&mut args, 0), at)?;
             let mut lvals = Vec::with_capacity(lhs.len());
             for x in &lhs {
                 lvals.push(x.to_value(at)?);
@@ -646,8 +656,8 @@ fn exec_builtin(b: Builtin, at: usize, s: &mut Session) -> Result<RtValue, LangE
             )),
         },
         "explainAnalyzeJoin" => {
-            let rhs = list_arg(&args[1], at)?;
-            let lhs = list_arg(&args[0], at)?;
+            let rhs = list_arg(take(&mut args, 1), at)?;
+            let lhs = list_arg(take(&mut args, 0), at)?;
             let mut lvals = Vec::with_capacity(lhs.len());
             for x in &lhs {
                 lvals.push(x.to_value(at)?);

@@ -9,6 +9,7 @@ use crate::ast::{BinOp, Expr, ExprKind, Item, Program};
 use crate::error::LangError;
 use crate::token::{lex, Spanned, Tok};
 use dbpl_types::{Fields, Type};
+use std::rc::Rc;
 
 /// Parse a whole program.
 pub fn parse_program(src: &str) -> Result<Program, LangError> {
@@ -355,7 +356,7 @@ impl Parser {
                 // Curry.
                 let mut e = body;
                 for (x, t) in params.into_iter().rev() {
-                    e = Expr::new(at, ExprKind::Lambda(x, t, Box::new(e)));
+                    e = Expr::new(at, ExprKind::Lambda(x, t, Rc::new(e)));
                 }
                 Ok(e)
             }

@@ -5,9 +5,14 @@
 //! evaluation. Conversion to [`Value`] happens at the *database
 //! boundaries* — `dynamic`, `put`, `extern` — where functions are
 //! rejected: only data persists.
+//!
+//! The one exception to "runtime values are converted": the elements of a
+//! `get` result stay [`RtValue::Stored`] packages that share the stored
+//! row, and are converted only where the program looks inside one.
 
 use crate::ast::Expr;
 use crate::error::LangError;
+use dbpl_core::ExistsPkg;
 use dbpl_types::Type;
 use dbpl_values::{Oid, Value};
 use std::collections::BTreeMap;
@@ -61,8 +66,8 @@ pub struct Closure {
     pub name: Option<String>,
     /// Parameter name.
     pub param: String,
-    /// Body.
-    pub body: Expr,
+    /// Body (shared with the `fn` expression it was made from).
+    pub body: Rc<Expr>,
     /// Captured environment.
     pub env: Env,
 }
@@ -109,6 +114,11 @@ pub enum RtValue {
     Builtin(Builtin),
     /// The session database token (the value of the global `db`).
     DbToken,
+    /// An unopened `get` result element: the package shares the stored
+    /// row. It behaves exactly like [`RtValue::from_value`] of the
+    /// package's value; [`RtValue::unpack`] performs that conversion
+    /// where the evaluator inspects a value's shape.
+    Stored(ExistsPkg),
 }
 
 impl RtValue {
@@ -146,7 +156,19 @@ impl RtValue {
                     "the database itself is not a storable value".to_string(),
                 ))
             }
+            // Through the runtime form, so the stored value converts
+            // exactly as an opened one would (sets become lists).
+            RtValue::Stored(p) => return RtValue::from_value(p.open()).to_value(at),
         })
+    }
+
+    /// Open a [`RtValue::Stored`] package into its runtime form; every
+    /// other value is returned as is.
+    pub fn unpack(self) -> RtValue {
+        match self {
+            RtValue::Stored(p) => RtValue::from_value(p.open()),
+            other => other,
+        }
     }
 
     /// Convert a storable value into a runtime value (always succeeds).
@@ -173,6 +195,8 @@ impl RtValue {
     /// Structural equality on data; functions are never equal.
     pub fn data_eq(&self, other: &RtValue) -> Option<bool> {
         match (self, other) {
+            (RtValue::Stored(p), _) => RtValue::from_value(p.open()).data_eq(other),
+            (_, RtValue::Stored(p)) => self.data_eq(&RtValue::from_value(p.open())),
             (RtValue::Unit, RtValue::Unit) => Some(true),
             (RtValue::Bool(a), RtValue::Bool(b)) => Some(a == b),
             (RtValue::Int(a), RtValue::Int(b)) => Some(a == b),
@@ -263,6 +287,7 @@ impl fmt::Display for RtValue {
             RtValue::Closure(_) => write!(f, "<fn>"),
             RtValue::Builtin(b) => write!(f, "<builtin {}>", b.name),
             RtValue::DbToken => write!(f, "<database>"),
+            RtValue::Stored(p) => write!(f, "{}", RtValue::from_value(p.open())),
         }
     }
 }

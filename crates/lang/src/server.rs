@@ -60,7 +60,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -478,7 +478,7 @@ fn diff_frame(
         .filter(|(oid, _)| *oid >= watermark)
         .map(|(oid, obj)| (oid, obj.ty.clone(), obj.value.clone()))
         .collect();
-    let puts = worked.dynamics()[base.len()..].to_vec();
+    let puts = worked.rows_from(base.len()).cloned().collect();
     Ok(Frame {
         base_epoch,
         decls,
@@ -1272,11 +1272,18 @@ impl Server {
     }
 }
 
+/// The `snapshot.reads` counter, resolved once per process: every read
+/// bumps it, so it skips the registry's by-name lookup.
+fn snapshot_reads() -> &'static dbpl_obs::Counter {
+    static C: OnceLock<Arc<dbpl_obs::Counter>> = OnceLock::new();
+    C.get_or_init(|| dbpl_obs::global().counter("snapshot.reads"))
+}
+
 /// Structural equivalence of two databases: same dynamics, same schema,
 /// same heap. (Used by the replay check; `Database` deliberately does not
 /// implement `PartialEq`.)
 fn db_equiv(a: &Database, b: &Database) -> Result<(), String> {
-    if a.dynamics() != b.dynamics() {
+    if a.len() != b.len() || !a.rows_from(0).eq(b.rows_from(0)) {
         return Err(format!(
             "dynamic stores differ: {} vs {} elements (or content)",
             a.len(),
@@ -1429,7 +1436,7 @@ impl ServerSession {
         // waiting, and queue waiting all spend the same budget.
         let deadline = self.txn_deadline.map(|d| Instant::now() + d);
         let state = self.engine.shared.snap.load();
-        dbpl_obs::global().counter("snapshot.reads").inc();
+        snapshot_reads().inc();
         let mut worker =
             Session::for_engine(state.db.clone(), Arc::clone(&self.engine.shared.store));
         let staged = worker.run_staged(src);
@@ -1550,7 +1557,7 @@ impl ServerSession {
     /// Consistent and immutable: queries against it never see later
     /// commits.
     pub fn snapshot(&self) -> Arc<EngineState> {
-        dbpl_obs::global().counter("snapshot.reads").inc();
+        snapshot_reads().inc();
         self.engine.shared.snap.load()
     }
 

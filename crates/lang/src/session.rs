@@ -513,13 +513,13 @@ impl Session {
                     let mut inner = body.clone();
                     for (x, t) in params.iter().skip(1).rev() {
                         inner =
-                            Expr::new(*at, ExprKind::Lambda(x.clone(), t.clone(), Box::new(inner)));
+                            Expr::new(*at, ExprKind::Lambda(x.clone(), t.clone(), Rc::new(inner)));
                     }
                     let (p0, _) = &params[0];
                     let clo = RtValue::Closure(Rc::new(Closure {
                         name: Some(name.clone()),
                         param: p0.clone(),
-                        body: inner,
+                        body: Rc::new(inner),
                         env: env.clone(),
                     }));
                     env = env.bind(name.clone(), clo);

@@ -49,7 +49,10 @@ fn obs_lock() -> std::sync::MutexGuard<'static, ()> {
 struct Tally {
     applied: AtomicU64,
     overloaded: AtomicU64,
+    /// Deadlines that expired in the queue: the frame was admitted.
     deadline: AtomicU64,
+    /// Deadlines that expired before the enqueue: never admitted.
+    deadline_pre_enqueue: AtomicU64,
     refused: AtomicU64,
     aborted: AtomicU64,
     in_doubt: AtomicU64,
@@ -62,6 +65,7 @@ impl Tally {
         self.applied.load(Ordering::Relaxed)
             + self.overloaded.load(Ordering::Relaxed)
             + self.deadline.load(Ordering::Relaxed)
+            + self.deadline_pre_enqueue.load(Ordering::Relaxed)
             + self.refused.load(Ordering::Relaxed)
             + self.aborted.load(Ordering::Relaxed)
             + self.in_doubt.load(Ordering::Relaxed)
@@ -73,6 +77,11 @@ impl Tally {
         let slot = match res {
             Ok(_) => &self.applied,
             Err(e) if e.is_overloaded() => &self.overloaded,
+            Err(e)
+                if e.is_deadline_exceeded() && e.msg.contains("before the commit was enqueued") =>
+            {
+                &self.deadline_pre_enqueue
+            }
             Err(e) if e.is_deadline_exceeded() => &self.deadline,
             Err(e) if e.is_engine_down() => &self.engine_down,
             Err(e) if e.msg.contains("in doubt") => &self.in_doubt,
@@ -225,7 +234,8 @@ fn chaos_run(seed: u64) {
     // Refusals and engine-down replies land on *either* side of
     // admission — the session's probe-first health gate refuses before
     // enqueue, the applier's gate refuses a taken batch — so they only
-    // widen the upper bound.
+    // widen the upper bound. A deadline that expired before the enqueue
+    // was never admitted, so it is in neither bound.
     let taken_min = tally.applied.load(Ordering::Relaxed)
         + tally.deadline.load(Ordering::Relaxed)
         + tally.aborted.load(Ordering::Relaxed)

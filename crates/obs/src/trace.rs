@@ -13,7 +13,8 @@
 //! Three consumers sit on the buffer:
 //!
 //! * [`capture`] — run a closure under a fresh root span and return its
-//!   whole subtree (the `explainAnalyze` builtins and
+//!   whole subtree, collected apart from the ring so no [`clear`] or
+//!   eviction can lose part of it (the `explainAnalyze` builtins and
 //!   `Session::run_profiled` render it with [`render_tree`]);
 //! * the slow-op log — [`set_slow_threshold_us`] makes every *root*
 //!   span that exceeds the threshold emit an
@@ -29,7 +30,7 @@
 
 use parking_lot::Mutex;
 use std::cell::Cell;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -260,6 +261,18 @@ fn ring() -> &'static Mutex<TraceBuffer> {
     RING.get_or_init(|| Mutex::new(TraceBuffer::new(DEFAULT_TRACE_CAPACITY)))
 }
 
+/// Number of open [`capture`]s; while zero, closing a span never touches
+/// the capture table.
+static CAPTURING: AtomicU64 = AtomicU64::new(0);
+
+/// The open captures: trace id → the spans of that trace completed so
+/// far. A captured trace's spans are collected here instead of in the
+/// shared ring, so neither [`clear`] nor ring eviction can lose them.
+fn captures() -> &'static Mutex<BTreeMap<u64, Vec<SpanRecord>>> {
+    static CAPTURES: OnceLock<Mutex<BTreeMap<u64, Vec<SpanRecord>>>> = OnceLock::new();
+    CAPTURES.get_or_init(|| Mutex::new(BTreeMap::new()))
+}
+
 /// Whether span sites currently record trace trees (cheap relaxed load —
 /// this is the only cost tracing adds to an instrumented path when off).
 #[inline]
@@ -384,22 +397,28 @@ pub(crate) fn close_slot(slot: TraceSlot) {
     };
     let is_root = record.parent_id.is_none();
     let slow = is_root && record.dur_us >= SLOW_US.load(Ordering::Relaxed);
-    let subtree = {
+    // A captured trace collects into its capture; any other goes to the
+    // ring. Either way a slow root takes its whole subtree along.
+    let captured = if CAPTURING.load(Ordering::Relaxed) > 0 {
+        captures().lock().get_mut(&record.trace_id).map(|own| {
+            own.push(record.clone());
+            slow.then(|| own.clone())
+        })
+    } else {
+        None
+    };
+    let subtree = captured.unwrap_or_else(|| {
         let mut r = ring().lock();
         r.push(record.clone());
-        if slow {
-            let mut spans: Vec<SpanRecord> = r
-                .spans()
+        slow.then(|| {
+            r.spans()
                 .filter(|s| s.trace_id == record.trace_id)
                 .cloned()
-                .collect();
-            spans.sort_by_key(|s| (s.start_us, s.span_id));
-            Some(spans)
-        } else {
-            None
-        }
-    };
-    if let Some(spans) = subtree {
+                .collect()
+        })
+    });
+    if let Some(mut spans) = subtree {
+        spans.sort_by_key(|s| (s.start_us, s.span_id));
         // Emitted outside the ring lock: sinks may be arbitrarily slow.
         crate::emit(crate::Event::SlowOp {
             name: record.name.to_string(),
@@ -416,19 +435,26 @@ pub(crate) fn close_slot(slot: TraceSlot) {
 /// Run `f` under a fresh root span named `name` and return its result
 /// together with the completed trace (root included), sorted parents
 /// before children. Tracing is enabled for the duration (and left in
-/// whatever state it was); the captured spans are *removed* from the
-/// ring, so concurrent captures don't see each other's trees. The root
-/// is detached from any enclosing span on this thread — a capture nested
-/// inside a traced `run` still yields exactly its own tree.
+/// whatever state it was). The trace's spans — from any thread that
+/// adopted its context — are collected apart from the shared ring, so
+/// concurrent captures don't see each other's trees, and a [`clear`] or
+/// ring eviction meanwhile loses none of them. The root is detached from
+/// any enclosing span on this thread — a capture nested inside a traced
+/// `run` still yields exactly its own tree.
 pub fn capture<R>(name: &'static str, f: impl FnOnce() -> R) -> (R, Vec<SpanRecord>) {
     enable(DEFAULT_TRACE_CAPACITY);
     let _detach = adopt(None);
     let slot = open_slot(name).expect("tracing just enabled");
     let trace_id = slot.trace_id;
+    captures().lock().insert(trace_id, Vec::new());
+    CAPTURING.fetch_add(1, Ordering::Relaxed);
     let r = f();
     close_slot(slot);
+    CAPTURING.fetch_sub(1, Ordering::Relaxed);
     disable();
-    (r, take_trace(trace_id))
+    let mut spans = captures().lock().remove(&trace_id).unwrap_or_default();
+    spans.sort_by_key(|s| (s.start_us, s.span_id));
+    (r, spans)
 }
 
 // ---------------------------------------------------------------------------
@@ -663,6 +689,33 @@ mod tests {
                 assert!(s.start_us + s.dur_us <= parent.start_us + parent.dur_us);
             }
         }
+    }
+
+    #[test]
+    fn capture_keeps_its_spans_through_clear_and_eviction() {
+        let _guard = TRACE_TEST_LOCK.lock();
+        let ((), spans) = capture("kept", || {
+            {
+                let _early = crate::span!("early");
+            }
+            // Another user of the shared ring wipes it, then floods it
+            // past capacity from an unrelated trace.
+            clear();
+            enable(4);
+            {
+                let _detach = adopt(None);
+                for _ in 0..16 {
+                    let _noise = crate::span!("noise");
+                }
+            }
+            disable();
+            let _late = crate::span!("late");
+        });
+        enable(DEFAULT_TRACE_CAPACITY);
+        disable();
+        clear();
+        let names: Vec<&str> = spans.iter().map(|s| s.name).collect();
+        assert_eq!(names, ["kept", "early", "late"]);
     }
 
     #[test]
