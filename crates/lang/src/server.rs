@@ -49,6 +49,7 @@ use crate::error::LangError;
 use crate::session::{Health, Session};
 use dbpl_core::Database;
 use dbpl_obs::timeline::{Recorder, RecorderConfig, Timeline};
+use dbpl_obs::{Counter, Gauge, Histogram};
 use dbpl_persist::{
     commit_multi, recover_pending, PersistError, QuarantineEntry, ReplicatingStore, RetryPolicy,
     Vfs,
@@ -180,10 +181,6 @@ impl CommitQueue {
         }
     }
 
-    fn depth_gauge() -> Arc<dbpl_obs::Gauge> {
-        dbpl_obs::global().gauge("server.queue_depth")
-    }
-
     /// Admit one commit request, or refuse it with nothing staged. At
     /// capacity the call waits for space until `admission_deadline` (the
     /// session's transaction deadline) and gives up `Overloaded` when it
@@ -208,7 +205,7 @@ impl CommitQueue {
             };
             let Some(gate) = gate else {
                 st.items.push_back(req);
-                Self::depth_gauge().set(st.items.len() as i64);
+                queue_depth().set(st.items.len() as i64);
                 self.work.notify_one();
                 return Ok(());
             };
@@ -223,7 +220,7 @@ impl CommitQueue {
     }
 
     fn rejected(gate: &'static str, depth: usize) -> AdmissionError {
-        dbpl_obs::global().counter("server.overload_rejected").inc();
+        overload_rejected().inc();
         dbpl_obs::emit(dbpl_obs::Event::Overload {
             depth: depth as u64,
             gate: gate.to_string(),
@@ -242,16 +239,14 @@ impl CommitQueue {
                 let n = st.items.len().min(max);
                 let batch: Vec<CommitRequest> = st.items.drain(..n).collect();
                 st.inflight += n;
-                Self::depth_gauge().set(st.items.len() as i64);
+                queue_depth().set(st.items.len() as i64);
                 // Conservation pair with `server.queue_wait_us`: every
                 // admitted (taken) frame records exactly one queue-wait
                 // observation, so the counter and the histogram count
                 // move in lockstep — the invariant the chaos harness
                 // and `timeline_check` verify.
-                dbpl_obs::global()
-                    .counter("server.frames_admitted")
-                    .add(n as u64);
-                let wait = dbpl_obs::global().histogram("server.queue_wait_us");
+                frames_admitted().add(n as u64);
+                let wait = queue_wait_us();
                 let now = Instant::now();
                 for req in &batch {
                     wait.record_us(now.duration_since(req.enqueued_at).as_micros() as u64);
@@ -298,7 +293,7 @@ impl CommitQueue {
         st.abandoned = true;
         st.shutdown = true;
         let leftovers: Vec<CommitRequest> = st.items.drain(..).collect();
-        Self::depth_gauge().set(0);
+        queue_depth().set(0);
         self.work.notify_all();
         self.space.notify_all();
         leftovers
@@ -347,7 +342,7 @@ struct LiveTag {
 
 impl EngineState {
     fn tracked(epoch: u64, db: Database, engine_live: &Arc<AtomicI64>) -> EngineState {
-        let gauge = dbpl_obs::global().gauge("snapshot.live");
+        let gauge = Arc::clone(snapshot_live());
         gauge.inc();
         engine_live.fetch_add(1, Ordering::Relaxed);
         EngineState {
@@ -766,7 +761,7 @@ fn apply_batch(shared: &Shared, batch: Vec<CommitRequest>) {
         .into_iter()
         .filter_map(|req| match req.deadline {
             Some(d) if now >= d => {
-                dbpl_obs::global().counter("server.deadline_dropped").inc();
+                deadline_dropped().inc();
                 let waited_ms = now.duration_since(req.enqueued_at).as_millis() as u64;
                 req.answer(CommitOutcome::DeadlineExceeded { waited_ms });
                 None
@@ -780,10 +775,8 @@ fn apply_batch(shared: &Shared, batch: Vec<CommitRequest>) {
 
     let mut span = dbpl_obs::span!("txn.group_commit");
     span.set_attr("batch_size", batch.len());
-    dbpl_obs::global()
-        .histogram("group_commit.batch_size")
-        .record_us(batch.len() as u64);
-    dbpl_obs::global().counter("group_commit.batches").inc();
+    group_commit_batch_size().record_us(batch.len() as u64);
+    group_commit_batches().inc();
 
     // Refusals: probe-first, nothing staged. (Sessions also gate on
     // health before enqueueing; this closes the race where the engine
@@ -938,7 +931,7 @@ fn publish(shared: &Shared, epoch: u64, db: Database) {
     shared
         .snap
         .store(EngineState::tracked(epoch, db, &shared.engine_live));
-    dbpl_obs::global().counter("snapshot.publish").inc();
+    snapshot_publish().inc();
 }
 
 fn finish(batch: Vec<CommitRequest>, outcomes: Vec<Option<CommitOutcome>>) {
@@ -1272,12 +1265,29 @@ impl Server {
     }
 }
 
-/// The `snapshot.reads` counter, resolved once per process: every read
-/// bumps it, so it skips the registry's by-name lookup.
-fn snapshot_reads() -> &'static dbpl_obs::Counter {
-    static C: OnceLock<Arc<dbpl_obs::Counter>> = OnceLock::new();
-    C.get_or_init(|| dbpl_obs::global().counter("snapshot.reads"))
+/// A registry metric resolved once per process, the `counter_fn!`
+/// pattern of `dbpl_persist`: the per-read and per-commit paths skip the
+/// registry's by-name lookup. The handle stays valid across `reset`,
+/// which zeroes metrics in place.
+macro_rules! cached_metric {
+    ($fn_name:ident: $kind:ident($metric:expr) -> $ty:ty) => {
+        fn $fn_name() -> &'static Arc<$ty> {
+            static M: OnceLock<Arc<$ty>> = OnceLock::new();
+            M.get_or_init(|| dbpl_obs::global().$kind($metric))
+        }
+    };
 }
+
+cached_metric!(snapshot_reads: counter("snapshot.reads") -> Counter);
+cached_metric!(snapshot_publish: counter("snapshot.publish") -> Counter);
+cached_metric!(snapshot_live: gauge("snapshot.live") -> Gauge);
+cached_metric!(queue_depth: gauge("server.queue_depth") -> Gauge);
+cached_metric!(queue_wait_us: histogram("server.queue_wait_us") -> Histogram);
+cached_metric!(frames_admitted: counter("server.frames_admitted") -> Counter);
+cached_metric!(overload_rejected: counter("server.overload_rejected") -> Counter);
+cached_metric!(deadline_dropped: counter("server.deadline_dropped") -> Counter);
+cached_metric!(group_commit_batches: counter("group_commit.batches") -> Counter);
+cached_metric!(group_commit_batch_size: histogram("group_commit.batch_size") -> Histogram);
 
 /// Structural equivalence of two databases: same dynamics, same schema,
 /// same heap. (Used by the replay check; `Database` deliberately does not

@@ -14,11 +14,16 @@
 //! [`IntrinsicStore`] realizes the model over the CRC-framed [`LogFile`]:
 //!
 //! * objects live in a working [`Heap`]; **handles** are the named roots;
-//! * [`IntrinsicStore::commit`] appends the dirty objects and handle table
-//!   changes followed by a commit marker, then makes them the new
-//!   committed state — crash recovery replays only up to the last marker;
-//! * [`IntrinsicStore::abort`] rolls the working state back to the last
-//!   commit (the divergence the paper describes is thus first-class);
+//! * the divergence the paper describes is kept as an undo log: the
+//!   before-image of every object and handle touched since the last
+//!   commit, so the committed state is the working state overlaid with
+//!   it, and commit and abort cost what the transaction touched, not
+//!   what the store holds;
+//! * [`IntrinsicStore::commit`] appends the touched objects and handle
+//!   table changes followed by a commit marker, then drops the undo log —
+//!   crash recovery replays only up to the last marker;
+//! * [`IntrinsicStore::abort`] puts the before-images back, rolling the
+//!   working state back to the last commit;
 //! * [`IntrinsicStore::sweep`] reclaims objects unreachable from any
 //!   handle; [`IntrinsicStore::compact`] rewrites the log to just the live
 //!   committed state.
@@ -38,8 +43,9 @@ use crate::format::{self, Reader};
 use crate::log::LogFile;
 use crate::vfs::{retry_io, CountingVfs, StdVfs, Vfs};
 use dbpl_types::Type;
-use dbpl_values::{Heap, Oid, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use dbpl_values::{Heap, HeapObject, Oid, Value};
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -90,19 +96,53 @@ pub struct IntrinsicStore {
     /// `None` when the store is read-only (salvage mode).
     log: Option<LogFile>,
     recovery: RecoveryReport,
-    committed_heap: Heap,
-    committed_handles: Handles,
     heap: Heap,
     handles: Handles,
-    dirty_objects: BTreeSet<Oid>,
-    dead_objects: BTreeSet<Oid>,
-    dirty_handles: BTreeSet<String>,
+    undo: UndoLog,
     txn: u64,
     /// The last transaction whose commit marker is known to be durably
     /// synced — unlike `txn`, it never advances before `log.sync()`
     /// succeeds, so recovery can trust it on a live store whose commit
     /// failed mid-sync.
     durable_txn: u64,
+}
+
+/// Everything the working state has changed since the last commit, as
+/// before-images: the committed state is the working state with these
+/// put back. A key is recorded the first time it is touched, so its
+/// image is the committed one however often it changes afterwards.
+struct UndoLog {
+    /// Committed object per touched oid; `None` if it did not exist.
+    objects: BTreeMap<Oid, Option<HeapObject>>,
+    /// Committed binding per touched handle; `None` if it was unbound.
+    handles: BTreeMap<String, Option<(Type, Value)>>,
+    /// The allocator watermark at the last commit.
+    next_oid: Oid,
+}
+
+impl UndoLog {
+    fn clean(next_oid: Oid) -> UndoLog {
+        UndoLog {
+            objects: BTreeMap::new(),
+            handles: BTreeMap::new(),
+            next_oid,
+        }
+    }
+
+    fn object(&mut self, oid: Oid, before: Option<HeapObject>) {
+        self.objects.entry(oid).or_insert(before);
+    }
+
+    fn handle(&mut self, name: &str, before: Option<(Type, Value)>) {
+        if !self.handles.contains_key(name) {
+            self.handles.insert(name.to_string(), before);
+        }
+    }
+
+    /// Objects and handles touched since the last commit.
+    fn touched(&self) -> usize {
+        self.objects.len() + self.handles.len()
+    }
 }
 
 // Log record kinds.
@@ -125,7 +165,10 @@ struct Applied {
 /// Replay `records` into committed state. In `strict` mode an unknown or
 /// undecodable record is fatal (the normal-open contract); otherwise it
 /// is counted and skipped (salvage).
-fn apply_records(records: &[Vec<u8>], strict: bool) -> Result<Applied, PersistError> {
+fn apply_records<'a>(
+    records: impl IntoIterator<Item = &'a [u8]>,
+    strict: bool,
+) -> Result<Applied, PersistError> {
     let mut committed_heap = Heap::new();
     let mut committed_handles = Handles::new();
     let mut staging_heap: Vec<(Oid, Type, Value)> = Vec::new();
@@ -212,15 +255,14 @@ impl IntrinsicStore {
     ) -> Result<IntrinsicStore, PersistError> {
         let path = path.as_ref().to_path_buf();
         let replay = LogFile::replay_with(&*vfs, &path)?;
-        let mut truncated_bytes = 0;
+        let truncated_bytes = replay.tail().len() as u64;
         if !replay.clean {
             // Distinguish a genuine torn tail from mid-file damage. A torn
             // tail is a prefix cut: no complete frame can follow the bad
             // bytes. If valid frames *resume* past the damage, truncating
             // would destroy committed data that salvage can still recover
             // — refuse to open instead of destroying it.
-            let buf = retry_io(|| vfs.read(&path))?;
-            let tail = LogFile::salvage_scan(&buf[replay.valid_len as usize..]);
+            let tail = LogFile::salvage_scan(replay.tail());
             if !tail.records.is_empty() {
                 return Err(PersistError::Malformed(format!(
                     "log damaged at byte {} with {} readable record(s) after the damage; \
@@ -229,10 +271,9 @@ impl IntrinsicStore {
                     tail.records.len()
                 )));
             }
-            truncated_bytes = (buf.len() as u64).saturating_sub(replay.valid_len);
             LogFile::truncate_to_with(&*vfs, &path, replay.valid_len)?;
         }
-        let applied = apply_records(&replay.records, true)?;
+        let applied = apply_records(replay.records(), true)?;
         let log = LogFile::open_with(&*vfs, &path)?;
         // If the log was just created, its directory entry is not durable
         // until the parent directory is fsynced — without this, a crash
@@ -250,13 +291,9 @@ impl IntrinsicStore {
             log_path: path,
             log: Some(log),
             recovery,
-            heap: applied.heap.clone(),
-            handles: applied.handles.clone(),
-            committed_heap: applied.heap,
-            committed_handles: applied.handles,
-            dirty_objects: BTreeSet::new(),
-            dead_objects: BTreeSet::new(),
-            dirty_handles: BTreeSet::new(),
+            undo: UndoLog::clean(applied.heap.next_oid()),
+            heap: applied.heap,
+            handles: applied.handles,
             txn: applied.txn,
             durable_txn: applied.txn,
         })
@@ -288,7 +325,7 @@ impl IntrinsicStore {
             Err(e) => return Err(e.into()),
         };
         let scan = LogFile::salvage_scan(&buf);
-        let applied = apply_records(&scan.records, false)?;
+        let applied = apply_records(scan.records, false)?;
         let report = SalvageReport {
             recovered_txn: applied.txn,
             applied_records: applied.applied_records,
@@ -306,13 +343,9 @@ impl IntrinsicStore {
                 truncated_bytes: 0,
                 dropped_records: applied.dropped_records,
             },
-            heap: applied.heap.clone(),
-            handles: applied.handles.clone(),
-            committed_heap: applied.heap,
-            committed_handles: applied.handles,
-            dirty_objects: BTreeSet::new(),
-            dead_objects: BTreeSet::new(),
-            dirty_handles: BTreeSet::new(),
+            undo: UndoLog::clean(applied.heap.next_oid()),
+            heap: applied.heap,
+            handles: applied.handles,
             txn: applied.txn,
             durable_txn: applied.txn,
         };
@@ -360,20 +393,26 @@ impl IntrinsicStore {
     /// Allocate a new object in the working state.
     pub fn alloc(&mut self, ty: Type, value: Value) -> Oid {
         let oid = self.heap.alloc(ty, value);
-        self.dirty_objects.insert(oid);
+        self.undo.object(oid, None);
         oid
     }
 
     /// Update an object in the working state. Visible through *every*
     /// reference immediately — objects are shared, not copied.
     pub fn update(&mut self, oid: Oid, value: Value) -> Result<(), PersistError> {
-        self.heap.update(oid, value)?;
-        self.dirty_objects.insert(oid);
+        let obj = self.heap.get_mut(oid)?;
+        let before = std::mem::replace(&mut obj.value, value);
+        if let Entry::Vacant(e) = self.undo.objects.entry(oid) {
+            e.insert(Some(HeapObject {
+                ty: obj.ty.clone(),
+                value: before,
+            }));
+        }
         Ok(())
     }
 
     /// Fetch an object from the working state.
-    pub fn get(&self, oid: Oid) -> Result<&dbpl_values::HeapObject, PersistError> {
+    pub fn get(&self, oid: Oid) -> Result<&HeapObject, PersistError> {
         Ok(self.heap.get(oid)?)
     }
 
@@ -381,8 +420,8 @@ impl IntrinsicStore {
     /// is all that is required to ensure persistence."
     pub fn set_handle(&mut self, name: impl Into<String>, ty: Type, value: Value) {
         let name = name.into();
-        self.handles.insert(name.clone(), (ty, value));
-        self.dirty_handles.insert(name);
+        let before = self.handles.insert(name.clone(), (ty, value));
+        self.undo.handle(&name, before);
     }
 
     /// Look up a handle.
@@ -393,22 +432,24 @@ impl IntrinsicStore {
     /// Drop a handle; the objects it alone kept alive become garbage
     /// (collect them with [`IntrinsicStore::sweep`]).
     pub fn remove_handle(&mut self, name: &str) -> bool {
-        let existed = self.handles.remove(name).is_some();
+        let before = self.handles.remove(name);
+        let existed = before.is_some();
         if existed {
-            self.dirty_handles.insert(name.to_string());
+            self.undo.handle(name, before);
         }
         existed
     }
 
     /// The log records the next [`IntrinsicStore::commit`] would append
-    /// (everything except the commit marker), in append order. This is
-    /// the transaction's intrinsic half as bytes — what a multi-store
-    /// commit writes into its write-ahead intent record so a crash can
-    /// replay it.
+    /// (everything except the commit marker), in append order: touched
+    /// objects that exist, then deletions of those that do not, then
+    /// handle bindings and unbindings. This is the transaction's
+    /// intrinsic half as bytes — what a multi-store commit writes into
+    /// its write-ahead intent record so a crash can replay it.
     pub fn staged_records(&self) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        for oid in &self.dirty_objects {
-            if let Ok(obj) = self.heap.get(*oid) {
+        let mut out = Vec::with_capacity(self.undo.touched());
+        for &oid in self.undo.objects.keys() {
+            if let Ok(obj) = self.heap.get(oid) {
                 let mut rec = vec![REC_OBJECT];
                 format::put_u64(&mut rec, oid.0);
                 format::put_type(&mut rec, &obj.ty);
@@ -416,12 +457,14 @@ impl IntrinsicStore {
                 out.push(rec);
             }
         }
-        for oid in &self.dead_objects {
-            let mut rec = vec![REC_OBJECT_DEL];
-            format::put_u64(&mut rec, oid.0);
-            out.push(rec);
+        for &oid in self.undo.objects.keys() {
+            if !self.heap.contains(oid) {
+                let mut rec = vec![REC_OBJECT_DEL];
+                format::put_u64(&mut rec, oid.0);
+                out.push(rec);
+            }
         }
-        for name in &self.dirty_handles {
+        for name in self.undo.handles.keys() {
             match self.handles.get(name) {
                 Some((ty, v)) => {
                     let mut rec = vec![REC_HANDLE];
@@ -440,11 +483,12 @@ impl IntrinsicStore {
         out
     }
 
-    /// Make the working state durable: append dirty objects, handle-table
-    /// changes and a commit marker, fsync, and promote the working state to
-    /// committed.
+    /// Make the working state durable: append the touched objects,
+    /// handle-table changes and a commit marker, fsync, and drop the undo
+    /// log — the working state is now the committed one.
     pub fn commit(&mut self) -> Result<u64, PersistError> {
         let mut sp = dbpl_obs::span!("intrinsic.commit");
+        sp.set_attr("touched", self.undo.touched());
         let records = self.staged_records();
         sp.set_attr("records", records.len());
         let log = self
@@ -462,11 +506,7 @@ impl IntrinsicStore {
         // log (frames + marker) is on disk.
         log.sync()?;
         self.durable_txn = self.txn;
-        self.committed_heap = self.heap.clone();
-        self.committed_handles = self.handles.clone();
-        self.dirty_objects.clear();
-        self.dead_objects.clear();
-        self.dirty_handles.clear();
+        self.undo = UndoLog::clean(self.heap.next_oid());
         Ok(self.txn)
     }
 
@@ -484,27 +524,26 @@ impl IntrinsicStore {
                     let oid = Oid(r.u64()?);
                     let ty = r.ty()?;
                     let v = r.value()?;
+                    let before = self.heap.remove(oid);
                     self.heap.insert_at(oid, ty, v);
-                    self.dead_objects.remove(&oid);
-                    self.dirty_objects.insert(oid);
+                    self.undo.object(oid, before);
                 }
                 REC_OBJECT_DEL => {
                     let oid = Oid(r.u64()?);
-                    self.heap.remove(oid);
-                    self.dirty_objects.remove(&oid);
-                    self.dead_objects.insert(oid);
+                    let before = self.heap.remove(oid);
+                    self.undo.object(oid, before);
                 }
                 REC_HANDLE => {
                     let name = r.str()?;
                     let ty = r.ty()?;
                     let v = r.value()?;
-                    self.handles.insert(name.clone(), (ty, v));
-                    self.dirty_handles.insert(name);
+                    let before = self.handles.insert(name.clone(), (ty, v));
+                    self.undo.handle(&name, before);
                 }
                 REC_HANDLE_DEL => {
                     let name = r.str()?;
-                    self.handles.remove(&name);
-                    self.dirty_handles.insert(name);
+                    let before = self.handles.remove(&name);
+                    self.undo.handle(&name, before);
                 }
                 REC_COMMIT => {} // markers never appear in intent records
                 k => {
@@ -517,41 +556,55 @@ impl IntrinsicStore {
         self.commit()
     }
 
-    /// Discard uncommitted work: the working state reverts to the last
-    /// commit.
+    /// Discard uncommitted work: put every before-image back and rewind
+    /// the allocator, so the working state is the last commit again.
     pub fn abort(&mut self) {
-        self.heap = self.committed_heap.clone();
-        self.handles = self.committed_handles.clone();
-        self.dirty_objects.clear();
-        self.dead_objects.clear();
-        self.dirty_handles.clear();
+        let mut sp = dbpl_obs::span!("intrinsic.abort");
+        sp.set_attr("touched", self.undo.touched());
+        let watermark = self.undo.next_oid;
+        let undo = std::mem::replace(&mut self.undo, UndoLog::clean(watermark));
+        for (oid, before) in undo.objects {
+            match before {
+                Some(obj) => self.heap.insert_at(oid, obj.ty, obj.value),
+                None => {
+                    self.heap.remove(oid);
+                }
+            }
+        }
+        self.heap.rewind_to(undo.next_oid);
+        for (name, before) in undo.handles {
+            match before {
+                Some(tv) => {
+                    self.handles.insert(name, tv);
+                }
+                None => {
+                    self.handles.remove(&name);
+                }
+            }
+        }
     }
 
     /// Is there uncommitted work?
     pub fn is_dirty(&self) -> bool {
-        !(self.dirty_objects.is_empty()
-            && self.dead_objects.is_empty()
-            && self.dirty_handles.is_empty())
+        self.undo.touched() > 0
     }
 
     /// Reclaim objects unreachable from the handle table. Returns the
     /// collected identities; deletions are logged at the next commit.
     pub fn sweep(&mut self) -> Vec<Oid> {
-        let roots: BTreeSet<Oid> = self
-            .handles
-            .values()
-            .flat_map(|(_, v)| v.direct_refs())
-            .collect();
+        let roots = self.handles.values().flat_map(|(_, v)| v.direct_refs());
         let dead = self.heap.sweep(roots);
-        for d in &dead {
-            self.dirty_objects.remove(d);
-            self.dead_objects.insert(*d);
-        }
-        dead
+        dead.into_iter()
+            .map(|(oid, before)| {
+                self.undo.object(oid, Some(before));
+                oid
+            })
+            .collect()
     }
 
     /// Rewrite the log to contain exactly the live committed state (one
-    /// transaction). Uncommitted work is preserved in memory. The rewrite
+    /// transaction): the working state overlaid with the undo log's
+    /// before-images. Uncommitted work is preserved in memory. The rewrite
     /// is crash-safe: the fresh log is fsynced before it atomically
     /// replaces the old one, and the directory entry is fsynced after.
     pub fn compact(&mut self) -> Result<(), PersistError> {
@@ -564,16 +617,38 @@ impl IntrinsicStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(e.into()),
         }
+        let objects: BTreeMap<Oid, &HeapObject> = self
+            .heap
+            .iter()
+            .filter(|(oid, _)| !self.undo.objects.contains_key(oid))
+            .chain(
+                self.undo
+                    .objects
+                    .iter()
+                    .filter_map(|(oid, before)| Some((*oid, before.as_ref()?))),
+            )
+            .collect();
+        let handles: BTreeMap<&String, &(Type, Value)> = self
+            .handles
+            .iter()
+            .filter(|(name, _)| !self.undo.handles.contains_key(*name))
+            .chain(
+                self.undo
+                    .handles
+                    .iter()
+                    .filter_map(|(name, before)| Some((name, before.as_ref()?))),
+            )
+            .collect();
         {
             let mut fresh = LogFile::open_with(&*self.vfs, &tmp)?;
-            for (oid, obj) in self.committed_heap.iter() {
+            for (oid, obj) in objects {
                 let mut rec = vec![REC_OBJECT];
                 format::put_u64(&mut rec, oid.0);
                 format::put_type(&mut rec, &obj.ty);
                 format::put_value(&mut rec, &obj.value);
                 fresh.append(&rec)?;
             }
-            for (name, (ty, v)) in &self.committed_handles {
+            for (name, (ty, v)) in handles {
                 let mut rec = vec![REC_HANDLE];
                 format::put_str(&mut rec, name);
                 format::put_type(&mut rec, ty);
@@ -811,20 +886,16 @@ mod tests {
             s.commit().unwrap();
         }
         let replay = LogFile::replay(&path).unwrap();
+        let records: Vec<&[u8]> = replay.records().collect();
         // Rewrite: txn-1 frames, a poison frame, then txn-2 frames.
-        let boundary = replay
-            .records
-            .iter()
-            .position(|r| r[0] == REC_COMMIT)
-            .unwrap()
-            + 1;
+        let boundary = records.iter().position(|r| r[0] == REC_COMMIT).unwrap() + 1;
         let _ = std::fs::remove_file(&path);
         let mut log = LogFile::open(&path).unwrap();
-        for rec in &replay.records[..boundary] {
+        for rec in &records[..boundary] {
             log.append(rec).unwrap();
         }
         log.append(b"?this is not a record").unwrap();
-        for rec in &replay.records[boundary..] {
+        for rec in &records[boundary..] {
             log.append(rec).unwrap();
         }
         log.sync().unwrap();

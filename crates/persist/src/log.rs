@@ -14,6 +14,7 @@
 use crate::crc::crc32;
 use crate::error::PersistError;
 use crate::vfs::{retry_io, StdVfs, Vfs, VfsFile};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// An open append-only log file.
@@ -23,20 +24,36 @@ pub struct LogFile {
     buf: Vec<u8>,
 }
 
-/// The result of replaying a log.
+/// The result of replaying a log: the file as read, once, and where each
+/// valid frame's payload sits in it. Records are borrowed from that one
+/// buffer, never copied out of it.
 pub struct Replay {
-    /// Payloads of the valid frames, in append order.
-    pub records: Vec<Vec<u8>>,
+    buf: Vec<u8>,
+    frames: Vec<Range<usize>>,
     /// Byte offset of the end of the last valid frame.
     pub valid_len: u64,
     /// Whether the file ended exactly at a frame boundary.
     pub clean: bool,
 }
 
+impl Replay {
+    /// Payloads of the valid frames, in append order.
+    pub fn records(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
+        self.frames.iter().map(|r| &self.buf[r.clone()])
+    }
+
+    /// The bytes after the last valid frame: a torn tail, or damage that
+    /// [`LogFile::salvage_scan`] may see past. Empty when `clean`.
+    pub fn tail(&self) -> &[u8] {
+        &self.buf[self.valid_len as usize..]
+    }
+}
+
 /// The result of a salvage scan over a damaged log.
-pub struct SalvageScan {
-    /// Payloads of every decodable frame, in file order.
-    pub records: Vec<Vec<u8>>,
+pub struct SalvageScan<'a> {
+    /// Payloads of every decodable frame, in file order, borrowed from
+    /// the scanned buffer.
+    pub records: Vec<&'a [u8]>,
     /// Total bytes skipped inside corrupt gaps.
     pub lost_bytes: u64,
     /// Number of distinct corrupt gaps the scan resynchronized past.
@@ -103,37 +120,22 @@ impl LogFile {
     pub fn replay_with(vfs: &dyn Vfs, path: impl AsRef<Path>) -> Result<Replay, PersistError> {
         let buf = match retry_io(|| vfs.read(path.as_ref())) {
             Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(Replay {
-                    records: Vec::new(),
-                    valid_len: 0,
-                    clean: true,
-                })
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e.into()),
         };
-        let mut records = Vec::new();
+        let mut frames = Vec::new();
         let mut pos = 0usize;
-        loop {
-            if pos == buf.len() {
-                return Ok(Replay {
-                    records,
-                    valid_len: pos as u64,
-                    clean: true,
-                });
-            }
-            match frame_at(&buf, pos) {
-                Some(payload) => {
-                    pos += 8 + payload.len();
-                    records.push(payload.to_vec());
-                }
-                None => break, // torn header, torn payload, or bit rot
-            }
+        // Stops at the end of the file, or at a torn header, a torn
+        // payload, or bit rot.
+        while let Some(payload) = frame_at(&buf, pos) {
+            frames.push(pos + 8..pos + 8 + payload.len());
+            pos += 8 + payload.len();
         }
         Ok(Replay {
-            records,
+            clean: pos == buf.len(),
             valid_len: pos as u64,
-            clean: false,
+            frames,
+            buf,
         })
     }
 
@@ -142,7 +144,7 @@ impl LogFile {
     /// the middle of the file does not hide everything after it — at the
     /// cost that a gap's contents are definitively lost. Salvage only;
     /// normal recovery must use `replay`.
-    pub fn salvage_scan(buf: &[u8]) -> SalvageScan {
+    pub fn salvage_scan(buf: &[u8]) -> SalvageScan<'_> {
         let mut records = Vec::new();
         let mut lost_bytes = 0u64;
         let mut gaps = 0usize;
@@ -152,7 +154,7 @@ impl LogFile {
             match frame_at(buf, pos) {
                 Some(payload) => {
                     pos += 8 + payload.len();
-                    records.push(payload.to_vec());
+                    records.push(payload);
                     in_gap = false;
                 }
                 None => {
@@ -264,6 +266,10 @@ fn frame_at(buf: &[u8], pos: usize) -> Option<&[u8]> {
 mod tests {
     use super::*;
 
+    fn records(r: &Replay) -> Vec<&[u8]> {
+        r.records().collect()
+    }
+
     fn tmpdir() -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "dbpl-log-test-{}-{:?}",
@@ -287,17 +293,14 @@ mod tests {
         }
         let r = LogFile::replay(&path).unwrap();
         assert!(r.clean);
-        assert_eq!(
-            r.records,
-            vec![b"one".to_vec(), b"".to_vec(), b"three".to_vec()]
-        );
+        assert_eq!(records(&r), [&b"one"[..], b"", b"three"]);
     }
 
     #[test]
     fn replay_missing_file_is_empty() {
         let r = LogFile::replay(tmpdir().join("never-created.log")).unwrap();
         assert!(r.clean);
-        assert!(r.records.is_empty());
+        assert_eq!(r.records().len(), 0);
     }
 
     #[test]
@@ -318,7 +321,7 @@ mod tests {
 
         let r = LogFile::replay(&path).unwrap();
         assert!(!r.clean);
-        assert_eq!(r.records, vec![b"good".to_vec()]);
+        assert_eq!(records(&r), [b"good"]);
 
         // Truncate away the tail, then appending works again.
         LogFile::truncate_to(&path, r.valid_len).unwrap();
@@ -328,10 +331,7 @@ mod tests {
         drop(log);
         let r2 = LogFile::replay(&path).unwrap();
         assert!(r2.clean);
-        assert_eq!(
-            r2.records,
-            vec![b"good".to_vec(), b"after-recovery".to_vec()]
-        );
+        assert_eq!(records(&r2), [&b"good"[..], b"after-recovery"]);
     }
 
     #[test]
@@ -351,7 +351,7 @@ mod tests {
         let r = LogFile::replay(&path).unwrap();
         assert!(!r.clean);
         assert!(
-            r.records.is_empty(),
+            r.records().len() == 0,
             "everything after corruption is suspect"
         );
     }
@@ -364,7 +364,7 @@ mod tests {
         log.append(b"x").unwrap();
         log.sync().unwrap();
         let r = LogFile::replay(&path).unwrap();
-        assert_eq!(r.records.len(), 1);
+        assert_eq!(r.records().len(), 1);
     }
 
     #[test]
@@ -384,13 +384,10 @@ mod tests {
         // replay sees only the first record…
         std::fs::write(&path, &bytes).unwrap();
         let r = LogFile::replay(&path).unwrap();
-        assert_eq!(r.records, vec![b"first-record".to_vec()]);
+        assert_eq!(records(&r), [b"first-record"]);
         // …salvage_scan also recovers the third.
         let s = LogFile::salvage_scan(&bytes);
-        assert_eq!(
-            s.records,
-            vec![b"first-record".to_vec(), b"third-record".to_vec()]
-        );
+        assert_eq!(s.records, [&b"first-record"[..], b"third-record"]);
         assert_eq!(s.gaps, 1);
         assert_eq!(s.lost_bytes, 8 + 13);
     }
@@ -406,6 +403,6 @@ mod tests {
         log.sync().unwrap();
         let r = LogFile::replay_with(&vfs, path).unwrap();
         assert!(r.clean);
-        assert_eq!(r.records, vec![b"alpha".to_vec(), b"beta".to_vec()]);
+        assert_eq!(records(&r), [&b"alpha"[..], b"beta"]);
     }
 }

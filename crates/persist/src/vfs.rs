@@ -441,11 +441,17 @@ fn splitmix64(mut x: u64) -> u64 {
 struct SimInode {
     bytes: Vec<u8>,
     synced: Vec<u8>,
+    /// Live names, durable names and open handles that refer to this
+    /// inode. At zero nothing, not even a crash, can reach it again, so
+    /// its buffers are freed.
+    refs: usize,
 }
 
 #[derive(Debug, Default)]
 struct SimState {
     inodes: Vec<SimInode>,
+    /// Slots of freed inodes, reused before the table grows.
+    free: Vec<usize>,
     /// The live namespace.
     current: BTreeMap<PathBuf, usize>,
     /// The namespace as of the last `sync_dir` of each directory — what a
@@ -592,10 +598,27 @@ impl SimState {
         if let Some(&i) = self.current.get(path) {
             return i;
         }
-        self.inodes.push(SimInode::default());
-        let i = self.inodes.len() - 1;
+        let i = match self.free.pop() {
+            Some(i) => i,
+            None => {
+                self.inodes.push(SimInode::default());
+                self.inodes.len() - 1
+            }
+        };
+        self.inodes[i].refs = 1; // the live name
         self.current.insert(path.to_path_buf(), i);
         i
+    }
+
+    /// Drop one reference to inode `i`; free it if that was the last.
+    /// Only the inode a name or handle just let go of is checked.
+    fn release(&mut self, i: usize) {
+        let inode = &mut self.inodes[i];
+        inode.refs -= 1;
+        if inode.refs == 0 {
+            *inode = SimInode::default();
+            self.free.push(i);
+        }
     }
 }
 
@@ -633,14 +656,30 @@ impl SimVfs {
     /// appends survive only as the torn prefix the crash left (if any).
     /// Clears the fault plan so recovery code runs fault-free.
     pub fn recover(&self) {
-        let mut s = self.state.lock();
+        let mut guard = self.state.lock();
+        let s = &mut *guard;
         s.crashed = false;
         s.plan = FaultPlan::default();
-        let durable = s.durable.clone();
+        let lost = std::mem::replace(&mut s.current, s.durable.clone());
+        for &i in s.current.values() {
+            s.inodes[i].refs += 1;
+        }
+        for i in lost.into_values() {
+            s.release(i);
+        }
         for inode in &mut s.inodes {
             inode.bytes = inode.synced.clone();
         }
-        s.current = durable;
+    }
+
+    /// Bytes the simulated disk holds for its files, live and synced
+    /// images together, reachable or not — for test assertions.
+    pub fn retained_bytes(&self) -> usize {
+        let s = self.state.lock();
+        s.inodes
+            .iter()
+            .map(|i| i.bytes.len() + i.synced.len())
+            .sum()
     }
 
     /// Replace the fault plan (e.g. to arm faults after a fault-free
@@ -668,10 +707,17 @@ impl SimVfs {
     }
 }
 
-/// An append handle into a [`SimVfs`] file.
+/// An append handle into a [`SimVfs`] file. It holds a reference to its
+/// inode, so a file unlinked while open lives until the handle drops.
 struct SimFile {
     state: Arc<Mutex<SimState>>,
     inode: usize,
+}
+
+impl Drop for SimFile {
+    fn drop(&mut self) {
+        self.state.lock().release(self.inode);
+    }
 }
 
 impl VfsFile for SimFile {
@@ -726,6 +772,7 @@ impl Vfs for SimVfs {
         let mut s = self.state.lock();
         s.enter_op("open_append", None)?;
         let inode = s.inode_for(path);
+        s.inodes[inode].refs += 1;
         Ok(Box::new(SimFile {
             state: Arc::clone(&self.state),
             inode,
@@ -779,7 +826,8 @@ impl Vfs for SimVfs {
 
     fn sync_dir(&self, path: &Path) -> io::Result<()> {
         let delay = {
-            let mut s = self.state.lock();
+            let mut guard = self.state.lock();
+            let s = &mut *guard;
             s.enter_op("sync_dir", None)?;
             // Promote this directory's slice of the namespace to durable:
             // creates, renames and removes under it now survive a crash.
@@ -789,8 +837,21 @@ impl Vfs for SimVfs {
                 .filter(|(p, _)| parent_of(p) == *path)
                 .map(|(p, &i)| (p.clone(), i))
                 .collect();
-            s.durable.retain(|p, _| parent_of(p) != *path);
+            for &(_, i) in &in_dir {
+                s.inodes[i].refs += 1;
+            }
+            let mut dropped = Vec::new();
+            s.durable.retain(|p, &mut i| {
+                let keep = parent_of(p) != *path;
+                if !keep {
+                    dropped.push(i);
+                }
+                keep
+            });
             s.durable.extend(in_dir);
+            for i in dropped {
+                s.release(i);
+            }
             s.flush_delay()
         };
         sim_flush_delay(delay);
@@ -802,7 +863,9 @@ impl Vfs for SimVfs {
         s.enter_op("rename", None)?;
         match s.current.remove(from) {
             Some(i) => {
-                s.current.insert(to.to_path_buf(), i);
+                if let Some(replaced) = s.current.insert(to.to_path_buf(), i) {
+                    s.release(replaced);
+                }
                 Ok(())
             }
             None => Err(io::Error::new(
@@ -828,7 +891,10 @@ impl Vfs for SimVfs {
         let mut s = self.state.lock();
         s.enter_op("remove_file", None)?;
         match s.current.remove(path) {
-            Some(_) => Ok(()),
+            Some(i) => {
+                s.release(i);
+                Ok(())
+            }
             None => Err(io::Error::new(io::ErrorKind::NotFound, "no such file")),
         }
     }

@@ -242,15 +242,16 @@ fn salvage_mode_reads_logs_that_normal_open_rejects() {
         s.commit().unwrap();
     }
     let replay = LogFile::replay(&path).unwrap();
+    let records: Vec<&[u8]> = replay.records().collect();
     let _ = std::fs::remove_file(&path);
     let mut log = LogFile::open(&path).unwrap();
-    let boundary = replay.records.iter().position(|r| r[0] == b'C').unwrap() + 1;
-    for rec in &replay.records[..boundary] {
+    let boundary = records.iter().position(|r| r[0] == b'C').unwrap() + 1;
+    for rec in &records[..boundary] {
         log.append(rec).unwrap();
     }
     log.append(b"!garbage from a future format version")
         .unwrap();
-    for rec in &replay.records[boundary..] {
+    for rec in &records[boundary..] {
         log.append(rec).unwrap();
     }
     log.sync().unwrap();

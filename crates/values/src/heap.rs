@@ -97,6 +97,18 @@ impl Heap {
         Oid(self.next)
     }
 
+    /// Move the allocator back to `watermark`, so the next
+    /// [`Heap::alloc`] hands out that identity again (how an abort gives
+    /// back the identities its transaction allocated). No live object
+    /// may sit at or above `watermark`.
+    pub fn rewind_to(&mut self, watermark: Oid) {
+        debug_assert!(
+            self.objects.range(watermark..).next().is_none(),
+            "rewind below a live object"
+        );
+        self.next = watermark.0;
+    }
+
     /// Iterate over all objects.
     pub fn iter(&self) -> impl Iterator<Item = (Oid, &HeapObject)> {
         self.objects.iter().map(|(o, h)| (*o, h))
@@ -121,8 +133,9 @@ impl Heap {
     }
 
     /// Drop every object *not* reachable from `roots`; returns the
-    /// collected identities. This is the sweep of intrinsic persistence.
-    pub fn sweep(&mut self, roots: impl IntoIterator<Item = Oid>) -> Vec<Oid> {
+    /// collected objects in identity order. This is the sweep of
+    /// intrinsic persistence.
+    pub fn sweep(&mut self, roots: impl IntoIterator<Item = Oid>) -> Vec<(Oid, HeapObject)> {
         let live = self.reachable(roots);
         let dead: Vec<Oid> = self
             .objects
@@ -130,10 +143,9 @@ impl Heap {
             .copied()
             .filter(|o| !live.contains(o))
             .collect();
-        for o in &dead {
-            self.objects.remove(o);
-        }
-        dead
+        dead.into_iter()
+            .filter_map(|o| Some((o, self.objects.remove(&o)?)))
+            .collect()
     }
 
     /// Deep-copy the object graph reachable from `value` out of this heap
@@ -241,7 +253,16 @@ mod tests {
         let a = h.alloc(Type::Int, Value::Int(1));
         let dead = h.alloc(Type::Int, Value::Int(2));
         let collected = h.sweep([a]);
-        assert_eq!(collected, vec![dead]);
+        assert_eq!(
+            collected,
+            vec![(
+                dead,
+                HeapObject {
+                    ty: Type::Int,
+                    value: Value::Int(2)
+                }
+            )]
+        );
         assert!(h.contains(a));
         assert!(!h.contains(dead));
     }
@@ -316,5 +337,17 @@ mod tests {
         h.insert_at(Oid(10), Type::Int, Value::Int(1));
         let fresh = h.alloc(Type::Int, Value::Int(2));
         assert!(fresh.0 > 10);
+    }
+
+    #[test]
+    fn rewind_hands_out_the_same_identities_again() {
+        let mut h = Heap::new();
+        h.alloc(Type::Int, Value::Int(1));
+        let mark = h.next_oid();
+        let a = h.alloc(Type::Int, Value::Int(2));
+        h.remove(a);
+        h.rewind_to(mark);
+        assert_eq!(h.next_oid(), mark);
+        assert_eq!(h.alloc(Type::Int, Value::Int(3)), a);
     }
 }
