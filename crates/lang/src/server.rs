@@ -26,9 +26,10 @@
 //!   ([`commit_multi`]), publishes **one** new epoch, and wakes every
 //!   committer. The fsync that dominated per-transaction commit cost is
 //!   paid once per batch.
-//! * **Failure semantics** match [`Session`]: a pre-durability failure
-//!   aborts the whole batch (nothing published, disk-full flips the
-//!   engine degraded); a post-durability failure is **in doubt** and is
+//! * **Failure semantics** are [`Session`]'s, because both go through one
+//!   [`DurabilityGate`]: a refused or pre-durability failure aborts the
+//!   whole batch (nothing published, disk-full flips the engine
+//!   degraded); a post-durability failure is **in doubt** and is
 //!   attributed to *every* member of the batch, whose effects roll
 //!   forward on recovery.
 //! * **Overload resilience.** The commit queue is **bounded**
@@ -46,13 +47,12 @@
 //!   [`Server::shutdown`]'s bounded drain.
 
 use crate::error::LangError;
-use crate::session::{Health, Session};
+use crate::session::Session;
 use dbpl_core::Database;
 use dbpl_obs::timeline::{Recorder, RecorderConfig, Timeline};
 use dbpl_obs::{Counter, Gauge, Histogram};
 use dbpl_persist::{
-    commit_multi, recover_pending, PersistError, QuarantineEntry, ReplicatingStore, RetryPolicy,
-    Vfs,
+    DurabilityGate, Health, QuarantineEntry, ReplicatingStore, RetryPolicy, Verdict, Vfs,
 };
 use dbpl_types::Type;
 use dbpl_values::{DynValue, Oid, Value};
@@ -133,6 +133,7 @@ enum AdmissionError {
 /// guaranteed a terminal outcome: taken by the applier (which replies or
 /// drops the reply sender), or drained with `EngineDown` by shutdown /
 /// the applier's exit guard.
+#[derive(Default)]
 struct CommitQueue {
     state: Mutex<QueueState>,
     /// Signals admission waiters that depth may have dropped.
@@ -143,6 +144,7 @@ struct CommitQueue {
     exit: Condvar,
 }
 
+#[derive(Default)]
 struct QueueState {
     items: VecDeque<CommitRequest>,
     /// Frames taken by the applier and not yet replied to.
@@ -166,21 +168,6 @@ enum Take {
 }
 
 impl CommitQueue {
-    fn new() -> CommitQueue {
-        CommitQueue {
-            state: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                inflight: 0,
-                shutdown: false,
-                abandoned: false,
-                applier_exited: false,
-            }),
-            space: Condvar::new(),
-            work: Condvar::new(),
-            exit: Condvar::new(),
-        }
-    }
-
     /// Admit one commit request, or refuse it with nothing staged. At
     /// capacity the call waits for space until `admission_deadline` (the
     /// session's transaction deadline) and gives up `Overloaded` when it
@@ -565,25 +552,24 @@ enum CommitOutcome {
     /// concurrent incompatible type declaration). The frame was not
     /// applied; the rest of its batch is unaffected.
     Conflict(String),
-    /// The engine refused to attempt the commit (degraded store,
-    /// unfinished pending recovery). Nothing was staged or written.
-    Refused(String),
     /// The frame's transaction deadline expired while it waited behind
     /// its batch: dropped **before the intent was written** — nothing
     /// durable happened. Queue-aware: wait time counts against the
     /// deadline.
     DeadlineExceeded { waited_ms: u64 },
-    /// The batch's durable commit failed before the durability point
-    /// (or this frame's application panicked): aborted, nothing of this
-    /// frame published.
+    /// This frame's application panicked, or the batch's durable commit
+    /// was refused or failed before the durability point: aborted,
+    /// nothing of this frame published. Carries the caller-facing
+    /// message.
     Aborted(String),
     /// The engine shut down (or its applier died) before this frame was
     /// applied. Definitively not committed.
     EngineDown(String),
     /// The batch's durable commit failed *after* the durability point:
     /// the coalesced intent is durable and will roll forward on
-    /// recovery. Attributed to every member of the batch.
-    InDoubt { txn_id: u64, detail: String },
+    /// recovery. Attributed to every member of the batch, with the
+    /// caller-facing message.
+    InDoubt(String),
 }
 
 struct CommitRequest {
@@ -609,22 +595,12 @@ impl CommitRequest {
 /// its running count reaches it — inside the per-frame supervision
 /// boundary (frame) or just before the durable commit (batch, so the
 /// injected failure is always pre-durability).
+#[derive(Default)]
 struct Chaos {
     frames_seen: AtomicU64,
     panic_frame_at: AtomicU64,
     batches_seen: AtomicU64,
     panic_batch_at: AtomicU64,
-}
-
-impl Chaos {
-    fn new() -> Chaos {
-        Chaos {
-            frames_seen: AtomicU64::new(0),
-            panic_frame_at: AtomicU64::new(0),
-            batches_seen: AtomicU64::new(0),
-            panic_batch_at: AtomicU64::new(0),
-        }
-    }
 }
 
 /// State shared between the engine facade and the applier thread.
@@ -635,11 +611,9 @@ struct Shared {
     queue: CommitQueue,
     /// Capacity knobs fixed at open.
     cfg: ServerConfig,
-    /// Why the engine refuses durable commits, or `None` when healthy.
-    degraded: Mutex<Option<String>>,
-    /// A durably pending (in-doubt) transaction blocking further durable
-    /// batches until recovery completes.
-    pending_recovery: Mutex<Option<u64>>,
+    /// The commit-failure policy (degraded mode, pending recovery,
+    /// in-doubt roll-forward) — the one a standalone [`Session`] uses.
+    gate: DurabilityGate,
     /// When enabled, every applied frame in serialization order plus the
     /// database it started from — the applier's log, replayable
     /// single-threaded for differential testing.
@@ -656,50 +630,6 @@ struct Shared {
 struct FrameLog {
     base: Database,
     frames: Vec<Frame>,
-}
-
-fn is_storage_full(e: &PersistError) -> bool {
-    match e {
-        PersistError::Io(io) => io.kind() == std::io::ErrorKind::StorageFull,
-        _ => false,
-    }
-}
-
-impl Shared {
-    fn enter_degraded(&self, reason: String) {
-        let mut d = self.degraded.lock();
-        if d.is_none() {
-            dbpl_obs::emit(dbpl_obs::Event::HealthChanged {
-                degraded: true,
-                reason: reason.clone(),
-            });
-            *d = Some(reason);
-        }
-    }
-
-    fn exit_degraded(&self) {
-        let mut d = self.degraded.lock();
-        if d.take().is_some() {
-            dbpl_obs::emit(dbpl_obs::Event::HealthChanged {
-                degraded: false,
-                reason: "store is writable again".to_string(),
-            });
-        }
-    }
-
-    /// Probe-first health gate shared by session enqueue and the applier:
-    /// a degraded engine re-probes the store and either heals or reports
-    /// the (still-standing) reason.
-    fn check_writable(&self) -> Result<(), String> {
-        let reason = self.degraded.lock().clone();
-        if let Some(reason) = reason {
-            match self.store.probe_writable() {
-                Ok(()) => self.exit_degraded(),
-                Err(e) => return Err(format!("engine degraded ({reason}): {e}")),
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Answers every still-queued request `EngineDown` when the applier
@@ -743,7 +673,7 @@ fn applier_loop(shared: Arc<Shared>) {
         shared.queue.finish_batch(n);
         if let Err(payload) = res {
             dbpl_obs::global().counter("applier.panic").inc();
-            shared.enter_degraded(format!(
+            shared.gate.degrade(format!(
                 "applier panicked mid-batch: {}",
                 crate::session::panic_message(&payload)
             ));
@@ -777,32 +707,6 @@ fn apply_batch(shared: &Shared, batch: Vec<CommitRequest>) {
     span.set_attr("batch_size", batch.len());
     group_commit_batch_size().record_us(batch.len() as u64);
     group_commit_batches().inc();
-
-    // Refusals: probe-first, nothing staged. (Sessions also gate on
-    // health before enqueueing; this closes the race where the engine
-    // degrades while frames are in flight.)
-    if let Err(msg) = shared.check_writable() {
-        span.set_attr("outcome", "refused");
-        for req in batch {
-            let _ = req.reply.send(CommitOutcome::Refused(msg.clone()));
-        }
-        return;
-    }
-    let pending = *shared.pending_recovery.lock();
-    if let Some(txn_id) = pending {
-        match recover_pending(None, &shared.store) {
-            Ok(_) => *shared.pending_recovery.lock() = None,
-            Err(e) => {
-                span.set_attr("outcome", "refused");
-                let msg =
-                    format!("commit blocked by pending transaction {txn_id} ({e}); nothing staged");
-                for req in batch {
-                    let _ = req.reply.send(CommitOutcome::Refused(msg.clone()));
-                }
-                return;
-            }
-        }
-    }
 
     let current = shared.snap.load();
     let mut working = current.db.clone(); // O(1) copy-on-write
@@ -840,7 +744,8 @@ fn apply_batch(shared: &Shared, batch: Vec<CommitRequest>) {
                 dbpl_obs::global().counter("applier.frame_panic").inc();
                 working = backup;
                 outcomes[i] = Some(CommitOutcome::Aborted(format!(
-                    "frame application panicked (frame aborted, batch unaffected): {}",
+                    "commit failed, transaction aborted: frame application panicked (frame \
+                     aborted, batch unaffected): {}",
                     crate::session::panic_message(&payload)
                 )));
             }
@@ -859,61 +764,31 @@ fn apply_batch(shared: &Shared, batch: Vec<CommitRequest>) {
         panic!("chaos: injected applier panic before batch {batch_no} commit");
     }
 
-    if !applied.is_empty() && !externs.is_empty() {
-        // One intent record + one fsync pass for the whole batch.
-        match commit_multi(None, &shared.store, &externs, &RetryPolicy::default()) {
-            Ok(_) => {}
-            Err(PersistError::InDoubt { txn_id, cause }) => {
-                // Past the durability point: the coalesced intent is
-                // durable; the batch is committed-in-doubt as a unit.
-                match recover_pending(None, &shared.store) {
-                    Ok(_) => {}
-                    Err(e) => {
-                        *shared.pending_recovery.lock() = Some(txn_id);
-                        span.set_attr("outcome", "in_doubt");
-                        let epoch = current.epoch + 1;
-                        // In-doubt batches publish, so they are part of
-                        // the serialization the frame log witnesses.
-                        if let Some(log) = shared.frame_log.lock().as_mut() {
-                            for &i in &applied {
-                                log.frames.push(batch[i].frame.clone());
-                            }
-                        }
-                        publish(shared, epoch, working);
-                        // Every member of the batch is in doubt — not
-                        // just the frame that happened to queue first.
-                        for &i in &applied {
-                            outcomes[i] = Some(CommitOutcome::InDoubt {
-                                txn_id,
-                                detail: format!("{cause}; recovery retry: {e}"),
-                            });
-                        }
-                        finish(batch, outcomes);
-                        return;
-                    }
-                }
-            }
-            Err(e) => {
-                // Pre-durability: nothing durable happened; the whole
-                // batch aborts and no new epoch is published.
-                span.set_attr("outcome", "aborted");
-                dbpl_obs::emit(dbpl_obs::Event::TxnAbort {
-                    reason: format!("group commit failed: {e}"),
-                });
-                if is_storage_full(&e) {
-                    shared.enter_degraded(format!("storage full during group commit: {e}"));
-                }
-                let msg = format!("group commit failed: {e}");
-                for &i in &applied {
-                    outcomes[i] = Some(CommitOutcome::Aborted(msg.clone()));
-                }
-                finish(batch, outcomes);
-                return;
-            }
-        }
-    }
-
+    // One intent record + one fsync pass for the whole batch, through
+    // the engine's durability gate.
+    let verdict = shared
+        .gate
+        .commit(None, &shared.store, &externs, &RetryPolicy::default());
     let epoch = current.epoch + 1;
+    let outcome = match verdict {
+        Verdict::Committed => CommitOutcome::Applied { epoch },
+        // Past the durability point: the coalesced intent is durable, so
+        // the batch publishes and every member is in doubt as a unit.
+        Verdict::InDoubt { .. } => {
+            span.set_attr("outcome", "in_doubt");
+            CommitOutcome::InDoubt(verdict.to_string())
+        }
+        // Nothing durable happened: the whole batch aborts and no new
+        // epoch is published.
+        Verdict::Refused(_) | Verdict::Aborted(_) => {
+            span.set_attr("outcome", "aborted");
+            for &i in &applied {
+                outcomes[i] = Some(CommitOutcome::Aborted(verdict.to_string()));
+            }
+            finish(batch, outcomes);
+            return;
+        }
+    };
     span.set_attr("epoch", epoch);
     if let Some(log) = shared.frame_log.lock().as_mut() {
         for &i in &applied {
@@ -922,7 +797,7 @@ fn apply_batch(shared: &Shared, batch: Vec<CommitRequest>) {
     }
     publish(shared, epoch, working);
     for &i in &applied {
-        outcomes[i] = Some(CommitOutcome::Applied { epoch });
+        outcomes[i] = Some(outcome.clone());
     }
     finish(batch, outcomes);
 }
@@ -967,32 +842,20 @@ impl Engine {
             ReplicatingStore::open_with(vfs, dir)
                 .map_err(|e| LangError::eval(0, format!("cannot open store: {e}")))?,
         );
-        // Same open-time recovery as a standalone session: an extern-only
-        // intent rolls forward now; an intrinsic-bearing one blocks
-        // durable commits until it can be recovered whole.
-        let mut pending = None;
-        match recover_pending(None, &store) {
-            Ok(_) => {}
-            Err(PersistError::RecoveryPending { txn_id }) => pending = Some(txn_id),
-            Err(e) => {
-                return Err(LangError::eval(
-                    0,
-                    format!("cannot recover pending transaction: {e}"),
-                ))
-            }
-        }
+        // Same open-time recovery as a standalone session.
+        let (gate, _) = DurabilityGate::open(&store)
+            .map_err(|e| LangError::eval(0, format!("cannot recover pending transaction: {e}")))?;
         let engine_live = Arc::new(AtomicI64::new(0));
         let shared = Arc::new(Shared {
             snap: SnapshotCell::new(EngineState::tracked(0, Database::new(), &engine_live)),
             store,
-            queue: CommitQueue::new(),
+            queue: CommitQueue::default(),
             cfg,
-            degraded: Mutex::new(None),
-            pending_recovery: Mutex::new(pending),
+            gate,
             frame_log: Mutex::new(None),
             sessions: AtomicU64::new(0),
             engine_live,
-            chaos: Chaos::new(),
+            chaos: Chaos::default(),
         });
         let applier = {
             let shared = Arc::clone(&shared);
@@ -1190,16 +1053,11 @@ impl Server {
     }
 
     /// The engine's health: [`Health::Degraded`] after an environmental
-    /// failure (disk full) flipped durable commits off. Sessions probe
-    /// before enqueueing, so a degraded engine heals itself the moment
-    /// the store is writable again.
+    /// failure (disk full) flipped durable commits off. The applier
+    /// probes before each batch, so a degraded engine heals itself with
+    /// the first commit after the store is writable again.
     pub fn health(&self) -> Health {
-        match &*self.engine.shared.degraded.lock() {
-            None => Health::Healthy,
-            Some(reason) => Health::Degraded {
-                reason: reason.clone(),
-            },
-        }
+        self.engine.shared.gate.health()
     }
 
     /// Start recording the applier's log: the current database plus every
@@ -1449,13 +1307,12 @@ impl ServerSession {
         snapshot_reads().inc();
         let mut worker =
             Session::for_engine(state.db.clone(), Arc::clone(&self.engine.shared.store));
-        let staged = worker.run_staged(src);
-        let out_lines = worker.out.clone();
-        self.out.extend(worker.out.iter().cloned());
-        self.quarantined
-            .extend(worker.session_quarantined().iter().cloned());
-        let externs = staged?;
+        let ran = worker.run(src);
+        self.out.extend_from_slice(&worker.out);
+        self.quarantined.extend_from_slice(&worker.quarantined);
+        let out_lines = ran?;
 
+        let externs = worker.take_frame();
         let frame = diff_frame(&state.db, &worker.db, externs, state.epoch)?;
         if frame.is_empty() {
             // A pure read never touches the applier: this is the
@@ -1470,16 +1327,6 @@ impl ServerSession {
         // offender attribution wants to see.
         if let Some(tag) = &self.attribution {
             tag.commits.inc();
-        }
-
-        // Probe-first health gate (nothing queued behind a known-failing
-        // store): a degraded engine refuses the enqueue outright unless
-        // the probe shows the store healed.
-        if let Err(msg) = self.engine.shared.check_writable() {
-            return Err(LangError::eval(
-                0,
-                format!("commit refused, transaction aborted: {msg}"),
-            ));
         }
 
         // A deadline that expired during evaluation refuses to start the
@@ -1522,10 +1369,6 @@ impl ServerSession {
                 0,
                 format!("commit conflict, transaction aborted: {msg}"),
             )),
-            Ok(CommitOutcome::Refused(msg)) => Err(LangError::eval(
-                0,
-                format!("commit refused, transaction aborted: {msg}"),
-            )),
             Ok(CommitOutcome::DeadlineExceeded { waited_ms }) => {
                 Err(LangError::deadline_exceeded(format!(
                     "transaction deadline expired after {waited_ms} ms in the commit \
@@ -1533,21 +1376,12 @@ impl ServerSession {
                      happened"
                 )))
             }
-            Ok(CommitOutcome::Aborted(msg)) => Err(LangError::eval(
-                0,
-                format!("commit failed, transaction aborted: {msg}"),
-            )),
+            Ok(CommitOutcome::Aborted(msg) | CommitOutcome::InDoubt(msg)) => {
+                Err(LangError::eval(0, msg))
+            }
             Ok(CommitOutcome::EngineDown(msg)) => {
                 Err(LangError::engine_down(format!("commit not applied: {msg}")))
             }
-            Ok(CommitOutcome::InDoubt { txn_id, detail }) => Err(LangError::eval(
-                0,
-                format!(
-                    "commit is in doubt, not aborted: durably logged as transaction \
-                     {txn_id} but applying it failed ({detail}); it will be completed \
-                     on recovery — commits are blocked until then"
-                ),
-            )),
             // The applier died (or was abandoned) with our reply sender
             // in hand: the unwound batch dropped it. Definitive: the
             // commit was not applied-and-published.
@@ -1573,15 +1407,10 @@ impl ServerSession {
 
     /// The session's health — **applier-aware**: this reflects the shared
     /// engine, so one session's disk-full failure is visible to every
-    /// session, and all of them refuse to enqueue (probe-first, nothing
-    /// staged) until the store heals.
+    /// session, and the applier refuses their durable commits
+    /// (probe-first, nothing written) until the store heals.
     pub fn health(&self) -> Health {
-        match &*self.engine.shared.degraded.lock() {
-            None => Health::Healthy,
-            Some(reason) => Health::Degraded {
-                reason: reason.clone(),
-            },
-        }
+        self.engine.shared.gate.health()
     }
 
     /// Corrupt store units this session's programs tripped over.
@@ -1726,9 +1555,9 @@ mod tests {
         let mk = |ty: &str| {
             let mut w =
                 Session::for_engine(state.db.clone(), Arc::clone(&server.engine.shared.store));
-            let externs = w
-                .run_staged(&format!("type T = {{X: {ty}}} put(db, dynamic {{X = 1}})"))
-                .unwrap_or_default();
+            w.run(&format!("type T = {{X: {ty}}} put(db, dynamic {{X = 1}})"))
+                .unwrap();
+            let externs = w.take_frame();
             diff_frame(&state.db, &w.db, externs, state.epoch).unwrap()
         };
         let f1 = mk("Int");
@@ -1850,9 +1679,9 @@ mod tests {
                     state2.db.clone(),
                     Arc::clone(&server2.engine.shared.store),
                 );
-                let externs = w
-                    .run_staged(&format!("extern('h{i}', dynamic {{X = {i}}})"))
+                w.run(&format!("extern('h{i}', dynamic {{X = {i}}})"))
                     .unwrap();
+                let externs = w.take_frame();
                 let frame = diff_frame(&state2.db, &w.db, externs, state2.epoch).unwrap();
                 let (tx, rx) = mpsc::channel();
                 reqs.push(CommitRequest {
@@ -1873,7 +1702,7 @@ mod tests {
                 rxs.into_iter().map(|rx| rx.recv().unwrap()).collect();
             let in_doubt = outcomes
                 .iter()
-                .filter(|o| matches!(o, CommitOutcome::InDoubt { .. }))
+                .filter(|o| matches!(o, CommitOutcome::InDoubt(_)))
                 .count();
             if in_doubt > 0 {
                 // The regression: in-doubt must cover the WHOLE batch.
@@ -1881,15 +1710,21 @@ mod tests {
                     in_doubt, 3,
                     "in-doubt attributed to only {in_doubt}/3 members at fail_at={fail_at}: {outcomes:?}"
                 );
-                // All members share the same coalesced transaction id.
-                let ids: std::collections::BTreeSet<u64> = outcomes
+                // All members share the same coalesced transaction (the
+                // message names its id).
+                let msgs: std::collections::BTreeSet<&str> = outcomes
                     .iter()
                     .map(|o| match o {
-                        CommitOutcome::InDoubt { txn_id, .. } => *txn_id,
+                        CommitOutcome::InDoubt(msg) => msg.as_str(),
                         _ => unreachable!(),
                     })
                     .collect();
-                assert_eq!(ids.len(), 1, "one batch, one txn id");
+                assert_eq!(msgs.len(), 1, "one batch, one txn id: {msgs:?}");
+                assert!(
+                    msgs.iter()
+                        .all(|m| m.contains("durably logged as transaction")),
+                    "{msgs:?}"
+                );
                 saw_in_doubt = true;
                 break 'sweep;
             }

@@ -33,8 +33,8 @@ use crate::parser::parse_program;
 use crate::rt::{Closure, Env, RtValue};
 use dbpl_core::Database;
 use dbpl_persist::{
-    commit_multi, pending_intent, recover_pending, IntrinsicStore, PersistError, QuarantineEntry,
-    QuarantineReason, QuarantineReport, ReplicatingStore, RetryPolicy, SalvageReport, ScrubReport,
+    DurabilityGate, Health, IntrinsicStore, PersistError, QuarantineEntry, QuarantineReason,
+    QuarantineReport, Recovery, ReplicatingStore, RetryPolicy, SalvageReport, ScrubReport, Verdict,
 };
 use dbpl_values::DynValue;
 use std::collections::BTreeMap;
@@ -90,43 +90,18 @@ pub struct Session {
     txn: Option<TxnState>,
     /// Corrupt store units hit by `intern` — quarantined here, at the
     /// session level, so the record survives the enclosing transaction's
-    /// abort. Merged into [`Session::quarantine_report`].
-    quarantined: Vec<QuarantineEntry>,
-    /// Why the session is degraded (read-only for durable work), or
-    /// `None` when healthy. Set when the environment fails underneath a
-    /// commit — disk full at the store — and cleared automatically once
-    /// a later commit finds the store writable again.
-    degraded: Option<String>,
-    /// A durable pending transaction that could not be recovered yet
-    /// (its intent carries intrinsic-store records and no intrinsic store
-    /// is attached, or an in-doubt commit's immediate roll-forward
-    /// failed). Holds the pending transaction number. While set, durable
-    /// commits and direct store writes are refused — a fresh intent would
-    /// overwrite the pending one and lose its writes.
-    pending_recovery: Option<u64>,
-}
-
-/// The session's health state, as reported by [`Session::health`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Health {
-    /// Fully operational: durable commits are accepted.
-    Healthy,
-    /// The environment failed underneath the session (e.g. the store's
-    /// disk filled up): durable commits and direct store writes are
-    /// refused — cleanly, with nothing half-written — until the
-    /// condition clears. The session exits degraded mode by itself the
-    /// next time a commit finds the store writable.
-    Degraded {
-        /// What pushed the session into degraded mode.
-        reason: String,
-    },
-}
-
-impl Health {
-    /// Whether the session is degraded.
-    pub fn is_degraded(&self) -> bool {
-        matches!(self, Health::Degraded { .. })
-    }
+    /// abort. Merged into [`Session::quarantine_report`], and carried
+    /// over by a [`crate::server::ServerSession`] from its worker.
+    pub(crate) quarantined: Vec<QuarantineEntry>,
+    /// What happens when a durable write fails: degraded mode, pending
+    /// recovery, in-doubt roll-forward and abort bookkeeping — the same
+    /// policy an engine's group-commit applier uses.
+    gate: DurabilityGate,
+    /// An engine worker ([`Session::for_engine`]): explicit transaction
+    /// statements are rejected, and a completed program's frame is left
+    /// for the engine to take ([`Session::take_frame`]) instead of being
+    /// committed here.
+    worker: bool,
 }
 
 /// The statement kind attached to per-statement trace spans.
@@ -214,48 +189,40 @@ impl Session {
     /// [`Session::from_store`] over an already-shared store — how an
     /// engine builds sessions that all read and write the same store.
     pub fn from_shared_store(store: Arc<ReplicatingStore>) -> Result<Session, LangError> {
+        let (gate, recovery) = DurabilityGate::open(&store)
+            .map_err(|e| LangError::eval(0, format!("cannot recover pending transaction: {e}")))?;
         let mut s = Session {
-            db: Database::new(),
+            gate,
+            ..Session::bare(Database::new(), store)
+        };
+        match recovery {
+            Recovery::Clean => {}
+            Recovery::Completed(txn_id) => s.out.push(completed_note(txn_id)),
+            Recovery::Blocked(txn_id) => s.out.push(format!(
+                "note: pending transaction {txn_id} involves an intrinsic store; attach \
+                 it to finish recovery (commits are blocked until then)"
+            )),
+            Recovery::ReadOnly(txn_id) => s.out.push(format!(
+                "warning: pending transaction {txn_id} left unrecovered (store is read-only)"
+            )),
+        }
+        Ok(s)
+    }
+
+    /// The fields every constructor starts from: no frame, no intrinsic
+    /// store, a healthy gate, no output.
+    fn bare(db: Database, store: Arc<ReplicatingStore>) -> Session {
+        Session {
+            db,
             store,
             intrinsic: None,
             out: Vec::new(),
             txn_deadline: None,
             txn: None,
             quarantined: Vec::new(),
-            degraded: None,
-            pending_recovery: None,
-        };
-        if s.store.is_read_only() {
-            // Salvage mode cannot write, so a pending intent (if any) is
-            // left for a read-write open to complete; just surface it.
-            if let Ok(Some(intent)) = pending_intent(&s.store) {
-                s.out.push(format!(
-                    "warning: pending transaction {} left unrecovered (store is read-only)",
-                    intent.txn_id
-                ));
-            }
-            return Ok(s);
+            gate: DurabilityGate::default(),
+            worker: false,
         }
-        match recover_pending(None, &s.store) {
-            Ok(Some(txn_id)) => s.out.push(format!(
-                "note: completed pending transaction {txn_id} left by an interrupted commit"
-            )),
-            Ok(None) => {}
-            Err(PersistError::RecoveryPending { txn_id }) => {
-                s.pending_recovery = Some(txn_id);
-                s.out.push(format!(
-                    "note: pending transaction {txn_id} involves an intrinsic store; attach \
-                     it to finish recovery (commits are blocked until then)"
-                ));
-            }
-            Err(e) => {
-                return Err(LangError::eval(
-                    0,
-                    format!("cannot recover pending transaction: {e}"),
-                ))
-            }
-        }
-        Ok(s)
     }
 
     /// Attach an intrinsic store backed by the log at `path`, surfacing
@@ -273,22 +240,13 @@ impl Session {
             ));
         }
         // Both store kinds are now present: finish any multi-store
-        // transaction a crash interrupted between them.
-        match recover_pending(Some(&mut store), &self.store) {
-            Ok(Some(txn_id)) => self.out.push(format!(
-                "note: completed pending transaction {txn_id} left by an interrupted commit"
-            )),
-            Ok(None) => {}
-            Err(e) => {
-                return Err(LangError::eval(
-                    0,
-                    format!("cannot recover pending transaction: {e}"),
-                ))
-            }
-        }
-        // Recovery deferred at open (the intent needed this store) is now
-        // done: commits may resume.
-        self.pending_recovery = None;
+        // transaction a crash interrupted between them, which also lifts
+        // the block recovery deferred at open put on commits.
+        let recovered = self
+            .gate
+            .recover(Some(&mut store), &self.store)
+            .map_err(|e| LangError::eval(0, format!("cannot recover pending transaction: {e}")))?;
+        self.out.extend(recovered.map(completed_note));
         self.intrinsic = Some(store);
         Ok(())
     }
@@ -325,75 +283,22 @@ impl Session {
     /// A lightweight worker session over an existing database snapshot
     /// and a shared store: no recovery I/O, no temp directory. Used by
     /// the engine to execute one program against an MVCC snapshot; the
-    /// resulting database is diffed into a frame, not kept.
+    /// resulting database is diffed into a frame, not kept, and the
+    /// engine makes the frame durable ([`Session::take_frame`]).
     pub(crate) fn for_engine(db: Database, store: Arc<ReplicatingStore>) -> Session {
         Session {
-            db,
-            store,
-            intrinsic: None,
-            out: Vec::new(),
-            txn_deadline: None,
-            txn: None,
-            quarantined: Vec::new(),
-            degraded: None,
-            pending_recovery: None,
+            worker: true,
+            ..Session::bare(db, store)
         }
     }
 
-    /// Parse, type-check and run one program, leaving the transaction
-    /// frame's effects *staged* instead of committing them: the database
-    /// mutations stay in [`Session::db`] and the staged extern writes are
-    /// returned for the caller to make durable (the engine's group-commit
-    /// applier). Explicit `begin`/`commit`/`abort` statements are
-    /// rejected — under an engine the whole program is the transaction.
-    /// On any failure the frame aborts exactly as in [`Session::run`].
-    pub(crate) fn run_staged(
-        &mut self,
-        src: &str,
-    ) -> Result<BTreeMap<String, Option<Vec<u8>>>, LangError> {
-        let mut root = dbpl_obs::span!("run");
-        let prog = {
-            let _sp = dbpl_obs::span!("run.parse");
-            parse_program(src)?
-        };
-        for item in &prog.items {
-            if let Item::Begin { at } | Item::Commit { at } | Item::Abort { at } = item {
-                return Err(LangError::eval(
-                    *at,
-                    "explicit transaction statements are not supported in server \
-                     sessions: each program is one transaction"
-                        .to_string(),
-                ));
-            }
-        }
-        root.set_attr("statements", prog.items.len());
-        let checked = {
-            let _sp = dbpl_obs::span!("run.check");
-            check_program(&prog, self.db.env())?
-        };
-        debug_assert!(self.txn.is_none(), "engine workers run one frame at a time");
-        self.begin_frame(false);
-        *self.db.env_mut() = checked.env;
-        match catch_unwind(AssertUnwindSafe(|| self.exec_items(&prog))) {
-            Ok(Ok(())) => {
-                let frame = self.txn.take().expect("frame still open");
-                Ok(frame.staged_externs)
-            }
-            Ok(Err(e)) => {
-                self.abort_frame();
-                Err(e)
-            }
-            Err(payload) => {
-                self.abort_frame();
-                Err(LangError::eval(
-                    0,
-                    format!(
-                        "program panicked: {}; transaction aborted",
-                        panic_message(&*payload)
-                    ),
-                ))
-            }
-        }
+    /// Take an engine worker's completed frame: its staged extern writes
+    /// (the database mutations stay in [`Session::db`]).
+    pub(crate) fn take_frame(&mut self) -> BTreeMap<String, Option<Vec<u8>>> {
+        self.txn
+            .take()
+            .map(|frame| frame.staged_externs)
+            .unwrap_or_default()
     }
 
     /// Parse, type-check and run one program. Returns the lines of output
@@ -414,6 +319,21 @@ impl Session {
             let _sp = dbpl_obs::span!("run.parse");
             parse_program(src)?
         };
+        if self.worker {
+            // Under an engine the whole program is the transaction.
+            let explicit = prog.items.iter().find_map(|item| match item {
+                Item::Begin { at } | Item::Commit { at } | Item::Abort { at } => Some(*at),
+                _ => None,
+            });
+            if let Some(at) = explicit {
+                return Err(LangError::eval(
+                    at,
+                    "explicit transaction statements are not supported in server \
+                     sessions: each program is one transaction"
+                        .to_string(),
+                ));
+            }
+        }
         root.set_attr("statements", prog.items.len());
         let checked = {
             let _sp = dbpl_obs::span!("run.check");
@@ -428,32 +348,36 @@ impl Session {
         *self.db.env_mut() = checked.env;
 
         let out_start = self.out.len();
-        // Panic isolation: a panicking program must poison nothing. The
-        // vendored lock primitives unlock on unwind rather than poison,
-        // and all session state is restored from the frame snapshot, so
-        // resuming past the unwind is sound.
-        match catch_unwind(AssertUnwindSafe(|| self.exec_items(&prog))) {
-            Ok(Ok(())) => {
-                if self.txn.as_ref().is_some_and(|t| !t.explicit) {
-                    self.commit_frame()?;
-                }
-                Ok(self.out[out_start..].to_vec())
-            }
-            Ok(Err(e)) => {
-                self.abort_frame();
-                Err(e)
-            }
-            Err(payload) => {
-                self.abort_frame();
-                Err(LangError::eval(
-                    0,
-                    format!(
-                        "program panicked: {}; transaction aborted",
-                        panic_message(&*payload)
-                    ),
-                ))
-            }
+        self.guarded("program", |s| s.exec_items(&prog))?;
+        if !self.worker && self.txn.as_ref().is_some_and(|t| !t.explicit) {
+            self.commit_frame()?;
         }
+        Ok(self.out[out_start..].to_vec())
+    }
+
+    /// Run `body` with panic isolation: if it fails or panics, the open
+    /// frame aborts. A panic must poison nothing: the vendored lock
+    /// primitives unlock on unwind rather than poison, and all session
+    /// state is restored from the frame snapshot, so resuming past the
+    /// unwind is sound.
+    fn guarded<T>(
+        &mut self,
+        what: &str,
+        body: impl FnOnce(&mut Session) -> Result<T, LangError>,
+    ) -> Result<T, LangError> {
+        let result = catch_unwind(AssertUnwindSafe(|| body(self))).unwrap_or_else(|payload| {
+            Err(LangError::eval(
+                0,
+                format!(
+                    "{what} panicked: {}; transaction aborted",
+                    panic_message(&*payload)
+                ),
+            ))
+        });
+        if result.is_err() {
+            self.abort_frame();
+        }
+        result
     }
 
     fn exec_items(&mut self, prog: &Program) -> Result<(), LangError> {
@@ -465,7 +389,7 @@ impl Session {
             match item {
                 Item::TypeDecl { .. } | Item::Include { .. } => {}
                 Item::Begin { at } => {
-                    if self.txn.as_ref().is_some_and(|t| t.explicit) {
+                    if self.in_transaction() {
                         return Err(LangError::eval(
                             *at,
                             "transaction already in progress".to_string(),
@@ -475,26 +399,20 @@ impl Session {
                     self.commit_frame()?;
                     self.begin_frame(true);
                 }
-                Item::Commit { at } => {
-                    if !self.txn.as_ref().is_some_and(|t| t.explicit) {
+                Item::Commit { at } | Item::Abort { at } => {
+                    if !self.in_transaction() {
                         return Err(LangError::eval(
                             *at,
                             "no transaction in progress".to_string(),
                         ));
                     }
-                    self.commit_frame()?;
+                    if matches!(item, Item::Commit { .. }) {
+                        self.commit_frame()?;
+                    } else {
+                        self.abort_frame();
+                    }
                     // The rest of the program runs in a fresh implicit
                     // frame, committed when the program completes.
-                    self.begin_frame(false);
-                }
-                Item::Abort { at } => {
-                    if !self.txn.as_ref().is_some_and(|t| t.explicit) {
-                        return Err(LangError::eval(
-                            *at,
-                            "no transaction in progress".to_string(),
-                        ));
-                    }
-                    self.abort_frame();
                     self.begin_frame(false);
                 }
                 Item::Let { name, expr, .. } => {
@@ -550,33 +468,16 @@ impl Session {
         &mut self,
         f: impl FnOnce(&mut Session) -> Result<T, LangError>,
     ) -> Result<T, LangError> {
-        if self.txn.as_ref().is_some_and(|t| t.explicit) {
+        if self.in_transaction() {
             return Err(LangError::eval(
                 0,
                 "transaction already in progress".to_string(),
             ));
         }
         self.begin_frame(true);
-        match catch_unwind(AssertUnwindSafe(|| f(self))) {
-            Ok(Ok(v)) => {
-                self.commit_frame()?;
-                Ok(v)
-            }
-            Ok(Err(e)) => {
-                self.abort_frame();
-                Err(e)
-            }
-            Err(payload) => {
-                self.abort_frame();
-                Err(LangError::eval(
-                    0,
-                    format!(
-                        "transaction panicked: {}; aborted",
-                        panic_message(&*payload)
-                    ),
-                ))
-            }
-        }
+        let v = self.guarded("transaction", f)?;
+        self.commit_frame()?;
+        Ok(v)
     }
 
     /// Whether an explicit transaction is currently open.
@@ -596,122 +497,52 @@ impl Session {
     }
 
     /// Durably apply the open frame: one crash-atomic commit across the
-    /// intrinsic store (if attached and dirty) and the staged externs.
-    /// On failure the frame aborts — in-memory state rolls back to the
-    /// snapshot — and the error is surfaced.
+    /// intrinsic store (if attached and dirty) and the staged externs,
+    /// through the session's [`DurabilityGate`]. A commit that did not
+    /// become durable rolls memory back to the snapshot; an in-doubt one
+    /// keeps it, since the transaction will roll forward.
     fn commit_frame(&mut self) -> Result<(), LangError> {
         let Some(frame) = self.txn.take() else {
             return Ok(());
         };
-        let intrinsic_dirty = self.intrinsic.as_ref().is_some_and(|s| s.is_dirty());
-        if frame.staged_externs.is_empty() && !intrinsic_dirty {
-            // Purely in-memory transaction: the database already holds
-            // the new state, nothing to make durable.
-            return Ok(());
-        }
-        if let Some(reason) = self.degraded.clone() {
-            // Degraded (e.g. disk full): probe before touching real
-            // state. If the store is writable again the session heals
-            // itself and the commit proceeds; otherwise refuse cleanly
-            // — roll memory back, nothing durable was attempted.
-            match self.store.probe_writable() {
-                Ok(()) => self.exit_degraded(),
-                Err(e) => {
-                    self.db = *frame.saved_db;
-                    if let Some(s) = self.intrinsic.as_mut() {
-                        s.abort();
-                    }
-                    dbpl_obs::emit(dbpl_obs::Event::TxnAbort {
-                        reason: format!("session degraded: {reason}"),
-                    });
-                    return Err(LangError::eval(
-                        0,
-                        format!(
-                            "commit refused, transaction aborted: session is degraded \
-                             ({reason}) and the store is still unwritable ({e})"
-                        ),
-                    ));
-                }
-            }
-        }
-        if let Some(txn_id) = self.pending_recovery {
-            // An earlier transaction's intent is still durably pending;
-            // publishing a new intent would overwrite it and lose its
-            // writes. Try once more to finish it (both stores may be
-            // available now), and refuse this commit if that fails.
-            match recover_pending(self.intrinsic.as_mut(), &self.store) {
-                Ok(_) => self.pending_recovery = None,
-                Err(e) => {
-                    self.db = *frame.saved_db;
-                    if let Some(s) = self.intrinsic.as_mut() {
-                        s.abort();
-                    }
-                    return Err(LangError::eval(
-                        0,
-                        format!(
-                            "commit blocked by pending transaction {txn_id} ({e}); \
-                             transaction aborted"
-                        ),
-                    ));
-                }
-            }
-        }
-        let policy = match frame.deadline {
-            Some(d) => RetryPolicy::with_deadline(d),
-            None => RetryPolicy::default(),
-        };
-        match commit_multi(
-            self.intrinsic.as_mut(),
-            &self.store,
-            &frame.staged_externs,
-            &policy,
-        ) {
-            Ok(_) => Ok(()),
-            Err(PersistError::InDoubt { txn_id, cause }) => {
-                // Past the durability point: the transaction is NOT
-                // aborted — its intent is durable and it must roll
-                // forward. Try to finish it right now; the in-memory
-                // state already reflects the committed outcome, so on
-                // success this commit simply succeeded.
-                match recover_pending(self.intrinsic.as_mut(), &self.store) {
-                    Ok(_) => Ok(()),
-                    Err(e) => {
-                        self.pending_recovery = Some(txn_id);
-                        Err(LangError::eval(
-                            0,
-                            format!(
-                                "commit is in doubt, not aborted: durably logged as \
-                                 transaction {txn_id} but applying it failed ({cause}; \
-                                 recovery retry: {e}); it will be completed on recovery — \
-                                 commits are blocked until then"
-                            ),
-                        ))
-                    }
-                }
-            }
-            Err(e) => {
-                // Pre-durability failure: the intent never published, so
-                // nothing became durable; make memory agree.
+        let policy = frame
+            .deadline
+            .map_or_else(RetryPolicy::default, RetryPolicy::with_deadline);
+        let verdict = self.gated(|gate, intrinsic, store| {
+            gate.commit(intrinsic, store, &frame.staged_externs, &policy)
+        });
+        match verdict {
+            Verdict::Committed => return Ok(()),
+            Verdict::InDoubt { .. } => {}
+            Verdict::Refused(_) | Verdict::Aborted(_) => {
                 self.db = *frame.saved_db;
                 if let Some(s) = self.intrinsic.as_mut() {
                     s.abort();
                 }
-                dbpl_obs::emit(dbpl_obs::Event::TxnAbort {
-                    reason: format!("commit failed: {e}"),
-                });
-                // Disk full is not this transaction's fault: flip the
-                // whole session into degraded mode so later commits are
-                // refused up front instead of failing halfway through
-                // their write path.
-                if is_storage_full(&e) {
-                    self.enter_degraded(format!("storage full during commit: {e}"));
-                }
-                Err(LangError::eval(
-                    0,
-                    format!("commit failed, transaction aborted: {e}"),
-                ))
             }
         }
+        Err(LangError::eval(0, verdict.to_string()))
+    }
+
+    /// Run one operation through the durability gate and announce any
+    /// health change it made in the session output.
+    fn gated<T>(
+        &mut self,
+        op: impl FnOnce(&DurabilityGate, Option<&mut IntrinsicStore>, &ReplicatingStore) -> T,
+    ) -> T {
+        let was_degraded = self.gate.health().is_degraded();
+        let result = op(&self.gate, self.intrinsic.as_mut(), &self.store);
+        match self.gate.health() {
+            Health::Degraded { reason } if !was_degraded => self.out.push(format!(
+                "warning: session degraded ({reason}); durable commits are refused until \
+                 the store is writable again"
+            )),
+            Health::Healthy if was_degraded => self
+                .out
+                .push("note: session healthy again; durable commits resume".to_string()),
+            _ => {}
+        }
+        result
     }
 
     /// Discard the open frame: restore the database snapshot and drop
@@ -737,52 +568,38 @@ impl Session {
 
     /// Stage an extern: inside a transaction frame the encoded unit is
     /// buffered and written only at commit; outside any frame it is
-    /// installed (hardened) immediately.
+    /// installed (hardened) immediately, behind the durability gate.
     pub fn stage_extern(&mut self, handle: &str, d: &DynValue) -> Result<(), PersistError> {
-        if self.store.is_read_only() {
-            return Err(PersistError::ReadOnly("extern".to_string()));
-        }
         let bytes = ReplicatingStore::encode_unit(d, self.db.heap())?;
-        match &mut self.txn {
-            Some(frame) => {
-                frame.staged_externs.insert(handle.to_string(), Some(bytes));
-                Ok(())
-            }
-            None => {
-                // An unrecovered pending transaction may still have this
-                // handle's install outstanding; writing around it could
-                // be silently undone by the eventual redo.
-                if let Some(txn_id) = self.pending_recovery {
-                    return Err(PersistError::RecoveryPending { txn_id });
-                }
-                match self.store.install_unit(handle, &bytes) {
-                    Err(e) if is_storage_full(&e) => {
-                        self.enter_degraded(format!("storage full during extern: {e}"));
-                        Err(e)
-                    }
-                    other => other,
-                }
-            }
-        }
+        self.stage("extern", handle, Some(bytes))
     }
 
     /// Stage a handle removal, transactionally when a frame is open.
     pub fn stage_remove(&mut self, handle: &str) -> Result<(), PersistError> {
+        self.stage("remove", handle, None)
+    }
+
+    /// Buffer one extern mutation in the open frame or, outside any
+    /// frame, write it now behind the same durability gate as a commit.
+    fn stage(
+        &mut self,
+        what: &str,
+        handle: &str,
+        unit: Option<Vec<u8>>,
+    ) -> Result<(), PersistError> {
         if self.store.is_read_only() {
-            return Err(PersistError::ReadOnly("remove".to_string()));
+            return Err(PersistError::ReadOnly(what.to_string()));
         }
-        match &mut self.txn {
-            Some(frame) => {
-                frame.staged_externs.insert(handle.to_string(), None);
-                Ok(())
-            }
-            None => {
-                if let Some(txn_id) = self.pending_recovery {
-                    return Err(PersistError::RecoveryPending { txn_id });
-                }
-                self.store.remove_quiet(handle)
-            }
+        if let Some(frame) = &mut self.txn {
+            frame.staged_externs.insert(handle.to_string(), unit);
+            return Ok(());
         }
+        self.gated(|gate, intrinsic, store| {
+            gate.write(intrinsic, store, || match &unit {
+                Some(bytes) => store.install_unit(handle, bytes),
+                None => store.remove_quiet(handle),
+            })
+        })
     }
 
     /// Intern a handle with read-your-writes over the open frame's
@@ -854,44 +671,11 @@ impl Session {
 
     /// The session's current health: [`Health::Healthy`], or
     /// [`Health::Degraded`] after an environmental failure (disk full)
-    /// flipped durable commits off. Degraded mode clears itself the next
-    /// time a commit probes the store and finds it writable.
+    /// flipped durable writes off. Degraded mode clears itself the next
+    /// time a commit or direct write probes the store and finds it
+    /// writable.
     pub fn health(&self) -> Health {
-        match &self.degraded {
-            None => Health::Healthy,
-            Some(reason) => Health::Degraded {
-                reason: reason.clone(),
-            },
-        }
-    }
-
-    /// Flip into degraded mode (idempotent), announcing the transition
-    /// through the event stream and the session output.
-    fn enter_degraded(&mut self, reason: String) {
-        if self.degraded.is_some() {
-            return;
-        }
-        dbpl_obs::emit(dbpl_obs::Event::HealthChanged {
-            degraded: true,
-            reason: reason.clone(),
-        });
-        self.out.push(format!(
-            "warning: session degraded ({reason}); durable commits are refused until \
-             the store is writable again"
-        ));
-        self.degraded = Some(reason);
-    }
-
-    /// Leave degraded mode after a successful writability probe.
-    fn exit_degraded(&mut self) {
-        if self.degraded.take().is_some() {
-            dbpl_obs::emit(dbpl_obs::Event::HealthChanged {
-                degraded: false,
-                reason: "store is writable again".to_string(),
-            });
-            self.out
-                .push("note: session healthy again; durable commits resume".to_string());
-        }
+        self.gate.health()
     }
 
     /// Everything this session has quarantined: corrupt store units hit
@@ -902,59 +686,14 @@ impl Session {
         r
     }
 
-    /// Just the session-level quarantine record (excludes the database's
-    /// own entries) — what a [`crate::server::ServerSession`] carries over
-    /// from a worker session after a program runs.
-    pub(crate) fn session_quarantined(&self) -> &[QuarantineEntry] {
-        &self.quarantined
-    }
-
-    /// A read-only snapshot of every counter and histogram in the global
-    /// metrics registry: query-strategy selections, rows scanned, VFS
-    /// traffic, retries, and transaction lifecycle counts. The registry is
-    /// process-global, so in a multi-session process the numbers aggregate
-    /// over all sessions; diff two snapshots
-    /// ([`dbpl_obs::StatsSnapshot::delta_since`]) to isolate a workload.
-    pub fn stats(&self) -> dbpl_obs::StatsSnapshot {
-        dbpl_obs::global().snapshot()
-    }
-
     /// The maintained per-extent statistics catalog of this session's
     /// database snapshot: per carried type, row counts, ground-key
     /// density, and per-path distinct sketches. Maintained incrementally
     /// by every insert and quarantine; `analyze(db)` rebuilds it from
-    /// scratch. Unlike [`Session::stats`] this is per-database state,
-    /// not process-global.
+    /// scratch. Unlike the process-global metrics registry
+    /// ([`dbpl_obs::global`]) this is per-database state.
     pub fn stats_catalog(&self) -> &dbpl_stats::StatsCatalog {
         self.db.stats_catalog()
-    }
-
-    /// Start collecting trace trees from this process's instrumented
-    /// operations into the bounded in-memory ring (`capacity` completed
-    /// spans; the oldest are dropped first). Tracing is process-global
-    /// and reference-counted — pair every call with
-    /// [`Session::disable_tracing`].
-    pub fn enable_tracing(&self, capacity: usize) {
-        dbpl_obs::trace::enable(capacity);
-    }
-
-    /// Drop one reference to process-global tracing (collection stops
-    /// when the last reference is released; buffered spans remain
-    /// readable until [`dbpl_obs::trace::clear`]).
-    pub fn disable_tracing(&self) {
-        dbpl_obs::trace::disable();
-    }
-
-    /// Emit a [`dbpl_obs::Event::SlowOp`] — carrying the whole span
-    /// subtree — whenever a *root* operation (a program run, a top-level
-    /// `Get`, a commit) takes at least `threshold`. `None` turns the
-    /// slow-op log off. Requires tracing to be active for the spans to
-    /// exist; this call manages its own reference, so it composes with
-    /// [`Session::enable_tracing`].
-    pub fn set_slow_threshold(&self, threshold: Option<std::time::Duration>) {
-        dbpl_obs::trace::set_slow_threshold_us(
-            threshold.map(|d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX)),
-        );
     }
 
     /// Run one program under its own dedicated trace and return
@@ -976,7 +715,7 @@ impl Session {
         // the trace file also carries the per-site lifetime totals.
         let json = dbpl_obs::trace::export_chrome_with_counters(
             &dbpl_obs::trace::buffered(),
-            &self.stats(),
+            &dbpl_obs::global().snapshot(),
         );
         std::fs::write(path, json)
             .map_err(|e| LangError::eval(0, format!("trace export failed: {e}")))
@@ -1002,12 +741,9 @@ impl Session {
     }
 }
 
-/// Does this error bottom out in "the device is out of space"?
-fn is_storage_full(e: &PersistError) -> bool {
-    match e {
-        PersistError::Io(io) => io.kind() == std::io::ErrorKind::StorageFull,
-        _ => false,
-    }
+/// The session note for a pending transaction recovery rolled forward.
+fn completed_note(txn_id: u64) -> String {
+    format!("note: completed pending transaction {txn_id} left by an interrupted commit")
 }
 
 /// Does this error mean "the bytes on disk are bad" (quarantine-worthy),
@@ -1545,11 +1281,11 @@ mod obs_tests {
         let sink = std::sync::Arc::new(dbpl_obs::MemorySink::new());
         dbpl_obs::set_sink(sink.clone());
         let mut s = Session::new().unwrap();
-        s.enable_tracing(4096);
-        s.set_slow_threshold(Some(std::time::Duration::ZERO));
+        dbpl_obs::trace::enable(4096);
+        dbpl_obs::trace::set_slow_threshold_us(Some(0));
         s.run("put(db, dynamic 7)").unwrap();
-        s.set_slow_threshold(None);
-        s.disable_tracing();
+        dbpl_obs::trace::set_slow_threshold_us(None);
+        dbpl_obs::trace::disable();
         dbpl_obs::clear_sink();
         let slow_runs: Vec<_> = sink
             .events()
@@ -1576,10 +1312,10 @@ mod obs_tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let mut s = Session::with_store_dir(&dir).unwrap();
-        let before = s.stats();
+        let before = dbpl_obs::global().snapshot();
         s.run("begin\nextern('Watched', dynamic 1)\ncommit")
             .unwrap();
-        let delta = s.stats().delta_since(&before);
+        let delta = dbpl_obs::global().snapshot().delta_since(&before);
         assert!(delta.counter("events.txn_begin") >= 1, "{delta:?}");
         assert!(delta.counter("events.txn_commit") >= 1, "{delta:?}");
         assert!(delta.counter("vfs.writes") >= 1, "{delta:?}");
@@ -1595,11 +1331,11 @@ mod obs_tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let mut s = Session::with_store_dir(&dir).unwrap();
-        let before = s.stats();
+        let before = dbpl_obs::global().snapshot();
         s.run("begin\nput(db, dynamic 1)\nabort").unwrap();
         std::fs::write(dir.join("Evil.dyn"), b"\xFFnot a unit").unwrap();
         let _ = s.run("intern('Evil')").unwrap_err();
-        let delta = s.stats().delta_since(&before);
+        let delta = dbpl_obs::global().snapshot().delta_since(&before);
         assert!(delta.counter("events.txn_abort") >= 1, "{delta:?}");
         assert!(delta.counter("events.quarantine") >= 1, "{delta:?}");
     }

@@ -2,7 +2,8 @@
 //! in a stored `.dyn` unit is (a) never served — not by `intern`, not by
 //! any `Get` strategy, (b) found by `scrub`, and (c) read-repaired from
 //! the attached intrinsic replica; and a session over a disk that fills
-//! up degrades to read-only cleanly and heals itself when space returns.
+//! up degrades to read-only cleanly — direct store writes included — and
+//! heals itself when space returns.
 
 use dbpl_lang::{Health, Session};
 use dbpl_persist::{FaultPlan, QuarantineReason, ReplicatingStore, SimVfs};
@@ -172,4 +173,55 @@ fn disk_full_degrades_the_session_cleanly_and_heals_when_space_returns() {
         "{:?}",
         s.out
     );
+}
+
+#[test]
+fn direct_store_writes_are_gated_while_degraded_and_heal_the_session() {
+    use dbpl_types::Type;
+    use dbpl_values::{DynValue, Value};
+    let vfs = SimVfs::new();
+    let store =
+        ReplicatingStore::open_with(Arc::new(vfs.clone()), Path::new("direct-store")).unwrap();
+    let mut s = Session::from_store(store).unwrap();
+    let unit = DynValue::new(Type::Int, Value::Int(1));
+    s.run("extern('Kept', dynamic 0)").unwrap();
+
+    // The disk fills and a commit degrades the session.
+    vfs.set_plan(FaultPlan {
+        seed: 3,
+        enospc_at_op: Some(vfs.ops() + 1),
+        ..FaultPlan::default()
+    });
+    assert!(s.run("extern('During', dynamic 2)").is_err());
+    assert!(s.health().is_degraded());
+
+    // Outside any transaction, host-side writes go straight to the
+    // store — but not past the degraded gate: both are refused after
+    // the failed probe, and no unit write is attempted.
+    let (res, spans) = dbpl_obs::trace::capture("direct", || {
+        (s.stage_extern("Direct", &unit), s.stage_remove("Kept"))
+    });
+    for err in [res.0.unwrap_err(), res.1.unwrap_err()] {
+        assert!(err.to_string().contains("degraded"), "{err}");
+    }
+    assert!(
+        !spans.iter().any(|sp| sp.name == "store.extern"),
+        "a unit write was attempted while degraded: {:?}",
+        spans.iter().map(|sp| sp.name).collect::<Vec<_>>()
+    );
+    assert!(s.health().is_degraded());
+
+    // Space returns: the next direct write probes, heals, and lands.
+    vfs.set_plan(FaultPlan::default());
+    s.stage_extern("Direct", &unit).unwrap();
+    assert_eq!(s.health(), Health::Healthy);
+    assert!(
+        s.out.iter().any(|l| l.contains("healthy again")),
+        "{:?}",
+        s.out
+    );
+    assert_eq!(s.run("coerce intern('Direct') to Int").unwrap(), vec!["1"]);
+    assert_eq!(s.run("coerce intern('Kept') to Int").unwrap(), vec!["0"]);
+    s.stage_remove("Direct").unwrap();
+    assert!(s.run("intern('Direct')").is_err());
 }

@@ -67,6 +67,10 @@ pub enum PersistError {
         /// The transaction number of the pending intent.
         txn_id: u64,
     },
+    /// The durability gate refused a write before it touched the store:
+    /// the store is degraded and still unwritable, or a pending
+    /// transaction could not be finished first.
+    Refused(String),
 }
 
 impl fmt::Display for PersistError {
@@ -118,6 +122,7 @@ impl fmt::Display for PersistError {
                     "pending transaction {txn_id} needs the intrinsic store to finish recovery"
                 )
             }
+            PersistError::Refused(why) => write!(f, "write refused: {why}"),
         }
     }
 }

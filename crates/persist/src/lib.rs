@@ -35,6 +35,7 @@ pub mod crc;
 pub mod error;
 pub mod evolution;
 pub mod format;
+pub mod gate;
 pub mod intrinsic;
 pub mod log;
 mod metrics;
@@ -48,6 +49,7 @@ pub mod vfs;
 pub use error::PersistError;
 pub use evolution::{open_handle, project_to_type, OpenOutcome};
 pub use format::{decode_dyn, encode_dyn, frame_unit, unframe_unit, UnitHeader};
+pub use gate::{DurabilityGate, Health, Recovery, Verdict};
 pub use intrinsic::{IntrinsicStore, RecoveryReport, SalvageReport};
 pub use log::LogFile;
 pub use namespace::{NamespaceManager, Visibility};

@@ -171,8 +171,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("   {}", e.to_jsonl());
     }
 
-    println!("\n== Session::stats() serializes the same registry");
-    let json = s.stats().to_json();
+    println!("\n== obs::global().snapshot() serializes the same registry");
+    let json = obs::global().snapshot().to_json();
     println!("   {}…", &json[..json.len().min(120)]);
 
     // The demo is also a smoke test: the counters it claims to move

@@ -7,7 +7,6 @@
 use dbpl::lang::Session;
 use dbpl::obs::{self, Event, MemorySink};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dir = std::env::temp_dir().join(format!("dbpl-profiling-demo-{}", std::process::id()));
@@ -19,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---------- 1. profile a whole program ----------
     // Tracing is off by default (a span! site is then just a histogram
     // add, with no allocation); run_profiled captures one program.
-    s.enable_tracing(1 << 16);
+    obs::trace::enable(1 << 16);
     println!("== run_profiled: the trace tree of a whole program");
     let (out, tree) = s
         .run_profiled(
@@ -62,10 +61,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== slow-op log (threshold = 0 so everything qualifies)");
     let sink = Arc::new(MemorySink::new());
     obs::set_sink(sink.clone());
-    s.set_slow_threshold(Some(Duration::ZERO));
+    obs::trace::set_slow_threshold_us(Some(0));
     s.run("put(db, dynamic 7)\nget[Int](db)")
         .map_err(|e| e.msg.clone())?;
-    s.set_slow_threshold(None);
+    obs::trace::set_slow_threshold_us(None);
     obs::clear_sink();
     let slow: Vec<_> = sink
         .events()
@@ -84,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let json = std::fs::read_to_string(&trace_path)?;
     println!("\n== Chrome trace written ({} bytes)", json.len());
     println!("   open in chrome://tracing or https://ui.perfetto.dev");
-    s.disable_tracing();
+    obs::trace::disable();
 
     // The demo is also a smoke test: the surfaces it claims must hold.
     assert!(tree.contains("run"), "profile tree has the run span");
