@@ -892,6 +892,8 @@ impl Engine {
             if let Some(h) = self.applier.lock().take() {
                 let _ = h.join();
             }
+            // The applier is gone: a clean close checkpoints the log.
+            self.shared.gate.close(None, &self.shared.store);
         } else {
             for req in self.shared.queue.abandon() {
                 req.answer(CommitOutcome::EngineDown(

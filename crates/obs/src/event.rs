@@ -33,15 +33,15 @@ pub enum Event {
         /// Why the frame was abandoned.
         reason: String,
     },
-    /// A commit passed its durability point but failed while applying
-    /// effects; the intent record will be rolled forward.
+    /// A commit's record reached the commit log but its fsync or the
+    /// apply failed; a replay of the log will roll it forward.
     TxnInDoubt {
         /// The in-doubt transaction id.
         txn_id: u64,
         /// The apply-phase error.
         cause: String,
     },
-    /// A pending intent was rolled forward to completion.
+    /// A replay of the commit-log tail completed.
     TxnRecovered {
         /// The recovered transaction id.
         txn_id: u64,
@@ -390,10 +390,10 @@ mod tests {
             ),
             (
                 Event::Retry {
-                    op: "write_intent".into(),
+                    op: "commit_log".into(),
                     attempt: 2,
                 },
-                r#"{"event":"retry","op":"write_intent","attempt":2}"#,
+                r#"{"event":"retry","op":"commit_log","attempt":2}"#,
             ),
             (
                 Event::FaultInjected {

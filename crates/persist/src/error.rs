@@ -49,22 +49,22 @@ pub enum PersistError {
     /// A transaction ran past its commit deadline before reaching its
     /// durability point, and was aborted.
     DeadlineExceeded,
-    /// A multi-store commit failed *after* its durability point: the
-    /// intent record is durable, so the transaction is **not** aborted —
-    /// it must and will be rolled forward by `recover_pending` (now or on
-    /// the next reopen).
+    /// A commit failed *after* its record reached the commit log — the
+    /// record's fsync failed, or applying it did — so the transaction is
+    /// **not** aborted: `recover_pending` (now or on the next reopen)
+    /// rolls it forward from the log.
     InDoubt {
-        /// The transaction number the pending intent commits as.
+        /// The transaction number the logged record commits as.
         txn_id: u64,
-        /// The failure that interrupted the apply phase.
+        /// The failure after the record was written.
         cause: Box<PersistError>,
     },
-    /// A durable pending intent carries intrinsic-store records, but no
-    /// intrinsic store was available to recover into. The intent is left
-    /// in place; commits must wait until the intrinsic store is attached
+    /// The commit-log tail carries intrinsic-store records, but no
+    /// intrinsic store was available to recover into. Nothing was
+    /// applied; commits must wait until the intrinsic store is attached
     /// and recovery completes.
     RecoveryPending {
-        /// The transaction number of the pending intent.
+        /// The highest transaction number that needs the intrinsic store.
         txn_id: u64,
     },
     /// The durability gate refused a write before it touched the store:
@@ -112,8 +112,8 @@ impl fmt::Display for PersistError {
             PersistError::InDoubt { txn_id, cause } => {
                 write!(
                     f,
-                    "transaction {txn_id} is in doubt: its intent is durable but applying it \
-                     failed ({cause}); recovery will roll it forward"
+                    "transaction {txn_id} is in doubt: its record is in the commit log but \
+                     syncing or applying it failed ({cause}); recovery will roll it forward"
                 )
             }
             PersistError::RecoveryPending { txn_id } => {

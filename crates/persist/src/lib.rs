@@ -57,5 +57,5 @@ pub use replicating::{
     QuarantineEntry, QuarantineReason, QuarantineReport, ReplicatingStore, ScrubReport,
 };
 pub use snapshot::Image;
-pub use txn::{commit_multi, pending_intent, recover_pending, Intent};
+pub use txn::{checkpoint, commit_multi, pending_txn, recover_pending, Intent};
 pub use vfs::{CountingVfs, FaultPlan, RetryPolicy, SimVfs, StdVfs, Vfs};

@@ -92,13 +92,17 @@ impl LogFile {
         Ok(())
     }
 
-    /// Flush buffered frames to the OS.
+    /// Flush buffered frames to the OS. The buffer is emptied whether or
+    /// not the write succeeds, so frames of a failed flush are never
+    /// written later behind the caller's back: a caller that retries
+    /// appends them again.
     pub fn flush(&mut self) -> Result<(), PersistError> {
         if !self.buf.is_empty() {
             let file = &mut self.file;
             let buf = &self.buf;
-            retry_io(|| file.write_all(buf))?;
+            let written = retry_io(|| file.write_all(buf));
             self.buf.clear();
+            written?;
         }
         Ok(())
     }
@@ -189,59 +193,6 @@ impl LogFile {
         retry_io(|| vfs.set_len(path.as_ref(), valid_len))?;
         Ok(())
     }
-}
-
-/// Durably publish a write-ahead intent record at `path`.
-///
-/// The payload is CRC-framed like a log record and written via the
-/// tmp-write → fsync → rename → dir-fsync dance, so after this returns the
-/// intent either exists in full or not at all — the file's *presence* is
-/// the transaction's durability point.
-pub fn write_intent(vfs: &dyn Vfs, path: &Path, payload: &[u8]) -> Result<(), PersistError> {
-    let mut framed = Vec::with_capacity(8 + payload.len());
-    framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    framed.extend_from_slice(&crc32(payload).to_le_bytes());
-    framed.extend_from_slice(payload);
-    let tmp = path.with_file_name("txn.intent.tmp");
-    retry_io(|| vfs.write(&tmp, &framed))?;
-    retry_io(|| vfs.sync_file(&tmp))?;
-    retry_io(|| vfs.rename(&tmp, path))?;
-    if let Some(dir) = path.parent() {
-        retry_io(|| vfs.sync_dir(dir))?;
-    }
-    Ok(())
-}
-
-/// Read back a pending intent record, if a valid one exists at `path`.
-///
-/// Absent file → `Ok(None)`. A file that fails to decode as exactly one
-/// CRC-clean frame is treated as never having become durable (the rename
-/// cannot tear, so this means pre-rename garbage or external damage) and
-/// also yields `Ok(None)`.
-pub fn read_intent(vfs: &dyn Vfs, path: &Path) -> Result<Option<Vec<u8>>, PersistError> {
-    let buf = match retry_io(|| vfs.read(path)) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    match frame_at(&buf, 0) {
-        Some(payload) if 8 + payload.len() == buf.len() => Ok(Some(payload.to_vec())),
-        _ => Ok(None),
-    }
-}
-
-/// Remove a (consumed or invalid) intent record. Idempotent: a missing
-/// file is fine.
-pub fn clear_intent(vfs: &dyn Vfs, path: &Path) -> Result<(), PersistError> {
-    match retry_io(|| vfs.remove_file(path)) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e.into()),
-    }
-    if let Some(dir) = path.parent() {
-        retry_io(|| vfs.sync_dir(dir))?;
-    }
-    Ok(())
 }
 
 /// Decode the frame starting at `pos`, if one is complete and its CRC

@@ -1,6 +1,7 @@
 //! Cached handles to the storage counters in the global [`dbpl_obs`]
-//! registry: VFS operation counts (via [`crate::vfs::CountingVfs`]) and
-//! transient-retry counts (via [`crate::vfs::RetryPolicy`]).
+//! registry: VFS operation counts (via [`crate::vfs::CountingVfs`]),
+//! transient-retry counts (via [`crate::vfs::RetryPolicy`]) and
+//! commit-log checkpoints (via [`crate::txn::checkpoint`]).
 
 use dbpl_obs::Counter;
 use std::sync::{Arc, OnceLock};
@@ -23,3 +24,5 @@ counter_fn!(faults_injected, "faults.injected");
 counter_fn!(scrub_verified, "scrub.verified");
 counter_fn!(scrub_corrupt, "scrub.corrupt");
 counter_fn!(scrub_repaired, "scrub.repaired");
+counter_fn!(checkpoints, "persist.checkpoints");
+counter_fn!(checkpoint_fsyncs, "persist.checkpoint_fsyncs");

@@ -26,7 +26,7 @@ use crate::error::PersistError;
 use crate::intrinsic::IntrinsicStore;
 use crate::replicating::ReplicatingStore;
 use crate::snapshot::Image;
-use crate::txn::{commit_multi, recover_pending};
+use crate::txn::{checkpoint, commit_multi, recover_pending};
 use crate::vfs::{FaultPlan, RetryPolicy, SimVfs, Vfs};
 use dbpl_types::{Type, TypeEnv};
 use dbpl_values::{DynValue, Heap, Value};
@@ -311,6 +311,11 @@ pub fn crash_sweep_replicating(seed: u64, writes: usize) -> SweepReport {
         let vfs_dyn: Arc<dyn Vfs> = Arc::new(vfs.clone());
         let store = ReplicatingStore::open_with(vfs_dyn, Path::new(REPL_DIR))
             .unwrap_or_else(|e| panic!("seed {seed}, crash at op {crash_at}: reopen failed: {e}"));
+        // Externs are durable in the commit log; replaying its tail
+        // brings the unit files up to date.
+        recover_pending(None, &store).unwrap_or_else(|e| {
+            panic!("seed {seed}, crash at op {crash_at}: log replay failed: {e}")
+        });
         for (i, name) in REPL_HANDLES.iter().enumerate() {
             let mut heap = Heap::new();
             match store.intern(name, &mut heap) {
@@ -411,7 +416,7 @@ type MultiState = (BTreeMap<String, i64>, BTreeMap<String, i64>);
 
 /// A deterministic multi-store script. Every transaction touches **both**
 /// stores (at least one intrinsic set and one extern) — the shape whose
-/// atomicity the intent record exists to protect — plus 0–2 extra
+/// atomicity the commit log exists to protect — plus 0–2 extra
 /// actions. Values increase monotonically so states are distinguishable.
 fn multi_script(seed: u64, txns: usize) -> Vec<Vec<MultiAction>> {
     let mut rng = ScriptRng(seed ^ 0x11_17E17);
@@ -489,6 +494,11 @@ fn run_multi(vfs: &SimVfs, script: &[Vec<MultiAction>]) -> (usize, Option<Persis
     let heap = Heap::new();
     let mut acked = 0;
     for txn in script {
+        if acked == script.len() / 2 {
+            if let Err(e) = checkpoint_step(Some(&mut intr), &repl) {
+                return (acked, Some(e));
+            }
+        }
         let mut externs: BTreeMap<String, Option<Vec<u8>>> = BTreeMap::new();
         for action in txn {
             match action {
@@ -512,11 +522,10 @@ fn run_multi(vfs: &SimVfs, script: &[Vec<MultiAction>]) -> (usize, Option<Persis
         // Transaction-level bounded retry on top of the VFS-level one,
         // split at the durability point: a pre-durability transient fault
         // left no trace, so the whole commit is safe to repeat; an
-        // in-doubt failure means the intent is durable and the only
+        // in-doubt failure means the record is in the log and the only
         // correct move is to roll the SAME transaction forward via
-        // recovery — re-running the commit would write a fresh intent
-        // over the pending one. This is the layering a real application
-        // would use under a fault storm.
+        // recovery — re-running the commit would log it twice. This is
+        // the layering a real application would use under a fault storm.
         let mut attempts = 0;
         loop {
             match commit_multi(Some(&mut intr), &repl, &externs, &RetryPolicy::default()) {
@@ -553,6 +562,30 @@ fn run_multi(vfs: &SimVfs, script: &[Vec<MultiAction>]) -> (usize, Option<Persis
     (acked, None)
 }
 
+/// The scripts' checkpoint step, halfway through: a crash sweep then
+/// also kills the workload at every I/O boundary of one checkpoint.
+/// Transient faults get the same bounded retry as a commit.
+fn checkpoint_step(
+    mut intr: Option<&mut IntrinsicStore>,
+    repl: &ReplicatingStore,
+) -> Result<(), PersistError> {
+    let mut attempts = 0;
+    loop {
+        match checkpoint(intr.as_deref_mut(), repl) {
+            Ok(done) => {
+                assert!(done, "a checkpoint of a fully applied log ran");
+                return Ok(());
+            }
+            Err(PersistError::Io(e))
+                if e.kind() == std::io::ErrorKind::Interrupted && attempts < 4 =>
+            {
+                attempts += 1;
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 /// Read the recovered pair of stores back as a model state. Any decode
 /// error other than `UnknownHandle` is surfaced corruption — a violation.
 fn multi_canonical(intr: &IntrinsicStore, repl: &ReplicatingStore, context: &str) -> MultiState {
@@ -584,8 +617,8 @@ fn multi_canonical(intr: &IntrinsicStore, repl: &ReplicatingStore, context: &str
 /// Exhaustive crash sweep over transactions spanning **both** store
 /// kinds: the seeded script is killed once at every I/O operation of
 /// every commit; after each simulated power failure the pair of stores is
-/// reopened, [`recover_pending`] replays or discards any half-applied
-/// transaction from the intent record, and the **paired** recovered state
+/// reopened, [`recover_pending`] replays the commit-log tail, and the
+/// **paired** recovered state
 /// must equal the model state after `acked` or `acked + 1` transactions.
 /// Pairing is the point: an intrinsic state from one history index
 /// combined with an extern state from another would be the torn commit
@@ -622,7 +655,7 @@ pub fn crash_sweep_multi_store(seed: u64, txns: usize) -> SweepReport {
         let repl = ReplicatingStore::open_with(vfs_dyn, Path::new(MULTI_DIR))
             .unwrap_or_else(|e| panic!("{context}: replicating reopen failed: {e}"));
         recover_pending(Some(&mut intr), &repl)
-            .unwrap_or_else(|e| panic!("{context}: intent recovery failed: {e}"));
+            .unwrap_or_else(|e| panic!("{context}: log replay failed: {e}"));
         let got = multi_canonical(&intr, &repl, &context);
         let in_flight = states.get(acked + 1);
         assert!(
@@ -640,7 +673,7 @@ pub fn crash_sweep_multi_store(seed: u64, txns: usize) -> SweepReport {
 
 /// An extern-only script: the shape of the default replicating-only
 /// session (no intrinsic store attached), where every transaction's
-/// intent carries only extern effects.
+/// commit-log record carries only extern effects.
 fn extern_only_script(seed: u64, txns: usize) -> Vec<Vec<MultiAction>> {
     let mut rng = ScriptRng(seed ^ 0xE0_57E5);
     let mut counter = 0i64;
@@ -678,6 +711,11 @@ fn run_extern_only(vfs: &SimVfs, script: &[Vec<MultiAction>]) -> (usize, Option<
     let heap = Heap::new();
     let mut acked = 0;
     for txn in script {
+        if acked == script.len() / 2 {
+            if let Err(e) = checkpoint_step(None, &repl) {
+                return (acked, Some(e));
+            }
+        }
         let mut externs: BTreeMap<String, Option<Vec<u8>>> = BTreeMap::new();
         for action in txn {
             match action {
@@ -752,7 +790,7 @@ fn extern_canonical(repl: &ReplicatingStore, context: &str) -> BTreeMap<String, 
 }
 
 /// [`crash_sweep_multi_store`]'s replicating-only variant: transactions
-/// commit through the same intent protocol but with **no intrinsic store
+/// commit through the same commit log but with **no intrinsic store
 /// attached** — the default `Session` shape — and recovery after every
 /// crash runs with `intrinsic = None`, proving a replicating-only reopen
 /// rolls a torn multi-extern transaction forward on its own. Panics (with
@@ -786,7 +824,7 @@ pub fn crash_sweep_extern_only(seed: u64, txns: usize) -> SweepReport {
         let repl = ReplicatingStore::open_with(vfs_dyn, Path::new(MULTI_DIR))
             .unwrap_or_else(|e| panic!("{context}: replicating reopen failed: {e}"));
         recover_pending(None, &repl)
-            .unwrap_or_else(|e| panic!("{context}: replicating-only intent recovery failed: {e}"));
+            .unwrap_or_else(|e| panic!("{context}: replicating-only log replay failed: {e}"));
         let got = extern_canonical(&repl, &context);
         let in_flight = states.get(acked + 1).map(|s| &s.1);
         assert!(
@@ -854,8 +892,8 @@ fn group_states(batches: &[BTreeMap<String, Option<i64>>]) -> Vec<BTreeMap<Strin
 }
 
 /// Run the batched script: each batch's merged externs commit through
-/// **one** [`commit_multi`] call — one coalesced intent record, one fsync
-/// pass — exactly the engine's group-commit shape.
+/// **one** [`commit_multi`] call — one coalesced commit-log record, one
+/// fsync — exactly the engine's group-commit shape.
 fn run_group_commit(
     vfs: &SimVfs,
     batches: &[BTreeMap<String, Option<i64>>],
@@ -868,6 +906,11 @@ fn run_group_commit(
     let heap = Heap::new();
     let mut acked = 0;
     for batch in batches {
+        if acked == batches.len() / 2 {
+            if let Err(e) = checkpoint_step(None, &repl) {
+                return (acked, Some(e));
+            }
+        }
         let mut externs: BTreeMap<String, Option<Vec<u8>>> = BTreeMap::new();
         for (h, w) in batch {
             match w {
@@ -922,13 +965,13 @@ fn run_group_commit(
 }
 
 /// Crash sweep for **group commit**: frames from `batch_size` concurrent
-/// sessions coalesce into one intent record per batch (the engine's
+/// sessions coalesce into one commit-log record per batch (the engine's
 /// `dbpl-lang` applier shape), and the simulated machine is killed once
 /// at every I/O boundary of every coalesced commit. After each crash the
 /// store reopens with `recover_pending` and the recovered state must be
 /// a whole number of **batches** — all of a coalesced commit's frames or
 /// none of them. A state that splits a batch (some members' externs
-/// installed, others missing, with no pending intent to finish the job)
+/// installed, others missing, with no logged record to finish the job)
 /// is exactly the torn group commit this sweep exists to rule out.
 /// Panics (with seed and crash op) on any violation.
 pub fn crash_sweep_group_commit(seed: u64, batches: usize, batch_size: usize) -> SweepReport {
@@ -961,7 +1004,7 @@ pub fn crash_sweep_group_commit(seed: u64, batches: usize, batch_size: usize) ->
         let repl = ReplicatingStore::open_with(vfs_dyn, Path::new(MULTI_DIR))
             .unwrap_or_else(|e| panic!("{context}: replicating reopen failed: {e}"));
         recover_pending(None, &repl)
-            .unwrap_or_else(|e| panic!("{context}: coalesced intent recovery failed: {e}"));
+            .unwrap_or_else(|e| panic!("{context}: coalesced log replay failed: {e}"));
         let got = extern_canonical(&repl, &context);
         let in_flight = states.get(acked + 1);
         assert!(
@@ -1137,9 +1180,9 @@ pub fn bit_rot_scrub_sweep(seed: u64, units: usize) -> ScrubSweepReport {
 ///
 /// * every handle still reads back a value from the committed prefix (the
 ///   last acknowledged state, or the single in-flight transaction a
-///   durable intent may partially apply) — never corruption;
+///   durable commit-log record may partially apply) — never corruption;
 /// * a write while the disk is full fails **cleanly** with `StorageFull`;
-/// * once space returns, [`recover_pending`] settles any pending intent,
+/// * once space returns, [`recover_pending`] replays the log tail,
 ///   the store lands on the committed-prefix contract, and a fresh commit
 ///   succeeds.
 ///
@@ -1174,7 +1217,7 @@ pub fn enospc_sweep_extern_only(seed: u64, txns: usize) -> SweepReport {
         let repl = ReplicatingStore::open_with(vfs_dyn, Path::new(MULTI_DIR))
             .unwrap_or_else(|e| panic!("{context}: reopen while full failed: {e}"));
 
-        // Still full: reads serve the committed prefix. A durable intent
+        // Still full: reads serve the committed prefix. A durable record
         // may have partially applied the in-flight transaction, so each
         // handle individually must come from state `acked` or `acked+1`.
         let next = states.get(acked + 1);
@@ -1218,7 +1261,7 @@ pub fn enospc_sweep_extern_only(seed: u64, txns: usize) -> SweepReport {
             other => panic!("{context}: degraded write was not a clean StorageFull: {other:?}"),
         }
 
-        // Space returns: settle any pending intent, land on the
+        // Space returns: replay the log tail, land on the
         // committed-prefix contract, and accept new commits.
         vfs.set_plan(FaultPlan::default());
         recover_pending(None, &repl)

@@ -1,11 +1,13 @@
 //! On-disk corruption robustness: torn / truncated / bit-flipped `.dyn`
-//! unit files must surface as clean errors (never panics, never OOM), and
+//! unit files must surface as clean errors (never panics, never OOM), a
+//! commit log damaged in the middle is refused rather than truncated, and
 //! the schema-evolution paths must degrade gracefully on damaged or
 //! read-only (salvaged) stores.
 
+use dbpl_persist::txn::COMMIT_LOG;
 use dbpl_persist::{
-    open_handle, project_to_type, IntrinsicStore, LogFile, OpenOutcome, PersistError,
-    ReplicatingStore,
+    open_handle, project_to_type, recover_pending, DurabilityGate, IntrinsicStore, LogFile,
+    OpenOutcome, PersistError, QuarantineReason, ReplicatingStore,
 };
 use dbpl_types::{parse_type, Type, TypeEnv};
 use dbpl_values::{DynValue, Heap, Value};
@@ -177,4 +179,76 @@ fn projection_through_an_unresolvable_named_type_is_identity() {
     let env = TypeEnv::new();
     let v = db_value();
     assert_eq!(project_to_type(&v, &Type::named("Mystery"), &env), v);
+}
+
+/// A store whose commit log holds three records (one extern each), and
+/// the log's path and bytes.
+fn logged_store(name: &str) -> (PathBuf, PathBuf, Vec<u8>) {
+    let dir = fresh_dir(name);
+    let store = ReplicatingStore::open(&dir).unwrap();
+    let heap = Heap::new();
+    for (i, h) in ["a", "b", "c"].into_iter().enumerate() {
+        store
+            .extern_value(h, &DynValue::new(Type::Int, Value::Int(i as i64)), &heap)
+            .unwrap();
+    }
+    let log = dir.join(COMMIT_LOG);
+    let bytes = std::fs::read(&log).unwrap();
+    assert_eq!(LogFile::replay(&log).unwrap().records().len(), 3);
+    (dir, log, bytes)
+}
+
+#[test]
+fn mid_log_damage_in_the_commit_log_is_refused_not_truncated() {
+    let (dir, log, mut bytes) = logged_store("commit-log-mid");
+    // Flip a byte inside the FIRST record: two valid records follow it.
+    bytes[10] ^= 0xFF;
+    std::fs::write(&log, &bytes).unwrap();
+    let store = ReplicatingStore::open(&dir).unwrap();
+    match recover_pending(None, &store) {
+        Err(PersistError::Malformed(msg)) => {
+            assert!(msg.contains("2 readable record(s)"), "{msg}")
+        }
+        other => panic!("expected a refusal, got {other:?}"),
+    }
+    assert_eq!(
+        std::fs::read(&log).unwrap(),
+        bytes,
+        "the refused replay left the damaged log untouched"
+    );
+    // The gate refuses to open over it too, rather than dropping the
+    // acknowledged commits behind the damage.
+    assert!(DurabilityGate::open(&store).is_err());
+}
+
+#[test]
+fn a_torn_commit_log_tail_is_truncated_and_the_rest_replayed() {
+    let (dir, log, bytes) = logged_store("commit-log-torn");
+    std::fs::write(&log, &bytes[..bytes.len() - 3]).unwrap();
+    let store = ReplicatingStore::open(&dir).unwrap();
+    // Only the torn last record is dropped: two remain and replay.
+    assert_eq!(recover_pending(None, &store).unwrap(), Some(0));
+    let replay = LogFile::replay(&log).unwrap();
+    assert!(replay.clean);
+    assert_eq!(replay.records().len(), 2);
+    let mut heap = Heap::new();
+    assert_eq!(store.intern("b", &mut heap).unwrap().value, Value::Int(1));
+}
+
+#[test]
+fn scrub_reports_a_corrupt_commit_log_frame() {
+    let (dir, log, mut bytes) = logged_store("commit-log-scrub");
+    let store = ReplicatingStore::open(&dir).unwrap();
+    assert!(store.scrub(None).is_clean());
+    let last = bytes.len() - 2;
+    bytes[last] ^= 0x01;
+    std::fs::write(&log, &bytes).unwrap();
+    let report = store.scrub(None);
+    assert_eq!(report.verified, 3, "the units themselves are intact");
+    let entry = report
+        .corrupt
+        .iter()
+        .find(|e| e.handle == COMMIT_LOG)
+        .unwrap_or_else(|| panic!("commit-log damage not reported: {report:?}"));
+    assert_eq!(entry.reason, QuarantineReason::ChecksumMismatch);
 }

@@ -72,8 +72,9 @@ fn replicating_recovers_committed_prefix_at_every_crash_point() {
 #[test]
 fn multi_store_transactions_are_atomic_at_every_crash_point() {
     // The tentpole acceptance criterion: for every injected crash point
-    // in a transaction spanning both store kinds, reopening (plus intent
-    // recovery) yields either the full transaction or none of it.
+    // in a transaction spanning both store kinds — and in a checkpoint —
+    // reopening (plus a replay of the commit log) yields either the full
+    // transaction or none of it.
     for &seed in &SEEDS {
         let report = crash_sweep_multi_store(seed, 4);
         assert!(
@@ -105,7 +106,7 @@ fn extern_only_transactions_recover_without_an_intrinsic_store() {
 #[test]
 fn group_commits_recover_all_or_none_of_each_batch() {
     // The group-commit engine coalesces frames from many sessions into
-    // one intent record; a crash at any I/O boundary of that coalesced
+    // one commit-log record; a crash at any I/O boundary of that coalesced
     // commit must recover ALL of the batch's frames or NONE of them —
     // never a per-frame split.
     for &seed in &SEEDS {

@@ -380,7 +380,7 @@ fn handle_del_record(name: &str) -> Vec<u8> {
     rec
 }
 
-/// One record of an intent replayed by `apply_records_and_commit`.
+/// One staged record replayed by `apply_records_and_commit`.
 #[derive(Debug, Clone)]
 enum ModelRecord {
     Object(Oid, Value),
@@ -439,7 +439,7 @@ enum Op {
     Commit,
     Abort,
     Compact,
-    /// Redo an intent of (kind, oid, handle, value) records.
+    /// Redo a transaction of (kind, oid, handle, value) records.
     Apply(Vec<(u8, u64, u8, Val)>),
     Reopen,
 }

@@ -88,11 +88,14 @@ pub enum Type {
     Named(Name),
     /// A bound type variable.
     Var(TyVar),
-    /// Bounded universal quantification `∀v ≤ B. T`.
-    Forall(Quant),
+    /// Bounded universal quantification `∀v ≤ B. T`. Boxed, like the
+    /// existential, so the rare quantifiers do not widen every type: a
+    /// stored row carries its record type, so the enum's size is paid
+    /// per row and per field.
+    Forall(Box<Quant>),
     /// Bounded existential quantification `∃v ≤ B. T` — the type of an
     /// object "whose type is some subtype of B" extracted by `Get`.
-    Exists(Quant),
+    Exists(Box<Quant>),
 }
 
 impl Type {
@@ -141,20 +144,20 @@ impl Type {
 
     /// `∀v ≤ bound. body` (pass `None` for an unbounded variable).
     pub fn forall(v: impl Into<String>, bound: Option<Type>, body: Type) -> Type {
-        Type::Forall(Quant {
+        Type::Forall(Box::new(Quant {
             var: v.into(),
             bound: bound.map(Box::new),
             body: Box::new(body),
-        })
+        }))
     }
 
     /// `∃v ≤ bound. body` (pass `None` for an unbounded variable).
     pub fn exists(v: impl Into<String>, bound: Option<Type>, body: Type) -> Type {
-        Type::Exists(Quant {
+        Type::Exists(Box::new(Quant {
             var: v.into(),
             bound: bound.map(Box::new),
             body: Box::new(body),
-        })
+        }))
     }
 
     /// Is this one of the scalar base types?
@@ -254,8 +257,8 @@ impl Type {
                     .map(|(l, t)| (l.clone(), t.subst(var, replacement)))
                     .collect(),
             ),
-            Type::Forall(q) => Type::Forall(Self::subst_quant(q, var, replacement)),
-            Type::Exists(q) => Type::Exists(Self::subst_quant(q, var, replacement)),
+            Type::Forall(q) => Type::Forall(Box::new(Self::subst_quant(q, var, replacement))),
+            Type::Exists(q) => Type::Exists(Box::new(Self::subst_quant(q, var, replacement))),
             _ => self.clone(),
         }
     }

@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .unwrap()
             .set_handle("audit", Type::Str, Value::Str("batch 1".into()));
         // …and language-level externs to the replicating store, all
-        // covered by one write-ahead intent record.
+        // covered by one commit-log record.
         s.run("extern('Batch', dynamic [1, 2, 3])")?;
         Ok(())
     })
