@@ -630,7 +630,9 @@ fn overload(smoke: bool, timeline_out: Option<&str>) {
     println!("## Overload — bounded admission under 4x offered load\n");
 
     let sessions = if smoke { 8usize } else { 16 };
-    let attempts_per_session = if smoke { 12usize } else { 40 };
+    // Enough attempts that even the smoke burst spans more than one 20ms
+    // recorder interval at one fsync per batch.
+    let attempts_per_session = 40usize;
     let fsync_delay_us = if smoke { 400u64 } else { 800 };
     let fsync_jitter_us = fsync_delay_us / 2;
     // Budgets in µs. The admitted-commit budget is the whole point: a
