@@ -415,7 +415,7 @@ fn mvcc_throughput(smoke: bool) {
         );
     }
     println!();
-    // Readers never block each other or the (idle) applier: adding
+    // Readers never block each other or the (idle) commit queue: adding
     // sessions must not collapse throughput. The floor is deliberately
     // loose — CI machines are noisy — but catches a serializing regression
     // (a lock held across reads) which would pin multi-session throughput
@@ -525,8 +525,8 @@ fn mvcc_throughput(smoke: bool) {
     let serial_cps = total_commits as f64 / serial_secs.max(1e-9);
     let serial_fpc = serial_fsyncs as f64 / total_commits as f64;
 
-    // Grouped: 64 concurrent sessions over one engine; frames coalesce in
-    // the applier and each batch pays ONE intent + one install set for
+    // Grouped: 64 concurrent sessions over one engine; frames coalesce
+    // into batches and each batch pays ONE log record + one fsync for
     // its merged (last-writer-wins) hot handles.
     let sim_grouped = SimVfs::with_plan(FaultPlan {
         fsync_delay_us: Some(fsync_delay_us),
@@ -608,7 +608,7 @@ fn mvcc_throughput(smoke: bool) {
 ///   depth, not by the offered load, so the budget is a constant;
 /// * p99 latency of *rejected* commits exceeds a much smaller budget —
 ///   rejection is probe-first (nothing staged) and must stay fast;
-/// * the applier panicked or the engine left `Ok` health.
+/// * a group-commit batch panicked or the engine left `Ok` health.
 ///
 /// With `--timeline-out <path>` the whole burst additionally runs under
 /// the flight recorder: a 20ms sampler over the metrics registry with
@@ -636,7 +636,7 @@ fn overload(smoke: bool, timeline_out: Option<&str>) {
     let fsync_delay_us = if smoke { 400u64 } else { 800 };
     let fsync_jitter_us = fsync_delay_us / 2;
     // Budgets in µs. The admitted-commit budget is the whole point: a
-    // bounded queue caps the wait at (queue ahead of you) / (applier
+    // bounded queue caps the wait at (queue ahead of you) / (batch
     // drain rate) — a constant — where an unbounded queue's p99 grows
     // with everything ever offered. Both budgets are deliberately loose
     // for noisy CI machines; the regression they catch is an order of
@@ -645,14 +645,13 @@ fn overload(smoke: bool, timeline_out: Option<&str>) {
     let rejected_p99_budget_us = 50_000.0f64;
 
     // The queue is far smaller than the session count, so whenever the
-    // applier is mid-batch the backlog of blocked sessions (one frame
+    // engine is mid-batch the backlog of blocked sessions (one frame
     // each) exceeds capacity several times over.
     let queue_depth = 2usize;
     let cfg = ServerConfig {
         queue_depth,
         max_inflight_frames: queue_depth + dbpl_lang::MAX_BATCH,
         max_sessions: sessions + 1,
-        ..ServerConfig::default()
     };
     let vfs = SimVfs::with_plan(FaultPlan {
         seed: 0xB0A7,
@@ -816,7 +815,7 @@ fn overload(smoke: bool, timeline_out: Option<&str>) {
     );
     assert_eq!(
         panics, 0,
-        "overload gate: applier panicked under plain overload"
+        "overload gate: group commit panicked under plain overload"
     );
     assert!(
         matches!(server.health(), dbpl_lang::Health::Healthy),

@@ -32,9 +32,9 @@ pub enum ErrorKind {
     /// The transaction's wall-clock deadline expired before its
     /// durability step started. Nothing durable happened.
     DeadlineExceeded,
-    /// The engine (applier thread) is shut down or died; the commit was
-    /// definitively not applied durably-and-published. Reconnect or
-    /// restart the server.
+    /// The engine is shut down, or a panic escaped the commit's group
+    /// commit batch; the commit was definitively not applied
+    /// durably-and-published. Reconnect or restart the server.
     EngineDown,
 }
 

@@ -1,5 +1,5 @@
-//! The concurrent multi-session engine: MVCC snapshot reads and a
-//! group-commit writer.
+//! The concurrent multi-session engine: MVCC snapshot reads and
+//! leader-led group commit.
 //!
 //! A [`Server`] multiplexes many MiniDBPL sessions over one shared
 //! database. The design (documented in depth in `docs/CONCURRENCY.md`):
@@ -18,14 +18,17 @@
 //!   `include` edges it declared, the heap objects it allocated, and the
 //!   extern writes it staged. Programs can only *append* (put, declare,
 //!   extern, intern-allocate), so the diff is exact.
-//! * **Group commit.** Frames from all sessions funnel through one
-//!   applier thread. The applier drains whatever is queued (up to
-//!   [`MAX_BATCH`]), applies the frames in arrival order to a private
-//!   successor of the current snapshot, makes the batch's merged extern
-//!   writes durable with **one** intent record and one fsync pass
-//!   ([`commit_multi`]), publishes **one** new epoch, and wakes every
-//!   committer. The fsync that dominated per-transaction commit cost is
-//!   paid once per batch.
+//! * **Group commit, led by a committing session.** There is no writer
+//!   thread. A session with a frame to commit queues it; if no batch is
+//!   in flight it becomes the **leader**: on its own thread it takes
+//!   whatever is queued (up to [`MAX_BATCH`]) — its own frame and every
+//!   frame that queued behind the previous batch — applies the frames in
+//!   arrival order to a private successor of the current snapshot, makes
+//!   the batch's merged extern writes durable with **one** log record and
+//!   one fsync, publishes **one** new epoch, and posts every member's
+//!   outcome. Sessions whose frames another leader took just wait for
+//!   their answer. The fsync that dominated per-transaction commit cost
+//!   is paid once per batch.
 //! * **Failure semantics** are [`Session`]'s, because both go through one
 //!   [`DurabilityGate`]: a refused or pre-durability failure aborts the
 //!   whole batch (nothing published, disk-full flips the engine
@@ -37,14 +40,15 @@
 //!   caller's transaction deadline and otherwise fails fast with an
 //!   [`ErrorKind::Overloaded`](crate::ErrorKind::Overloaded) error —
 //!   probe-first, nothing staged. Deadlines are **queue-aware**: time
-//!   spent waiting behind a batch counts, and the applier drops
-//!   already-expired frames before the intent is written. The applier is
-//!   **supervised**: a panicking frame aborts only itself, an
-//!   applier-level panic flips the engine [`Health::Degraded`] instead
-//!   of killing the thread silently, and every enqueued commit is
-//!   guaranteed a definitive reply — committed, conflicted, overloaded,
-//!   expired, aborted, or engine-down — never a hang, including across
-//!   [`Server::shutdown`]'s bounded drain.
+//!   spent waiting behind a batch counts, and the leader drops
+//!   already-expired frames before the log record is written. Batches
+//!   are **supervised**: a panicking frame aborts only itself, and a
+//!   panic that escapes a batch flips the engine [`Health::Degraded`]
+//!   before any member is answered engine-down. Every admitted commit
+//!   gets a definitive reply — committed, conflicted, overloaded,
+//!   expired, aborted, in doubt or engine-down — never a hang, including
+//!   across [`Server::shutdown`], which closes admission and waits only
+//!   for the batches already queued.
 
 use crate::error::LangError;
 use crate::session::Session;
@@ -57,21 +61,20 @@ use dbpl_persist::{
 use dbpl_types::Type;
 use dbpl_values::{DynValue, Oid, Value};
 use parking_lot::{Condvar, Mutex, RwLock};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, OnceLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Most frames coalesced into one group commit. Bounds both the latency
 /// a queued commit can accumulate behind its batch and the size of the
-/// coalesced intent record. Batch formation adds **no artificial delay**:
-/// the applier takes whatever is queued the moment it goes idle, so under
-/// light load every batch has size 1 (pure serial latency) and under
-/// heavy load batches grow naturally toward this cap — the fairness
-/// bound is "at most one in-flight batch ahead of you".
+/// coalesced log record. Batch formation adds **no artificial delay**:
+/// a leader takes whatever is queued the moment the previous batch
+/// finishes, so under light load every batch has size 1 (pure serial
+/// latency) and under heavy load batches grow naturally toward this cap
+/// — the fairness bound is "at most one in-flight batch ahead of you".
 pub const MAX_BATCH: usize = 128;
 
 static SERVER_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -87,23 +90,18 @@ static SERVER_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// instead of unbounded queue growth and memory exhaustion.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Most frames that may sit in the commit queue waiting for the
-    /// applier. Enqueue past this either waits (within the session's
+    /// Most frames that may sit in the commit queue waiting for a
+    /// batch. Enqueue past this either waits (within the session's
     /// `txn_deadline`) or fails fast with `Overloaded`.
     pub queue_depth: usize,
-    /// Most frames in flight overall: queued plus taken by the applier
-    /// but not yet replied to. Bounds the memory pinned by staged
-    /// frames even while a slow batch is being made durable.
+    /// Most frames in flight overall: queued plus taken into a batch but
+    /// not yet answered. Bounds the memory pinned by staged frames even
+    /// while a slow batch is being made durable.
     pub max_inflight_frames: usize,
     /// Most concurrently live [`ServerSession`]s. [`Server::try_session`]
     /// past this fails with `Overloaded`; a dropped session frees its
     /// slot.
     pub max_sessions: usize,
-    /// How long [`Server::shutdown`] waits for the applier to drain
-    /// queued commits before abandoning it: past this, still-queued
-    /// commits are answered `EngineDown` (definitively un-applied) and
-    /// the applier thread is left to die detached.
-    pub drain_deadline: Duration,
 }
 
 impl Default for ServerConfig {
@@ -112,7 +110,6 @@ impl Default for ServerConfig {
             queue_depth: 256,
             max_inflight_frames: 256 + MAX_BATCH,
             max_sessions: 4096,
-            drain_deadline: Duration::from_secs(5),
         }
     }
 }
@@ -123,64 +120,55 @@ enum AdmissionError {
     /// At capacity and the caller's deadline did not allow waiting (or
     /// expired while waiting). Nothing was staged.
     Overloaded { gate: &'static str, depth: usize },
-    /// The engine is shut down or its applier died.
+    /// The engine is shut down.
     EngineDown,
 }
 
-/// The bounded commit queue between sessions and the applier: a
-/// `VecDeque` under one mutex with three condvars (admission waiters,
-/// the applier, and shutdown). Every request that enters the queue is
-/// guaranteed a terminal outcome: taken by the applier (which replies or
-/// drops the reply sender), or drained with `EngineDown` by shutdown /
-/// the applier's exit guard.
+/// The bounded commit queue: a `VecDeque` under one mutex with two
+/// condvars (admission waiters, and committers waiting for the batch in
+/// flight). Every admitted request gets exactly one outcome, posted in
+/// `answered` by the leader of the batch that took it (see
+/// [`Engine::commit`]).
 #[derive(Default)]
 struct CommitQueue {
     state: Mutex<QueueState>,
     /// Signals admission waiters that depth may have dropped.
     space: Condvar,
-    /// Signals the applier that work arrived (or shutdown began).
-    work: Condvar,
-    /// Signals [`Engine::shutdown`] that the applier exited.
-    exit: Condvar,
+    /// Signals committers (and shutdown) that a batch finished.
+    turn: Condvar,
 }
 
 #[derive(Default)]
 struct QueueState {
     items: VecDeque<CommitRequest>,
-    /// Frames taken by the applier and not yet replied to.
+    /// Frames taken into the batch in flight and not yet answered.
     inflight: usize,
-    /// Set once by shutdown: no further admissions; the applier drains
-    /// what is queued, then exits.
+    /// Set once by shutdown: no further admissions.
     shutdown: bool,
-    /// Set when the queue can no longer promise the applier will ever
-    /// drain it (drain deadline expired, or the applier thread died):
-    /// the applier must take nothing more, and whoever sets it drains
-    /// the remaining items with `EngineDown`.
-    abandoned: bool,
-    /// The applier's exit guard ran (normal return or unwind).
-    applier_exited: bool,
-}
-
-/// What [`CommitQueue::next_batch`] hands the applier.
-enum Take {
-    Batch(Vec<CommitRequest>),
-    Exit,
+    /// A session is leading a batch; other committers wait their turn.
+    leading: bool,
+    /// The ticket the next admitted request gets.
+    next_ticket: u64,
+    /// Outcomes of finished batches, by ticket, until collected.
+    answered: HashMap<u64, CommitOutcome>,
 }
 
 impl CommitQueue {
-    /// Admit one commit request, or refuse it with nothing staged. At
-    /// capacity the call waits for space until `admission_deadline` (the
-    /// session's transaction deadline) and gives up `Overloaded` when it
-    /// passes — or immediately, if the caller set no deadline.
+    /// Admit one frame and return its ticket, or refuse it with nothing
+    /// staged. At capacity the call waits for space until
+    /// `deadline` (the session's transaction deadline) and gives up
+    /// `Overloaded` when it passes — or immediately, if the caller set
+    /// no deadline.
     fn enqueue(
         &self,
-        req: CommitRequest,
-        admission_deadline: Option<Instant>,
+        frame: Frame,
+        deadline: Option<Instant>,
         cfg: &ServerConfig,
-    ) -> Result<(), AdmissionError> {
+    ) -> Result<u64, AdmissionError> {
+        let enqueued_at = Instant::now();
         let mut st = self.state.lock();
         loop {
-            if st.shutdown || st.abandoned {
+            if st.shutdown {
                 return Err(AdmissionError::EngineDown);
             }
             let gate = if st.items.len() >= cfg.queue_depth {
@@ -191,13 +179,19 @@ impl CommitQueue {
                 None
             };
             let Some(gate) = gate else {
-                st.items.push_back(req);
+                let ticket = st.next_ticket;
+                st.next_ticket += 1;
+                st.items.push_back(CommitRequest {
+                    ticket,
+                    frame,
+                    deadline,
+                    enqueued_at,
+                });
                 queue_depth().set(st.items.len() as i64);
-                self.work.notify_one();
-                return Ok(());
+                return Ok(ticket);
             };
             let depth = st.items.len();
-            let Some(deadline) = admission_deadline else {
+            let Some(deadline) = deadline else {
                 return Err(Self::rejected(gate, depth));
             };
             if Instant::now() >= deadline || self.space.wait_until(&mut st, deadline).timed_out() {
@@ -215,86 +209,35 @@ impl CommitQueue {
         AdmissionError::Overloaded { gate, depth }
     }
 
-    /// Block until work or shutdown; take up to `max` queued requests.
-    fn next_batch(&self, max: usize) -> Take {
-        let mut st = self.state.lock();
-        loop {
-            if st.abandoned {
-                return Take::Exit;
-            }
-            if !st.items.is_empty() {
-                let n = st.items.len().min(max);
-                let batch: Vec<CommitRequest> = st.items.drain(..n).collect();
-                st.inflight += n;
-                queue_depth().set(st.items.len() as i64);
-                // Conservation pair with `server.queue_wait_us`: every
-                // admitted (taken) frame records exactly one queue-wait
-                // observation, so the counter and the histogram count
-                // move in lockstep — the invariant the chaos harness
-                // and `timeline_check` verify.
-                frames_admitted().add(n as u64);
-                let wait = queue_wait_us();
-                let now = Instant::now();
-                for req in &batch {
-                    wait.record_us(now.duration_since(req.enqueued_at).as_micros() as u64);
-                }
-                self.space.notify_all();
-                return Take::Batch(batch);
-            }
-            if st.shutdown {
-                return Take::Exit;
-            }
-            self.work.wait(&mut st);
+    /// Take up to [`MAX_BATCH`] queued requests as the next batch.
+    fn take_batch(&self, st: &mut QueueState) -> Vec<CommitRequest> {
+        let n = st.items.len().min(MAX_BATCH);
+        let batch: Vec<CommitRequest> = st.items.drain(..n).collect();
+        st.inflight += n;
+        queue_depth().set(st.items.len() as i64);
+        // Conservation pair with `server.queue_wait_us`: every admitted
+        // (taken) frame records exactly one queue-wait observation, so
+        // the counter and the histogram count move in lockstep — the
+        // invariant the chaos harness and `timeline_check` verify.
+        frames_admitted().add(n as u64);
+        let wait = queue_wait_us();
+        let now = Instant::now();
+        for req in &batch {
+            wait.record_us(now.duration_since(req.enqueued_at).as_micros() as u64);
         }
-    }
-
-    /// The applier replied to (or dropped) `n` in-flight requests.
-    fn finish_batch(&self, n: usize) {
-        let mut st = self.state.lock();
-        st.inflight -= n.min(st.inflight);
         self.space.notify_all();
+        batch
     }
 
-    /// Begin shutdown: no further admissions; wake everyone.
-    fn begin_shutdown(&self) {
-        self.state.lock().shutdown = true;
-        self.work.notify_all();
-        self.space.notify_all();
-    }
-
-    /// Wait up to `deadline` for the applier's exit guard to run.
-    fn wait_applier_exit(&self, deadline: Instant) -> bool {
+    /// Close admission and wait until nothing is queued or in flight:
+    /// the sessions whose frames are queued lead them to completion.
+    fn close(&self) {
         let mut st = self.state.lock();
-        while !st.applier_exited {
-            if self.exit.wait_until(&mut st, deadline).timed_out() {
-                return st.applier_exited;
-            }
-        }
-        true
-    }
-
-    /// Mark the queue dead and hand back everything still queued so the
-    /// caller can answer each request `EngineDown`. Idempotent.
-    fn abandon(&self) -> Vec<CommitRequest> {
-        let mut st = self.state.lock();
-        st.abandoned = true;
         st.shutdown = true;
-        let leftovers: Vec<CommitRequest> = st.items.drain(..).collect();
-        queue_depth().set(0);
-        self.work.notify_all();
         self.space.notify_all();
-        leftovers
-    }
-
-    /// The applier's exit guard: runs on normal return *and* on unwind,
-    /// so no queued request can outlive the applier un-answered.
-    fn applier_exited(&self, dying: bool) -> Vec<CommitRequest> {
-        let leftovers = if dying { self.abandon() } else { Vec::new() };
-        let mut st = self.state.lock();
-        st.applier_exited = true;
-        drop(st);
-        self.exit.notify_all();
-        leftovers
+        while st.leading || !st.items.is_empty() {
+            self.turn.wait(&mut st);
+        }
     }
 }
 
@@ -354,8 +297,9 @@ impl Drop for EngineState {
 
 /// An Arc-swap-style cell holding the current [`EngineState`].
 ///
-/// Readers take the read lock only long enough to clone the `Arc`;
-/// the applier takes the write lock only long enough to store a new one.
+/// Readers take the read lock only long enough to clone the `Arc`; a
+/// batch's leader takes the write lock only long enough to store a new
+/// one.
 /// Neither ever holds the lock across I/O or evaluation, so readers
 /// never wait on a writer's *work* — only on a pointer swap. (A true
 /// lock-free arc-swap needs deferred reclamation machinery; the
@@ -423,7 +367,10 @@ impl Frame {
 }
 
 /// Diff the database a program produced against the snapshot it started
-/// from. Exact because programs only append (see [`Frame`]).
+/// from. Exact because programs only append (see [`Frame`]). Costs
+/// O(effects): the schema is compared only if the program changed it
+/// (every env mutation bumps its generation), and only the objects and
+/// rows past the base's watermarks are read.
 fn diff_frame(
     base: &Database,
     worked: &Database,
@@ -431,33 +378,33 @@ fn diff_frame(
     base_epoch: u64,
 ) -> Result<Frame, LangError> {
     let mut decls = Vec::new();
-    for (name, ty) in worked.env().definitions() {
-        match base.env().lookup(name) {
-            None => decls.push((name.clone(), ty.clone())),
-            Some(t) if t == ty => {}
-            Some(_) => {
-                return Err(LangError::eval(
-                    0,
-                    format!("type '{name}' was redefined mid-program; server sessions do not support schema evolution"),
-                ))
-            }
-        }
-    }
     let mut includes = Vec::new();
-    for name in worked.env().names() {
-        let base_sups: std::collections::BTreeSet<&String> =
-            base.env().declared_supertypes(name).collect();
-        for sup in worked.env().declared_supertypes(name) {
-            if !base_sups.contains(sup) {
-                includes.push((name.clone(), sup.clone()));
+    if worked.env().generation() != base.env().generation() {
+        for (name, ty) in worked.env().definitions() {
+            match base.env().lookup(name) {
+                None => decls.push((name.clone(), ty.clone())),
+                Some(t) if t == ty => {}
+                Some(_) => {
+                    return Err(LangError::eval(
+                        0,
+                        format!("type '{name}' was redefined mid-program; server sessions do not support schema evolution"),
+                    ))
+                }
+            }
+        }
+        for name in worked.env().names() {
+            let base_sups: std::collections::BTreeSet<&String> =
+                base.env().declared_supertypes(name).collect();
+            for sup in worked.env().declared_supertypes(name) {
+                if !base_sups.contains(sup) {
+                    includes.push((name.clone(), sup.clone()));
+                }
             }
         }
     }
-    let watermark = base.heap().next_oid();
     let heap_news: Vec<(Oid, Type, Value)> = worked
         .heap()
-        .iter()
-        .filter(|(oid, _)| *oid >= watermark)
+        .iter_from(base.heap().next_oid())
         .map(|(oid, obj)| (oid, obj.ty.clone(), obj.value.clone()))
         .collect();
     let puts = worked.rows_from(base.len()).cloned().collect();
@@ -540,10 +487,10 @@ fn apply_frame(working: &mut Database, frame: &Frame) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------------
-// The applier
+// Group commit
 // ---------------------------------------------------------------------------
 
-/// The applier's verdict on one queued frame.
+/// Group commit's verdict on one queued frame.
 #[derive(Debug, Clone)]
 enum CommitOutcome {
     /// Applied and published as part of the given epoch.
@@ -553,46 +500,40 @@ enum CommitOutcome {
     /// applied; the rest of its batch is unaffected.
     Conflict(String),
     /// The frame's transaction deadline expired while it waited behind
-    /// its batch: dropped **before the intent was written** — nothing
-    /// durable happened. Queue-aware: wait time counts against the
-    /// deadline.
+    /// the batch in flight: dropped **before the log record was
+    /// written** — nothing durable happened. Queue-aware: wait time
+    /// counts against the deadline.
     DeadlineExceeded { waited_ms: u64 },
     /// This frame's application panicked, or the batch's durable commit
     /// was refused or failed before the durability point: aborted,
     /// nothing of this frame published. Carries the caller-facing
     /// message.
     Aborted(String),
-    /// The engine shut down (or its applier died) before this frame was
-    /// applied. Definitively not committed.
+    /// A panic escaped the frame's batch: the engine degraded and the
+    /// batch published nothing. Definitively not committed.
     EngineDown(String),
     /// The batch's durable commit failed *after* the durability point:
-    /// the coalesced intent is durable and will roll forward on
+    /// the coalesced record is durable and will roll forward on
     /// recovery. Attributed to every member of the batch, with the
     /// caller-facing message.
     InDoubt(String),
 }
 
 struct CommitRequest {
+    /// Where the batch's leader posts this request's outcome.
+    ticket: u64,
     frame: Frame,
-    reply: mpsc::Sender<CommitOutcome>,
     /// The session's transaction deadline: admission waits until it,
-    /// and the applier drops the frame (pre-durability) if it has
-    /// passed by the time its batch starts.
+    /// and the leader drops the frame (pre-durability) if it has passed
+    /// by the time its batch starts.
     deadline: Option<Instant>,
-    /// When the request entered the queue (`server.queue_wait_us`).
+    /// When the request asked for admission (`server.queue_wait_us`).
     enqueued_at: Instant,
 }
 
-impl CommitRequest {
-    /// Answer with a definitive outcome; a dropped receiver is fine.
-    fn answer(self, outcome: CommitOutcome) {
-        let _ = self.reply.send(outcome);
-    }
-}
-
 /// Deterministic panic-injection knobs for the chaos harness: arm a
-/// 1-based frame / batch ordinal (0 = off) and the applier panics when
-/// its running count reaches it — inside the per-frame supervision
+/// 1-based frame / batch ordinal (0 = off) and the group commit panics
+/// when its running count reaches it — inside the per-frame supervision
 /// boundary (frame) or just before the durable commit (batch, so the
 /// injected failure is always pre-durability).
 #[derive(Default)]
@@ -603,8 +544,9 @@ struct Chaos {
     panic_batch_at: AtomicU64,
 }
 
-/// State shared between the engine facade and the applier thread.
-struct Shared {
+/// The shared engine: published snapshots, the commit queue, and the
+/// durability gate every batch commits through.
+struct Engine {
     snap: SnapshotCell,
     store: Arc<ReplicatingStore>,
     /// The bounded commit queue (admission control lives here).
@@ -615,7 +557,7 @@ struct Shared {
     /// in-doubt roll-forward) — the one a standalone [`Session`] uses.
     gate: DurabilityGate,
     /// When enabled, every applied frame in serialization order plus the
-    /// database it started from — the applier's log, replayable
+    /// database it started from — the commit order's log, replayable
     /// single-threaded for differential testing.
     frame_log: Mutex<Option<FrameLog>>,
     /// Live [`ServerSession`] count, gated by `cfg.max_sessions`.
@@ -625,6 +567,10 @@ struct Shared {
     engine_live: Arc<AtomicI64>,
     /// Panic-injection knobs (chaos harness only; all zero in service).
     chaos: Chaos,
+    /// The flight recorder, when one is running
+    /// ([`Server::start_recorder`]). Shutdown drains it first, so the
+    /// timeline's last sample still sees the final batch's metrics.
+    recorder: Mutex<Option<Recorder>>,
 }
 
 struct FrameLog {
@@ -632,107 +578,165 @@ struct FrameLog {
     frames: Vec<Frame>,
 }
 
-/// Answers every still-queued request `EngineDown` when the applier
-/// leaves its loop for *any* reason — normal shutdown return or an
-/// unwind that escaped supervision — so no enqueued commit can ever
-/// block forever on a reply that will not come.
-struct ApplierExitGuard {
-    shared: Arc<Shared>,
+impl Engine {
+    fn open_with(
+        vfs: Arc<dyn Vfs>,
+        dir: impl AsRef<Path>,
+        cfg: ServerConfig,
+    ) -> Result<Engine, LangError> {
+        let store = Arc::new(
+            ReplicatingStore::open_with(vfs, dir)
+                .map_err(|e| LangError::eval(0, format!("cannot open store: {e}")))?,
+        );
+        // Same open-time recovery as a standalone session.
+        let (gate, _) = DurabilityGate::open(&store)
+            .map_err(|e| LangError::eval(0, format!("cannot recover pending transaction: {e}")))?;
+        let engine_live = Arc::new(AtomicI64::new(0));
+        Ok(Engine {
+            snap: SnapshotCell::new(EngineState::tracked(0, Database::new(), &engine_live)),
+            store,
+            queue: CommitQueue::default(),
+            cfg,
+            gate,
+            frame_log: Mutex::new(None),
+            sessions: AtomicU64::new(0),
+            engine_live,
+            chaos: Chaos::default(),
+            recorder: Mutex::new(None),
+        })
+    }
+
+    /// Admit `frame` and return its outcome, leading batches on this
+    /// thread while no other session is. A leader takes everything
+    /// queued (up to [`MAX_BATCH`]) — its own frame and whatever queued
+    /// behind the previous batch — commits it with [`commit_batch`],
+    /// posts every member's outcome and gives up the lead. A session
+    /// whose frame another leader took waits for that batch's answer, so
+    /// nobody waits behind more than the batch in flight ahead of it.
+    fn commit(
+        &self,
+        frame: Frame,
+        deadline: Option<Instant>,
+    ) -> Result<CommitOutcome, AdmissionError> {
+        let ticket = self.queue.enqueue(frame, deadline, &self.cfg)?;
+        let mut st = self.queue.state.lock();
+        loop {
+            if let Some(outcome) = st.answered.remove(&ticket) {
+                return Ok(outcome);
+            }
+            if st.leading {
+                self.queue.turn.wait(&mut st);
+                continue;
+            }
+            st.leading = true;
+            let batch = self.queue.take_batch(&mut st);
+            drop(st);
+            let outcomes = commit_batch(self, &batch);
+            st = self.queue.state.lock();
+            st.inflight -= batch.len();
+            st.answered
+                .extend(batch.iter().map(|req| req.ticket).zip(outcomes));
+            st.leading = false;
+            self.queue.turn.notify_all();
+            self.queue.space.notify_all();
+        }
+    }
+
+    /// Stop the flight recorder (if one is running) and drain its ring.
+    fn drain_recorder(&self) -> Option<Timeline> {
+        self.recorder.lock().take().map(Recorder::stop)
+    }
+
+    /// Stop the recorder, close admission, wait for the queued batches,
+    /// then checkpoint the commit log: with no batch in flight this is a
+    /// clean close.
+    fn shutdown(&self) {
+        // Recorder first: its final sample sees the engine still live.
+        drop(self.drain_recorder());
+        self.queue.close();
+        self.gate.close(None, &self.store);
+    }
 }
 
-impl Drop for ApplierExitGuard {
+impl Drop for Engine {
     fn drop(&mut self) {
-        let dying = std::thread::panicking();
-        for req in self.shared.queue.applier_exited(dying) {
-            req.answer(CommitOutcome::EngineDown(
-                "applier exited with commits still queued; nothing was staged".to_string(),
-            ));
-        }
+        self.shutdown();
     }
 }
 
-fn applier_loop(shared: Arc<Shared>) {
-    let _guard = ApplierExitGuard {
-        shared: Arc::clone(&shared),
-    };
-    loop {
-        // Natural batching: take whatever queued while the previous batch
-        // was being made durable, without waiting for more.
-        let batch = match shared.queue.next_batch(MAX_BATCH) {
-            Take::Batch(batch) => batch,
-            Take::Exit => return,
-        };
-        let n = batch.len();
-        // Supervision: a panic that escapes a batch (applier-level bug or
-        // injected chaos) must not silently kill the writer thread. The
-        // unwind drops the batch's reply senders, so every member's
-        // session sees a definitive engine-down error; the engine flips
-        // degraded (probe-first self-heal decides when commits resume)
-        // and the applier keeps serving.
-        let res = catch_unwind(AssertUnwindSafe(|| apply_batch(&shared, batch)));
-        shared.queue.finish_batch(n);
-        if let Err(payload) = res {
-            dbpl_obs::global().counter("applier.panic").inc();
-            shared.gate.degrade(format!(
-                "applier panicked mid-batch: {}",
-                crate::session::panic_message(&payload)
-            ));
-        }
-    }
+/// Commit one taken batch on the calling thread and return each
+/// member's outcome, in batch order. Supervision: a panic that escapes
+/// the batch (a bug, or injected chaos) is caught here, and the engine
+/// is degraded **before** any member is answered — every member is
+/// answered engine-down, and the probe-first gate decides when commits
+/// resume.
+fn commit_batch(engine: &Engine, batch: &[CommitRequest]) -> Vec<CommitOutcome> {
+    catch_unwind(AssertUnwindSafe(|| apply_batch(engine, batch))).unwrap_or_else(|payload| {
+        dbpl_obs::global().counter("applier.panic").inc();
+        let msg = format!(
+            "group commit panicked mid-batch: {}",
+            crate::session::panic_message(&payload)
+        );
+        engine.gate.degrade(msg.clone());
+        vec![CommitOutcome::EngineDown(msg); batch.len()]
+    })
 }
 
-fn apply_batch(shared: &Shared, batch: Vec<CommitRequest>) {
+fn apply_batch(engine: &Engine, batch: &[CommitRequest]) -> Vec<CommitOutcome> {
     // Queue-aware deadlines: a frame whose transaction deadline expired
     // while it waited is dropped HERE, before anything is applied or any
-    // intent is written — strictly pre-durability, so `DeadlineExceeded`
-    // always means "nothing durable happened".
+    // log record is written — strictly pre-durability, so
+    // `DeadlineExceeded` always means "nothing durable happened".
     let now = Instant::now();
-    let batch: Vec<CommitRequest> = batch
-        .into_iter()
-        .filter_map(|req| match req.deadline {
+    let mut outcomes: Vec<Option<CommitOutcome>> = batch
+        .iter()
+        .map(|req| match req.deadline {
             Some(d) if now >= d => {
                 deadline_dropped().inc();
                 let waited_ms = now.duration_since(req.enqueued_at).as_millis() as u64;
-                req.answer(CommitOutcome::DeadlineExceeded { waited_ms });
-                None
+                Some(CommitOutcome::DeadlineExceeded { waited_ms })
             }
-            _ => Some(req),
+            _ => None,
         })
         .collect();
-    if batch.is_empty() {
-        return;
+    let live: Vec<usize> = (0..batch.len())
+        .filter(|&i| outcomes[i].is_none())
+        .collect();
+    if live.is_empty() {
+        return finish(outcomes);
     }
 
     let mut span = dbpl_obs::span!("txn.group_commit");
-    span.set_attr("batch_size", batch.len());
-    group_commit_batch_size().record_us(batch.len() as u64);
+    span.set_attr("batch_size", live.len());
+    group_commit_batch_size().record_us(live.len() as u64);
     group_commit_batches().inc();
 
-    let current = shared.snap.load();
+    let current = engine.snap.load();
     let mut working = current.db.clone(); // O(1) copy-on-write
-    let mut outcomes: Vec<Option<CommitOutcome>> = vec![None; batch.len()];
     let mut applied: Vec<usize> = Vec::new();
     let mut externs: BTreeMap<String, Option<Vec<u8>>> = BTreeMap::new();
-    let panic_frame_at = shared.chaos.panic_frame_at.load(Ordering::Relaxed);
-    for (i, req) in batch.iter().enumerate() {
-        let backup = working.clone(); // O(1); pays CoW only if the frame applies partially
-                                      // Per-frame supervision: a panic while applying one frame (bad
-                                      // data, applier bug, injected chaos) aborts ONLY that frame —
-                                      // the working database is restored from the backup and the rest
-                                      // of the batch proceeds.
-        let frame_no = shared.chaos.frames_seen.fetch_add(1, Ordering::Relaxed) + 1;
+    let panic_frame_at = engine.chaos.panic_frame_at.load(Ordering::Relaxed);
+    for i in live {
+        let frame = &batch[i].frame;
+        // O(1); pays copy-on-write only if the frame applies partially.
+        let backup = working.clone();
+        // Per-frame supervision: a panic while applying one frame (bad
+        // data, a bug, injected chaos) aborts ONLY that frame — the
+        // working database is restored from the backup and the rest of
+        // the batch proceeds.
+        let frame_no = engine.chaos.frames_seen.fetch_add(1, Ordering::Relaxed) + 1;
         let res = catch_unwind(AssertUnwindSafe(|| {
             if panic_frame_at != 0 && frame_no == panic_frame_at {
                 panic!("chaos: injected panic applying frame {frame_no}");
             }
-            apply_frame(&mut working, &req.frame)
+            apply_frame(&mut working, frame)
         }));
         match res {
             Ok(Ok(())) => {
                 applied.push(i);
                 // Later frames override earlier ones per handle — the
                 // same last-writer-wins the serial schedule would give.
-                for (h, w) in &req.frame.externs {
+                for (h, w) in &frame.externs {
                     externs.insert(h.clone(), w.clone());
                 }
             }
@@ -755,24 +759,23 @@ fn apply_batch(shared: &Shared, batch: Vec<CommitRequest>) {
     span.set_attr("externs", externs.len());
 
     // Batch-level chaos: fires BEFORE the durable commit, so an injected
-    // applier-level panic is always pre-durability — the whole batch
-    // aborts via the unwind (dropped reply senders → engine-down at the
-    // callers) and nothing is published.
-    let batch_no = shared.chaos.batches_seen.fetch_add(1, Ordering::Relaxed) + 1;
-    let panic_batch_at = shared.chaos.panic_batch_at.load(Ordering::Relaxed);
+    // batch-level panic is always pre-durability — `commit_batch`
+    // answers the whole batch engine-down and nothing is published.
+    let batch_no = engine.chaos.batches_seen.fetch_add(1, Ordering::Relaxed) + 1;
+    let panic_batch_at = engine.chaos.panic_batch_at.load(Ordering::Relaxed);
     if panic_batch_at != 0 && batch_no == panic_batch_at {
-        panic!("chaos: injected applier panic before batch {batch_no} commit");
+        panic!("chaos: injected panic before batch {batch_no} commit");
     }
 
-    // One intent record + one fsync pass for the whole batch, through
-    // the engine's durability gate.
-    let verdict = shared
+    // One log record + one fsync for the whole batch, through the
+    // engine's durability gate.
+    let verdict = engine
         .gate
-        .commit(None, &shared.store, &externs, &RetryPolicy::default());
+        .commit(None, &engine.store, &externs, &RetryPolicy::default());
     let epoch = current.epoch + 1;
     let outcome = match verdict {
         Verdict::Committed => CommitOutcome::Applied { epoch },
-        // Past the durability point: the coalesced intent is durable, so
+        // Past the durability point: the coalesced record is durable, so
         // the batch publishes and every member is in doubt as a unit.
         Verdict::InDoubt { .. } => {
             span.set_attr("outcome", "in_doubt");
@@ -785,137 +788,37 @@ fn apply_batch(shared: &Shared, batch: Vec<CommitRequest>) {
             for &i in &applied {
                 outcomes[i] = Some(CommitOutcome::Aborted(verdict.to_string()));
             }
-            finish(batch, outcomes);
-            return;
+            return finish(outcomes);
         }
     };
     span.set_attr("epoch", epoch);
-    if let Some(log) = shared.frame_log.lock().as_mut() {
+    if let Some(log) = engine.frame_log.lock().as_mut() {
         for &i in &applied {
             log.frames.push(batch[i].frame.clone());
         }
     }
-    publish(shared, epoch, working);
+    engine
+        .snap
+        .store(EngineState::tracked(epoch, working, &engine.engine_live));
+    snapshot_publish().inc();
     for &i in &applied {
         outcomes[i] = Some(outcome.clone());
     }
-    finish(batch, outcomes);
+    finish(outcomes)
 }
 
-fn publish(shared: &Shared, epoch: u64, db: Database) {
-    shared
-        .snap
-        .store(EngineState::tracked(epoch, db, &shared.engine_live));
-    snapshot_publish().inc();
-}
-
-fn finish(batch: Vec<CommitRequest>, outcomes: Vec<Option<CommitOutcome>>) {
-    for (req, outcome) in batch.into_iter().zip(outcomes) {
-        let outcome =
-            outcome.unwrap_or_else(|| CommitOutcome::Aborted("applier invariant broken".into()));
-        req.answer(outcome);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Engine and Server
-// ---------------------------------------------------------------------------
-
-/// The shared engine: published snapshots + the group-commit applier.
-struct Engine {
-    shared: Arc<Shared>,
-    applier: Mutex<Option<JoinHandle<()>>>,
-    /// The flight recorder, when one is running
-    /// ([`Server::start_recorder`]). Shutdown drains it before the
-    /// applier exits so the timeline's last sample still sees the
-    /// final batch's metrics.
-    recorder: Mutex<Option<Recorder>>,
-}
-
-impl Engine {
-    fn open_with(
-        vfs: Arc<dyn Vfs>,
-        dir: impl AsRef<Path>,
-        cfg: ServerConfig,
-    ) -> Result<Engine, LangError> {
-        let store = Arc::new(
-            ReplicatingStore::open_with(vfs, dir)
-                .map_err(|e| LangError::eval(0, format!("cannot open store: {e}")))?,
-        );
-        // Same open-time recovery as a standalone session.
-        let (gate, _) = DurabilityGate::open(&store)
-            .map_err(|e| LangError::eval(0, format!("cannot recover pending transaction: {e}")))?;
-        let engine_live = Arc::new(AtomicI64::new(0));
-        let shared = Arc::new(Shared {
-            snap: SnapshotCell::new(EngineState::tracked(0, Database::new(), &engine_live)),
-            store,
-            queue: CommitQueue::default(),
-            cfg,
-            gate,
-            frame_log: Mutex::new(None),
-            sessions: AtomicU64::new(0),
-            engine_live,
-            chaos: Chaos::default(),
-        });
-        let applier = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("dbpl-applier".to_string())
-                .spawn(move || applier_loop(shared))
-                .map_err(|e| LangError::eval(0, format!("cannot start applier: {e}")))?
-        };
-        Ok(Engine {
-            shared,
-            applier: Mutex::new(Some(applier)),
-            recorder: Mutex::new(None),
+fn finish(outcomes: Vec<Option<CommitOutcome>>) -> Vec<CommitOutcome> {
+    outcomes
+        .into_iter()
+        .map(|o| {
+            o.unwrap_or_else(|| CommitOutcome::Aborted("group commit invariant broken".into()))
         })
-    }
-
-    /// Stop the flight recorder (if one is running) and drain its ring.
-    /// Called by shutdown *before* the applier is stopped, so the final
-    /// drain sample observes the fully-applied metrics.
-    fn drain_recorder(&self) -> Option<Timeline> {
-        self.recorder.lock().take().map(Recorder::stop)
-    }
-
-    /// Bounded-drain shutdown: stop admissions, give the applier
-    /// `cfg.drain_deadline` to finish what is queued, then abandon —
-    /// answering every still-queued commit `EngineDown` and detaching
-    /// the (stuck) applier thread rather than hanging the caller.
-    fn shutdown(&self) {
-        // Recorder first: its final sample drains while the queue and
-        // applier state are still intact.
-        drop(self.drain_recorder());
-        self.shared.queue.begin_shutdown();
-        let deadline = Instant::now() + self.shared.cfg.drain_deadline;
-        if self.shared.queue.wait_applier_exit(deadline) {
-            if let Some(h) = self.applier.lock().take() {
-                let _ = h.join();
-            }
-            // The applier is gone: a clean close checkpoints the log.
-            self.shared.gate.close(None, &self.shared.store);
-        } else {
-            for req in self.shared.queue.abandon() {
-                req.answer(CommitOutcome::EngineDown(
-                    "engine shut down before this commit was applied (drain deadline \
-                     expired); nothing was staged"
-                        .to_string(),
-                ));
-            }
-            // Leave the applier detached: it is wedged in a batch (or a
-            // hung fsync); when that returns it will observe `abandoned`
-            // and exit. Joining here would trade a bounded shutdown for
-            // an unbounded hang.
-            drop(self.applier.lock().take());
-        }
-    }
+        .collect()
 }
 
-impl Drop for Engine {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
+// ---------------------------------------------------------------------------
+// Server
+// ---------------------------------------------------------------------------
 
 /// A multi-session MiniDBPL server over one shared, snapshot-published
 /// database. Clone-free sharing: hand each connection a
@@ -971,7 +874,7 @@ impl Server {
 
     /// The capacity knobs this server was opened with.
     pub fn config(&self) -> &ServerConfig {
-        &self.engine.shared.cfg
+        &self.engine.cfg
     }
 
     /// A new session over the shared engine, or an
@@ -979,10 +882,10 @@ impl Server {
     /// [`ServerConfig::max_sessions`] are already live. Dropping a
     /// session frees its slot.
     pub fn try_session(&self) -> Result<ServerSession, LangError> {
-        let shared = &self.engine.shared;
-        let prev = shared.sessions.fetch_add(1, Ordering::Relaxed);
-        if prev as usize >= shared.cfg.max_sessions {
-            shared.sessions.fetch_sub(1, Ordering::Relaxed);
+        let engine = &self.engine;
+        let prev = engine.sessions.fetch_add(1, Ordering::Relaxed);
+        if prev as usize >= engine.cfg.max_sessions {
+            engine.sessions.fetch_sub(1, Ordering::Relaxed);
             let AdmissionError::Overloaded { gate, depth } =
                 CommitQueue::rejected("session_cap", prev as usize)
             else {
@@ -1005,8 +908,8 @@ impl Server {
 
     /// A new session over the shared engine. Sessions are independent
     /// (own output, own quarantine record) but read and write the same
-    /// database through snapshots and the group-commit applier. Sessions
-    /// are `Send`: hand one to each connection thread.
+    /// database through snapshots and group commit. Sessions are `Send`:
+    /// hand one to each connection thread.
     ///
     /// # Panics
     ///
@@ -1021,69 +924,61 @@ impl Server {
     /// alive (the published one plus every pinned reader copy). The
     /// per-engine view of the process-wide `snapshot.live` gauge.
     pub fn live_snapshots(&self) -> i64 {
-        self.engine.shared.engine_live.load(Ordering::Relaxed)
+        self.engine.engine_live.load(Ordering::Relaxed)
     }
 
-    /// Chaos knob: panic the applier while applying the `n`th frame it
+    /// Chaos knob: panic group commit while applying the `n`th frame it
     /// sees (1-based; 0 disarms). The panic is caught by per-frame
     /// supervision — only that frame aborts.
     #[doc(hidden)]
     pub fn chaos_panic_at_frame(&self, n: u64) {
-        self.engine
-            .shared
-            .chaos
-            .panic_frame_at
-            .store(n, Ordering::Relaxed);
+        self.engine.chaos.panic_frame_at.store(n, Ordering::Relaxed);
     }
 
-    /// Chaos knob: panic the applier just before the `n`th batch's
+    /// Chaos knob: panic group commit just before the `n`th batch's
     /// durable commit (1-based; 0 disarms). The panic escapes the batch,
-    /// exercising applier-level supervision: the engine degrades and the
+    /// exercising batch-level supervision: the engine degrades and the
     /// batch's sessions all get definitive errors.
     #[doc(hidden)]
     pub fn chaos_panic_at_batch(&self, n: u64) {
-        self.engine
-            .shared
-            .chaos
-            .panic_batch_at
-            .store(n, Ordering::Relaxed);
+        self.engine.chaos.panic_batch_at.store(n, Ordering::Relaxed);
     }
 
     /// The currently published snapshot epoch.
     pub fn epoch(&self) -> u64 {
-        self.engine.shared.snap.load().epoch
+        self.engine.snap.load().epoch
     }
 
     /// The engine's health: [`Health::Degraded`] after an environmental
-    /// failure (disk full) flipped durable commits off. The applier
-    /// probes before each batch, so a degraded engine heals itself with
+    /// failure (disk full) flipped durable commits off. Each batch
+    /// probes before it commits, so a degraded engine heals itself with
     /// the first commit after the store is writable again.
     pub fn health(&self) -> Health {
-        self.engine.shared.gate.health()
+        self.engine.gate.health()
     }
 
-    /// Start recording the applier's log: the current database plus every
+    /// Start recording the frame log: the current database plus every
     /// subsequently applied frame in serialization order. Differential
     /// tests replay it with [`Server::check_frame_log_replay`].
     pub fn start_frame_log(&self) {
-        let base = self.engine.shared.snap.load().db.clone();
-        *self.engine.shared.frame_log.lock() = Some(FrameLog {
+        let base = self.engine.snap.load().db.clone();
+        *self.engine.frame_log.lock() = Some(FrameLog {
             base,
             frames: Vec::new(),
         });
     }
 
-    /// Replay the recorded applier log single-threaded from its base
+    /// Replay the recorded frame log single-threaded from its base
     /// state and check the result is equivalent to the current published
     /// snapshot. Returns the number of frames replayed.
     ///
     /// This is the engine's serializability witness: whatever interleaving
     /// the sessions produced, the published state must equal a sequential
-    /// execution of the frames in the order the applier chose.
+    /// execution of the frames in the order group commit chose.
     pub fn check_frame_log_replay(&self) -> Result<usize, String> {
         // Hold no locks while replaying: clone the log out.
         let (base, frames) = {
-            let guard = self.engine.shared.frame_log.lock();
+            let guard = self.engine.frame_log.lock();
             let log = guard.as_ref().ok_or("frame log was never started")?;
             (log.base.clone(), log.frames.clone())
         };
@@ -1091,7 +986,7 @@ impl Server {
         for (i, frame) in frames.iter().enumerate() {
             apply_frame(&mut replayed, frame).map_err(|e| format!("replaying frame {i}: {e}"))?;
         }
-        let published = self.engine.shared.snap.load();
+        let published = self.engine.snap.load();
         db_equiv(&replayed, &published.db)?;
         Ok(frames.len())
     }
@@ -1102,7 +997,7 @@ impl Server {
     /// emits [`dbpl_obs::Event::SloViolation`] when an objective starts
     /// failing. Replaces (and drains) any recorder already running.
     /// [`Server::shutdown`] stops it automatically, draining the final
-    /// sample *before* the applier exits.
+    /// sample *before* admission closes.
     pub fn start_recorder(&self, cfg: RecorderConfig) {
         let mut slot = self.engine.recorder.lock();
         if let Some(old) = slot.take() {
@@ -1117,9 +1012,10 @@ impl Server {
         self.engine.drain_recorder()
     }
 
-    /// Shut the applier down and wait for it. Queued commits are
-    /// processed first; sessions that enqueue afterwards get an error.
-    /// Dropping the last `Server`/`ServerSession` shuts down implicitly.
+    /// Close admission, wait for the commits already queued to be
+    /// answered, and checkpoint the commit log. Sessions that commit
+    /// afterwards get an engine-down error. Dropping the last
+    /// `Server`/`ServerSession` shuts down implicitly.
     pub fn shutdown(self) {
         self.engine.shutdown();
     }
@@ -1181,7 +1077,7 @@ fn db_equiv(a: &Database, b: &Database) -> Result<(), String> {
 ///
 /// Each [`ServerSession::run`] executes against a private MVCC snapshot;
 /// a program that wrote anything commits through the engine's
-/// group-commit applier, a pure read never leaves its snapshot. Output
+/// engine's group commit, a pure read never leaves its snapshot. Output
 /// accumulates in [`ServerSession::out`] exactly as in [`Session`].
 pub struct ServerSession {
     engine: Arc<Engine>,
@@ -1252,7 +1148,7 @@ pub fn sanitize_label(raw: &str) -> String {
 
 impl Drop for ServerSession {
     fn drop(&mut self) {
-        self.engine.shared.sessions.fetch_sub(1, Ordering::Relaxed);
+        self.engine.sessions.fetch_sub(1, Ordering::Relaxed);
         dbpl_obs::global().gauge("server.sessions").dec();
     }
 }
@@ -1298,17 +1194,16 @@ impl ServerSession {
     }
 
     /// Parse, type-check and run one program against a fresh snapshot,
-    /// committing its effects (if any) through the group-commit applier.
+    /// committing its effects (if any) through group commit.
     /// Returns the lines of output it produced. The program is one
     /// transaction: explicit `begin`/`commit`/`abort` are rejected.
     pub fn run(&mut self, src: &str) -> Result<Vec<String>, LangError> {
         // The transaction clock starts NOW: evaluation, admission
         // waiting, and queue waiting all spend the same budget.
         let deadline = self.txn_deadline.map(|d| Instant::now() + d);
-        let state = self.engine.shared.snap.load();
+        let state = self.engine.snap.load();
         snapshot_reads().inc();
-        let mut worker =
-            Session::for_engine(state.db.clone(), Arc::clone(&self.engine.shared.store));
+        let mut worker = Session::for_engine(state.db.clone(), Arc::clone(&self.engine.store));
         let ran = worker.run(src);
         self.out.extend_from_slice(&worker.out);
         self.quarantined.extend_from_slice(&worker.quarantined);
@@ -1317,7 +1212,7 @@ impl ServerSession {
         let externs = worker.take_frame();
         let frame = diff_frame(&state.db, &worker.db, externs, state.epoch)?;
         if frame.is_empty() {
-            // A pure read never touches the applier: this is the
+            // A pure read never touches the commit queue: this is the
             // reader-scaling fast path.
             if let Some(tag) = &self.attribution {
                 tag.reads.inc();
@@ -1342,55 +1237,37 @@ impl ServerSession {
             }
         }
 
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let req = CommitRequest {
-            frame,
-            reply: reply_tx,
-            deadline,
-            enqueued_at: Instant::now(),
-        };
-        self.engine
-            .shared
-            .queue
-            .enqueue(req, deadline, &self.engine.shared.cfg)
-            .map_err(|e| match e {
-                AdmissionError::Overloaded { gate, depth } => LangError::overloaded(format!(
-                    "commit not admitted, transaction aborted: engine overloaded \
+        let outcome = self.engine.commit(frame, deadline).map_err(|e| match e {
+            AdmissionError::Overloaded { gate, depth } => LangError::overloaded(format!(
+                "commit not admitted, transaction aborted: engine overloaded \
                      ({gate}, queue depth {depth}); nothing was staged"
-                )),
-                AdmissionError::EngineDown => {
-                    LangError::engine_down("engine is shut down; the commit was not enqueued")
-                }
-            })?;
-        match reply_rx.recv() {
-            Ok(CommitOutcome::Applied { epoch }) => {
+            )),
+            AdmissionError::EngineDown => {
+                LangError::engine_down("engine is shut down; the commit was not enqueued")
+            }
+        })?;
+        match outcome {
+            CommitOutcome::Applied { epoch } => {
                 self.last_commit_epoch = Some(epoch);
                 Ok(out_lines)
             }
-            Ok(CommitOutcome::Conflict(msg)) => Err(LangError::eval(
+            CommitOutcome::Conflict(msg) => Err(LangError::eval(
                 0,
                 format!("commit conflict, transaction aborted: {msg}"),
             )),
-            Ok(CommitOutcome::DeadlineExceeded { waited_ms }) => {
+            CommitOutcome::DeadlineExceeded { waited_ms } => {
                 Err(LangError::deadline_exceeded(format!(
                     "transaction deadline expired after {waited_ms} ms in the commit \
-                     queue; dropped before the intent was written — nothing durable \
+                     queue; dropped before the log record was written — nothing durable \
                      happened"
                 )))
             }
-            Ok(CommitOutcome::Aborted(msg) | CommitOutcome::InDoubt(msg)) => {
+            CommitOutcome::Aborted(msg) | CommitOutcome::InDoubt(msg) => {
                 Err(LangError::eval(0, msg))
             }
-            Ok(CommitOutcome::EngineDown(msg)) => {
+            CommitOutcome::EngineDown(msg) => {
                 Err(LangError::engine_down(format!("commit not applied: {msg}")))
             }
-            // The applier died (or was abandoned) with our reply sender
-            // in hand: the unwound batch dropped it. Definitive: the
-            // commit was not applied-and-published.
-            Err(_) => Err(LangError::engine_down(
-                "engine applier went down while the commit was in flight; \
-                 the commit was not applied",
-            )),
         }
     }
 
@@ -1404,15 +1281,15 @@ impl ServerSession {
     /// commits.
     pub fn snapshot(&self) -> Arc<EngineState> {
         snapshot_reads().inc();
-        self.engine.shared.snap.load()
+        self.engine.snap.load()
     }
 
-    /// The session's health — **applier-aware**: this reflects the shared
-    /// engine, so one session's disk-full failure is visible to every
-    /// session, and the applier refuses their durable commits
-    /// (probe-first, nothing written) until the store heals.
+    /// The session's health — the shared engine's: one session's
+    /// disk-full failure is visible to every session, and every batch
+    /// refuses their durable commits (probe-first, nothing written) until
+    /// the store heals.
     pub fn health(&self) -> Health {
-        self.engine.shared.gate.health()
+        self.engine.gate.health()
     }
 
     /// Corrupt store units this session's programs tripped over.
@@ -1555,8 +1432,7 @@ mod tests {
         // Build two frames against the same base snapshot by hand.
         let state = s.snapshot();
         let mk = |ty: &str| {
-            let mut w =
-                Session::for_engine(state.db.clone(), Arc::clone(&server.engine.shared.store));
+            let mut w = Session::for_engine(state.db.clone(), Arc::clone(&server.engine.store));
             w.run(&format!("type T = {{X: {ty}}} put(db, dynamic {{X = 1}})"))
                 .unwrap();
             let externs = w.take_frame();
@@ -1565,25 +1441,7 @@ mod tests {
         let f1 = mk("Int");
         let f2 = mk("Int"); // identical: idempotent
         let f3 = mk("Str"); // structurally different: conflict
-        let send = |frame: Frame| {
-            let (tx, rx) = mpsc::channel();
-            server
-                .engine
-                .shared
-                .queue
-                .enqueue(
-                    CommitRequest {
-                        frame,
-                        reply: tx,
-                        deadline: None,
-                        enqueued_at: Instant::now(),
-                    },
-                    None,
-                    &server.engine.shared.cfg,
-                )
-                .unwrap();
-            rx.recv().unwrap()
-        };
+        let send = |frame: Frame| server.engine.commit(frame, None).unwrap();
         assert!(matches!(send(f1), CommitOutcome::Applied { .. }));
         assert!(matches!(send(f2), CommitOutcome::Applied { .. }));
         assert!(matches!(send(f3), CommitOutcome::Conflict(_)));
@@ -1598,7 +1456,7 @@ mod tests {
         let mut a = server.session();
         // Extern a record, then two sessions intern it concurrently and
         // put the result — both allocate overlapping oids in their own
-        // snapshots; the applier must remap, not collide.
+        // snapshots; group commit must remap, not collide.
         a.run("type P = {Name: Str} extern('p', dynamic {Name = 'x'})")
             .unwrap();
         let mut b = server.session();
@@ -1639,7 +1497,7 @@ mod tests {
             .expect_err("commit must fail on a full disk");
         assert!(err.to_string().contains("commit"), "{err}");
         assert!(server.health().is_degraded());
-        assert!(s.health().is_degraded(), "health is applier-aware");
+        assert!(s.health().is_degraded(), "health is the engine's");
         // While degraded: enqueue is refused probe-first — the failing
         // op count must not advance past the probe's own writes, and
         // reads keep flowing.
@@ -1656,12 +1514,10 @@ mod tests {
 
     #[test]
     fn in_doubt_group_commit_attributes_to_every_batch_member() {
-        // Regression test (satellite): a persistent fsync failure after
-        // the durability point must surface InDoubt to EVERY member of
-        // the coalesced batch, not just the first frame in the queue.
-        // Build three frames against one snapshot, then feed them to the
-        // applier's batch path directly (racing real sessions against the
-        // applier thread cannot force a 3-frame batch deterministically).
+        // A persistent fsync failure after the durability point must
+        // surface InDoubt to EVERY member of the coalesced batch, not
+        // just the first frame in the queue. Build three frames against
+        // one snapshot and commit them as one batch with `commit_batch`.
         // A persistent fsync failure armed at increasing op offsets sweeps
         // the commit across its durability boundary until the in-doubt
         // window is hit, crash-sweep style.
@@ -1673,35 +1529,28 @@ mod tests {
             setup2
                 .run("type T = {X: Int} extern('seed', dynamic {X = 0})")
                 .unwrap();
-            let state2 = server2.engine.shared.snap.load();
-            let mut reqs = Vec::new();
-            let mut rxs = Vec::new();
+            let state2 = server2.engine.snap.load();
+            let mut batch = Vec::new();
             for i in 0..3 {
-                let mut w = Session::for_engine(
-                    state2.db.clone(),
-                    Arc::clone(&server2.engine.shared.store),
-                );
+                let mut w =
+                    Session::for_engine(state2.db.clone(), Arc::clone(&server2.engine.store));
                 w.run(&format!("extern('h{i}', dynamic {{X = {i}}})"))
                     .unwrap();
                 let externs = w.take_frame();
                 let frame = diff_frame(&state2.db, &w.db, externs, state2.epoch).unwrap();
-                let (tx, rx) = mpsc::channel();
-                reqs.push(CommitRequest {
+                batch.push(CommitRequest {
+                    ticket: i,
                     frame,
-                    reply: tx,
                     deadline: None,
                     enqueued_at: Instant::now(),
                 });
-                rxs.push(rx);
             }
             let base_ops = vfs2.ops();
             vfs2.set_plan(FaultPlan {
                 fail_fsync_at_op: Some(base_ops + fail_at),
                 ..Default::default()
             });
-            apply_batch(&server2.engine.shared, reqs);
-            let outcomes: Vec<CommitOutcome> =
-                rxs.into_iter().map(|rx| rx.recv().unwrap()).collect();
+            let outcomes = commit_batch(&server2.engine, &batch);
             let in_doubt = outcomes
                 .iter()
                 .filter(|o| matches!(o, CommitOutcome::InDoubt(_)))
@@ -1734,6 +1583,45 @@ mod tests {
         assert!(
             saw_in_doubt,
             "sweep never produced an in-doubt batch; fault plan is miswired"
+        );
+    }
+
+    #[test]
+    fn group_commit_span_belongs_to_the_committing_request() {
+        let vfs = dbpl_persist::CountingVfs::new(SimVfs::new());
+        let server = Server::open_with(Arc::new(vfs), "/traced").unwrap();
+        let mut s = server.session();
+        let (res, spans) = dbpl_obs::trace::capture("test.write", || {
+            s.run("type T = {X: Int} put(db, dynamic {X = 1}) extern('h', dynamic 1)")
+        });
+        res.unwrap();
+        let group = spans
+            .iter()
+            .find(|sp| sp.name == "txn.group_commit")
+            .expect("the request's trace holds its group commit");
+        let root = spans.iter().find(|sp| sp.parent_id.is_none()).unwrap();
+        assert_eq!(root.name, "test.write");
+        assert_eq!(group.trace_id, root.trace_id);
+        // Walk each fsync's parents up to the group commit.
+        let descends = |sp: &dbpl_obs::trace::SpanRecord| {
+            let mut parent = sp.parent_id;
+            while let Some(p) = parent {
+                if p == group.span_id {
+                    return true;
+                }
+                parent = spans
+                    .iter()
+                    .find(|x| x.span_id == p)
+                    .and_then(|x| x.parent_id);
+            }
+            false
+        };
+        let fsyncs: Vec<_> = spans.iter().filter(|sp| sp.name == "vfs.fsync").collect();
+        assert!(!fsyncs.is_empty(), "the commit's fsync is traced");
+        assert!(
+            fsyncs.iter().all(|sp| descends(sp)),
+            "every fsync sits under txn.group_commit:\n{}",
+            dbpl_obs::trace::render_tree(&spans)
         );
     }
 
@@ -1780,7 +1668,7 @@ mod tests {
             "timeline(db) renders the ring: {}",
             out[0]
         );
-        // Shutdown stops the recorder before the applier exits; a second
+        // Shutdown stops the recorder before the queue closes; a second
         // stop finds nothing.
         drop(s);
         let timeline = server.stop_recorder().expect("recorder was running");

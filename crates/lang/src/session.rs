@@ -96,7 +96,7 @@ pub struct Session {
     pub(crate) quarantined: Vec<QuarantineEntry>,
     /// What happens when a durable write fails: degraded mode, pending
     /// recovery, in-doubt roll-forward and abort bookkeeping — the same
-    /// policy an engine's group-commit applier uses.
+    /// policy an engine's group commit uses.
     gate: DurabilityGate,
     /// An engine worker ([`Session::for_engine`]): explicit transaction
     /// statements are rejected, and a completed program's frame is left

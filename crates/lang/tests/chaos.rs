@@ -2,7 +2,7 @@
 //!
 //! Each run drives a [`Server`] with tight capacity knobs at roughly 4x
 //! its queue capacity from K concurrent sessions while a seeded fault
-//! schedule injects applier panics (frame- and batch-level), jittered
+//! schedule injects group-commit panics (frame- and batch-level), jittered
 //! fsync latency and an ENOSPC window — which can also strike *inside*
 //! a group commit, past its durability point, driving batches through
 //! the in-doubt path. The
@@ -17,7 +17,7 @@
 //! 2. **All-or-none batches** — a batch that dies pre-durability (panic,
 //!    ENOSPC) publishes nothing; survivor state stays consistent.
 //! 3. **Serializability survives chaos** — the final published state
-//!    equals a single-threaded replay of the applier's own frame log.
+//!    equals a single-threaded replay of the engine's own frame log.
 //! 4. **Metrics conservation** — the overload phase must leave
 //!    `server.overload_rejected` equal to the fleet's Overloaded tally
 //!    (and > 0), and the `server.queue_wait_us` histogram must hold
@@ -28,7 +28,7 @@
 //! Tier-1 runs 3 seeds; the 16-seed sweep is `#[ignore]`d for nightly.
 
 use dbpl_lang::{Server, ServerConfig, ServerSession, MAX_BATCH};
-use dbpl_persist::{FaultPlan, SimVfs};
+use dbpl_persist::{CountingVfs, FaultPlan, SimVfs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -101,7 +101,7 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// One seeded chaos run: K sessions offer ~4x the queue's capacity while
-/// the seed places applier panics, fsync jitter and an ENOSPC window.
+/// the seed places group-commit panics, fsync jitter and an ENOSPC window.
 fn chaos_run(seed: u64) {
     const SESSIONS: usize = 8;
     const OPS_PER_SESSION: usize = 40;
@@ -121,14 +121,13 @@ fn chaos_run(seed: u64) {
         queue_depth: 2,
         max_inflight_frames: 2 + MAX_BATCH,
         max_sessions: 64,
-        drain_deadline: Duration::from_secs(10),
     };
     let server = Arc::new(Server::open_with_config(Arc::new(vfs.clone()), "/chaos", cfg).unwrap());
     server.start_frame_log();
 
     // Seed-placed injected failures: one frame-level panic (aborts only
     // that frame) and one batch-level panic (pre-durability, exercises
-    // applier supervision + degraded flip + engine-down replies).
+    // batch supervision + degraded flip + engine-down replies).
     server.chaos_panic_at_frame(2 + splitmix64(seed) % 60);
     server.chaos_panic_at_batch(2 + splitmix64(seed ^ 1) % 20);
 
@@ -233,7 +232,7 @@ fn chaos_run(seed: u64) {
     // post-admission outcome was taken (+1 for the settle commit).
     // Refusals and engine-down replies land on *either* side of
     // admission — the session's probe-first health gate refuses before
-    // enqueue, the applier's gate refuses a taken batch — so they only
+    // enqueue, a batch's gate refuses a taken batch — so they only
     // widen the upper bound. A deadline that expired before the enqueue
     // was never admitted, so it is in neither bound.
     let taken_min = tally.applied.load(Ordering::Relaxed)
@@ -279,13 +278,13 @@ fn nightly_chaos_sweep_sixteen_seeds() {
 }
 
 // ---------------------------------------------------------------------------
-// Regression: applier death between enqueue and reply (satellite)
+// Regression: a batch panic between enqueue and reply
 // ---------------------------------------------------------------------------
 
-/// A batch-level applier panic unwinds with the batch's reply senders in
-/// hand. The enqueued session must get a definitive engine-down error —
-/// not block forever on a reply that will never come — and the engine
-/// must flip degraded, then heal and serve again.
+/// A batch-level panic must answer the enqueued session with a
+/// definitive engine-down error — not leave it blocked on a reply that
+/// will never come — and the engine must already be degraded when that
+/// error arrives, then heal and serve again.
 #[test]
 fn applier_panic_between_enqueue_and_reply_returns_engine_down() {
     let _obs = obs_lock();
@@ -300,10 +299,10 @@ fn applier_panic_between_enqueue_and_reply_returns_engine_down() {
     assert!(err.is_engine_down(), "want engine-down, got: {err}");
     assert!(
         server.health().is_degraded(),
-        "an applier panic must flip the engine degraded"
+        "a batch panic must flip the engine degraded before the reply"
     );
 
-    // Supervision kept the applier alive; the probe-first gate heals the
+    // Supervision kept the engine serving; the probe-first gate heals the
     // engine and the very next commit lands.
     server.chaos_panic_at_batch(0);
     s.run("put(db, dynamic {X = 2})").unwrap();
@@ -383,14 +382,14 @@ fn commit_racing_shutdown_never_hangs() {
 // ---------------------------------------------------------------------------
 
 /// A frame whose deadline expires while it waits behind a slow batch is
-/// dropped by the applier before the intent is written: the session gets
-/// `DeadlineExceeded`, and the frame's effects never publish.
+/// dropped by its batch's leader before the log record is written: the
+/// session gets `DeadlineExceeded`, and the frame's effects never publish.
 #[test]
 fn deadline_expires_in_queue_before_durability() {
     let _obs = obs_lock();
     let vfs = SimVfs::new();
     vfs.set_plan(FaultPlan {
-        // Every fsync stalls 300ms: the first batch wedges the applier
+        // Every fsync stalls 300ms: the first batch holds the lead
         // long past the second commit's deadline.
         fsync_delay_us: Some(300_000),
         ..Default::default()
@@ -425,7 +424,7 @@ fn deadline_expires_in_queue_before_durability() {
     let after = dbpl_obs::global()
         .snapshot()
         .counter("server.deadline_dropped");
-    assert!(after > before, "the applier must count the dropped frame");
+    assert!(after > before, "the leader must count the dropped frame");
     // Nothing of b's frame published: only a's extern commit (epoch 1,
     // no dynamics) exists.
     vfs.set_plan(FaultPlan::default());
@@ -454,7 +453,6 @@ fn saturated_queue_sheds_load_and_survivors_replay() {
         queue_depth: 1,
         max_inflight_frames: 1 + MAX_BATCH,
         max_sessions: 64,
-        drain_deadline: Duration::from_secs(10),
     };
     let server =
         Arc::new(Server::open_with_config(Arc::new(vfs.clone()), "/overload", cfg).unwrap());
@@ -503,6 +501,51 @@ fn saturated_queue_sheds_load_and_survivors_replay() {
     server.check_frame_log_replay().expect("replay diverged");
 }
 
+/// Group commit coalesces by count, not by timing luck: while one batch
+/// waits out its 2 ms fsync, every other session's frame queues behind
+/// it and the next leader takes them all. Every commit is acknowledged,
+/// the engine pays fewer than 0.5 fsyncs per commit, and the published
+/// state replays.
+#[test]
+fn concurrent_commits_coalesce_into_shared_fsyncs() {
+    const SESSIONS: u64 = 8;
+    const COMMITS: u64 = 20;
+    let _obs = obs_lock();
+    let vfs = SimVfs::with_plan(FaultPlan {
+        fsync_delay_us: Some(2_000),
+        ..Default::default()
+    });
+    let server = Server::open_with(Arc::new(CountingVfs::new(vfs)), "/coalesce").unwrap();
+    server.start_frame_log();
+    let fsyncs = || dbpl_obs::global().counter("vfs.fsyncs").get();
+    let before = fsyncs();
+    std::thread::scope(|scope| {
+        for w in 0..SESSIONS {
+            let server = &server;
+            scope.spawn(move || {
+                let mut session = server.try_session().unwrap();
+                for j in 0..COMMITS {
+                    session
+                        .run(&format!(
+                            "put(db, dynamic {{W = {w}, Seq = {j}}}) extern('c{w}', dynamic {j})"
+                        ))
+                        .expect("every commit is acknowledged");
+                }
+            });
+        }
+    });
+    let commits = SESSIONS * COMMITS;
+    let per_commit = (fsyncs() - before) as f64 / commits as f64;
+    assert!(
+        per_commit < 0.5,
+        "{per_commit:.2} fsyncs per commit: batches did not coalesce"
+    );
+    assert_eq!(
+        server.check_frame_log_replay().expect("replay diverged"),
+        commits as usize
+    );
+}
+
 /// The session table is an admission gate too: past `max_sessions`,
 /// `try_session` refuses with `Overloaded`, and dropping a session frees
 /// its slot.
@@ -549,7 +592,7 @@ fn pinned_snapshot_never_blocks_writers_and_live_gauge_returns_to_baseline() {
     let mut w = server.try_session().unwrap();
     w.run("put(db, dynamic {Seq = 0})").unwrap();
     // Baseline: exactly the currently published state is alive (the
-    // applier may hold the pre-publish state an instant longer).
+    // committer may hold the pre-publish state an instant longer).
     wait_for(|| server.live_snapshots() == 1);
 
     let r = server.try_session().unwrap();

@@ -10,9 +10,9 @@
 //!    snapshot (record 3 visible while record 2 is missing) would mean a
 //!    reader observed an intermediate apply state.
 //! 2. **Serializability** — the final published state is exactly what a
-//!    single-threaded replay of the applier's own frame log produces
+//!    single-threaded replay of the engine's own frame log produces
 //!    ([`Server::check_frame_log_replay`]), i.e. the concurrent schedule
-//!    is equivalent to *some* serial one, namely the order the applier
+//!    is equivalent to *some* serial one, namely the order group commit
 //!    chose.
 
 use dbpl_lang::Server;
@@ -118,7 +118,7 @@ fn run_mixed_workload(writers: usize, commits_per_writer: usize, with_externs: b
     assert!(total_snapshots > 0, "readers never ran");
 
     // Final state: every record present, and identical to a
-    // single-threaded replay of the applier's serialization.
+    // single-threaded replay of group commit's serialization.
     let final_snap = server.session().snapshot();
     assert_eq!(final_snap.db.len(), writers * commits_per_writer);
     check_prefixes(&final_snap.db, writers).expect("final state");
@@ -187,7 +187,7 @@ proptest! {
 
     /// Property form: across varying thread counts and workload lengths,
     /// readers only ever observe commit-order prefixes and the final
-    /// state equals the applier-log replay.
+    /// state equals the frame-log replay.
     #[test]
     fn snapshot_prefix_property_holds(
         writers in 2usize..5,

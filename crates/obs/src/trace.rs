@@ -141,7 +141,7 @@ fn thread_name_registry() -> &'static Mutex<std::collections::BTreeMap<u64, Stri
 }
 
 /// The name registered for an exported `tid`, if that thread has traced
-/// anything yet. Named threads (`dbpl-applier`, recorder, scoped
+/// anything yet. Named threads (the `dbpl-recorder` sampler, scoped
 /// workers) report their OS name; anonymous ones get `thread-<tid>`.
 pub fn thread_name(tid: u64) -> Option<String> {
     thread_name_registry().lock().get(&tid).cloned()
@@ -525,7 +525,7 @@ fn push_event(out: &mut String, first: &mut bool, event: &str) {
 
 /// Append Chrome metadata events (`"ph":"M"`): one `process_name` for
 /// the fixed pid, then one `thread_name` per distinct `tid` in `spans`,
-/// so Perfetto labels the recorder/applier/worker tracks with their OS
+/// so Perfetto labels the recorder/session/worker tracks with their OS
 /// thread names instead of bare integers.
 fn push_metadata_events(spans: &[SpanRecord], out: &mut String, first: &mut bool) {
     push_event(

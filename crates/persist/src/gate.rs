@@ -2,7 +2,7 @@
 //! write fails.
 //!
 //! Every front end that makes writes durable — a single session or a
-//! group-commit applier — goes through a [`DurabilityGate`]. It holds the
+//! server's group commit — goes through a [`DurabilityGate`]. It holds the
 //! only commit-failure state there is (why the store is degraded, and
 //! which transaction is still pending recovery) and decides, in one
 //! place:

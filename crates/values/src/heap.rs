@@ -114,6 +114,12 @@ impl Heap {
         self.objects.iter().map(|(o, h)| (*o, h))
     }
 
+    /// Iterate over the objects at or above `watermark` (see
+    /// [`Heap::next_oid`]), in O(log n + returned).
+    pub fn iter_from(&self, watermark: Oid) -> impl Iterator<Item = (Oid, &HeapObject)> {
+        self.objects.range(watermark..).map(|(o, h)| (*o, h))
+    }
+
     /// The set of objects reachable from `roots` by following `Ref`s —
     /// the trace used by intrinsic persistence ("there is no need
     /// physically to retain storage for values for which all reference is
