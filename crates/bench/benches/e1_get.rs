@@ -7,14 +7,15 @@
 //! possibility would be to keep a set of (statically) typed lists…".
 //!
 //! Strategies compared, at database sizes 1k–32k:
-//! * `scan`        — full traversal + per-element structural subtype check;
-//! * `typed_lists` — one subtype check per *distinct carried type*;
+//! * `scan`        — full traversal + per-element structural subtype check
+//!   (`Database::get_by_scan`, the oracle);
+//! * `typed_lists` — one subtype check per *distinct carried type*
+//!   (`Database::get`);
 //! * `extents`     — maintained (Taxis-style) extents: membership is
 //!   precomputed, a `Get` is a read.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dbpl_bench::{build_extents, populated_db};
-use dbpl_core::GetStrategy;
 use dbpl_types::Type;
 use std::hint::black_box;
 
@@ -29,16 +30,10 @@ fn e1_strategies(c: &mut Criterion) {
 
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("scan", n), &n, |b, _| {
-            b.iter(|| db.get_with(black_box(&bound), GetStrategy::Scan))
-        });
-        group.bench_with_input(BenchmarkId::new("cached_scan", n), &n, |b, _| {
-            b.iter(|| db.get_with(black_box(&bound), GetStrategy::CachedScan))
+            b.iter(|| db.get_by_scan(black_box(&bound)))
         });
         group.bench_with_input(BenchmarkId::new("typed_lists", n), &n, |b, _| {
-            b.iter(|| db.get_with(black_box(&bound), GetStrategy::TypedLists))
-        });
-        group.bench_with_input(BenchmarkId::new("par_scan", n), &n, |b, _| {
-            b.iter(|| db.get_with(black_box(&bound), GetStrategy::ParScan))
+            b.iter(|| db.get(black_box(&bound)))
         });
         group.bench_with_input(BenchmarkId::new("extents", n), &n, |b, _| {
             b.iter(|| {
@@ -59,7 +54,7 @@ fn e1_selectivity(c: &mut Criterion) {
     for bound in ["Person", "Employee", "WorkingStudent"] {
         let t = Type::named(bound);
         group.bench_with_input(BenchmarkId::from_parameter(bound), &t, |b, t| {
-            b.iter(|| db.get_with(black_box(t), GetStrategy::Scan))
+            b.iter(|| db.get_by_scan(black_box(t)))
         });
     }
     group.finish();

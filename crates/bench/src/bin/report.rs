@@ -7,7 +7,6 @@
 
 use dbpl_bench::*;
 use dbpl_core::bom::{total_cost_memo, total_cost_naive, TransientFields};
-use dbpl_core::GetStrategy;
 use dbpl_persist::{Image, IntrinsicStore, ReplicatingStore};
 use dbpl_relation::{
     figure1_expected, figure1_r1, figure1_r2, to_generalized, JoinStrategy, Reduction,
@@ -36,7 +35,7 @@ fn time<R>(mut f: impl FnMut() -> R, iters: u32) -> (f64, R) {
 fn fast_paths(smoke: bool) {
     println!("## Fast paths — memoized subtyping, indexed Get, partitioned join\n");
 
-    // --- E1 fast paths: Get strategies ---
+    // --- E1 fast path: typed lists against the scan oracle ---
     let sizes: &[usize] = if smoke {
         &[500]
     } else {
@@ -45,29 +44,22 @@ fn fast_paths(smoke: bool) {
     let iters = if smoke { 2 } else { 10 };
     let bound = Type::named("Employee");
     let mut e1_json = String::from("{\n  \"experiment\": \"e1_get\",\n  \"bound\": \"Employee\",\n  \"unit\": \"us_per_op\",\n  \"sizes\": [\n");
-    println!("| N | scan | cached scan | typed lists | par scan | scan/typed lists |");
-    println!("|---|---|---|---|---|---|");
+    println!("| N | scan | typed lists | scan/typed lists |");
+    println!("|---|---|---|---|");
     for (si, &n) in sizes.iter().enumerate() {
         let db = populated_db(n, 42);
-        let naive = db.get_with(&bound, GetStrategy::Scan);
-        for s in [
-            GetStrategy::CachedScan,
-            GetStrategy::TypedLists,
-            GetStrategy::ParScan,
-        ] {
-            assert_eq!(naive, db.get_with(&bound, s), "{s:?} diverged from Scan");
-        }
-        let (t_scan, _) = time(|| db.get_with(&bound, GetStrategy::Scan).len(), iters);
-        let (t_cached, _) = time(|| db.get_with(&bound, GetStrategy::CachedScan).len(), iters);
-        let (t_typed, _) = time(|| db.get_with(&bound, GetStrategy::TypedLists).len(), iters);
-        let (t_par, _) = time(|| db.get_with(&bound, GetStrategy::ParScan).len(), iters);
-        let speedup = t_scan / t_typed.max(1e-9);
-        println!(
-            "| {n} | {t_scan:.1} | {t_cached:.1} | {t_typed:.1} | {t_par:.1} | {speedup:.1}x |"
+        assert_eq!(
+            db.get_by_scan(&bound),
+            db.get(&bound),
+            "typed lists diverged from the scan oracle"
         );
+        let (t_scan, _) = time(|| db.get_by_scan(&bound).len(), iters);
+        let (t_typed, _) = time(|| db.get(&bound).len(), iters);
+        let speedup = t_scan / t_typed.max(1e-9);
+        println!("| {n} | {t_scan:.1} | {t_typed:.1} | {speedup:.1}x |");
         let _ = writeln!(
             e1_json,
-            "    {{\"n\": {n}, \"scan\": {t_scan:.2}, \"cached_scan\": {t_cached:.2}, \"typed_lists\": {t_typed:.2}, \"par_scan\": {t_par:.2}, \"speedup_typed_vs_scan\": {speedup:.2}}}{}",
+            "    {{\"n\": {n}, \"scan\": {t_scan:.2}, \"typed_lists\": {t_typed:.2}, \"speedup_typed_vs_scan\": {speedup:.2}}}{}",
             if si + 1 == sizes.len() { "" } else { "," }
         );
     }
@@ -391,7 +383,7 @@ fn mvcc_throughput(smoke: bool) {
                         let session = server.session();
                         for _ in 0..reads_per_session {
                             let snap = session.snapshot();
-                            let got = snap.db.get_with(bound, GetStrategy::TypedLists);
+                            let got = snap.db.get(bound);
                             assert_eq!(got.len(), rows, "snapshot read saw a torn database");
                             done += 1;
                         }
@@ -451,7 +443,7 @@ fn mvcc_throughput(smoke: bool) {
                         let mut ops = 0u64;
                         while Instant::now() < stop_at {
                             let snap = session.snapshot();
-                            let got = snap.db.get_with(bound, GetStrategy::TypedLists);
+                            let got = snap.db.get(bound);
                             assert_eq!(got.len(), rows, "read saw a torn database");
                             ops += 1;
                         }
@@ -945,9 +937,7 @@ fn workload(smoke: bool, workload_out: Option<&str>) {
     // The two paths run identical read code (reads never touch the
     // catalog), so generous best-of minima keep scheduler jitter from
     // tripping a gate that compares a path against itself.
-    let read_once = |db: &dbpl_core::Database| {
-        time(|| db.get_with(&bound, GetStrategy::TypedLists).len(), 20).0
-    };
+    let read_once = |db: &dbpl_core::Database| time(|| db.get(&bound).len(), 20).0;
     read_once(&db_off); // warmup: fault in caches before the first pair
     let (mut r_off, mut r_on) = (f64::INFINITY, f64::INFINITY);
     let mut ratios = Vec::new();
@@ -987,12 +977,12 @@ fn workload(smoke: bool, workload_out: Option<&str>) {
     query_log().clear();
     let before = dbpl_obs::global().snapshot();
     for _ in 0..5 {
-        db_on.get_with(&bound, GetStrategy::Scan);
+        db_on.get_by_scan(&bound);
     }
     for _ in 0..3 {
-        db_on.get_with(&bound, GetStrategy::TypedLists);
+        db_on.get(&bound);
     }
-    db_on.get_with(&Type::named("Person"), GetStrategy::CachedScan);
+    db_on.get(&Type::named("Person"));
     let j1 = keyed_gen_relation(if smoke { 48 } else { 256 }, "L", 1);
     let j2 = keyed_gen_relation(if smoke { 48 } else { 256 }, "R", 2);
     let nested = j1.natural_join_strategy(&j2, Reduction::Maximal, JoinStrategy::Nested);
@@ -1043,14 +1033,9 @@ fn workload(smoke: bool, workload_out: Option<&str>) {
             lines.push(top_json(i + 1, a));
         }
         let mut tc = String::from("{\"trace_counters\":{");
-        for (i, name) in [
-            "get.strategy.scan",
-            "get.strategy.cached_scan",
-            "get.strategy.typed_lists",
-            "get.strategy.par_scan",
-        ]
-        .iter()
-        .enumerate()
+        for (i, name) in ["get.strategy.scan", "get.strategy.typed_lists"]
+            .iter()
+            .enumerate()
         {
             if i > 0 {
                 tc.push(',');
@@ -1202,8 +1187,8 @@ fn main() {
         let mut db_ext = populated_db(n, 42);
         build_extents(&mut db_ext);
         let bound = Type::named("Employee");
-        let (t_scan, r1) = time(|| db.get_with(&bound, GetStrategy::Scan).len(), 20);
-        let (t_idx, r2) = time(|| db.get_with(&bound, GetStrategy::TypedLists).len(), 20);
+        let (t_scan, r1) = time(|| db.get_by_scan(&bound).len(), 20);
+        let (t_idx, r2) = time(|| db.get(&bound).len(), 20);
         let (t_ext, r3) = time(
             || {
                 db_ext

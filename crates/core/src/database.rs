@@ -9,8 +9,8 @@
 //!   values" the paper builds in Amber) plus an object [`Heap`] for
 //!   identity;
 //! * the generic [`Database::get`] — `Get : ∀t. Database → List[∃t' ≤ t]`
-//!   — with three interchangeable implementations (scan, maintained
-//!   extents, typed-list index) so their costs can be compared (E1);
+//!   — answered from the typed-list index, with the paper's whole-store
+//!   scan kept as its oracle ([`Database::get_by_scan`], compared in E1);
 //! * optional maintained extents and key constraints, available but never
 //!   *required*: type, extent and persistence stay separate;
 //! * bridges to every persistence model (snapshot image capture,
@@ -18,9 +18,7 @@
 
 use crate::error::CoreError;
 use crate::extent::{ExtentManager, TypedListIndex};
-use crate::get::{
-    conformance_sweep, detected_workers, scan_get, scan_get_cached, scan_parts_par, ExistsPkg,
-};
+use crate::get::{conformance_sweep, scan_get, ExistsPkg};
 use crate::hierarchy::ClassHierarchy;
 use crate::store::Store;
 use dbpl_persist::{Image, QuarantineEntry, QuarantineReason, QuarantineReport};
@@ -30,41 +28,6 @@ use dbpl_values::{conforms, DynValue, Heap, Mode, Oid, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// How [`Database::get_with`] locates the objects of a type. All
-/// strategies return element-for-element identical results (differentially
-/// tested); they differ only in cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GetStrategy {
-    /// Traverse the whole dynamic store, structurally checking each
-    /// element's carried type (the paper's simple, "not very efficient"
-    /// solution — the naive baseline, deliberately uncached).
-    Scan,
-    /// The same traversal with memoized subtype verdicts: one structural
-    /// walk per distinct carried type, not per element.
-    CachedScan,
-    /// Consult the typed-list index ("a set of statically typed lists"):
-    /// touch only the lists whose carried type is a (cached) subtype of
-    /// the bound. The default.
-    #[default]
-    TypedLists,
-    /// Chunked parallel traversal over scoped threads, sharing one memo
-    /// table; falls back to sequential below a cutoff.
-    ParScan,
-}
-
-impl GetStrategy {
-    /// The snake_case name used in metrics, span attributes, and
-    /// `explain`/`explainAnalyze` output.
-    pub fn name(self) -> &'static str {
-        match self {
-            GetStrategy::Scan => "scan",
-            GetStrategy::CachedScan => "cached_scan",
-            GetStrategy::TypedLists => "typed_lists",
-            GetStrategy::ParScan => "par_scan",
-        }
-    }
-}
 
 /// A database: types + heterogeneous values + optional extents + keys.
 ///
@@ -86,9 +49,6 @@ pub struct Database {
     index: Arc<TypedListIndex>,
     extents: Arc<ExtentManager>,
     bindings: Arc<BTreeMap<String, DynValue>>,
-    /// The strategy [`Database::get`] uses; the naive paths stay
-    /// reachable through this flag so benches can measure both.
-    get_strategy: GetStrategy,
     /// Damaged units and elements skipped instead of failing queries —
     /// the per-database quarantine report.
     quarantined: Vec<QuarantineEntry>,
@@ -237,66 +197,16 @@ impl Database {
     }
 
     /// `Get[t](db)`: every stored value whose type is a subtype of
-    /// `bound`, as existential packages, using the database's configured
-    /// strategy (indexed typed lists unless reconfigured with
-    /// [`Database::set_get_strategy`]).
+    /// `bound`, as existential packages, read from the typed-list index
+    /// ("a set of (statically) typed lists"): only the lists whose
+    /// carried type is a (cached) subtype of the bound are touched.
+    /// Quarantined elements are skipped — a damaged element degrades the
+    /// result, never the query.
     pub fn get(&self, bound: &Type) -> Vec<ExistsPkg> {
-        self.get_with(bound, self.get_strategy)
-    }
-
-    /// The strategy [`Database::get`] currently uses.
-    pub fn get_strategy(&self) -> GetStrategy {
-        self.get_strategy
-    }
-
-    /// Configure the strategy [`Database::get`] uses (e.g. switch back to
-    /// the naive scan to measure it).
-    pub fn set_get_strategy(&mut self, strategy: GetStrategy) {
-        self.get_strategy = strategy;
-    }
-
-    /// `Get` with an explicit implementation strategy; all strategies
-    /// return the same packages (asserted by the test suite), at different
-    /// costs (measured by E1). Quarantined elements are skipped by every
-    /// strategy — a damaged element degrades the result, never the query.
-    pub fn get_with(&self, bound: &Type, strategy: GetStrategy) -> Vec<ExistsPkg> {
-        let started = Instant::now();
-        let mut root = dbpl_obs::span!("get");
-        root.set_attr("strategy", strategy.name());
-        crate::metrics::strategy_counter(strategy).inc();
-        {
-            let mut plan = dbpl_obs::span!("get.plan");
-            plan.set_attr("store_rows", self.dynamics.len());
-            plan.set_attr("quarantined", self.quarantined_positions.len());
-        }
-        let out = match strategy {
-            GetStrategy::Scan | GetStrategy::CachedScan | GetStrategy::ParScan => {
-                // Fast path: no quarantine, scan the store's chunks as-is;
-                // otherwise scan a copy of the healthy rows.
-                let healthy: Vec<DynValue>;
-                let parts: Vec<&[DynValue]> = if self.quarantined_positions.is_empty() {
-                    self.dynamics.parts().collect()
-                } else {
-                    healthy = self.healthy_rows().cloned().collect();
-                    vec![&healthy]
-                };
-                let mut scan = dbpl_obs::span!("get.scan");
-                scan.set_attr("rows_in", parts.iter().map(|p| p.len()).sum::<usize>());
-                let out = match strategy {
-                    GetStrategy::Scan => parts
-                        .iter()
-                        .flat_map(|p| scan_get(p, bound, &self.env))
-                        .collect(),
-                    GetStrategy::CachedScan => parts
-                        .iter()
-                        .flat_map(|p| scan_get_cached(p, bound, &self.env))
-                        .collect(),
-                    _ => scan_parts_par(&parts, bound, &self.env, detected_workers()),
-                };
-                scan.set_attr("rows_out", out.len());
-                out
-            }
-            GetStrategy::TypedLists => {
+        self.traced_get(
+            "typed_lists",
+            crate::metrics::strategy_typed_lists(),
+            || {
                 let candidates = {
                     let mut index = dbpl_obs::span!("get.index");
                     let candidates = self.index.query(bound, &self.env);
@@ -309,23 +219,70 @@ impl Database {
                     .filter(|i| !self.quarantined_positions.contains(i))
                     .map(|i| {
                         // Index membership *is* the `witness ≤ bound`
-                        // judgement, so no per-element re-verification;
-                        // the package shares the stored row.
+                        // judgement, so no per-element re-verification; the
+                        // package shares the stored row.
                         let (chunk, at) = self.dynamics.locate(i);
                         ExistsPkg::seal_trusted(chunk, at, bound.clone())
                     })
                     .collect();
                 seal.set_attr("rows_out", out.len());
                 out
-            }
-        };
+            },
+        )
+    }
+
+    /// The paper's `Get` by traversal — "not a very efficient solution":
+    /// [`scan_get`] over every healthy row, structurally checking each
+    /// carried type. The oracle [`Database::get`] is differentially
+    /// tested and benchmarked (E1) against; it returns the same packages
+    /// and is traced and logged as strategy `scan`.
+    pub fn get_by_scan(&self, bound: &Type) -> Vec<ExistsPkg> {
+        self.traced_get("scan", crate::metrics::strategy_scan(), || {
+            // No quarantine: scan the store's chunks as-is; otherwise
+            // scan a copy of the healthy rows.
+            let healthy: Vec<DynValue>;
+            let parts: Vec<&[DynValue]> = if self.quarantined_positions.is_empty() {
+                self.dynamics.parts().collect()
+            } else {
+                healthy = self.healthy_rows().cloned().collect();
+                vec![&healthy]
+            };
+            let mut scan = dbpl_obs::span!("get.scan");
+            scan.set_attr("rows_in", parts.iter().map(|p| p.len()).sum::<usize>());
+            let out: Vec<ExistsPkg> = parts
+                .iter()
+                .flat_map(|p| scan_get(p, bound, &self.env))
+                .collect();
+            scan.set_attr("rows_out", out.len());
+            out
+        })
+    }
+
+    /// What both `Get`s record: a `get` span (attribute `strategy`) over
+    /// a `get.plan` stage and the strategy's own stages, the
+    /// `get.strategy.<name>` counter, and one `get:<name>` query-log
+    /// record whose duration matches what the `span.get` histogram
+    /// observes.
+    fn traced_get(
+        &self,
+        strategy: &'static str,
+        counter: &dbpl_obs::Counter,
+        run: impl FnOnce() -> Vec<ExistsPkg>,
+    ) -> Vec<ExistsPkg> {
+        let started = Instant::now();
+        let mut root = dbpl_obs::span!("get");
+        root.set_attr("strategy", strategy);
+        counter.inc();
+        {
+            let mut plan = dbpl_obs::span!("get.plan");
+            plan.set_attr("store_rows", self.dynamics.len());
+            plan.set_attr("quarantined", self.quarantined_positions.len());
+        }
+        let out = run();
         root.set_attr("rows_out", out.len());
         crate::metrics::rows_sealed().add(out.len() as u64);
-        // One workload-log record per executed query: the fingerprint
-        // matches the `get.strategy.<name>` counter bumped above, the
-        // duration matches what the `span.get` histogram observes.
         dbpl_stats::query_log().record(dbpl_stats::QueryRecord {
-            fingerprint: dbpl_stats::fingerprint_get(strategy.name()),
+            fingerprint: dbpl_stats::fingerprint_get(strategy),
             rows_in: self.dynamics.len() as u64,
             rows_out: out.len() as u64,
             dur_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
@@ -581,7 +538,6 @@ impl Database {
             index: Arc::new(index),
             extents: Arc::new(ExtentManager::new()),
             bindings: Arc::new(bindings),
-            get_strategy: GetStrategy::default(),
             quarantined: Vec::new(),
             quarantined_positions: BTreeSet::new(),
             stats: Arc::new(stats),
@@ -637,7 +593,7 @@ mod tests {
     }
 
     #[test]
-    fn get_strategies_agree() {
+    fn get_agrees_with_the_scan_oracle() {
         let d = db();
         for bound in [
             Type::named("Person"),
@@ -645,26 +601,8 @@ mod tests {
             Type::Int,
             Type::Top,
         ] {
-            let scan = d.get_with(&bound, GetStrategy::Scan);
-            for fast in [
-                GetStrategy::CachedScan,
-                GetStrategy::TypedLists,
-                GetStrategy::ParScan,
-            ] {
-                let got = d.get_with(&bound, fast);
-                assert_eq!(scan, got, "{fast:?} disagrees with scan at {bound}");
-            }
+            assert_eq!(d.get(&bound), d.get_by_scan(&bound), "at {bound}");
         }
-    }
-
-    #[test]
-    fn default_get_is_indexed_and_reconfigurable() {
-        let mut d = db();
-        assert_eq!(d.get_strategy(), GetStrategy::TypedLists);
-        let fast = d.get(&Type::named("Person"));
-        d.set_get_strategy(GetStrategy::Scan);
-        assert_eq!(d.get_strategy(), GetStrategy::Scan);
-        assert_eq!(d.get(&Type::named("Person")), fast);
     }
 
     #[test]
@@ -724,21 +662,15 @@ mod tests {
     }
 
     #[test]
-    fn quarantined_positions_are_skipped_by_every_strategy() {
+    fn quarantined_positions_are_skipped_by_get_and_the_oracle() {
         let mut d = db();
         let before = d.get(&Type::Top).len();
         // Quarantine the Int element (position 2).
         d.quarantine_position(2, "planted damage");
-        for strategy in [
-            GetStrategy::Scan,
-            GetStrategy::CachedScan,
-            GetStrategy::TypedLists,
-            GetStrategy::ParScan,
-        ] {
-            let got = d.get_with(&Type::Top, strategy);
-            assert_eq!(got.len(), before - 1, "{strategy:?}");
-            assert!(got.iter().all(|p| p.witness() != &Type::Int));
-        }
+        let got = d.get(&Type::Top);
+        assert_eq!(got.len(), before - 1);
+        assert!(got.iter().all(|p| p.witness() != &Type::Int));
+        assert_eq!(got, d.get_by_scan(&Type::Top));
         let report = d.quarantine_report();
         assert_eq!(report.len(), 1);
         assert_eq!(report.entries[0].handle, "dynamics[2]");
@@ -841,7 +773,7 @@ mod tests {
         let d = db();
         let log = dbpl_stats::query_log();
         let before = log.snapshot().len();
-        d.get_with(&Type::named("Person"), GetStrategy::Scan);
+        d.get_by_scan(&Type::named("Person"));
         let snap = log.snapshot();
         assert!(snap.len() > before);
         // Tests share the process-global log, so look for our record

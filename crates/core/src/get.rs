@@ -41,7 +41,7 @@ use std::sync::Arc;
 /// sealed from the typed-list index points into the store itself, so
 /// `Get` copies pointers, not rows: querying an extent is not
 /// replication, and copy semantics stay with `extern`/`intern`. Packages
-/// built by [`ExistsPkg::seal`], the scans and [`ExistsPkg::widen`] own a
+/// built by [`ExistsPkg::seal`], [`scan_get`] and [`ExistsPkg::widen`] own a
 /// private one-row chunk. Either way a package compares and prints as
 /// its `(bound, witness, value)`.
 #[derive(Clone)]
@@ -179,10 +179,9 @@ pub fn get_signature() -> Type {
 /// having to check the structure of each value we encounter" (experiment
 /// E1 measures exactly this against maintained extents and typed lists).
 ///
-/// The structural check here is deliberately **uncached** — this function
-/// is the naive baseline every fast path is differentially tested and
-/// benchmarked against. [`scan_get_cached`] is the same traversal through
-/// the memo table.
+/// The structural check here is deliberately **uncached**: this function
+/// is the oracle [`crate::Database::get`]'s typed lists are
+/// differentially tested and benchmarked against.
 pub fn scan_get(dynamics: &[DynValue], bound: &Type, env: &TypeEnv) -> Vec<ExistsPkg> {
     crate::metrics::rows_scanned().add(dynamics.len() as u64);
     dynamics
@@ -190,111 +189,6 @@ pub fn scan_get(dynamics: &[DynValue], bound: &Type, env: &TypeEnv) -> Vec<Exist
         .filter(|d| is_subtype_uncached(&d.ty, bound, env))
         .map(|d| ExistsPkg::owned(d.clone(), bound.clone()))
         .collect()
-}
-
-/// [`scan_get`] with the per-element subtype check routed through the
-/// env's memo table: still a full traversal, but each *distinct* carried
-/// type costs one structural walk ever, not one per element.
-pub fn scan_get_cached(dynamics: &[DynValue], bound: &Type, env: &TypeEnv) -> Vec<ExistsPkg> {
-    // One aggregate add per call (not per element): each ParScan worker
-    // chunk lands here, so the chunk adds sum to the full input length.
-    crate::metrics::rows_scanned().add(dynamics.len() as u64);
-    dynamics
-        .iter()
-        .filter(|d| is_subtype(&d.ty, bound, env))
-        .map(|d| ExistsPkg::owned(d.clone(), bound.clone()))
-        .collect()
-}
-
-/// Inputs smaller than this are scanned sequentially: thread spawn and
-/// join overhead would otherwise dominate, and small `Get`s must keep
-/// their current latency.
-pub const PAR_SCAN_CUTOFF: usize = 4096;
-
-/// [`scan_get_cached`] parallelized over chunks of the store with
-/// [`std::thread::scope`]. Chunks are rejoined in order, so the result is
-/// element-for-element identical to the sequential scans (differentially
-/// tested). The shared memo table means the first chunk to meet a carried
-/// type pays its structural walk for everyone.
-pub fn scan_get_par(dynamics: &[DynValue], bound: &Type, env: &TypeEnv) -> Vec<ExistsPkg> {
-    scan_get_par_workers(dynamics, bound, env, detected_workers())
-}
-
-/// The worker count [`scan_get_par`] fans out to.
-pub(crate) fn detected_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
-}
-
-/// [`scan_get_par`] with an explicit worker count instead of the detected
-/// parallelism — the ablation/testing hook (a single-core machine can
-/// still exercise the fan-out). Falls back to sequential below the cutoff
-/// or with fewer than two workers.
-pub fn scan_get_par_workers(
-    dynamics: &[DynValue],
-    bound: &Type,
-    env: &TypeEnv,
-    workers: usize,
-) -> Vec<ExistsPkg> {
-    scan_parts_par(&[dynamics], bound, env, workers)
-}
-
-/// [`scan_get_par_workers`] over a store held as consecutive slices (the
-/// chunked store's parts): the rows are split into `workers` runs of about
-/// equal length regardless of part boundaries, and the runs' results are
-/// rejoined in order.
-pub(crate) fn scan_parts_par(
-    parts: &[&[DynValue]],
-    bound: &Type,
-    env: &TypeEnv,
-    workers: usize,
-) -> Vec<ExistsPkg> {
-    let rows: usize = parts.iter().map(|p| p.len()).sum();
-    if rows < PAR_SCAN_CUTOFF || workers <= 1 {
-        return parts
-            .iter()
-            .flat_map(|p| scan_get_cached(p, bound, env))
-            .collect();
-    }
-    let per_worker = rows.div_ceil(workers);
-    let mut runs: Vec<Vec<&[DynValue]>> = vec![Vec::new()];
-    let mut room = per_worker;
-    for mut part in parts.iter().copied() {
-        while !part.is_empty() {
-            if room == 0 {
-                runs.push(Vec::new());
-                room = per_worker;
-            }
-            let (head, rest) = part.split_at(room.min(part.len()));
-            runs.last_mut().expect("a run is open").push(head);
-            room -= head.len();
-            part = rest;
-        }
-    }
-    // Capture the tracing context before the fan-out so worker spans hang
-    // off the enclosing `get` tree instead of starting orphan traces.
-    let ctx = dbpl_obs::trace::current();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = runs
-            .iter()
-            .map(|run| {
-                s.spawn(move || {
-                    let _ctx = dbpl_obs::trace::adopt(ctx);
-                    let mut sp = dbpl_obs::span!("get.scan.worker");
-                    sp.set_attr("rows_in", run.iter().map(|p| p.len()).sum::<usize>());
-                    run.iter()
-                        .flat_map(|p| scan_get_cached(p, bound, env))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("scan worker panicked"))
-            .collect()
-    })
 }
 
 /// Re-check every stored dynamic against its own carried type, returning
@@ -431,30 +325,9 @@ mod tests {
     }
 
     #[test]
-    fn get_with_top_returns_everything() {
+    fn scan_at_top_returns_everything() {
         let env = env();
         assert_eq!(scan_get(&sample(), &Type::Top, &env).len(), 4);
-    }
-
-    #[test]
-    fn par_scan_counts_rows_losslessly_across_workers() {
-        // Above the cutoff the scan fans out over scoped threads, each
-        // worker adding its chunk length to the shared counter; the
-        // aggregate must cover every row. Other tests in this binary hit
-        // the same global counter concurrently, so assert with >=.
-        let env = env();
-        let n = PAR_SCAN_CUTOFF * 2;
-        let dynamics: Vec<DynValue> = (0..n)
-            .map(|i| DynValue::new(Type::Int, Value::Int(i as i64)))
-            .collect();
-        let c = dbpl_obs::global().counter("get.rows_scanned");
-        let before = c.get();
-        let got = scan_get_par(&dynamics, &Type::Int, &env);
-        assert_eq!(got.len(), n);
-        assert!(
-            c.get() - before >= n as u64,
-            "every worker chunk's rows must be counted"
-        );
     }
 
     #[test]

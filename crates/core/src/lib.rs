@@ -32,12 +32,9 @@ pub mod keys;
 mod metrics;
 mod store;
 
-pub use database::{Database, GetStrategy};
+pub use database::Database;
 pub use error::CoreError;
 pub use extent::{Extent, ExtentManager, TypedListIndex};
-pub use get::{
-    conformance_sweep, get_signature, scan_get, scan_get_cached, scan_get_par,
-    scan_get_par_workers, ExistsPkg, PAR_SCAN_CUTOFF,
-};
+pub use get::{conformance_sweep, get_signature, scan_get, ExistsPkg};
 pub use hierarchy::ClassHierarchy;
 pub use keys::{KeyConstraint, KeyedSet};

@@ -1,10 +1,10 @@
-//! Property tests for the core layer: all `Get` strategies agree, the
+//! Property tests for the core layer: `Get` agrees with its scan oracle, the
 //! cascading extent manager preserves the inclusion invariant, keyed sets
 //! never hold comparable members, and memoized bill-of-materials agrees
 //! with the naive recursion on random DAGs.
 
 use dbpl_core::bom::{self, TransientFields};
-use dbpl_core::{Database, GetStrategy, KeyConstraint, KeyedSet};
+use dbpl_core::{Database, KeyConstraint, KeyedSet};
 use dbpl_types::{parse_type, Type};
 use dbpl_values::{Heap, Oid, Value};
 use proptest::prelude::*;
@@ -74,23 +74,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn get_strategies_agree_on_random_databases(pop in arb_population()) {
+    fn get_agrees_with_the_scan_oracle_on_random_databases(pop in arb_population()) {
         let mut db = setup_db();
         populate(&mut db, &pop);
         for bound in ["Person", "Employee", "Student", "WorkingStudent"] {
             let b = Type::named(bound);
-            let naive = db.get_with(&b, GetStrategy::Scan);
-            for fast in [
-                GetStrategy::CachedScan,
-                GetStrategy::TypedLists,
-                GetStrategy::ParScan,
-            ] {
-                prop_assert_eq!(
-                    &naive,
-                    &db.get_with(&b, fast),
-                    "{:?} disagrees with Scan at {}", fast, bound
-                );
-            }
+            prop_assert_eq!(
+                db.get_by_scan(&b),
+                db.get(&b),
+                "get disagrees with the scan oracle at {}", bound
+            );
         }
     }
 

@@ -1,10 +1,10 @@
 //! The chunked dynamic store against a `Vec<DynValue>` model: random
 //! sequences of puts (crossing chunk boundaries), clones, forks and
 //! quarantines must leave every database equal to its own model — through
-//! `dynamics()`, `len`, `rows_from`, every `Get` strategy and an image
+//! `dynamics()`, `len`, `rows_from`, `Get`, the scan oracle and an image
 //! round trip — and no write may be visible through another clone.
 
-use dbpl_core::{scan_get, Database, GetStrategy};
+use dbpl_core::{scan_get, Database};
 use dbpl_types::{parse_type, Type};
 use dbpl_values::{DynValue, Value};
 use proptest::prelude::*;
@@ -18,13 +18,6 @@ static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
-
-const STRATEGIES: [GetStrategy; 4] = [
-    GetStrategy::Scan,
-    GetStrategy::CachedScan,
-    GetStrategy::TypedLists,
-    GetStrategy::ParScan,
-];
 
 fn schema() -> Database {
     let mut db = Database::new();
@@ -84,15 +77,8 @@ impl Modelled {
             Type::Top,
         ] {
             let want = scan_get(&healthy, &bound, db.env());
-            for strategy in STRATEGIES {
-                prop_assert_eq!(
-                    &db.get_with(&bound, strategy),
-                    &want,
-                    "{:?} at {}",
-                    strategy,
-                    bound
-                );
-            }
+            prop_assert_eq!(&db.get(&bound), &want, "get at {}", bound);
+            prop_assert_eq!(&db.get_by_scan(&bound), &want, "scan oracle at {}", bound);
         }
         Ok(())
     }
@@ -173,8 +159,8 @@ fn typed_list_packages_equal_scan_packages() {
         db.put_dyn(row(i)).unwrap();
     }
     for bound in [Type::named("Person"), Type::named("Employee"), Type::Top] {
-        let shared = db.get_with(&bound, GetStrategy::TypedLists);
-        let owned = db.get_with(&bound, GetStrategy::Scan);
+        let shared = db.get(&bound);
+        let owned = db.get_by_scan(&bound);
         assert_eq!(shared, owned);
         for (s, o) in shared.iter().zip(&owned) {
             assert_eq!(s.bound, o.bound);

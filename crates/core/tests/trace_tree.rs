@@ -1,11 +1,10 @@
-//! Trace-tree invariants for the instrumented `Get` paths: parallel scan
-//! workers join the spawning trace (one connected tree), stage durations
-//! account for the root, and span row attributes agree with the metric
-//! deltas the same operation moved.
+//! Trace-tree invariants for the instrumented `Get` paths: stage
+//! durations account for the root, and span row attributes agree with
+//! the metric deltas the same operation moved.
 
-use dbpl_core::{scan_get_par_workers, Database, PAR_SCAN_CUTOFF};
-use dbpl_types::{Type, TypeEnv};
-use dbpl_values::{DynValue, Value};
+use dbpl_core::Database;
+use dbpl_types::Type;
+use dbpl_values::Value;
 
 fn int_db(n: usize) -> Database {
     let mut db = Database::new();
@@ -13,48 +12,6 @@ fn int_db(n: usize) -> Database {
         db.put(Type::Int, Value::Int(i as i64)).unwrap();
     }
     db
-}
-
-#[test]
-fn par_scan_workers_join_the_spawning_trace() {
-    let env = TypeEnv::new();
-    let dynamics: Vec<DynValue> = (0..PAR_SCAN_CUTOFF * 2)
-        .map(|i| DynValue::new(Type::Int, Value::Int(i as i64)))
-        .collect();
-    // Explicit worker count: the fan-out must happen even on a
-    // single-core machine, or this test would silently test nothing.
-    let (rows, spans) = dbpl_obs::trace::capture("test.get", || {
-        scan_get_par_workers(&dynamics, &Type::Int, &env, 4).len()
-    });
-    assert_eq!(rows, PAR_SCAN_CUTOFF * 2);
-
-    let roots: Vec<_> = spans.iter().filter(|s| s.parent_id.is_none()).collect();
-    assert_eq!(roots.len(), 1, "expected one root, got {roots:?}");
-    let root = roots[0];
-    for s in &spans {
-        assert_eq!(s.trace_id, root.trace_id);
-        if let Some(pid) = s.parent_id {
-            assert!(
-                spans.iter().any(|p| p.span_id == pid),
-                "span {} has unresolved parent {pid}",
-                s.name
-            );
-        }
-    }
-
-    // Above the cutoff the scan fans out; the worker spans — running on
-    // other threads — must adopt the spawning context: children of the
-    // capture root, nested in its interval, one per chunk.
-    let workers: Vec<_> = spans
-        .iter()
-        .filter(|s| s.name == "get.scan.worker")
-        .collect();
-    assert_eq!(workers.len(), 4, "one worker span per chunk");
-    for w in &workers {
-        assert_eq!(w.parent_id, Some(root.span_id));
-        assert!(w.start_us >= root.start_us);
-        assert!(w.start_us + w.dur_us <= root.start_us + root.dur_us);
-    }
 }
 
 #[test]
@@ -103,4 +60,28 @@ fn get_stage_durations_and_rows_agree_with_stats() {
     // The seal stage's rows_out matches the root's.
     let seal = spans.iter().find(|s| s.name == "get.seal").unwrap();
     assert_eq!(attr(seal, "rows_out").as_deref(), Some("1000"));
+}
+
+#[test]
+fn the_scan_oracle_records_the_same_get_tree() {
+    let db = int_db(300);
+    let before = dbpl_obs::global().snapshot();
+    let (rows, spans) = dbpl_obs::trace::capture("test.scan", || db.get_by_scan(&Type::Int).len());
+    let delta = dbpl_obs::global().snapshot().delta_since(&before);
+    assert_eq!(rows, 300);
+    let get = spans.iter().find(|s| s.name == "get").expect("get span");
+    assert!(get
+        .attrs
+        .iter()
+        .any(|(k, v)| *k == "strategy" && v == "scan"));
+    for stage in ["get.plan", "get.scan"] {
+        assert!(
+            spans
+                .iter()
+                .any(|s| s.name == stage && s.parent_id == Some(get.span_id)),
+            "missing stage span {stage}"
+        );
+    }
+    assert!(delta.counter("get.strategy.scan") >= 1);
+    assert!(delta.counter("get.rows_scanned") >= 300);
 }

@@ -499,14 +499,12 @@ fn exec_builtin(b: Builtin, at: usize, s: &mut Session) -> Result<RtValue, LangE
                 .ok_or_else(|| LangError::eval(at, "explain needs a type argument".to_string()))?;
             match args.remove(0) {
                 RtValue::DbToken => {
-                    let strategy = s.db.get_strategy();
                     let before = dbpl_obs::global().snapshot();
                     let pkgs = s.db.get(&bound);
                     let delta = dbpl_obs::global().snapshot().delta_since(&before);
                     Ok(RtValue::Str(format!(
-                        "get[{bound}]: strategy={} matches={} rows_scanned={} rows_sealed={} \
+                        "get[{bound}]: strategy=typed_lists matches={} rows_scanned={} rows_sealed={} \
                          subtype_cache_hits={} subtype_cache_misses={}",
-                        strategy_name(strategy),
                         pkgs.len(),
                         delta.counter("get.rows_scanned"),
                         delta.counter("get.rows_sealed"),
@@ -554,7 +552,6 @@ fn exec_builtin(b: Builtin, at: usize, s: &mut Session) -> Result<RtValue, LangE
             })?;
             match args.remove(0) {
                 RtValue::DbToken => {
-                    let strategy = s.db.get_strategy();
                     let before = dbpl_obs::global().snapshot();
                     let (pkgs, spans) =
                         dbpl_obs::trace::capture("explain_analyze", || s.db.get(&bound));
@@ -562,9 +559,8 @@ fn exec_builtin(b: Builtin, at: usize, s: &mut Session) -> Result<RtValue, LangE
                     let hits = delta.counter("subtype.cache.hits");
                     let misses = delta.counter("subtype.cache.misses");
                     let header = format!(
-                        "get[{bound}]: strategy={} matches={} rows_scanned={} rows_sealed={} \
-                         cache_hit_ratio={}",
-                        strategy_name(strategy),
+                        "get[{bound}]: strategy=typed_lists matches={} rows_scanned={} \
+                         rows_sealed={} cache_hit_ratio={}",
                         pkgs.len(),
                         delta.counter("get.rows_scanned"),
                         delta.counter("get.rows_sealed"),
@@ -689,11 +685,6 @@ fn exec_builtin(b: Builtin, at: usize, s: &mut Session) -> Result<RtValue, LangE
         }
         other => Err(LangError::eval(at, format!("unknown builtin `{other}`"))),
     }
-}
-
-/// The surface name of a Get strategy, as reported by `explain`.
-fn strategy_name(s: dbpl_core::GetStrategy) -> &'static str {
-    s.name()
 }
 
 /// Hits over (hits + misses), rendered with two decimals; `1.00` when the

@@ -63,7 +63,7 @@ use dbpl_values::{DynValue, Oid, Value};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -571,6 +571,10 @@ struct Engine {
     /// ([`Server::start_recorder`]). Shutdown drains it first, so the
     /// timeline's last sample still sees the final batch's metrics.
     recorder: Mutex<Option<Recorder>>,
+    /// The temp directory [`Server::new`] created for the store, removed
+    /// when the engine drops. A directory the caller named is never
+    /// removed.
+    owned_dir: Option<PathBuf>,
 }
 
 struct FrameLog {
@@ -603,6 +607,7 @@ impl Engine {
             engine_live,
             chaos: Chaos::default(),
             recorder: Mutex::new(None),
+            owned_dir: None,
         })
     }
 
@@ -661,6 +666,9 @@ impl Engine {
 impl Drop for Engine {
     fn drop(&mut self) {
         self.shutdown();
+        if let Some(dir) = &self.owned_dir {
+            crate::session::remove_owned_dir(dir);
+        }
     }
 }
 
@@ -839,11 +847,18 @@ pub struct Server {
 }
 
 impl Server {
-    /// A server whose replicating store lives in a fresh temp directory.
+    /// A server whose replicating store lives in a fresh temp directory,
+    /// removed when the engine drops (after the last session and the
+    /// server itself are gone).
     pub fn new() -> Result<Server, LangError> {
         let n = SERVER_COUNTER.fetch_add(1, Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("dbpl-server-{}-{n}", std::process::id()));
-        Server::with_store_dir(dir)
+        let mut server =
+            Server::with_store_dir(&dir).inspect_err(|_| crate::session::remove_owned_dir(&dir))?;
+        Arc::get_mut(&mut server.engine)
+            .expect("a new server's engine is not shared yet")
+            .owned_dir = Some(dir);
+        Ok(server)
     }
 
     /// A server over a specific store directory.
@@ -895,7 +910,7 @@ impl Server {
                 "session refused: engine overloaded ({gate}, {depth} sessions live)"
             )));
         }
-        dbpl_obs::global().gauge("server.sessions").inc();
+        sessions_live().inc();
         Ok(ServerSession {
             engine: Arc::clone(&self.engine),
             out: Vec::new(),
@@ -1038,6 +1053,7 @@ cached_metric!(snapshot_reads: counter("snapshot.reads") -> Counter);
 cached_metric!(snapshot_publish: counter("snapshot.publish") -> Counter);
 cached_metric!(snapshot_live: gauge("snapshot.live") -> Gauge);
 cached_metric!(queue_depth: gauge("server.queue_depth") -> Gauge);
+cached_metric!(sessions_live: gauge("server.sessions") -> Gauge);
 cached_metric!(queue_wait_us: histogram("server.queue_wait_us") -> Histogram);
 cached_metric!(frames_admitted: counter("server.frames_admitted") -> Counter);
 cached_metric!(overload_rejected: counter("server.overload_rejected") -> Counter);
@@ -1076,8 +1092,8 @@ fn db_equiv(a: &Database, b: &Database) -> Result<(), String> {
 /// One session multiplexed over a [`Server`]'s shared engine.
 ///
 /// Each [`ServerSession::run`] executes against a private MVCC snapshot;
-/// a program that wrote anything commits through the engine's
-/// engine's group commit, a pure read never leaves its snapshot. Output
+/// a program that wrote anything commits through the engine's group
+/// commit, a pure read never leaves its snapshot. Output
 /// accumulates in [`ServerSession::out`] exactly as in [`Session`].
 pub struct ServerSession {
     engine: Arc<Engine>,
@@ -1149,7 +1165,7 @@ pub fn sanitize_label(raw: &str) -> String {
 impl Drop for ServerSession {
     fn drop(&mut self) {
         self.engine.sessions.fetch_sub(1, Ordering::Relaxed);
-        dbpl_obs::global().gauge("server.sessions").dec();
+        sessions_live().dec();
     }
 }
 
@@ -1312,6 +1328,33 @@ mod tests {
         }
         let server = Server::open_with(Arc::new(vfs.clone()), "/srv").unwrap();
         (server, vfs)
+    }
+
+    #[test]
+    fn an_owned_store_dir_goes_with_the_engine_and_a_given_one_stays() {
+        let server = Server::new().unwrap();
+        let owned = server.engine.store.dir().to_path_buf();
+        let mut s = server.session();
+        s.run("extern('K', dynamic 1)").unwrap();
+        drop(server);
+        assert!(owned.exists(), "a live session keeps the engine open");
+        drop(s);
+        assert!(!owned.exists(), "the engine removes the directory it made");
+
+        let given = std::env::temp_dir().join(format!(
+            "dbpl-server-given-{}-{}",
+            std::process::id(),
+            SERVER_COUNTER.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&given);
+        let server = Server::with_store_dir(&given).unwrap();
+        server.session().run("extern('K', dynamic 2)").unwrap();
+        server.shutdown();
+        let server = Server::with_store_dir(&given).unwrap();
+        let out = server.session().run("coerce intern('K') to Int").unwrap();
+        assert_eq!(out, vec!["2"]);
+        server.shutdown();
+        std::fs::remove_dir_all(&given).unwrap();
     }
 
     #[test]

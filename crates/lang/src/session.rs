@@ -40,7 +40,7 @@ use dbpl_persist::{
 use dbpl_values::DynValue;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -103,6 +103,9 @@ pub struct Session {
     /// for the engine to take ([`Session::take_frame`]) instead of being
     /// committed here.
     worker: bool,
+    /// The temp directory [`Session::new`] created for the store, removed
+    /// on drop. A directory the caller named is never removed.
+    owned_dir: Option<PathBuf>,
 }
 
 /// The statement kind attached to per-statement trace spans.
@@ -131,11 +134,14 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 impl Session {
-    /// A session whose replicating store lives in a fresh temp directory.
+    /// A session whose replicating store lives in a fresh temp directory,
+    /// removed when the session drops.
     pub fn new() -> Result<Session, LangError> {
         let n = SESSION_COUNTER.fetch_add(1, Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("dbpl-session-{}-{n}", std::process::id()));
-        Session::with_store_dir(dir)
+        let mut s = Session::with_store_dir(&dir).inspect_err(|_| remove_owned_dir(&dir))?;
+        s.owned_dir = Some(dir);
+        Ok(s)
     }
 
     /// A session backed by a specific store directory — two sessions given
@@ -225,6 +231,7 @@ impl Session {
             quarantined: Vec::new(),
             gate,
             worker,
+            owned_dir: None,
         }
     }
 
@@ -742,14 +749,25 @@ impl Session {
 }
 
 /// Dropping a session is a clean close: the commit log is checkpointed
-/// so the next open has nothing to replay. An engine worker leaves the
+/// so the next open has nothing to replay, and a temp directory the
+/// session created is removed after that. An engine worker leaves the
 /// engine's store alone.
 impl Drop for Session {
     fn drop(&mut self) {
         if !self.worker {
             self.gate.close(self.intrinsic.as_mut(), &self.store);
         }
+        if let Some(dir) = &self.owned_dir {
+            remove_owned_dir(dir);
+        }
     }
+}
+
+/// Remove a store directory created by [`Session::new`] or
+/// `Server::new`. Best effort: a leftover temp directory is not worth
+/// failing a drop over.
+pub(crate) fn remove_owned_dir(dir: &Path) {
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// The session note for a pending transaction recovery rolled forward.
@@ -779,6 +797,30 @@ mod tests {
             .unwrap()
             .run(src)
             .unwrap_or_else(|e| panic!("{}", e.render(src)))
+    }
+
+    #[test]
+    fn an_owned_store_dir_goes_with_the_session_and_a_given_one_stays() {
+        let mut s = Session::new().unwrap();
+        let owned = s.store.dir().to_path_buf();
+        s.run("extern('K', dynamic 1)").unwrap();
+        assert!(owned.exists());
+        drop(s);
+        assert!(!owned.exists(), "the session removes the directory it made");
+
+        let given = std::env::temp_dir().join(format!(
+            "dbpl-sess-given-{}-{}",
+            std::process::id(),
+            SESSION_COUNTER.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&given);
+        let mut s = Session::with_store_dir(&given).unwrap();
+        s.run("extern('K', dynamic 2)").unwrap();
+        drop(s);
+        let mut s = Session::with_store_dir(&given).unwrap();
+        assert_eq!(s.run("coerce intern('K') to Int").unwrap(), vec!["2"]);
+        drop(s);
+        std::fs::remove_dir_all(&given).unwrap();
     }
 
     #[test]
@@ -1181,15 +1223,6 @@ mod obs_tests {
         assert!(out[0].contains("strategy=typed_lists"), "{}", out[0]);
         assert!(out[0].contains("matches=2"), "{}", out[0]);
         assert!(out[0].contains("rows_sealed="), "{}", out[0]);
-    }
-
-    #[test]
-    fn explain_follows_the_configured_strategy() {
-        let mut s = Session::new().unwrap();
-        s.db.set_get_strategy(dbpl_core::GetStrategy::Scan);
-        let out = s.run("put(db, dynamic 7)\nexplain[Int](db)").unwrap();
-        assert!(out[0].contains("strategy=scan"), "{}", out[0]);
-        assert!(out[0].contains("matches=1"), "{}", out[0]);
     }
 
     #[test]

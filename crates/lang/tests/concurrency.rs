@@ -4,7 +4,6 @@
 //! a lock — so hammering one session from many threads is safe and
 //! deterministic.
 
-use dbpl_core::GetStrategy;
 use dbpl_lang::Session;
 use dbpl_types::{parse_type, Type};
 use dbpl_values::Value;
@@ -87,21 +86,22 @@ fn parallel_gets_over_one_session_match_sequential() {
 }
 
 #[test]
-fn parallel_gets_agree_across_strategies() {
+fn parallel_gets_agree_with_the_scan_oracle() {
     let s = populated_session(1_000);
     let bound = Type::named("Person");
-    let naive = s.db.get_with(&bound, GetStrategy::Scan);
+    let naive = s.db.get_by_scan(&bound);
     let db = &s.db;
     std::thread::scope(|scope| {
-        for strategy in [
-            GetStrategy::CachedScan,
-            GetStrategy::TypedLists,
-            GetStrategy::ParScan,
-        ] {
+        for oracle in [false, true, false] {
             let naive = &naive;
             let bound = &bound;
             scope.spawn(move || {
-                assert_eq!(&db.get_with(bound, strategy), naive, "{strategy:?}");
+                let got = if oracle {
+                    db.get_by_scan(bound)
+                } else {
+                    db.get(bound)
+                };
+                assert_eq!(&got, naive, "oracle: {oracle}");
             });
         }
     });

@@ -474,8 +474,8 @@ mod tests {
 
     #[test]
     fn concurrent_increments_are_lossless() {
-        // The ParScan shape: scoped worker threads all bumping the same
-        // counter; no increment may be lost.
+        // The parallel join's shape: scoped worker threads all bumping
+        // the same counter; no increment may be lost.
         let r = MetricsRegistry::new();
         let c = r.counter("par");
         const THREADS: usize = 8;

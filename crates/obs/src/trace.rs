@@ -22,11 +22,10 @@
 //! * [`export_chrome`] — render spans as Chrome
 //!   `chrome://tracing` / Perfetto JSON for flamegraph viewing.
 //!
-//! Cross-thread composition: scoped workers (ParScan chunks, parallel
-//! join products) capture [`current`] in the parent thread and
-//! [`adopt`] it inside the spawned closure, so their spans carry the
-//! parent's `trace_id`/`parent_id` and the exported tree stays
-//! connected.
+//! Cross-thread composition: scoped workers (the parallel join's
+//! products) capture [`current`] in the parent thread and [`adopt`] it
+//! inside the spawned closure, so their spans carry the parent's
+//! `trace_id`/`parent_id` and the exported tree stays connected.
 
 use parking_lot::Mutex;
 use std::cell::Cell;

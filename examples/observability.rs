@@ -6,7 +6,6 @@
 //!
 //! Run with `cargo run --example observability`.
 
-use dbpl::core::GetStrategy;
 use dbpl::lang::{Server, Session};
 use dbpl::obs::timeline::{RecorderConfig, Slo};
 use dbpl::obs::{self, MemorySink};
@@ -42,10 +41,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
         .map_err(|e| e.msg.clone())?;
     println!("   {}", out[0]);
-    s.db.set_get_strategy(GetStrategy::Scan);
-    let out = s.run("explain[Person](db)").map_err(|e| e.msg.clone())?;
-    println!("   {}   (db switched to the naive scan)", out[0]);
-    s.db.set_get_strategy(GetStrategy::TypedLists);
+    let oracle = s.db.get_by_scan(&Type::named("Person"));
+    println!(
+        "   the paper's whole-store scan (the oracle) finds the same {} object(s)",
+        oracle.len()
+    );
 
     println!("\n== explainJoin: the partitioned generalized join");
     let out = s

@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use dbpl::core::{Database, GetStrategy};
+use dbpl::core::Database;
 use dbpl::types::{parse_type, Type};
 use dbpl::values::{self, Value};
 
@@ -56,10 +56,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("   witness {} : {}", p.witness(), p.open());
         }
     }
-    // All strategies agree; they just cost differently (see benches).
+    // `get` reads typed lists; the paper's whole-store scan, kept as its
+    // oracle, finds the same objects at a higher cost (see benches).
     assert_eq!(
         db.get(&Type::named("Person")),
-        db.get_with(&Type::named("Person"), GetStrategy::TypedLists)
+        db.get_by_scan(&Type::named("Person"))
     );
 
     // 5. Object-level inheritance: add information to a Person to make an

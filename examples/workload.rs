@@ -7,7 +7,6 @@
 //!
 //! Run with `cargo run --example workload`.
 
-use dbpl::core::GetStrategy;
 use dbpl::lang::Session;
 use dbpl::stats::{extent_json, query_json, query_log, top_json};
 use dbpl::types::Type;
@@ -60,10 +59,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // oldest-first, so it is safe to leave on in production.
     query_log().clear();
     for _ in 0..3 {
-        s.db.get_with(&person, GetStrategy::TypedLists);
+        s.db.get(&person);
     }
-    s.db.get_with(&person, GetStrategy::Scan);
-    s.db.get_with(&Type::named("Employee"), GetStrategy::CachedScan);
+    s.db.get_by_scan(&person);
+    s.db.get_by_scan(&Type::named("Employee"));
 
     println!("\n== workload: recent queries and the heavy hitters");
     let out = s.run("workload(db)").map_err(|e| e.msg.clone())?;
