@@ -12,13 +12,10 @@ use dbpl_types::{Type, TypeEnv};
 use dbpl_values::{DynValue, Heap, Value};
 use std::collections::BTreeMap;
 use std::hint::black_box;
-use std::path::PathBuf;
 
-fn scratch(name: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("dbpl-bench-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
+/// A fresh directory, removed when the guard drops.
+fn scratch(name: &str) -> dbpl_persist::TempDir {
+    dbpl_persist::TempDir::new(&format!("bench-{name}")).unwrap()
 }
 
 /// A heap holding `n` objects of ~64 bytes reachable from one root.
@@ -65,7 +62,8 @@ fn e3_write_paths(c: &mut Criterion) {
 
         // Intrinsic: one commit of the whole graph once, then commits of a
         // single dirty object.
-        let log = scratch(&format!("intr{n}")).join("db.log");
+        let log_dir = scratch(&format!("intr{n}"));
+        let log = log_dir.join("db.log");
         let mut istore = IntrinsicStore::open(&log).unwrap();
         let mut first = None;
         for i in 0..n {
@@ -105,7 +103,8 @@ fn e3_read_paths(c: &mut Criterion) {
         });
 
         // Intrinsic recovery: reopen the store from its log.
-        let log = scratch(&format!("intrread{n}")).join("db.log");
+        let log_dir = scratch(&format!("intrread{n}"));
+        let log = log_dir.join("db.log");
         {
             let mut s = IntrinsicStore::open(&log).unwrap();
             for i in 0..n {

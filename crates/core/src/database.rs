@@ -18,7 +18,7 @@
 
 use crate::error::CoreError;
 use crate::extent::{ExtentManager, TypedListIndex};
-use crate::get::{conformance_sweep, scan_get, ExistsPkg};
+use crate::get::{conformance_sweep, scan_get, ExistsPkg, GetView};
 use crate::hierarchy::ClassHierarchy;
 use crate::store::Store;
 use dbpl_persist::{Image, QuarantineEntry, QuarantineReason, QuarantineReport};
@@ -54,8 +54,9 @@ pub struct Database {
     quarantined: Vec<QuarantineEntry>,
     /// Positions in `dynamics` excluded from every `Get`. Positions, not
     /// removals: the typed-list index stores positions, so removing an
-    /// element would shift everything after it.
-    quarantined_positions: BTreeSet<usize>,
+    /// element would shift everything after it. Shared, like the other
+    /// components, so a [`GetView`] can hold it.
+    quarantined_positions: Arc<BTreeSet<usize>>,
     /// The maintained statistics catalog: updated in lockstep with the
     /// dynamic store ([`Database::put`] observes, quarantine removes), so
     /// every snapshot, fork, and rolled-back frame carries a catalog
@@ -150,11 +151,13 @@ impl Database {
 
     /// Insert a value into the heterogeneous dynamic store, checked
     /// against its declared type. "This 'database' is completely
-    /// unconstrained: we can put any dynamic value in it."
+    /// unconstrained: we can put any dynamic value in it." The row
+    /// carries the typed-list index's copy of its type, so every row of
+    /// one record type shares one field map.
     pub fn put(&mut self, ty: Type, value: Value) -> Result<usize, CoreError> {
         conforms(&value, &ty, &self.env, &self.heap, Mode::Strict)?;
         let pos = self.dynamics.len();
-        Arc::make_mut(&mut self.index).add(ty.clone(), pos);
+        let ty = Arc::make_mut(&mut self.index).add(ty, pos);
         let d = DynValue::new(ty, value);
         if !self.stats_off {
             Arc::make_mut(&mut self.stats).observe_put(&d);
@@ -197,36 +200,51 @@ impl Database {
     }
 
     /// `Get[t](db)`: every stored value whose type is a subtype of
-    /// `bound`, as existential packages, read from the typed-list index
-    /// ("a set of (statically) typed lists"): only the lists whose
-    /// carried type is a (cached) subtype of the bound are touched.
-    /// Quarantined elements are skipped — a damaged element degrades the
-    /// result, never the query.
+    /// `bound`, as existential packages: the [`Database::get_view`]
+    /// collected, in store order. Quarantined elements are skipped — a
+    /// damaged element degrades the result, never the query.
     pub fn get(&self, bound: &Type) -> Vec<ExistsPkg> {
+        let view = self.get_view(bound);
+        let mut out = Vec::with_capacity(view.len());
+        out.extend(view.iter());
+        out
+    }
+
+    /// `Get[t](db)` unsealed: a [`GetView`] of the typed lists ("a set of
+    /// (statically) typed lists") whose carried type is a (cached)
+    /// subtype of the bound, over this snapshot. Its length is known
+    /// without touching a row; packages are sealed as it is iterated.
+    pub fn get_view(&self, bound: &Type) -> GetView {
         self.traced_get(
             "typed_lists",
             crate::metrics::strategy_typed_lists(),
             || {
-                let candidates = {
+                let types = {
                     let mut index = dbpl_obs::span!("get.index");
-                    let candidates = self.index.query(bound, &self.env);
-                    index.set_attr("candidates", candidates.len());
-                    candidates
+                    let types = self.index.matching(bound, &self.env);
+                    index.set_attr(
+                        "candidates",
+                        types
+                            .iter()
+                            .map(|ty| self.index.positions(ty).len())
+                            .sum::<usize>(),
+                    );
+                    types
                 };
                 let mut seal = dbpl_obs::span!("get.seal");
-                let out: Vec<ExistsPkg> = candidates
-                    .into_iter()
-                    .filter(|i| !self.quarantined_positions.contains(i))
-                    .map(|i| {
-                        // Index membership *is* the `witness ≤ bound`
-                        // judgement, so no per-element re-verification; the
-                        // package shares the stored row.
-                        let (chunk, at) = self.dynamics.locate(i);
-                        ExistsPkg::seal_trusted(chunk, at, bound.clone())
-                    })
-                    .collect();
-                seal.set_attr("rows_out", out.len());
-                out
+                // Index membership *is* the `witness ≤ bound` judgement,
+                // so rows are never re-verified; the view shares the
+                // store, the index and the quarantine set.
+                let view = GetView::new(
+                    self.dynamics.clone(),
+                    Arc::clone(&self.index),
+                    types,
+                    Arc::clone(&self.quarantined_positions),
+                    bound.clone(),
+                );
+                let len = view.len();
+                seal.set_attr("rows_out", len);
+                (view, len)
             },
         )
     }
@@ -254,7 +272,9 @@ impl Database {
                 .flat_map(|p| scan_get(p, bound, &self.env))
                 .collect();
             scan.set_attr("rows_out", out.len());
-            out
+            crate::metrics::rows_sealed().add(out.len() as u64);
+            let len = out.len();
+            (out, len)
         })
     }
 
@@ -262,13 +282,13 @@ impl Database {
     /// a `get.plan` stage and the strategy's own stages, the
     /// `get.strategy.<name>` counter, and one `get:<name>` query-log
     /// record whose duration matches what the `span.get` histogram
-    /// observes.
-    fn traced_get(
+    /// observes. `run` returns the result and its row count.
+    fn traced_get<T>(
         &self,
         strategy: &'static str,
         counter: &dbpl_obs::Counter,
-        run: impl FnOnce() -> Vec<ExistsPkg>,
-    ) -> Vec<ExistsPkg> {
+        run: impl FnOnce() -> (T, usize),
+    ) -> T {
         let started = Instant::now();
         let mut root = dbpl_obs::span!("get");
         root.set_attr("strategy", strategy);
@@ -278,13 +298,12 @@ impl Database {
             plan.set_attr("store_rows", self.dynamics.len());
             plan.set_attr("quarantined", self.quarantined_positions.len());
         }
-        let out = run();
-        root.set_attr("rows_out", out.len());
-        crate::metrics::rows_sealed().add(out.len() as u64);
+        let (out, rows_out) = run();
+        root.set_attr("rows_out", rows_out);
         dbpl_stats::query_log().record(dbpl_stats::QueryRecord {
             fingerprint: dbpl_stats::fingerprint_get(strategy),
             rows_in: self.dynamics.len() as u64,
-            rows_out: out.len() as u64,
+            rows_out: rows_out as u64,
             dur_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
         });
         out
@@ -308,7 +327,7 @@ impl Database {
     /// Quarantine a position in the dynamic store: every `Get` skips it
     /// from now on, and the report gains an entry naming it.
     pub fn quarantine_position(&mut self, pos: usize, cause: impl Into<String>) {
-        if pos < self.dynamics.len() && self.quarantined_positions.insert(pos) {
+        if pos < self.dynamics.len() && Arc::make_mut(&mut self.quarantined_positions).insert(pos) {
             if !self.stats_off {
                 // The element is still readable here (quarantine excludes,
                 // never erases), so the catalog can retract exactly what
@@ -517,16 +536,20 @@ impl Database {
     pub fn from_image(img: &Image) -> Result<Database, CoreError> {
         let (env, heap, mut bindings) = img.restore()?;
         let mut dynamics = Vec::new();
+        let mut index = TypedListIndex::new();
         if let Some(d) = bindings.remove("__dynamics") {
             if let Value::List(xs) = d.value {
                 for x in xs {
                     if let Value::Dyn(b) = x {
-                        dynamics.push(*b);
+                        // As in `put`: the row shares the index's copy of
+                        // its carried type.
+                        let DynValue { ty, value } = *b;
+                        let ty = index.add(ty, dynamics.len());
+                        dynamics.push(DynValue::new(ty, value));
                     }
                 }
             }
         }
-        let index = TypedListIndex::build(&dynamics);
         // A restored database re-derives its catalog from the restored
         // rows — self-description survives the persistence boundary
         // without the image format having to carry statistics.
@@ -539,7 +562,7 @@ impl Database {
             extents: Arc::new(ExtentManager::new()),
             bindings: Arc::new(bindings),
             quarantined: Vec::new(),
-            quarantined_positions: BTreeSet::new(),
+            quarantined_positions: Arc::default(),
             stats: Arc::new(stats),
             stats_off: false,
         })
@@ -611,6 +634,32 @@ mod tests {
         assert_eq!(d.get(&Type::named("Person")).len(), 2);
         assert_eq!(d.get(&Type::named("Employee")).len(), 1);
         assert_eq!(d.get(&Type::Top).len(), 3);
+    }
+
+    #[test]
+    fn the_view_counts_without_sealing_and_merges_in_store_order() {
+        let mut d = db();
+        let person = |n: &str| Value::record([("Name", Value::str(n))]);
+        d.put(Type::named("Person"), person("p2")).unwrap();
+        d.put(
+            Type::named("Employee"),
+            Value::record([("Name", Value::str("e2")), ("Empno", Value::Int(2))]),
+        )
+        .unwrap();
+        d.quarantine_position(1, "planted damage");
+        let bound = Type::named("Person");
+        let view = d.get_view(&bound);
+        assert_eq!(view.len(), 3, "p, p2 and e2; e is quarantined");
+        let got: Vec<ExistsPkg> = view.iter().collect();
+        assert_eq!(got, d.get_by_scan(&bound), "the lists merge in store order");
+        let witnesses: Vec<String> = got.iter().map(|p| p.witness().to_string()).collect();
+        assert_eq!(witnesses, ["Person", "Person", "Employee"]);
+        // The view keeps its snapshot: later writes do not reach it.
+        d.put(Type::named("Person"), person("late")).unwrap();
+        d.quarantine_position(0, "more damage");
+        assert_eq!((view.len(), view.iter().count()), (3, 3));
+        assert_eq!(d.get_view(&bound).len(), 3);
+        assert!(d.get_view(&Type::Bool).is_empty());
     }
 
     #[test]

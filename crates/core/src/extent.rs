@@ -21,7 +21,8 @@
 
 use crate::error::CoreError;
 use dbpl_types::{is_subtype, Type, TypeEnv};
-use dbpl_values::{DynValue, Heap, Oid};
+use dbpl_values::{Heap, Oid};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A maintained extent: a named set of object identities at a type.
@@ -251,6 +252,7 @@ impl ExtentManager {
 /// An index of a dynamic store by carried type: "a set of (statically)
 /// typed lists". A `Get` then unions the lists whose type is a subtype of
 /// the bound — one subtype check per *distinct type*, not per element.
+/// Each list holds its rows' positions in ascending (store) order.
 #[derive(Debug, Clone, Default)]
 pub struct TypedListIndex {
     lists: BTreeMap<Type, Vec<usize>>,
@@ -262,31 +264,35 @@ impl TypedListIndex {
         TypedListIndex::default()
     }
 
-    /// Build an index over a dynamic store.
-    pub fn build(dynamics: &[DynValue]) -> TypedListIndex {
-        let mut idx = TypedListIndex::new();
-        for (i, d) in dynamics.iter().enumerate() {
-            idx.add(d.ty.clone(), i);
-        }
-        idx
-    }
-
-    /// Register element `pos` as carrying type `ty`.
-    pub fn add(&mut self, ty: Type, pos: usize) {
-        self.lists.entry(ty).or_default().push(pos);
-    }
-
-    /// The positions of all elements whose carried type is a subtype of
-    /// `bound`.
-    pub fn query(&self, bound: &Type, env: &TypeEnv) -> Vec<usize> {
-        let mut out = Vec::new();
-        for (ty, positions) in &self.lists {
-            if is_subtype(ty, bound, env) {
-                out.extend_from_slice(positions);
+    /// Register element `pos` (past every position added so far) as
+    /// carrying type `ty`. Returns the index's own copy of the type — the
+    /// canonical key every row of that carried type can share.
+    pub fn add(&mut self, ty: Type, pos: usize) -> Type {
+        match self.lists.entry(ty) {
+            Entry::Occupied(mut list) => {
+                list.get_mut().push(pos);
+                list.key().clone()
+            }
+            Entry::Vacant(slot) => {
+                let key = slot.key().clone();
+                slot.insert(vec![pos]);
+                key
             }
         }
-        out.sort_unstable();
-        out
+    }
+
+    /// The carried types that are subtypes of `bound`.
+    pub fn matching(&self, bound: &Type, env: &TypeEnv) -> Vec<Type> {
+        self.lists
+            .keys()
+            .filter(|ty| is_subtype(ty, bound, env))
+            .cloned()
+            .collect()
+    }
+
+    /// The positions of the elements carrying exactly `ty`, ascending.
+    pub fn positions(&self, ty: &Type) -> &[usize] {
+        self.lists.get(ty).map_or(&[], Vec::as_slice)
     }
 
     /// Number of distinct carried types.
@@ -299,7 +305,7 @@ impl TypedListIndex {
 mod tests {
     use super::*;
     use dbpl_types::parse_type;
-    use dbpl_values::Value;
+    use dbpl_values::{DynValue, Value};
 
     fn env() -> TypeEnv {
         let mut e = TypeEnv::new();
@@ -503,7 +509,10 @@ mod tests {
                 Value::record([("Name", Value::str("f")), ("Empno", Value::Int(2))]),
             ),
         ];
-        let idx = TypedListIndex::build(&dynamics);
+        let mut idx = TypedListIndex::new();
+        for (i, d) in dynamics.iter().enumerate() {
+            idx.add(d.ty.clone(), i);
+        }
         assert_eq!(idx.distinct_types(), 3);
         for bound in [
             Type::named("Person"),
@@ -511,7 +520,13 @@ mod tests {
             Type::Int,
             Type::Top,
         ] {
-            let via_index = idx.query(&bound, &env);
+            let mut via_index: Vec<usize> = idx
+                .matching(&bound, &env)
+                .iter()
+                .flat_map(|ty| idx.positions(ty))
+                .copied()
+                .collect();
+            via_index.sort_unstable();
             let via_scan: Vec<usize> = dynamics
                 .iter()
                 .enumerate()

@@ -28,9 +28,13 @@
 //! element.
 
 use crate::error::CoreError;
-use crate::store::Chunk;
+use crate::extent::TypedListIndex;
+use crate::store::{Chunk, Store};
 use dbpl_types::{is_subtype, is_subtype_uncached, Type, TypeEnv};
 use dbpl_values::{conforms, DynValue, Heap, Mode, Value};
+use std::cmp::Reverse;
+use std::collections::BTreeSet;
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -43,11 +47,12 @@ use std::sync::Arc;
 /// replication, and copy semantics stay with `extern`/`intern`. Packages
 /// built by [`ExistsPkg::seal`], [`scan_get`] and [`ExistsPkg::widen`] own a
 /// private one-row chunk. Either way a package compares and prints as
-/// its `(bound, witness, value)`.
+/// its `(bound, witness, value)`. The bound is shared too: every
+/// package of one `Get` points at one copy of it, so sealing a row costs
+/// two refcount bumps.
 #[derive(Clone)]
 pub struct ExistsPkg {
-    /// The package's *bound*: the type the caller asked for.
-    pub bound: Type,
+    bound: Arc<Type>,
     chunk: Chunk,
     at: usize,
 }
@@ -66,15 +71,23 @@ impl ExistsPkg {
                 "cannot seal: witness {witness} is not a subtype of bound {bound}"
             )));
         }
-        Ok(ExistsPkg::owned(DynValue::new(witness, value), bound))
+        Ok(ExistsPkg::owned(
+            DynValue::new(witness, value),
+            Arc::new(bound),
+        ))
     }
 
-    fn owned(row: DynValue, bound: Type) -> ExistsPkg {
+    fn owned(row: DynValue, bound: Arc<Type>) -> ExistsPkg {
         ExistsPkg {
             bound,
             chunk: Arc::new(vec![row]),
             at: 0,
         }
+    }
+
+    /// The package's *bound*: the type the caller asked for.
+    pub fn bound(&self) -> &Type {
+        &self.bound
     }
 
     fn row(&self) -> &DynValue {
@@ -91,7 +104,7 @@ impl ExistsPkg {
     /// bound is a subtype of the request, so everything the requested
     /// interface offers is supported. This is the "use at bound" rule.
     pub fn open_at(&self, request: &Type, env: &TypeEnv) -> Result<&Value, CoreError> {
-        if is_subtype(&self.bound, request, env) {
+        if is_subtype(self.bound(), request, env) {
             Ok(self.open())
         } else {
             Err(CoreError::Invalid(format!(
@@ -110,13 +123,13 @@ impl ExistsPkg {
     /// `∃t ≤ Employee. t` can be used where `∃t ≤ Person. t` is wanted if
     /// `Employee ≤ Person`).
     pub fn widen(&self, bound: Type, env: &TypeEnv) -> Result<ExistsPkg, CoreError> {
-        if !is_subtype(&self.bound, &bound, env) {
+        if !is_subtype(self.bound(), &bound, env) {
             return Err(CoreError::Invalid(format!(
                 "cannot widen {} to unrelated bound {bound}",
                 self.bound
             )));
         }
-        Ok(ExistsPkg::owned(self.row().clone(), bound))
+        Ok(ExistsPkg::owned(self.row().clone(), Arc::new(bound)))
     }
 
     /// Dissolve into a dynamic value carrying the witness type.
@@ -132,9 +145,9 @@ impl ExistsPkg {
     /// typed-list index, whose membership is exactly that judgement).
     /// Crate-private: a public caller could seal a lie, breaking the
     /// static discipline [`ExistsPkg::seal`] enforces.
-    pub(crate) fn seal_trusted(chunk: &Chunk, at: usize, bound: Type) -> ExistsPkg {
+    pub(crate) fn seal_trusted(chunk: &Chunk, at: usize, bound: &Arc<Type>) -> ExistsPkg {
         ExistsPkg {
-            bound,
+            bound: Arc::clone(bound),
             chunk: Arc::clone(chunk),
             at,
         }
@@ -172,6 +185,157 @@ pub fn get_signature() -> Type {
     )
 }
 
+/// `Get[t]` as a view: the snapshot's typed lists whose carried type is
+/// a subtype of the bound, not yet sealed into packages.
+///
+/// This is the paper's "set of (statically) typed lists" read in place.
+/// Building the view ([`crate::Database::get_view`]) picks the matching
+/// lists and counts their healthy members; nothing is copied. [`GetView::len`]
+/// answers from those counts, and [`GetView::iter`] merges the position
+/// lists, sealing one package per row as the consumer asks for it, in
+/// store order. The view holds its snapshot (the store's chunk list, the
+/// index, the quarantine set), so later writes to the database do not
+/// change what it yields.
+pub struct GetView {
+    store: Store,
+    index: Arc<TypedListIndex>,
+    types: Vec<Type>,
+    quarantined: Arc<BTreeSet<usize>>,
+    bound: Arc<Type>,
+    len: usize,
+}
+
+impl GetView {
+    pub(crate) fn new(
+        store: Store,
+        index: Arc<TypedListIndex>,
+        types: Vec<Type>,
+        quarantined: Arc<BTreeSet<usize>>,
+        bound: Type,
+    ) -> GetView {
+        let lists = || types.iter().map(|ty| index.positions(ty));
+        let candidates: usize = lists().map(<[usize]>::len).sum();
+        let excluded = quarantined
+            .iter()
+            .filter(|pos| lists().any(|l| l.binary_search(pos).is_ok()))
+            .count();
+        GetView {
+            len: candidates - excluded,
+            store,
+            index,
+            types,
+            quarantined,
+            bound: Arc::new(bound),
+        }
+    }
+
+    /// How many packages [`GetView::iter`] yields.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Does the view match no rows?
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The matching rows, in store order, each sealed as a package that
+    /// shares the stored row when it is reached.
+    pub fn iter(&self) -> GetIter<'_> {
+        // List 0 is an empty run, so the first `next` starts the real
+        // list with the smallest head.
+        let mut lists: Vec<&[usize]> = vec![&[]];
+        let mut heads = BinaryHeap::with_capacity(self.types.len());
+        for ty in &self.types {
+            let list = self.index.positions(ty);
+            if let Some(&first) = list.first() {
+                heads.push(Reverse((first, lists.len())));
+                lists.push(list);
+            }
+        }
+        GetIter {
+            view: self,
+            lists,
+            run: 0,
+            heads,
+            sealed: 0,
+        }
+    }
+}
+
+impl fmt::Debug for GetView {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("GetView")
+            .field("bound", &self.bound)
+            .field("types", &self.types)
+            .field("len", &self.len)
+            .finish()
+    }
+}
+
+/// The iterator behind [`GetView::iter`]: a k-way merge of the matching
+/// position lists (each ascending), skipping quarantined positions. It
+/// takes rows from one list (the run) for as long as they precede every
+/// other list's head, and consults the heap of heads only when the run
+/// ends, so a single list, or a list whose rows sit together, is walked
+/// without heap operations. The packages it sealed are added to
+/// `get.rows_sealed` when it drops.
+pub struct GetIter<'a> {
+    view: &'a GetView,
+    /// Each list's positions not yet yielded.
+    lists: Vec<&'a [usize]>,
+    /// The list the current run takes rows from.
+    run: usize,
+    /// Every other non-empty list's first position and index: a min-heap,
+    /// so its top is where the current run ends.
+    heads: BinaryHeap<Reverse<(usize, usize)>>,
+    sealed: u64,
+}
+
+impl GetIter<'_> {
+    /// The next matching position in store order, quarantined or not.
+    fn next_position(&mut self) -> Option<usize> {
+        let run = self.lists[self.run];
+        if let Some((&pos, rest)) = run.split_first() {
+            if self
+                .heads
+                .peek()
+                .is_none_or(|&Reverse((head, _))| pos < head)
+            {
+                self.lists[self.run] = rest;
+                return Some(pos);
+            }
+            self.heads.push(Reverse((pos, self.run)));
+        }
+        let Reverse((pos, next)) = self.heads.pop()?;
+        self.run = next;
+        self.lists[next] = &self.lists[next][1..];
+        Some(pos)
+    }
+}
+
+impl Iterator for GetIter<'_> {
+    type Item = ExistsPkg;
+
+    fn next(&mut self) -> Option<ExistsPkg> {
+        loop {
+            let pos = self.next_position()?;
+            if self.view.quarantined.contains(&pos) {
+                continue;
+            }
+            self.sealed += 1;
+            let (chunk, at) = self.view.store.locate(pos);
+            return Some(ExistsPkg::seal_trusted(chunk, at, &self.view.bound));
+        }
+    }
+}
+
+impl Drop for GetIter<'_> {
+    fn drop(&mut self) {
+        crate::metrics::rows_sealed().add(self.sealed);
+    }
+}
+
 /// Scan a list of dynamic values, extracting every element whose carried
 /// type is a subtype of `bound` — the body of `Get[t]`. This is the
 /// paper's straightforward implementation, with its acknowledged cost: "we
@@ -184,10 +348,11 @@ pub fn get_signature() -> Type {
 /// differentially tested and benchmarked against.
 pub fn scan_get(dynamics: &[DynValue], bound: &Type, env: &TypeEnv) -> Vec<ExistsPkg> {
     crate::metrics::rows_scanned().add(dynamics.len() as u64);
+    let shared = Arc::new(bound.clone());
     dynamics
         .iter()
         .filter(|d| is_subtype_uncached(&d.ty, bound, env))
-        .map(|d| ExistsPkg::owned(d.clone(), bound.clone()))
+        .map(|d| ExistsPkg::owned(d.clone(), Arc::clone(&shared)))
         .collect()
 }
 
@@ -298,7 +463,7 @@ mod tests {
         let env = env();
         let employees = scan_get(&sample(), &Type::named("Employee"), &env);
         let widened = employees[0].widen(Type::named("Person"), &env).unwrap();
-        assert_eq!(widened.bound, Type::named("Person"));
+        assert_eq!(*widened.bound(), Type::named("Person"));
         assert_eq!(widened.witness(), employees[0].witness());
         assert!(employees[0].widen(Type::Int, &env).is_err());
     }

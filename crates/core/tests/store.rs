@@ -163,7 +163,7 @@ fn typed_list_packages_equal_scan_packages() {
         let owned = db.get_by_scan(&bound);
         assert_eq!(shared, owned);
         for (s, o) in shared.iter().zip(&owned) {
-            assert_eq!(s.bound, o.bound);
+            assert_eq!(s.bound(), o.bound());
             assert_eq!(s.witness(), o.witness());
             assert_eq!(s.open(), o.open());
             assert_eq!(format!("{s:?}"), format!("{o:?}"));

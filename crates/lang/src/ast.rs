@@ -71,8 +71,9 @@ pub enum ExprKind {
     /// `let x (: T)? = e1 in e2`.
     Let(String, Option<Type>, Box<Expr>, Box<Expr>),
     /// Lambda `fn(x: T) => e` (multi-parameter surface forms are curried
-    /// by the parser). The body is shared with every closure made from it.
-    Lambda(String, Type, Rc<Expr>),
+    /// by the parser). The body and the parameter name are shared with
+    /// every closure made from it.
+    Lambda(Rc<str>, Type, Rc<Expr>),
     /// Application `f(e)` (multi-argument calls are curried).
     App(Box<Expr>, Box<Expr>),
     /// Type application `f[T]`.

@@ -421,7 +421,7 @@ impl Checker {
             }
             ExprKind::Lambda(x, t, body) => {
                 self.wf(t, at)?;
-                self.vars.push((x.clone(), t.clone()));
+                self.vars.push((x.to_string(), t.clone()));
                 let bt = self.infer(body)?;
                 self.vars.pop();
                 Ok(Type::fun(t.clone(), bt))

@@ -5,10 +5,23 @@
 //! subtype test inside `coerce` (which raises the paper's "run-time
 //! exception" on mismatch) and the per-element test inside `get`.
 //!
-//! `get` yields unopened [`RtValue::Stored`] packages that share the
-//! stored rows. A package is converted to its runtime form only where
-//! the evaluator inspects a value's shape: variable lookup, builtin
-//! arguments, the `head` result and the elements `sum` adds.
+//! `get` evaluates to an [`RtValue::Extent`]: a view of the snapshot's
+//! typed lists, not a list. What stays lazy:
+//!
+//! * `len` and `isEmpty` answer from the lists' lengths, sealing no row;
+//! * `fold`, `map`, `filter` and `sum` iterate the view in place, and
+//!   `head` seals one row;
+//! * binding the view with `let` or passing it to a user function keeps
+//!   it a view.
+//!
+//! Every other consumer — `print`/`str`, `==`, `distinct`, `append`,
+//! `cons`, `reverse`, `tail`, the join builtins, `dynamic`/`put`/`extern`,
+//! and a record, list, `with` or tag that stores it as data —
+//! materializes it through [`RtValue::materialized`] into a list of
+//! unopened [`RtValue::Stored`] packages that share the stored rows. A
+//! package is converted to its runtime form only where the evaluator
+//! inspects a value's shape: variable lookup, builtin arguments, the
+//! `head` result and the elements `sum` adds.
 
 use crate::ast::{BinOp, Expr, ExprKind};
 use crate::error::LangError;
@@ -50,14 +63,14 @@ pub fn eval(e: &Expr, env: &Env, s: &mut Session) -> Result<RtValue, LangError> 
         ExprKind::Record(fields) => {
             let mut fs = std::collections::BTreeMap::new();
             for (l, fe) in fields {
-                fs.insert(l.clone(), eval(fe, env, s)?);
+                fs.insert(l.clone(), eval(fe, env, s)?.materialized());
             }
             Ok(RtValue::Record(fs))
         }
         ExprKind::List(items) => {
             let mut xs = Vec::with_capacity(items.len());
             for it in items {
-                xs.push(eval(it, env, s)?);
+                xs.push(eval(it, env, s)?.materialized());
             }
             Ok(RtValue::List(xs))
         }
@@ -71,7 +84,7 @@ pub fn eval(e: &Expr, env: &Env, s: &mut Session) -> Result<RtValue, LangError> 
         ExprKind::With(base, additions) => match eval(base, env, s)? {
             RtValue::Record(mut fs) => {
                 for (l, ae) in additions {
-                    let v = eval(ae, env, s)?;
+                    let v = eval(ae, env, s)?.materialized();
                     fs.insert(l.clone(), v);
                 }
                 Ok(RtValue::Record(fs))
@@ -91,12 +104,12 @@ pub fn eval(e: &Expr, env: &Env, s: &mut Session) -> Result<RtValue, LangError> 
         },
         ExprKind::Let(x, _, bound, body) => {
             let v = eval(bound, env, s)?;
-            let inner = env.bind(x.clone(), v);
+            let inner = env.bind(x.as_str(), v);
             eval(body, &inner, s)
         }
         ExprKind::Lambda(x, _, body) => Ok(RtValue::Closure(Rc::new(Closure {
             name: None,
-            param: x.clone(),
+            param: Rc::clone(x),
             body: Rc::clone(body),
             env: env.clone(),
         }))),
@@ -146,7 +159,7 @@ pub fn eval(e: &Expr, env: &Env, s: &mut Session) -> Result<RtValue, LangError> 
             other => Err(LangError::eval(x.at, format!("negation of {other}"))),
         },
         ExprKind::DynamicE(x) => {
-            let v = eval(x, env, s)?;
+            let v = eval(x, env, s)?.materialized();
             let data = v.to_value(at)?;
             // The carried description is the value's principal type.
             let ty = dbpl_values::type_of(&data, s.db.env(), s.db.heap())
@@ -211,14 +224,14 @@ pub fn eval(e: &Expr, env: &Env, s: &mut Session) -> Result<RtValue, LangError> 
             Ok(RtValue::Dyn(d.ty, Rc::new(RtValue::from_value(&d.value))))
         }
         ExprKind::TagE(label, payload) => {
-            let v = eval(payload, env, s)?;
+            let v = eval(payload, env, s)?.materialized();
             Ok(RtValue::Tagged(label.clone(), Box::new(v)))
         }
         ExprKind::CaseE(scrutinee, arms) => match eval(scrutinee, env, s)? {
             RtValue::Tagged(label, payload) => {
                 for (arm_label, binder, body) in arms {
                     if arm_label == &label {
-                        let inner = env.bind(binder.clone(), *payload);
+                        let inner = env.bind(binder.as_str(), *payload);
                         return eval(body, &inner, s);
                     }
                 }
@@ -241,9 +254,9 @@ pub fn apply(f: RtValue, arg: RtValue, at: usize, s: &mut Session) -> Result<RtV
         RtValue::Closure(c) => {
             let mut env = c.env.clone();
             if let Some(name) = &c.name {
-                env = env.bind(name.clone(), RtValue::Closure(c.clone()));
+                env = env.bind(Rc::clone(name), RtValue::Closure(c.clone()));
             }
-            let env = env.bind(c.param.clone(), arg);
+            let env = env.bind(Rc::clone(&c.param), arg);
             eval(&c.body, &env, s)
         }
         RtValue::Builtin(mut b) => {
@@ -338,10 +351,13 @@ fn exec_builtin(b: Builtin, at: usize, s: &mut Session) -> Result<RtValue, LangE
         mut args,
         ..
     } = b;
-    // List builtins consume their arguments: moved out, never cloned.
+    // List builtins consume their arguments: moved out, never cloned. A
+    // builtin that needs a list materializes a `get` extent; `len`,
+    // `isEmpty`, `head`, `fold`, `map`, `filter` and `sum` read one in
+    // place first.
     let take = |args: &mut Vec<RtValue>, i: usize| std::mem::replace(&mut args[i], RtValue::Unit);
     let list_arg = |v: RtValue, at: usize| -> Result<Vec<RtValue>, LangError> {
-        match v {
+        match v.materialized() {
             RtValue::List(xs) => Ok(xs),
             other => Err(LangError::eval(
                 at,
@@ -369,9 +385,7 @@ fn exec_builtin(b: Builtin, at: usize, s: &mut Session) -> Result<RtValue, LangE
                 .cloned()
                 .ok_or_else(|| LangError::eval(at, "get needs a type argument".to_string()))?;
             match args.remove(0) {
-                RtValue::DbToken => Ok(RtValue::List(
-                    s.db.get(&bound).into_iter().map(RtValue::Stored).collect(),
-                )),
+                RtValue::DbToken => Ok(RtValue::Extent(Rc::new(s.db.get_view(&bound)))),
                 other => Err(LangError::eval(at, format!("get on non-database {other}"))),
             }
         }
@@ -394,14 +408,16 @@ fn exec_builtin(b: Builtin, at: usize, s: &mut Session) -> Result<RtValue, LangE
         "cons" => {
             let xs = list_arg(take(&mut args, 1), at)?;
             let mut out = Vec::with_capacity(xs.len() + 1);
-            out.push(take(&mut args, 0));
+            out.push(take(&mut args, 0).materialized());
             out.extend(xs);
             Ok(RtValue::List(out))
         }
         "head" => {
-            let xs = list_arg(take(&mut args, 0), at)?;
-            xs.into_iter()
-                .next()
+            let first = match take(&mut args, 0) {
+                RtValue::Extent(view) => view.iter().next().map(RtValue::Stored),
+                xs => list_arg(xs, at)?.into_iter().next(),
+            };
+            first
                 .map(RtValue::unpack)
                 .ok_or_else(|| LangError::eval(at, "head of empty list"))
         }
@@ -413,8 +429,14 @@ fn exec_builtin(b: Builtin, at: usize, s: &mut Session) -> Result<RtValue, LangE
             xs.remove(0);
             Ok(RtValue::List(xs))
         }
-        "isEmpty" => Ok(RtValue::Bool(list_arg(take(&mut args, 0), at)?.is_empty())),
-        "len" => Ok(RtValue::Int(list_arg(take(&mut args, 0), at)?.len() as i64)),
+        "isEmpty" => Ok(RtValue::Bool(match take(&mut args, 0) {
+            RtValue::Extent(view) => view.is_empty(),
+            xs => list_arg(xs, at)?.is_empty(),
+        })),
+        "len" => Ok(RtValue::Int(match take(&mut args, 0) {
+            RtValue::Extent(view) => view.len(),
+            xs => list_arg(xs, at)?.len(),
+        } as i64)),
         "append" => {
             let mut xs = list_arg(take(&mut args, 0), at)?;
             xs.extend(list_arg(take(&mut args, 1), at)?);
@@ -422,18 +444,17 @@ fn exec_builtin(b: Builtin, at: usize, s: &mut Session) -> Result<RtValue, LangE
         }
         "map" => {
             let f = take(&mut args, 0);
-            let xs = list_arg(take(&mut args, 1), at)?;
-            let mut out = Vec::with_capacity(xs.len());
-            for x in xs {
+            let mut out = Vec::new();
+            for_each_elem(take(&mut args, 1), at, |x| {
                 out.push(apply(f.clone(), x, at, s)?);
-            }
+                Ok(())
+            })?;
             Ok(RtValue::List(out))
         }
         "filter" => {
             let f = take(&mut args, 0);
-            let xs = list_arg(take(&mut args, 1), at)?;
             let mut out = Vec::new();
-            for x in xs {
+            for_each_elem(take(&mut args, 1), at, |x| {
                 match apply(f.clone(), x.clone(), at, s)? {
                     RtValue::Bool(true) => out.push(x),
                     RtValue::Bool(false) => {}
@@ -444,17 +465,18 @@ fn exec_builtin(b: Builtin, at: usize, s: &mut Session) -> Result<RtValue, LangE
                         ))
                     }
                 }
-            }
+                Ok(())
+            })?;
             Ok(RtValue::List(out))
         }
         "fold" => {
             let f = take(&mut args, 0);
             let mut acc = take(&mut args, 1);
-            let xs = list_arg(take(&mut args, 2), at)?;
-            for x in xs {
-                let partial = apply(f.clone(), acc, at, s)?;
+            for_each_elem(take(&mut args, 2), at, |x| {
+                let partial = apply(f.clone(), std::mem::replace(&mut acc, RtValue::Unit), at, s)?;
                 acc = apply(partial, x, at, s)?;
-            }
+                Ok(())
+            })?;
             Ok(acc)
         }
         "reverse" => {
@@ -481,15 +503,15 @@ fn exec_builtin(b: Builtin, at: usize, s: &mut Session) -> Result<RtValue, LangE
             Ok(RtValue::List((lo..hi).map(RtValue::Int).collect()))
         }
         "sum" => {
-            let xs = list_arg(take(&mut args, 0), at)?;
             let mut total = 0.0;
-            for x in xs {
+            for_each_elem(take(&mut args, 0), at, |x| {
                 total += match x.unpack() {
                     RtValue::Int(i) => i as f64,
                     RtValue::Float(f) => f,
                     other => return Err(LangError::eval(at, format!("sum of {other}"))),
                 };
-            }
+                Ok(())
+            })?;
             Ok(RtValue::Float(total))
         }
         "explain" => {
@@ -684,6 +706,24 @@ fn exec_builtin(b: Builtin, at: usize, s: &mut Session) -> Result<RtValue, LangE
             )))
         }
         other => Err(LangError::eval(at, format!("unknown builtin `{other}`"))),
+    }
+}
+
+/// Run `body` on each element of a list argument, in order. A `get`
+/// extent is iterated in place, one package sealed per element, instead
+/// of being materialized first.
+fn for_each_elem(
+    xs: RtValue,
+    at: usize,
+    mut body: impl FnMut(RtValue) -> Result<(), LangError>,
+) -> Result<(), LangError> {
+    match xs {
+        RtValue::Extent(view) => view.iter().try_for_each(|p| body(RtValue::Stored(p))),
+        RtValue::List(xs) => xs.into_iter().try_for_each(body),
+        other => Err(LangError::eval(
+            at,
+            format!("expected a list, found {other}"),
+        )),
     }
 }
 

@@ -356,7 +356,7 @@ impl Parser {
                 // Curry.
                 let mut e = body;
                 for (x, t) in params.into_iter().rev() {
-                    e = Expr::new(at, ExprKind::Lambda(x, t, Rc::new(e)));
+                    e = Expr::new(at, ExprKind::Lambda(x.into(), t, Rc::new(e)));
                 }
                 Ok(e)
             }
@@ -705,7 +705,7 @@ mod tests {
         let e = parse_expr("fn(x: Int, y: Int) => x + y").unwrap();
         match e.node {
             ExprKind::Lambda(x, _, body) => {
-                assert_eq!(x, "x");
+                assert_eq!(&*x, "x");
                 assert!(matches!(body.node, ExprKind::Lambda(_, _, _)));
             }
             other => panic!("{other:?}"),

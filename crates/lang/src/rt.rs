@@ -6,13 +6,20 @@
 //! boundaries* — `dynamic`, `put`, `extern` — where functions are
 //! rejected: only data persists.
 //!
-//! The one exception to "runtime values are converted": the elements of a
-//! `get` result stay [`RtValue::Stored`] packages that share the stored
-//! row, and are converted only where the program looks inside one.
+//! `get` results are not converted either. `get[T](db)` evaluates to an
+//! [`RtValue::Extent`]: a view of the snapshot's matching typed lists,
+//! sealed into packages only as it is iterated. The evaluator's `len`,
+//! `isEmpty`, `head`, `fold`, `map`, `filter` and `sum` read it in place,
+//! and an extent bound by `let` or passed to a function stays a view.
+//! Everything else — printing, `==`, storing it inside data, `dynamic`,
+//! the other list builtins — turns it into a list through one helper,
+//! [`RtValue::materialized`]. The elements a view yields are
+//! [`RtValue::Stored`] packages that share the stored row, and are
+//! converted only where the program looks inside one.
 
 use crate::ast::Expr;
 use crate::error::LangError;
-use dbpl_core::ExistsPkg;
+use dbpl_core::{ExistsPkg, GetView};
 use dbpl_types::Type;
 use dbpl_values::{Oid, Value};
 use std::collections::BTreeMap;
@@ -25,7 +32,7 @@ pub struct Env(Option<Rc<EnvNode>>);
 
 #[derive(Debug)]
 struct EnvNode {
-    name: String,
+    name: Rc<str>,
     value: RtValue,
     next: Env,
 }
@@ -36,8 +43,9 @@ impl Env {
         Env(None)
     }
 
-    /// Extend with a binding.
-    pub fn bind(&self, name: impl Into<String>, value: RtValue) -> Env {
+    /// Extend with a binding. Binder names are shared with the syntax
+    /// tree, so binding an `Rc<str>` allocates only the node.
+    pub fn bind(&self, name: impl Into<Rc<str>>, value: RtValue) -> Env {
         Env(Some(Rc::new(EnvNode {
             name: name.into(),
             value,
@@ -49,7 +57,7 @@ impl Env {
     pub fn lookup(&self, name: &str) -> Option<&RtValue> {
         let mut cur = self;
         while let Some(node) = &cur.0 {
-            if node.name == name {
+            if &*node.name == name {
                 return Some(&node.value);
             }
             cur = &node.next;
@@ -63,9 +71,9 @@ impl Env {
 pub struct Closure {
     /// For recursive functions, the name under which the closure can see
     /// itself.
-    pub name: Option<String>,
+    pub name: Option<Rc<str>>,
     /// Parameter name.
-    pub param: String,
+    pub param: Rc<str>,
     /// Body (shared with the `fn` expression it was made from).
     pub body: Rc<Expr>,
     /// Captured environment.
@@ -119,6 +127,11 @@ pub enum RtValue {
     /// package's value; [`RtValue::unpack`] performs that conversion
     /// where the evaluator inspects a value's shape.
     Stored(ExistsPkg),
+    /// A `get` result not yet turned into a list: the view of the
+    /// snapshot's typed lists. It behaves exactly like the list of its
+    /// [`RtValue::Stored`] packages, which [`RtValue::materialized`]
+    /// builds.
+    Extent(Rc<GetView>),
 }
 
 impl RtValue {
@@ -159,7 +172,18 @@ impl RtValue {
             // Through the runtime form, so the stored value converts
             // exactly as an opened one would (sets become lists).
             RtValue::Stored(p) => return RtValue::from_value(p.open()).to_value(at),
+            RtValue::Extent(_) => return self.clone().materialized().to_value(at),
         })
+    }
+
+    /// Turn an [`RtValue::Extent`] into the list of its packages, in
+    /// store order; every other value is returned as is. The one place a
+    /// `get` result is materialized.
+    pub fn materialized(self) -> RtValue {
+        match self {
+            RtValue::Extent(view) => RtValue::List(view.iter().map(RtValue::Stored).collect()),
+            other => other,
+        }
     }
 
     /// Open a [`RtValue::Stored`] package into its runtime form; every
@@ -197,6 +221,8 @@ impl RtValue {
         match (self, other) {
             (RtValue::Stored(p), _) => RtValue::from_value(p.open()).data_eq(other),
             (_, RtValue::Stored(p)) => self.data_eq(&RtValue::from_value(p.open())),
+            (RtValue::Extent(_), _) => self.clone().materialized().data_eq(other),
+            (_, RtValue::Extent(_)) => self.data_eq(&other.clone().materialized()),
             (RtValue::Unit, RtValue::Unit) => Some(true),
             (RtValue::Bool(a), RtValue::Bool(b)) => Some(a == b),
             (RtValue::Int(a), RtValue::Int(b)) => Some(a == b),
@@ -288,6 +314,7 @@ impl fmt::Display for RtValue {
             RtValue::Builtin(b) => write!(f, "<builtin {}>", b.name),
             RtValue::DbToken => write!(f, "<database>"),
             RtValue::Stored(p) => write!(f, "{}", RtValue::from_value(p.open())),
+            RtValue::Extent(_) => write!(f, "{}", self.clone().materialized()),
         }
     }
 }

@@ -56,14 +56,14 @@ use dbpl_core::Database;
 use dbpl_obs::timeline::{Recorder, RecorderConfig, Timeline};
 use dbpl_obs::{Counter, Gauge, Histogram};
 use dbpl_persist::{
-    DurabilityGate, Health, QuarantineEntry, ReplicatingStore, RetryPolicy, Verdict, Vfs,
+    DurabilityGate, Health, QuarantineEntry, ReplicatingStore, RetryPolicy, TempDir, Verdict, Vfs,
 };
 use dbpl_types::Type;
 use dbpl_values::{DynValue, Oid, Value};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -76,8 +76,6 @@ use std::time::{Duration, Instant};
 /// latency) and under heavy load batches grow naturally toward this cap
 /// — the fairness bound is "at most one in-flight batch ahead of you".
 pub const MAX_BATCH: usize = 128;
-
-static SERVER_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 // ---------------------------------------------------------------------------
 // Admission control
@@ -574,7 +572,7 @@ struct Engine {
     /// The temp directory [`Server::new`] created for the store, removed
     /// when the engine drops. A directory the caller named is never
     /// removed.
-    owned_dir: Option<PathBuf>,
+    owned_dir: Option<TempDir>,
 }
 
 struct FrameLog {
@@ -666,9 +664,7 @@ impl Engine {
 impl Drop for Engine {
     fn drop(&mut self) {
         self.shutdown();
-        if let Some(dir) = &self.owned_dir {
-            crate::session::remove_owned_dir(dir);
-        }
+        // `owned_dir` drops after this, removing the directory.
     }
 }
 
@@ -851,10 +847,9 @@ impl Server {
     /// removed when the engine drops (after the last session and the
     /// server itself are gone).
     pub fn new() -> Result<Server, LangError> {
-        let n = SERVER_COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("dbpl-server-{}-{n}", std::process::id()));
-        let mut server =
-            Server::with_store_dir(&dir).inspect_err(|_| crate::session::remove_owned_dir(&dir))?;
+        let dir = TempDir::new("server")
+            .map_err(|e| LangError::eval(0, format!("cannot create a store directory: {e}")))?;
+        let mut server = Server::with_store_dir(&dir)?;
         Arc::get_mut(&mut server.engine)
             .expect("a new server's engine is not shared yet")
             .owned_dir = Some(dir);
@@ -1217,16 +1212,23 @@ impl ServerSession {
         // The transaction clock starts NOW: evaluation, admission
         // waiting, and queue waiting all spend the same budget.
         let deadline = self.txn_deadline.map(|d| Instant::now() + d);
-        let state = self.engine.snap.load();
-        snapshot_reads().inc();
-        let mut worker = Session::for_engine(state.db.clone(), Arc::clone(&self.engine.store));
+        let (state, mut worker) = {
+            let _sp = dbpl_obs::span!("server.worker");
+            let state = self.engine.snap.load();
+            snapshot_reads().inc();
+            let worker = Session::for_engine(state.db.clone(), Arc::clone(&self.engine.store));
+            (state, worker)
+        };
         let ran = worker.run(src);
         self.out.extend_from_slice(&worker.out);
         self.quarantined.extend_from_slice(&worker.quarantined);
         let out_lines = ran?;
 
         let externs = worker.take_frame();
-        let frame = diff_frame(&state.db, &worker.db, externs, state.epoch)?;
+        let frame = {
+            let _sp = dbpl_obs::span!("server.diff");
+            diff_frame(&state.db, &worker.db, externs, state.epoch)?
+        };
         if frame.is_empty() {
             // A pure read never touches the commit queue: this is the
             // reader-scaling fast path.
@@ -1341,12 +1343,7 @@ mod tests {
         drop(s);
         assert!(!owned.exists(), "the engine removes the directory it made");
 
-        let given = std::env::temp_dir().join(format!(
-            "dbpl-server-given-{}-{}",
-            std::process::id(),
-            SERVER_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&given);
+        let given = TempDir::new("server-given").unwrap();
         let server = Server::with_store_dir(&given).unwrap();
         server.session().run("extern('K', dynamic 2)").unwrap();
         server.shutdown();
@@ -1354,7 +1351,7 @@ mod tests {
         let out = server.session().run("coerce intern('K') to Int").unwrap();
         assert_eq!(out, vec!["2"]);
         server.shutdown();
-        std::fs::remove_dir_all(&given).unwrap();
+        assert!(given.exists(), "a given directory stays");
     }
 
     #[test]
@@ -1664,6 +1661,27 @@ mod tests {
         assert!(
             fsyncs.iter().all(|sp| descends(sp)),
             "every fsync sits under txn.group_commit:\n{}",
+            dbpl_obs::trace::render_tree(&spans)
+        );
+    }
+
+    #[test]
+    fn a_read_splits_into_worker_setup_run_and_diff() {
+        let server = Server::new().unwrap();
+        let mut s = server.session();
+        s.run("put(db, dynamic 1)").unwrap();
+        let (res, spans) = dbpl_obs::trace::capture("test.read", || s.run("len(get[Int](db))"));
+        assert_eq!(res.unwrap(), vec!["1"]);
+        let root = spans.iter().find(|sp| sp.parent_id.is_none()).unwrap();
+        let stages: Vec<&str> = spans
+            .iter()
+            .filter(|sp| sp.parent_id == Some(root.span_id))
+            .map(|sp| sp.name)
+            .collect();
+        assert_eq!(
+            stages,
+            ["server.worker", "run", "server.diff"],
+            "{}",
             dbpl_obs::trace::render_tree(&spans)
         );
     }

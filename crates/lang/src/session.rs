@@ -35,18 +35,16 @@ use crate::rt::{Closure, Env, RtValue};
 use dbpl_core::Database;
 use dbpl_persist::{
     DurabilityGate, Health, IntrinsicStore, PersistError, QuarantineEntry, QuarantineReason,
-    QuarantineReport, Recovery, ReplicatingStore, RetryPolicy, SalvageReport, ScrubReport, Verdict,
+    QuarantineReport, Recovery, ReplicatingStore, RetryPolicy, SalvageReport, ScrubReport, TempDir,
+    Verdict,
 };
 use dbpl_values::DynValue;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-static SESSION_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 /// An open transaction frame: the rollback state plus the staged
 /// replicating-store writes.
@@ -105,7 +103,7 @@ pub struct Session {
     worker: bool,
     /// The temp directory [`Session::new`] created for the store, removed
     /// on drop. A directory the caller named is never removed.
-    owned_dir: Option<PathBuf>,
+    owned_dir: Option<TempDir>,
 }
 
 /// The statement kind attached to per-statement trace spans.
@@ -137,9 +135,9 @@ impl Session {
     /// A session whose replicating store lives in a fresh temp directory,
     /// removed when the session drops.
     pub fn new() -> Result<Session, LangError> {
-        let n = SESSION_COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("dbpl-session-{}-{n}", std::process::id()));
-        let mut s = Session::with_store_dir(&dir).inspect_err(|_| remove_owned_dir(&dir))?;
+        let dir = TempDir::new("session")
+            .map_err(|e| LangError::eval(0, format!("cannot create a store directory: {e}")))?;
+        let mut s = Session::with_store_dir(&dir)?;
         s.owned_dir = Some(dir);
         Ok(s)
     }
@@ -442,13 +440,15 @@ impl Session {
                     // own name, enabling recursion.
                     let mut inner = body.clone();
                     for (x, t) in params.iter().skip(1).rev() {
-                        inner =
-                            Expr::new(*at, ExprKind::Lambda(x.clone(), t.clone(), Rc::new(inner)));
+                        inner = Expr::new(
+                            *at,
+                            ExprKind::Lambda(x.as_str().into(), t.clone(), Rc::new(inner)),
+                        );
                     }
                     let (p0, _) = &params[0];
                     let clo = RtValue::Closure(Rc::new(Closure {
-                        name: Some(name.clone()),
-                        param: p0.clone(),
+                        name: Some(name.as_str().into()),
+                        param: p0.as_str().into(),
                         body: Rc::new(inner),
                         env: env.clone(),
                     }));
@@ -757,17 +757,8 @@ impl Drop for Session {
         if !self.worker {
             self.gate.close(self.intrinsic.as_mut(), &self.store);
         }
-        if let Some(dir) = &self.owned_dir {
-            remove_owned_dir(dir);
-        }
+        // `owned_dir` drops after this, removing the directory.
     }
-}
-
-/// Remove a store directory created by [`Session::new`] or
-/// `Server::new`. Best effort: a leftover temp directory is not worth
-/// failing a drop over.
-pub(crate) fn remove_owned_dir(dir: &Path) {
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 /// The session note for a pending transaction recovery rolled forward.
@@ -808,19 +799,14 @@ mod tests {
         drop(s);
         assert!(!owned.exists(), "the session removes the directory it made");
 
-        let given = std::env::temp_dir().join(format!(
-            "dbpl-sess-given-{}-{}",
-            std::process::id(),
-            SESSION_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&given);
+        let given = TempDir::new("sess-given").unwrap();
         let mut s = Session::with_store_dir(&given).unwrap();
         s.run("extern('K', dynamic 2)").unwrap();
         drop(s);
         let mut s = Session::with_store_dir(&given).unwrap();
         assert_eq!(s.run("coerce intern('K') to Int").unwrap(), vec!["2"]);
         drop(s);
-        std::fs::remove_dir_all(&given).unwrap();
+        assert!(given.exists(), "a given directory stays");
     }
 
     #[test]
@@ -992,12 +978,11 @@ mod tests {
         assert_eq!(run_one("(let x = 1 in (let x = 2 in x) + x)"), vec!["3"]);
     }
 
-    fn fresh_log(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("dbpl-sess-intr-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+    /// A log path in a fresh directory, removed when the guard drops.
+    fn fresh_log(name: &str) -> (TempDir, std::path::PathBuf) {
+        let dir = TempDir::new("sess-intr").unwrap();
         let path = dir.join(format!("{name}.log"));
-        let _ = std::fs::remove_file(&path);
-        path
+        (dir, path)
     }
 
     fn committed_store(path: &std::path::Path, txns: u64) {
@@ -1012,7 +997,7 @@ mod tests {
 
     #[test]
     fn attaching_a_clean_intrinsic_store_is_silent() {
-        let path = fresh_log("clean");
+        let (_dir, path) = fresh_log("clean");
         committed_store(&path, 2);
         let mut s = Session::new().unwrap();
         s.attach_intrinsic(&path).unwrap();
@@ -1022,7 +1007,7 @@ mod tests {
 
     #[test]
     fn torn_tail_recovery_is_reported_to_the_user() {
-        let path = fresh_log("torn");
+        let (_dir, path) = fresh_log("torn");
         committed_store(&path, 3);
         // Simulate a crash mid-append: garbage trailing bytes that cannot
         // frame a record.
@@ -1051,7 +1036,7 @@ mod tests {
 
     #[test]
     fn salvage_attachment_reports_losses_and_is_read_only() {
-        let path = fresh_log("salvage");
+        let (_dir, path) = fresh_log("salvage");
         committed_store(&path, 2);
         // A validly framed record of an unknown kind: normal open refuses.
         let mut log = dbpl_persist::LogFile::open(&path).unwrap();
@@ -1349,12 +1334,7 @@ mod obs_tests {
 
     #[test]
     fn stats_show_txn_and_storage_counters_after_durable_work() {
-        let dir = std::env::temp_dir().join(format!(
-            "dbpl-sess-obs-{}-{}",
-            std::process::id(),
-            SESSION_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("sess-obs").unwrap();
         let mut s = Session::with_store_dir(&dir).unwrap();
         let before = dbpl_obs::global().snapshot();
         s.run("begin\nextern('Watched', dynamic 1)\ncommit")
@@ -1368,12 +1348,7 @@ mod obs_tests {
 
     #[test]
     fn aborts_and_quarantines_surface_as_events() {
-        let dir = std::env::temp_dir().join(format!(
-            "dbpl-sess-obs-{}-{}",
-            std::process::id(),
-            SESSION_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = TempDir::new("sess-obs").unwrap();
         let mut s = Session::with_store_dir(&dir).unwrap();
         let before = dbpl_obs::global().snapshot();
         s.run("begin\nput(db, dynamic 1)\nabort").unwrap();
@@ -1391,14 +1366,9 @@ mod txn_tests {
     use dbpl_types::Type;
     use dbpl_values::Value;
 
-    fn fresh_dir(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "dbpl-sess-txn-{}-{name}-{}",
-            std::process::id(),
-            SESSION_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    /// A fresh store directory, removed when the guard drops.
+    fn fresh_dir(name: &str) -> TempDir {
+        TempDir::new(&format!("sess-txn-{name}")).unwrap()
     }
 
     #[test]

@@ -6,15 +6,13 @@
 //! heals itself when space returns.
 
 use dbpl_lang::{Health, Session};
-use dbpl_persist::{FaultPlan, QuarantineReason, ReplicatingStore, SimVfs};
-use std::path::{Path, PathBuf};
+use dbpl_persist::{FaultPlan, QuarantineReason, ReplicatingStore, SimVfs, TempDir};
+use std::path::Path;
 use std::sync::Arc;
 
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dbpl-heal-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+/// A fresh store directory, removed when the guard drops.
+fn fresh_dir(name: &str) -> TempDir {
+    TempDir::new(&format!("heal-{name}")).unwrap()
 }
 
 #[test]

@@ -95,10 +95,10 @@ impl AmberProgram {
 mod tests {
     use super::*;
 
-    fn program(name: &str) -> AmberProgram {
-        let dir = std::env::temp_dir().join(format!("dbpl-amber-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut p = AmberProgram::open(dir).unwrap();
+    /// A program over a fresh directory, removed when the guard drops.
+    fn program(name: &str) -> (dbpl_persist::TempDir, AmberProgram) {
+        let dir = dbpl_persist::TempDir::new(&format!("amber-{name}")).unwrap();
+        let mut p = AmberProgram::open(&dir).unwrap();
         p.env
             .declare("Person", Type::record([("Name", Type::Str)]))
             .unwrap();
@@ -108,12 +108,12 @@ mod tests {
                 Type::record([("Name", Type::Str), ("Empno", Type::Int)]),
             )
             .unwrap();
-        p
+        (dir, p)
     }
 
     #[test]
     fn database_is_a_list_of_dynamics_with_derived_extents() {
-        let mut p = program("derived");
+        let (_dir, mut p) = program("derived");
         let e = p
             .dynamic(
                 Type::named("Employee"),
@@ -137,7 +137,7 @@ mod tests {
 
     #[test]
     fn paper_dynamic_coerce_example() {
-        let p = program("coerce");
+        let (_dir, p) = program("coerce");
         let d = p.dynamic(Type::Int, Value::Int(3)).unwrap();
         assert_eq!(p.coerce(&d, &Type::Int).unwrap(), Value::Int(3));
         assert!(p.coerce(&d, &Type::Str).is_err(), "run-time exception");
@@ -147,7 +147,7 @@ mod tests {
     #[test]
     fn extern_intern_database_roundtrip() {
         // The paper's DBFile fragment.
-        let mut p = program("roundtrip");
+        let (_dir, mut p) = program("roundtrip");
         let db_ty = Type::record([("Employees", Type::list(Type::named("Employee")))]);
         let d = p
             .dynamic(

@@ -149,12 +149,12 @@ mod tests {
     use super::*;
     use dbpl_types::Type;
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dbpl-pascalr-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+    /// A database path in a fresh directory, removed when the guard
+    /// drops.
+    fn tmp(name: &str) -> (dbpl_persist::TempDir, PathBuf) {
+        let dir = dbpl_persist::TempDir::new("pascalr").unwrap();
         let p = dir.join(format!("{name}.db"));
-        let _ = std::fs::remove_file(&p);
-        p
+        (dir, p)
     }
 
     fn emp_schema() -> Schema {
@@ -163,7 +163,7 @@ mod tests {
 
     #[test]
     fn declare_insert_save_load() {
-        let path = tmp("roundtrip");
+        let (_dir, path) = tmp("roundtrip");
         {
             let mut db = PascalRDatabase::open(&path).unwrap();
             db.declare_relation("Employees", emp_schema()).unwrap();
@@ -179,7 +179,8 @@ mod tests {
 
     #[test]
     fn only_relations_persist() {
-        let mut db = PascalRDatabase::open(tmp("restriction")).unwrap();
+        let (_dir, path) = tmp("restriction");
+        let mut db = PascalRDatabase::open(path).unwrap();
         let err = db.store_value("X", Value::Int(3)).unwrap_err();
         assert!(matches!(err, ModelError::Restriction(_)));
     }
@@ -191,7 +192,8 @@ mod tests {
 
     #[test]
     fn duplicate_declaration_rejected() {
-        let mut db = PascalRDatabase::open(tmp("dup")).unwrap();
+        let (_dir, path) = tmp("dup");
+        let mut db = PascalRDatabase::open(path).unwrap();
         db.declare_relation("R", emp_schema()).unwrap();
         assert!(db.declare_relation("R", emp_schema()).is_err());
         assert!(db.relation("Nope").is_err());

@@ -116,12 +116,11 @@ mod tests {
     use super::*;
     use dbpl_types::parse_type;
 
-    fn fresh(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("dbpl-evo-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+    /// A log path in a fresh directory, removed when the guard drops.
+    fn fresh(name: &str) -> (crate::TempDir, std::path::PathBuf) {
+        let dir = crate::TempDir::new("evo").unwrap();
         let path = dir.join(format!("{name}.log"));
-        let _ = std::fs::remove_file(&path);
-        path
+        (dir, path)
     }
 
     fn db_value() -> Value {
@@ -131,7 +130,8 @@ mod tests {
     #[test]
     fn subtype_reopen_is_a_view() {
         let env = TypeEnv::new();
-        let mut s = IntrinsicStore::open(fresh("view")).unwrap();
+        let (_dir, path) = fresh("view");
+        let mut s = IntrinsicStore::open(path).unwrap();
         let stored_ty = parse_type("{Name: Str, Empno: Int}").unwrap();
         s.set_handle("DB", stored_ty.clone(), db_value());
         s.commit().unwrap();
@@ -148,7 +148,8 @@ mod tests {
     #[test]
     fn consistent_reopen_enriches_schema() {
         let env = TypeEnv::new();
-        let mut s = IntrinsicStore::open(fresh("enrich")).unwrap();
+        let (_dir, path) = fresh("enrich");
+        let mut s = IntrinsicStore::open(path).unwrap();
         s.set_handle(
             "DB",
             parse_type("{Name: Str, Empno: Int}").unwrap(),
@@ -187,7 +188,8 @@ mod tests {
     #[test]
     fn contradictory_reopen_is_refused() {
         let env = TypeEnv::new();
-        let mut s = IntrinsicStore::open(fresh("refuse")).unwrap();
+        let (_dir, path) = fresh("refuse");
+        let mut s = IntrinsicStore::open(path).unwrap();
         s.set_handle(
             "DB",
             parse_type("{Name: Str}").unwrap(),
@@ -204,7 +206,8 @@ mod tests {
     #[test]
     fn missing_handle_is_reported() {
         let env = TypeEnv::new();
-        let mut s = IntrinsicStore::open(fresh("missing")).unwrap();
+        let (_dir, path) = fresh("missing");
+        let mut s = IntrinsicStore::open(path).unwrap();
         assert!(matches!(
             open_handle(&mut s, &env, "Nope", &Type::Int),
             Err(PersistError::UnknownHandle(_))

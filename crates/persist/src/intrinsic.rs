@@ -754,18 +754,18 @@ impl IntrinsicStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TempDir;
 
-    fn fresh(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dbpl-intr-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+    /// A log path in a fresh directory, removed when the guard drops.
+    fn fresh(name: &str) -> (TempDir, PathBuf) {
+        let dir = TempDir::new("intr").unwrap();
         let path = dir.join(format!("{name}.log"));
-        let _ = std::fs::remove_file(&path);
-        path
+        (dir, path)
     }
 
     #[test]
     fn commit_then_reopen_restores_state() {
-        let path = fresh("reopen");
+        let (_dir, path) = fresh("reopen");
         {
             let mut s = IntrinsicStore::open(&path).unwrap();
             let o = s.alloc(Type::Int, Value::Int(5));
@@ -783,7 +783,7 @@ mod tests {
 
     #[test]
     fn uncommitted_work_does_not_survive_crash() {
-        let path = fresh("crash");
+        let (_dir, path) = fresh("crash");
         {
             let mut s = IntrinsicStore::open(&path).unwrap();
             let o = s.alloc(Type::Int, Value::Int(1));
@@ -801,7 +801,7 @@ mod tests {
 
     #[test]
     fn abort_restores_last_commit() {
-        let path = fresh("abort");
+        let (_dir, path) = fresh("abort");
         let mut s = IntrinsicStore::open(&path).unwrap();
         let o = s.alloc(Type::Int, Value::Int(1));
         s.set_handle("root", Type::Int, Value::Ref(o));
@@ -817,7 +817,7 @@ mod tests {
     fn sharing_is_preserved_no_update_anomaly() {
         // Two handles refer to the same object: an update through one is
         // visible through the other — the inverse of the replicating test.
-        let path = fresh("sharing");
+        let (_dir, path) = fresh("sharing");
         let mut s = IntrinsicStore::open(&path).unwrap();
         let c = s.alloc(Type::Int, Value::Int(7));
         s.set_handle("a", Type::Top, Value::record([("c", Value::Ref(c))]));
@@ -841,7 +841,7 @@ mod tests {
 
     #[test]
     fn sweep_collects_unrooted_objects() {
-        let path = fresh("sweep");
+        let (_dir, path) = fresh("sweep");
         let mut s = IntrinsicStore::open(&path).unwrap();
         let kept = s.alloc(Type::Int, Value::Int(1));
         let lost = s.alloc(Type::Int, Value::Int(2));
@@ -858,7 +858,7 @@ mod tests {
 
     #[test]
     fn removing_a_handle_releases_its_objects() {
-        let path = fresh("unroot");
+        let (_dir, path) = fresh("unroot");
         let mut s = IntrinsicStore::open(&path).unwrap();
         let o = s.alloc(Type::Int, Value::Int(1));
         s.set_handle("root", Type::Int, Value::Ref(o));
@@ -875,7 +875,7 @@ mod tests {
 
     #[test]
     fn compaction_shrinks_the_log() {
-        let path = fresh("compact");
+        let (_dir, path) = fresh("compact");
         let mut s = IntrinsicStore::open(&path).unwrap();
         let o = s.alloc(Type::Str, Value::Str("v".repeat(512)));
         s.set_handle("root", Type::Str, Value::Ref(o));
@@ -896,7 +896,7 @@ mod tests {
 
     #[test]
     fn torn_log_tail_recovers_to_last_commit() {
-        let path = fresh("torn");
+        let (_dir, path) = fresh("torn");
         {
             let mut s = IntrinsicStore::open(&path).unwrap();
             let o = s.alloc(Type::Int, Value::Int(1));
@@ -926,7 +926,7 @@ mod tests {
 
     #[test]
     fn many_transactions_replay_in_order() {
-        let path = fresh("many");
+        let (_dir, path) = fresh("many");
         {
             let mut s = IntrinsicStore::open(&path).unwrap();
             let o = s.alloc(Type::Int, Value::Int(0));
@@ -947,8 +947,8 @@ mod tests {
 
     /// Build a two-transaction log, then splice an unknown-kind record
     /// (valid framing, bogus payload) between them.
-    fn poisoned_log(name: &str) -> PathBuf {
-        let path = fresh(name);
+    fn poisoned_log(name: &str) -> (TempDir, PathBuf) {
+        let (dir, path) = fresh(name);
         {
             let mut s = IntrinsicStore::open(&path).unwrap();
             let o = s.alloc(Type::Int, Value::Int(1));
@@ -971,12 +971,12 @@ mod tests {
             log.append(rec).unwrap();
         }
         log.sync().unwrap();
-        path
+        (dir, path)
     }
 
     #[test]
     fn salvage_recovers_what_normal_open_rejects() {
-        let path = poisoned_log("salvage");
+        let (_dir, path) = poisoned_log("salvage");
         // Normal open refuses the unknown record…
         assert!(matches!(
             IntrinsicStore::open(&path),
@@ -999,7 +999,7 @@ mod tests {
 
     #[test]
     fn salvage_store_refuses_writes() {
-        let path = poisoned_log("salvage-ro");
+        let (_dir, path) = poisoned_log("salvage-ro");
         let (mut s, _) = IntrinsicStore::open_salvage(&path).unwrap();
         s.set_handle("new", Type::Int, Value::Int(9)); // in-memory only
         assert!(matches!(s.commit(), Err(PersistError::ReadOnly(_))));
@@ -1008,7 +1008,7 @@ mod tests {
 
     #[test]
     fn salvage_steps_over_mid_file_corruption() {
-        let path = fresh("salvage-gap");
+        let (_dir, path) = fresh("salvage-gap");
         {
             let mut s = IntrinsicStore::open(&path).unwrap();
             s.set_handle("a", Type::Int, Value::Int(1));

@@ -43,6 +43,7 @@ pub mod namespace;
 pub mod replicating;
 pub mod sim;
 pub mod snapshot;
+pub mod tempdir;
 pub mod txn;
 pub mod vfs;
 
@@ -57,5 +58,6 @@ pub use replicating::{
     QuarantineEntry, QuarantineReason, QuarantineReport, ReplicatingStore, ScrubReport,
 };
 pub use snapshot::Image;
+pub use tempdir::TempDir;
 pub use txn::{checkpoint, commit_multi, pending_txn, recover_pending, Intent};
 pub use vfs::{CountingVfs, FaultPlan, RetryPolicy, SimVfs, StdVfs, Vfs};

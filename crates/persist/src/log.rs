@@ -221,19 +221,14 @@ mod tests {
         r.records().collect()
     }
 
-    fn tmpdir() -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "dbpl-log-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tmpdir() -> crate::TempDir {
+        crate::TempDir::new("log-test").unwrap()
     }
 
     #[test]
     fn append_and_replay() {
-        let path = tmpdir().join("basic.log");
+        let dir = tmpdir();
+        let path = dir.join("basic.log");
         let _ = std::fs::remove_file(&path);
         {
             let mut log = LogFile::open(&path).unwrap();
@@ -256,7 +251,8 @@ mod tests {
 
     #[test]
     fn torn_tail_is_dropped() {
-        let path = tmpdir().join("torn.log");
+        let dir = tmpdir();
+        let path = dir.join("torn.log");
         let _ = std::fs::remove_file(&path);
         {
             let mut log = LogFile::open(&path).unwrap();
@@ -287,7 +283,8 @@ mod tests {
 
     #[test]
     fn corrupt_payload_detected() {
-        let path = tmpdir().join("rot.log");
+        let dir = tmpdir();
+        let path = dir.join("rot.log");
         let _ = std::fs::remove_file(&path);
         {
             let mut log = LogFile::open(&path).unwrap();
@@ -309,7 +306,8 @@ mod tests {
 
     #[test]
     fn sync_is_durable_noop_for_semantics() {
-        let path = tmpdir().join("sync.log");
+        let dir = tmpdir();
+        let path = dir.join("sync.log");
         let _ = std::fs::remove_file(&path);
         let mut log = LogFile::open(&path).unwrap();
         log.append(b"x").unwrap();
@@ -320,7 +318,8 @@ mod tests {
 
     #[test]
     fn salvage_scan_resyncs_past_mid_file_damage() {
-        let path = tmpdir().join("salvage.log");
+        let dir = tmpdir();
+        let path = dir.join("salvage.log");
         let _ = std::fs::remove_file(&path);
         {
             let mut log = LogFile::open(&path).unwrap();

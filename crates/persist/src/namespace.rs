@@ -112,18 +112,20 @@ impl NamespaceManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TempDir;
     use dbpl_types::Type;
     use dbpl_values::Value;
 
-    fn mgr(name: &str) -> NamespaceManager {
-        let root = std::env::temp_dir().join(format!("dbpl-ns-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        NamespaceManager::open(root).unwrap()
+    /// A manager over a fresh directory, removed when the guard drops.
+    fn mgr(name: &str) -> (TempDir, NamespaceManager) {
+        let root = TempDir::new(&format!("ns-{name}")).unwrap();
+        let m = NamespaceManager::open(&root).unwrap();
+        (root, m)
     }
 
     #[test]
     fn create_and_list() {
-        let mut m = mgr("list");
+        let (_root, mut m) = mgr("list");
         m.create("alice").unwrap();
         m.create("bob").unwrap();
         assert!(matches!(
@@ -136,7 +138,7 @@ mod tests {
 
     #[test]
     fn public_export_import() {
-        let mut m = mgr("pub");
+        let (_root, mut m) = mgr("pub");
         m.create("alice").unwrap();
         m.create("bob").unwrap();
         let heap = Heap::new();
@@ -161,7 +163,7 @@ mod tests {
 
     #[test]
     fn restricted_export_controls_who_imports() {
-        let mut m = mgr("restricted");
+        let (_root, mut m) = mgr("restricted");
         for n in ["alice", "bob", "eve"] {
             m.create(n).unwrap();
         }
@@ -182,7 +184,7 @@ mod tests {
 
     #[test]
     fn export_requires_existing_handle() {
-        let mut m = mgr("missing");
+        let (_root, mut m) = mgr("missing");
         m.create("alice").unwrap();
         assert!(matches!(
             m.export("alice", "Ghost", Visibility::Public),
@@ -192,8 +194,7 @@ mod tests {
 
     #[test]
     fn reopen_discovers_existing_spaces() {
-        let root = std::env::temp_dir().join(format!("dbpl-ns-{}-reopen", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
+        let root = TempDir::new("ns-reopen").unwrap();
         {
             let mut m = NamespaceManager::open(&root).unwrap();
             m.create("alice").unwrap();

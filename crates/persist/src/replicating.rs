@@ -625,18 +625,20 @@ impl ScrubReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TempDir;
     use dbpl_types::Type;
     use dbpl_values::Value;
 
-    fn store(name: &str) -> ReplicatingStore {
-        let dir = std::env::temp_dir().join(format!("dbpl-repl-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        ReplicatingStore::open(dir).unwrap()
+    /// A store over a fresh directory, removed when the guard drops.
+    fn store(name: &str) -> (TempDir, ReplicatingStore) {
+        let dir = TempDir::new(&format!("repl-{name}")).unwrap();
+        let s = ReplicatingStore::open(&dir).unwrap();
+        (dir, s)
     }
 
     #[test]
     fn extern_intern_roundtrip_plain_value() {
-        let s = store("plain");
+        let (_dir, s) = store("plain");
         let heap = Heap::new();
         let d = DynValue::new(Type::Int, Value::Int(42));
         s.extern_value("X", &d, &heap).unwrap();
@@ -648,7 +650,7 @@ mod tests {
 
     #[test]
     fn unknown_handle_errors() {
-        let s = store("unknown");
+        let (_dir, s) = store("unknown");
         let mut heap = Heap::new();
         assert!(matches!(
             s.intern("Ghost", &mut heap),
@@ -664,7 +666,7 @@ mod tests {
     fn paper_example_modifications_do_not_survive_reintern() {
         // var x = intern 'DBFile'; -- code that modifies x --
         // x = intern 'DBFile';  => the modifications are gone.
-        let s = store("reintern");
+        let (_dir, s) = store("reintern");
         let mut heap = Heap::new();
         let o = heap.alloc(Type::Int, Value::Int(1));
         let d = DynValue::new(Type::Top, Value::Ref(o));
@@ -686,7 +688,7 @@ mod tests {
     fn update_anomaly_shared_value_diverges() {
         // a and b both refer to c; extern both; updates through a's copy
         // of c are invisible through b's copy.
-        let s = store("anomaly");
+        let (_dir, s) = store("anomaly");
         let mut heap = Heap::new();
         let c = heap.alloc(Type::Int, Value::Int(7));
         let a = DynValue::new(Type::Top, Value::record([("c", Value::Ref(c))]));
@@ -707,7 +709,7 @@ mod tests {
     #[test]
     fn wasted_storage_is_observable() {
         // A large shared payload is stored once per handle.
-        let s = store("waste");
+        let (_dir, s) = store("waste");
         let mut heap = Heap::new();
         let big = heap.alloc(Type::Str, Value::Str("x".repeat(10_000)));
         let a = DynValue::new(Type::Top, Value::record([("p", Value::Ref(big))]));
@@ -721,7 +723,7 @@ mod tests {
     #[test]
     fn extern_carries_the_reachable_closure() {
         // "it carries with it everything that is reachable from that value"
-        let s = store("closure");
+        let (_dir, s) = store("closure");
         let mut heap = Heap::new();
         let inner = heap.alloc(Type::Int, Value::Int(5));
         let outer = heap.alloc(Type::Top, Value::record([("inner", Value::Ref(inner))]));
@@ -744,7 +746,7 @@ mod tests {
 
     #[test]
     fn extern_is_atomic_replace() {
-        let s = store("atomic");
+        let (_dir, s) = store("atomic");
         let heap = Heap::new();
         s.extern_value("H", &DynValue::new(Type::Int, Value::Int(1)), &heap)
             .unwrap();
@@ -756,7 +758,7 @@ mod tests {
 
     #[test]
     fn handles_with_odd_names_are_sanitized() {
-        let s = store("odd");
+        let (_dir, s) = store("odd");
         let heap = Heap::new();
         s.extern_value("a/b c", &DynValue::new(Type::Int, Value::Int(3)), &heap)
             .unwrap();
@@ -768,7 +770,7 @@ mod tests {
     fn sanitized_names_cannot_collide() {
         // Regression: `a/b` and `a.b` both used to sanitize to `a%b.dyn`,
         // so externing one silently clobbered the other.
-        let s = store("collide");
+        let (_dir, s) = store("collide");
         let heap = Heap::new();
         for (i, h) in ["a/b", "a.b", "a b", "a%b"].iter().enumerate() {
             s.extern_value(h, &DynValue::new(Type::Int, Value::Int(i as i64)), &heap)
@@ -791,7 +793,7 @@ mod tests {
 
     #[test]
     fn salvage_open_quarantines_corrupt_units_and_is_read_only() {
-        let s = store("salvage");
+        let (_dir, s) = store("salvage");
         let heap = Heap::new();
         s.extern_value("good", &DynValue::new(Type::Int, Value::Int(1)), &heap)
             .unwrap();
@@ -820,7 +822,7 @@ mod tests {
 
     #[test]
     fn intern_all_skips_undecodable_units() {
-        let s = store("intern-all");
+        let (_dir, s) = store("intern-all");
         let heap = Heap::new();
         s.extern_value("a", &DynValue::new(Type::Int, Value::Int(10)), &heap)
             .unwrap();
@@ -838,7 +840,7 @@ mod tests {
 
     #[test]
     fn encode_install_matches_extern_and_remove_undoes_it() {
-        let s = store("staged");
+        let (_dir, s) = store("staged");
         let heap = Heap::new();
         let d = DynValue::new(Type::Int, Value::Int(77));
         let bytes = ReplicatingStore::encode_unit(&d, &heap).unwrap();
@@ -855,7 +857,7 @@ mod tests {
 
     #[test]
     fn remove_then_listing_and_exists_agree() {
-        let s = store("remove");
+        let (_dir, s) = store("remove");
         let heap = Heap::new();
         s.extern_value("keep", &DynValue::new(Type::Int, Value::Int(1)), &heap)
             .unwrap();

@@ -234,8 +234,7 @@ mod tests {
 
     #[test]
     fn save_load_restore() {
-        let dir = std::env::temp_dir().join(format!("dbpl-snap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::TempDir::new("snap").unwrap();
         let path = dir.join("session.image");
         let img = sample();
         img.save(&path).unwrap();

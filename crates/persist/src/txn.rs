@@ -656,15 +656,13 @@ pub(crate) fn scrub_log(store: &ReplicatingStore) -> Option<QuarantineEntry> {
 mod tests {
     use super::*;
     use crate::vfs::{FaultPlan, SimVfs};
+    use crate::TempDir;
     use dbpl_types::Type;
     use dbpl_values::{DynValue, Heap, Value};
     use std::sync::Arc;
 
-    fn fresh(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dbpl-txn-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn fresh(name: &str) -> TempDir {
+        TempDir::new(&format!("txn-{name}")).unwrap()
     }
 
     fn unit(v: i64) -> Vec<u8> {

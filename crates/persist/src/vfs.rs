@@ -1020,8 +1020,7 @@ mod tests {
 
     #[test]
     fn std_vfs_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("dbpl-vfs-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::TempDir::new("vfs").unwrap();
         let path = dir.join("f.bin");
         let vfs = StdVfs;
         vfs.write(&path, b"abc").unwrap();

@@ -7,22 +7,20 @@
 use dbpl_persist::txn::COMMIT_LOG;
 use dbpl_persist::{
     open_handle, project_to_type, recover_pending, DurabilityGate, IntrinsicStore, LogFile,
-    OpenOutcome, PersistError, QuarantineReason, ReplicatingStore,
+    OpenOutcome, PersistError, QuarantineReason, ReplicatingStore, TempDir,
 };
 use dbpl_types::{parse_type, Type, TypeEnv};
 use dbpl_values::{DynValue, Heap, Value};
 use std::path::PathBuf;
 
-fn fresh_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dbpl-corrupt-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+/// A fresh store directory, removed when the guard drops.
+fn fresh_dir(name: &str) -> TempDir {
+    TempDir::new(&format!("corrupt-{name}")).unwrap()
 }
 
 /// Extern a value with a non-trivial object closure and return the path of
 /// the single `.dyn` unit file backing it.
-fn seeded_store(name: &str) -> (ReplicatingStore, PathBuf, Vec<u8>) {
+fn seeded_store(name: &str) -> (TempDir, ReplicatingStore, PathBuf, Vec<u8>) {
     let dir = fresh_dir(name);
     let store = ReplicatingStore::open(&dir).unwrap();
     let mut heap = Heap::new();
@@ -38,12 +36,12 @@ fn seeded_store(name: &str) -> (ReplicatingStore, PathBuf, Vec<u8>) {
     store.extern_value("unit", &d, &heap).unwrap();
     let path = dir.join("unit.dyn");
     let bytes = std::fs::read(&path).unwrap();
-    (store, path, bytes)
+    (dir, store, path, bytes)
 }
 
 #[test]
 fn truncated_dyn_unit_errors_cleanly_at_every_cut_point() {
-    let (store, path, bytes) = seeded_store("truncate");
+    let (_dir, store, path, bytes) = seeded_store("truncate");
     assert!(
         bytes.len() > 20,
         "want a unit with structure, got {} bytes",
@@ -72,7 +70,7 @@ fn truncated_dyn_unit_errors_cleanly_at_every_cut_point() {
 
 #[test]
 fn bit_flipped_dyn_unit_never_panics() {
-    let (store, path, bytes) = seeded_store("bitflip");
+    let (_dir, store, path, bytes) = seeded_store("bitflip");
     for i in 0..bytes.len() {
         for mask in [0x01u8, 0x80, 0xFF] {
             let mut damaged = bytes.clone();
@@ -92,7 +90,7 @@ fn bit_flipped_dyn_unit_never_panics() {
 
 #[test]
 fn trailing_garbage_after_unit_is_rejected() {
-    let (store, path, mut bytes) = seeded_store("trailing");
+    let (_dir, store, path, mut bytes) = seeded_store("trailing");
     bytes.extend_from_slice(b"debris");
     std::fs::write(&path, &bytes).unwrap();
     let mut heap = Heap::new();
@@ -106,8 +104,9 @@ fn trailing_garbage_after_unit_is_rejected() {
 
 /// Build an intrinsic log that normal `open` rejects: one committed
 /// transaction, then a validly-framed record of an unknown kind.
-fn poisoned_log(name: &str) -> PathBuf {
-    let path = fresh_dir(name).join("store.log");
+fn poisoned_log(name: &str) -> (TempDir, PathBuf) {
+    let dir = fresh_dir(name);
+    let path = dir.join("store.log");
     {
         let mut s = IntrinsicStore::open(&path).unwrap();
         s.set_handle(
@@ -120,7 +119,7 @@ fn poisoned_log(name: &str) -> PathBuf {
     let mut log = LogFile::open(&path).unwrap();
     log.append(b"?record from a newer format").unwrap();
     log.sync().unwrap();
-    path
+    (dir, path)
 }
 
 fn db_value() -> Value {
@@ -129,7 +128,7 @@ fn db_value() -> Value {
 
 #[test]
 fn evolution_on_a_salvaged_store_enriches_in_memory_but_cannot_commit() {
-    let path = poisoned_log("evo-salvage");
+    let (_dir, path) = poisoned_log("evo-salvage");
     assert!(
         IntrinsicStore::open(&path).is_err(),
         "precondition: normal open refuses"
@@ -158,7 +157,7 @@ fn evolution_on_a_salvaged_store_enriches_in_memory_but_cannot_commit() {
 
 #[test]
 fn evolution_refusal_still_reported_on_salvaged_store() {
-    let path = poisoned_log("evo-refuse");
+    let (_dir, path) = poisoned_log("evo-refuse");
     let (mut store, _) = IntrinsicStore::open_salvage(&path).unwrap();
     let env = TypeEnv::new();
     let contradicting = parse_type("{Name: Int}").unwrap();
@@ -183,7 +182,7 @@ fn projection_through_an_unresolvable_named_type_is_identity() {
 
 /// A store whose commit log holds three records (one extern each), and
 /// the log's path and bytes.
-fn logged_store(name: &str) -> (PathBuf, PathBuf, Vec<u8>) {
+fn logged_store(name: &str) -> (TempDir, PathBuf, Vec<u8>) {
     let dir = fresh_dir(name);
     let store = ReplicatingStore::open(&dir).unwrap();
     let heap = Heap::new();

@@ -228,10 +228,8 @@ fn nightly_transient_retry_matrix() {
 
 #[test]
 fn salvage_mode_reads_logs_that_normal_open_rejects() {
-    let dir = std::env::temp_dir().join(format!("dbpl-crash-sim-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = dbpl_persist::TempDir::new("crash-sim").unwrap();
     let path = dir.join("salvage-acceptance.log");
-    let _ = std::fs::remove_file(&path);
 
     // Two committed transactions with a validly-framed garbage record
     // spliced between them.

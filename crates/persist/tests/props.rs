@@ -32,8 +32,10 @@ fn arb_type() -> impl Strategy<Value = Type> {
         prop_oneof![
             inner.clone().prop_map(Type::list),
             inner.clone().prop_map(Type::set),
-            prop::collection::btree_map("[a-c]", inner.clone(), 0..3).prop_map(Type::Record),
-            prop::collection::btree_map("[A-C]", inner.clone(), 1..3).prop_map(Type::Variant),
+            prop::collection::btree_map("[a-c]", inner.clone(), 0..3)
+                .prop_map(|m| Type::Record(m.into())),
+            prop::collection::btree_map("[A-C]", inner.clone(), 1..3)
+                .prop_map(|m| Type::Variant(m.into())),
             (inner.clone(), inner.clone()).prop_map(|(a, r)| Type::fun(a, r)),
             ("[t-v]", prop::option::of(inner.clone()), inner.clone())
                 .prop_map(|(v, b, body)| Type::forall(v, b, body)),
@@ -111,10 +113,8 @@ proptest! {
         payloads in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..64), 1..8),
         chop in 1usize..32
     ) {
-        let dir = std::env::temp_dir().join(format!("dbpl-logprop-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = dbpl_persist::TempDir::new("logprop").unwrap();
         let path = dir.join(format!("fuzz-{chop}-{}.log", payloads.len()));
-        let _ = std::fs::remove_file(&path);
         {
             let mut log = LogFile::open(&path).unwrap();
             for p in &payloads {

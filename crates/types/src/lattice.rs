@@ -46,7 +46,7 @@ pub fn join(a: &Type, b: &Type, env: &TypeEnv) -> Type {
                     out.insert(l.clone(), join(f, g, env));
                 }
             }
-            Type::Record(out)
+            Type::Record(out.into())
         }
         (Type::Variant(fs), Type::Variant(gs)) => {
             // Union of arms, joined pointwise on common arms.
@@ -122,7 +122,7 @@ pub fn meet(a: &Type, b: &Type, env: &TypeEnv) -> Option<Type> {
             if out.is_empty() {
                 None
             } else {
-                Some(Type::Variant(out))
+                Some(Type::Variant(out.into()))
             }
         }
         // `List[Bottom]` and `Set[Bottom]` are inhabited (by the empty

@@ -18,6 +18,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 /// A field or variant label.
 pub type Label = String;
@@ -28,12 +30,81 @@ pub type TyVar = String;
 /// A named type (an abbreviation registered in a [`crate::env::TypeEnv`]).
 pub type Name = String;
 
-/// The body of a record type: an ordered map from labels to field types.
+/// The body of a record or variant type: an ordered map from labels to
+/// field types, shared.
 ///
 /// `BTreeMap` gives us canonical field order, so two record types with the
 /// same fields are structurally identical regardless of declaration order —
-/// exactly the structural view the paper attributes to Amber.
-pub type Fields = BTreeMap<Label, Type>;
+/// exactly the structural view the paper attributes to Amber. The map
+/// sits behind an [`Arc`]: cloning a record type is a refcount bump, so
+/// every stored row of one carried type can point at one map (see
+/// `TypedListIndex::add` in `dbpl-core`). Reads deref to the map; writes
+/// ([`DerefMut`]) un-share it first with [`Arc::make_mut`]. Equality,
+/// order and hashing are the map's.
+#[derive(Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Fields(Arc<BTreeMap<Label, Type>>);
+
+impl Fields {
+    /// No fields.
+    pub fn new() -> Fields {
+        Fields::default()
+    }
+
+    /// Do the two share one map (not merely equal ones)?
+    pub fn ptr_eq(&self, other: &Fields) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Deref for Fields {
+    type Target = BTreeMap<Label, Type>;
+
+    fn deref(&self) -> &BTreeMap<Label, Type> {
+        &self.0
+    }
+}
+
+impl DerefMut for Fields {
+    fn deref_mut(&mut self) -> &mut BTreeMap<Label, Type> {
+        Arc::make_mut(&mut self.0)
+    }
+}
+
+impl fmt::Debug for Fields {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl From<BTreeMap<Label, Type>> for Fields {
+    fn from(map: BTreeMap<Label, Type>) -> Fields {
+        Fields(Arc::new(map))
+    }
+}
+
+impl FromIterator<(Label, Type)> for Fields {
+    fn from_iter<I: IntoIterator<Item = (Label, Type)>>(fields: I) -> Fields {
+        Fields::from(fields.into_iter().collect::<BTreeMap<_, _>>())
+    }
+}
+
+impl IntoIterator for Fields {
+    type Item = (Label, Type);
+    type IntoIter = std::collections::btree_map::IntoIter<Label, Type>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        Arc::unwrap_or_clone(self.0).into_iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a Fields {
+    type Item = (&'a Label, &'a Type);
+    type IntoIter = std::collections::btree_map::Iter<'a, Label, Type>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
 
 /// A quantified type: `∀v ≤ bound. body` or `∃v ≤ bound. body`.
 ///

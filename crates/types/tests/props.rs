@@ -23,8 +23,10 @@ fn arb_type() -> impl Strategy<Value = Type> {
         prop_oneof![
             inner.clone().prop_map(Type::list),
             inner.clone().prop_map(Type::set),
-            prop::collection::btree_map("[a-d]", inner.clone(), 0..4).prop_map(Type::Record),
-            prop::collection::btree_map("[a-d]", inner.clone(), 1..4).prop_map(Type::Variant),
+            prop::collection::btree_map("[a-d]", inner.clone(), 0..4)
+                .prop_map(|m| Type::Record(m.into())),
+            prop::collection::btree_map("[a-d]", inner.clone(), 1..4)
+                .prop_map(|m| Type::Variant(m.into())),
             (inner.clone(), inner).prop_map(|(a, r)| Type::fun(a, r)),
         ]
     })

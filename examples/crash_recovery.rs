@@ -9,13 +9,12 @@ use dbpl::values::Value;
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let dir = std::env::temp_dir().join(format!("dbpl-crash-demo-{}", std::process::id()));
-    std::fs::create_dir_all(&dir)?;
+    // Removed, with everything the stores wrote, when `dir` drops.
+    let dir = dbpl::persist::TempDir::new("crash-demo")?;
 
     // ---------- 1. a torn tail is recovered, and the user is told ----------
     println!("== torn-tail recovery");
     let log = dir.join("torn.log");
-    let _ = std::fs::remove_file(&log);
     {
         let mut s = IntrinsicStore::open(&log)?;
         for i in 0..3 {

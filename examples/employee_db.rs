@@ -11,10 +11,9 @@ use dbpl::types::{parse_type, Type};
 use dbpl::values::Value;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let dir = std::env::temp_dir().join(format!("dbpl-employee-db-{}", std::process::id()));
-    std::fs::create_dir_all(&dir)?;
+    // Removed, with everything the stores wrote, when `dir` drops.
+    let dir = dbpl::persist::TempDir::new("employee-db")?;
     let log = dir.join("employees.log");
-    let _ = std::fs::remove_file(&log);
 
     // ---------- schema + extents ----------
     let mut db = Database::new();

@@ -10,8 +10,8 @@ use dbpl::values::{DynValue, Heap, Value};
 use std::collections::BTreeMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let dir = std::env::temp_dir().join(format!("dbpl-persist-demo-{}", std::process::id()));
-    std::fs::create_dir_all(&dir)?;
+    // Removed, with everything the stores wrote, when `dir` drops.
+    let dir = dbpl::persist::TempDir::new("persist-demo")?;
 
     // ---------- 1. all-or-nothing ----------
     println!("== all-or-nothing: the whole session image");

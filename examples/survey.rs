@@ -11,8 +11,8 @@ use dbpl::types::Type;
 use dbpl::values::Value;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let dir = std::env::temp_dir().join(format!("dbpl-survey-{}", std::process::id()));
-    std::fs::create_dir_all(&dir)?;
+    // Removed, with everything the stores wrote, when `dir` drops.
+    let dir = dbpl::persist::TempDir::new("survey")?;
 
     // ---------- Pascal/R ----------
     println!("== Pascal/R: type / extent / persistence cleanly separated");

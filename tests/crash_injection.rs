@@ -5,7 +5,7 @@
 //! conservatively rolls further back. It must never panic, and never
 //! resurrect uncommitted data.
 
-use dbpl::persist::IntrinsicStore;
+use dbpl::persist::{IntrinsicStore, TempDir};
 use dbpl::types::Type;
 use dbpl::values::Value;
 use proptest::prelude::*;
@@ -14,10 +14,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static CASE: AtomicU64 = AtomicU64::new(0);
 
-fn fresh_log() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dbpl-crash-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("case-{}.log", CASE.fetch_add(1, Ordering::Relaxed)))
+/// A log path in a fresh directory, removed when the guard drops.
+fn fresh_log() -> (TempDir, PathBuf) {
+    let dir = TempDir::new("crash").unwrap();
+    let path = dir.join(format!("case-{}.log", CASE.fetch_add(1, Ordering::Relaxed)));
+    (dir, path)
 }
 
 /// Build a log with `commits` transactions, each setting handle "n" to its
@@ -46,7 +47,7 @@ proptest! {
 
     #[test]
     fn truncation_recovers_a_committed_prefix(commits in 1u64..8, chop in 1u64..200) {
-        let path = fresh_log();
+        let (_dir, path) = fresh_log();
         build(&path, commits);
         let full = std::fs::metadata(&path).unwrap().len();
         let keep = full.saturating_sub(chop);
@@ -65,7 +66,7 @@ proptest! {
 
     #[test]
     fn bit_flips_never_panic_or_fabricate(commits in 1u64..6, byte in 0usize..4096, bit in 0u8..8) {
-        let path = fresh_log();
+        let (_dir, path) = fresh_log();
         build(&path, commits);
         let mut bytes = std::fs::read(&path).unwrap();
         if !bytes.is_empty() {
@@ -87,7 +88,7 @@ proptest! {
     fn post_recovery_store_is_writable(commits in 1u64..5, chop in 1u64..100) {
         // After any torn-tail recovery, the store must accept new commits
         // and subsequently reopen to exactly the new state.
-        let path = fresh_log();
+        let (_dir, path) = fresh_log();
         build(&path, commits);
         let full = std::fs::metadata(&path).unwrap().len();
         let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();

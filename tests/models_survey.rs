@@ -11,17 +11,16 @@ use dbpl::relation::Schema;
 use dbpl::types::Type;
 use dbpl::values::Value;
 
-fn tmp(name: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("dbpl-survey-test-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
+/// A fresh store directory, removed when the guard drops.
+fn tmp(name: &str) -> dbpl::persist::TempDir {
+    dbpl::persist::TempDir::new(&format!("survey-test-{name}")).unwrap()
 }
 
 #[test]
 fn pascal_r_claims_hold() {
     let caps = capabilities("Pascal/R").unwrap();
-    let mut db = PascalRDatabase::open(tmp("pr").join("db")).unwrap();
+    let dir = tmp("pr");
+    let mut db = PascalRDatabase::open(dir.join("db")).unwrap();
     // separates type/extent: two relations over the same record schema.
     db.declare_relation("A", Schema::new([("X", Type::Int)]).unwrap())
         .unwrap();
@@ -104,7 +103,8 @@ fn galileo_claims_hold() {
 fn amber_claims_hold() {
     let caps = capabilities("Amber").unwrap();
     assert!(caps.has_dynamic && !caps.has_class_construct);
-    let mut am = AmberProgram::open(tmp("amber")).unwrap();
+    let dir = tmp("amber");
+    let mut am = AmberProgram::open(&dir).unwrap();
     am.env
         .declare("Person", Type::record([("Name", Type::Str)]))
         .unwrap();

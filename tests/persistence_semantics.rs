@@ -5,23 +5,21 @@
 //! values — is checked at every boundary.
 
 use dbpl::persist::{
-    open_handle, Image, IntrinsicStore, OpenOutcome, PersistError, ReplicatingStore,
+    open_handle, Image, IntrinsicStore, OpenOutcome, PersistError, ReplicatingStore, TempDir,
 };
 use dbpl::types::{parse_type, Type, TypeEnv};
 use dbpl::values::{DynValue, Heap, Value};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 
-fn dir(name: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("dbpl-itest-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
+/// A fresh store directory, removed when the guard drops.
+fn fresh_dir(name: &str) -> TempDir {
+    TempDir::new(&format!("itest-{name}")).unwrap()
 }
 
 #[test]
 fn replicating_update_anomaly_and_waste() {
-    let store = ReplicatingStore::open(dir("anomaly")).unwrap();
+    let dir = fresh_dir("anomaly");
+    let store = ReplicatingStore::open(&dir).unwrap();
     let mut heap = Heap::new();
     let shared = heap.alloc(Type::Str, Value::Str("x".repeat(4096)));
     let a = DynValue::new(Type::Top, Value::record([("c", Value::Ref(shared))]));
@@ -46,7 +44,8 @@ fn replicating_update_anomaly_and_waste() {
 
 #[test]
 fn intrinsic_store_shares_and_survives() {
-    let log = dir("intrinsic").join("db.log");
+    let dir = fresh_dir("intrinsic");
+    let log = dir.join("db.log");
     {
         let mut s = IntrinsicStore::open(&log).unwrap();
         let shared = s.alloc(Type::Int, Value::Int(1));
@@ -77,7 +76,8 @@ fn type_persists_with_the_value_everywhere() {
     let person = Value::record([("Name", Value::str("d"))]);
 
     // Replicating.
-    let store = ReplicatingStore::open(dir("principle2")).unwrap();
+    let dir = fresh_dir("principle2");
+    let store = ReplicatingStore::open(&dir).unwrap();
     store
         .extern_value(
             "P",
@@ -94,7 +94,8 @@ fn type_persists_with_the_value_everywhere() {
     assert!(dbpl::values::coerce(&back, &person_ty, &env).is_ok());
 
     // Intrinsic.
-    let log = dir("principle2i").join("db.log");
+    let dir = fresh_dir("principle2i");
+    let log = dir.join("db.log");
     {
         let mut s = IntrinsicStore::open(&log).unwrap();
         s.set_handle("P", person_ty.clone(), person.clone());
@@ -115,7 +116,8 @@ fn type_persists_with_the_value_everywhere() {
 
 #[test]
 fn schema_evolution_full_cycle() {
-    let log = dir("evolution").join("db.log");
+    let dir = fresh_dir("evolution");
+    let log = dir.join("db.log");
     let env = TypeEnv::new();
     let mut s = IntrinsicStore::open(&log).unwrap();
     s.set_handle(
@@ -155,7 +157,8 @@ fn schema_evolution_full_cycle() {
 
 #[test]
 fn compaction_preserves_state_and_shrinks() {
-    let log = dir("compaction").join("db.log");
+    let dir = fresh_dir("compaction");
+    let log = dir.join("db.log");
     let mut s = IntrinsicStore::open(&log).unwrap();
     let o = s.alloc(Type::Int, Value::Int(0));
     s.set_handle("n", Type::Int, Value::Ref(o));
@@ -175,7 +178,7 @@ fn compaction_preserves_state_and_shrinks() {
 #[test]
 fn all_or_nothing_is_atomic_under_partial_write() {
     // A truncated image never half-loads.
-    let d = dir("atomic");
+    let d = fresh_dir("atomic");
     let path = d.join("img");
     let img = Image::capture(&TypeEnv::new(), &Heap::new(), &BTreeMap::new());
     img.save(&path).unwrap();
@@ -191,7 +194,8 @@ fn all_or_nothing_is_atomic_under_partial_write() {
 #[test]
 fn namespaces_control_sharing() {
     use dbpl::persist::{NamespaceManager, Visibility};
-    let mut m = NamespaceManager::open(dir("ns")).unwrap();
+    let dir = fresh_dir("ns");
+    let mut m = NamespaceManager::open(&dir).unwrap();
     m.create("research").unwrap();
     m.create("teaching").unwrap();
     let heap = Heap::new();
@@ -217,7 +221,8 @@ fn namespaces_control_sharing() {
 #[test]
 fn database_persists_through_the_intrinsic_store() {
     use dbpl::core::Database;
-    let log = dir("db-bridge").join("db.log");
+    let dir = fresh_dir("db-bridge");
+    let log = dir.join("db.log");
     {
         let mut db = Database::new();
         db.declare_type("Person", parse_type("{Name: Str}").unwrap())
@@ -246,7 +251,8 @@ fn replicating_handles_are_safe_under_concurrency() {
     // concurrent extern/intern of distinct payloads, every intern must
     // see a *complete* unit (never an interleaving).
     use std::sync::Arc;
-    let store = Arc::new(ReplicatingStore::open(dir("concurrent")).unwrap());
+    let dir = fresh_dir("concurrent");
+    let store = Arc::new(ReplicatingStore::open(&dir).unwrap());
     let heap = Heap::new();
     store
         .extern_value("H", &DynValue::new(Type::Int, Value::Int(0)), &heap)
