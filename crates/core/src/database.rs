@@ -177,8 +177,11 @@ impl Database {
 
     /// The raw dynamic store as one contiguous slice. The store is kept
     /// in chunks, so the first call after a write builds (and caches) a
-    /// deep copy: a compatibility view for oracles and tests. Iterate
-    /// with [`Database::rows_from`] instead where a slice is not needed.
+    /// copy of every row: a compatibility view for oracles and tests. The
+    /// copy is shallow where it matters: a row's record fields and its
+    /// record type are shared maps, so copying a record row bumps
+    /// refcounts instead of copying its fields. Iterate with
+    /// [`Database::rows_from`] instead where a slice is not needed.
     pub fn dynamics(&self) -> &[DynValue] {
         self.dynamics.as_slice()
     }
@@ -654,12 +657,29 @@ mod tests {
         assert_eq!(got, d.get_by_scan(&bound), "the lists merge in store order");
         let witnesses: Vec<String> = got.iter().map(|p| p.witness().to_string()).collect();
         assert_eq!(witnesses, ["Person", "Person", "Employee"]);
+        let rows: Vec<DynValue> = view
+            .rows()
+            .map(|r| DynValue::new(r.witness().clone(), r.value().clone()))
+            .collect();
+        let packaged: Vec<DynValue> = got.into_iter().map(ExistsPkg::into_dynamic).collect();
+        assert_eq!(rows, packaged, "rows() yields the packages' rows");
         // The view keeps its snapshot: later writes do not reach it.
         d.put(Type::named("Person"), person("late")).unwrap();
         d.quarantine_position(0, "more damage");
         assert_eq!((view.len(), view.iter().count()), (3, 3));
         assert_eq!(d.get_view(&bound).len(), 3);
         assert!(d.get_view(&Type::Bool).is_empty());
+    }
+
+    #[test]
+    fn the_dynamics_view_shares_record_fields_with_the_store() {
+        let d = db();
+        let stored = d.rows_from(0).next().unwrap().value.as_record().unwrap();
+        let copied = d.dynamics()[0].value.as_record().unwrap();
+        assert!(
+            stored.ptr_eq(copied),
+            "the view copies the row, not its fields"
+        );
     }
 
     #[test]

@@ -53,8 +53,30 @@ use std::sync::Arc;
 #[derive(Clone)]
 pub struct ExistsPkg {
     bound: Arc<Type>,
+    row: StoredRow,
+}
+
+/// One stored row, shared: the store chunk it sits in and its offset.
+///
+/// What [`GetView::rows`] yields to a consumer that was type-checked at
+/// the bound already (MiniDBPL's evaluator): the row without its package,
+/// so reading one costs one refcount bump instead of two.
+#[derive(Clone)]
+pub struct StoredRow {
     chunk: Chunk,
     at: usize,
+}
+
+impl StoredRow {
+    /// The row's carried type.
+    pub fn witness(&self) -> &Type {
+        &self.chunk[self.at].ty
+    }
+
+    /// The row's value.
+    pub fn value(&self) -> &Value {
+        &self.chunk[self.at].value
+    }
 }
 
 impl ExistsPkg {
@@ -78,11 +100,11 @@ impl ExistsPkg {
     }
 
     fn owned(row: DynValue, bound: Arc<Type>) -> ExistsPkg {
-        ExistsPkg {
-            bound,
+        let row = StoredRow {
             chunk: Arc::new(vec![row]),
             at: 0,
-        }
+        };
+        ExistsPkg { bound, row }
     }
 
     /// The package's *bound*: the type the caller asked for.
@@ -91,7 +113,7 @@ impl ExistsPkg {
     }
 
     fn row(&self) -> &DynValue {
-        &self.chunk[self.at]
+        &self.row.chunk[self.row.at]
     }
 
     /// The hidden witness type (inspection is allowed — Amber's `typeOf` —
@@ -134,22 +156,20 @@ impl ExistsPkg {
 
     /// Dissolve into a dynamic value carrying the witness type.
     pub fn into_dynamic(self) -> DynValue {
-        match Arc::try_unwrap(self.chunk) {
-            Ok(mut rows) => rows.swap_remove(self.at),
-            Err(chunk) => chunk[self.at].clone(),
+        match Arc::try_unwrap(self.row.chunk) {
+            Ok(mut rows) => rows.swap_remove(self.row.at),
+            Err(chunk) => chunk[self.row.at].clone(),
         }
     }
 
-    /// Package the stored row at offset `at` of `chunk`, whose
-    /// `witness ≤ bound` has *already* been established (by the
-    /// typed-list index, whose membership is exactly that judgement).
-    /// Crate-private: a public caller could seal a lie, breaking the
-    /// static discipline [`ExistsPkg::seal`] enforces.
-    pub(crate) fn seal_trusted(chunk: &Chunk, at: usize, bound: &Arc<Type>) -> ExistsPkg {
+    /// Package a stored row whose `witness ≤ bound` has *already* been
+    /// established (by the typed-list index, whose membership is exactly
+    /// that judgement). Crate-private: a public caller could seal a lie,
+    /// breaking the static discipline [`ExistsPkg::seal`] enforces.
+    fn seal_trusted(row: StoredRow, bound: &Arc<Type>) -> ExistsPkg {
         ExistsPkg {
             bound: Arc::clone(bound),
-            chunk: Arc::clone(chunk),
-            at,
+            row,
         }
     }
 }
@@ -157,6 +177,15 @@ impl ExistsPkg {
 impl PartialEq for ExistsPkg {
     fn eq(&self, other: &ExistsPkg) -> bool {
         self.bound == other.bound && self.row() == other.row()
+    }
+}
+
+impl fmt::Debug for StoredRow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StoredRow")
+            .field("witness", self.witness())
+            .field("value", self.value())
+            .finish()
     }
 }
 
@@ -241,7 +270,14 @@ impl GetView {
 
     /// The matching rows, in store order, each sealed as a package that
     /// shares the stored row when it is reached.
-    pub fn iter(&self) -> GetIter<'_> {
+    pub fn iter(&self) -> impl Iterator<Item = ExistsPkg> + '_ {
+        self.rows()
+            .map(|row| ExistsPkg::seal_trusted(row, &self.bound))
+    }
+
+    /// The matching rows, in store order, unpackaged: for a consumer
+    /// type-checked at the bound already.
+    pub fn rows(&self) -> GetIter<'_> {
         // List 0 is an empty run, so the first `next` starts the real
         // list with the smallest head.
         let mut lists: Vec<&[usize]> = vec![&[]];
@@ -273,12 +309,12 @@ impl fmt::Debug for GetView {
     }
 }
 
-/// The iterator behind [`GetView::iter`]: a k-way merge of the matching
+/// The iterator behind [`GetView::rows`]: a k-way merge of the matching
 /// position lists (each ascending), skipping quarantined positions. It
 /// takes rows from one list (the run) for as long as they precede every
 /// other list's head, and consults the heap of heads only when the run
 /// ends, so a single list, or a list whose rows sit together, is walked
-/// without heap operations. The packages it sealed are added to
+/// without heap operations. The rows it yielded are added to
 /// `get.rows_sealed` when it drops.
 pub struct GetIter<'a> {
     view: &'a GetView,
@@ -315,9 +351,9 @@ impl GetIter<'_> {
 }
 
 impl Iterator for GetIter<'_> {
-    type Item = ExistsPkg;
+    type Item = StoredRow;
 
-    fn next(&mut self) -> Option<ExistsPkg> {
+    fn next(&mut self) -> Option<StoredRow> {
         loop {
             let pos = self.next_position()?;
             if self.view.quarantined.contains(&pos) {
@@ -325,7 +361,8 @@ impl Iterator for GetIter<'_> {
             }
             self.sealed += 1;
             let (chunk, at) = self.view.store.locate(pos);
-            return Some(ExistsPkg::seal_trusted(chunk, at, &self.view.bound));
+            let chunk = Arc::clone(chunk);
+            return Some(StoredRow { chunk, at });
         }
     }
 }

@@ -35,6 +35,6 @@ mod store;
 pub use database::Database;
 pub use error::CoreError;
 pub use extent::{Extent, ExtentManager, TypedListIndex};
-pub use get::{conformance_sweep, get_signature, scan_get, ExistsPkg, GetIter, GetView};
+pub use get::{conformance_sweep, get_signature, scan_get, ExistsPkg, GetIter, GetView, StoredRow};
 pub use hierarchy::ClassHierarchy;
 pub use keys::{KeyConstraint, KeyedSet};

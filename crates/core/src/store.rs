@@ -90,8 +90,9 @@ impl Store {
         self.iter_from(0)
     }
 
-    /// The whole store as one slice: a deep copy, made once per store
-    /// version and cached. A compatibility view for callers that need a
+    /// The whole store as one slice: a copy of every row (record rows
+    /// share their fields and types), made once per store version and
+    /// cached. A compatibility view for callers that need a
     /// slice; hot paths go through [`Store::parts`] or
     /// [`Store::iter_from`] instead.
     pub(crate) fn as_slice(&self) -> &[DynValue] {

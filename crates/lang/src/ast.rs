@@ -1,5 +1,13 @@
-//! The abstract syntax of MiniDBPL.
+//! The abstract syntax of MiniDBPL, and the elaborated form the checker
+//! hands the evaluator.
+//!
+//! The parser builds [`Expr`]s, whose variables are names. The checker
+//! resolves every name while it types the program and emits [`Code`], in
+//! which a variable is a frame slot ([`Slot`]) or a constant (a builtin, or
+//! `db`), a function literal is a [`Lambda`] that knows its arity, its frame
+//! size and what it captures, and a call `f(a, b)` is one [`Op::Call`].
 
+use crate::rt::RtValue;
 use dbpl_types::Type;
 use std::rc::Rc;
 
@@ -70,10 +78,8 @@ pub enum ExprKind {
     If(Box<Expr>, Box<Expr>, Box<Expr>),
     /// `let x (: T)? = e1 in e2`.
     Let(String, Option<Type>, Box<Expr>, Box<Expr>),
-    /// Lambda `fn(x: T) => e` (multi-parameter surface forms are curried
-    /// by the parser). The body and the parameter name are shared with
-    /// every closure made from it.
-    Lambda(Rc<str>, Type, Rc<Expr>),
+    /// Lambda `fn(x: T, ...) => e`; its type is curried.
+    Lambda(Vec<(String, Type)>, Box<Expr>),
     /// Application `f(e)` (multi-argument calls are curried).
     App(Box<Expr>, Box<Expr>),
     /// Type application `f[T]`.
@@ -184,4 +190,68 @@ pub enum Item {
 pub struct Program {
     /// The items, in order.
     pub items: Vec<Item>,
+}
+
+/// Where a resolved variable lives while the evaluator runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Slot {
+    /// Slot `i` of the running frame (see [`crate::eval`]).
+    Local(usize),
+    /// The running closure's `i`th captured value.
+    Captured(usize),
+    /// The running `fun` itself: its recursive name.
+    Rec,
+}
+
+/// A function literal (`fn` or `fun`), resolved.
+#[derive(Debug)]
+pub struct Lambda {
+    /// Parameters; a call with this many arguments enters the body.
+    pub arity: usize,
+    /// Frame size: the parameters plus the most binders live at once.
+    pub frame: usize,
+    /// The enclosing scope's slots whose values a closure captures.
+    pub captures: Vec<Slot>,
+    /// The body.
+    pub body: Code,
+}
+
+/// An elaborated expression, annotated with its source offset.
+#[derive(Debug)]
+pub struct Code {
+    /// Source offset (for run-time error messages).
+    pub at: usize,
+    /// The operation.
+    pub op: Op,
+}
+
+/// Elaborated operations; each mirrors an [`ExprKind`] with its names
+/// resolved. Binders name the frame slot they fill.
+#[allow(missing_docs)]
+#[derive(Debug)]
+pub enum Op {
+    /// A literal, a builtin or the database token.
+    Const(RtValue),
+    Var(Slot),
+    Record(Vec<(String, Code)>),
+    List(Vec<Code>),
+    Field(Box<Code>, String),
+    With(Box<Code>, Vec<(String, Code)>),
+    If(Box<Code>, Box<Code>, Box<Code>),
+    Let(usize, Box<Code>, Box<Code>),
+    Lambda(Rc<Lambda>),
+    /// `f(a, b, ...)`, however the source groups its arguments.
+    Call(Box<Code>, Vec<Code>),
+    TyApp(Box<Code>, Type),
+    Bin(BinOp, Box<Code>, Box<Code>),
+    Not(Box<Code>),
+    Neg(Box<Code>),
+    Dynamic(Box<Code>),
+    Coerce(Box<Code>, Type),
+    Typeof(Box<Code>),
+    Extern(Box<Code>, Box<Code>),
+    Intern(Box<Code>),
+    Tag(String, Box<Code>),
+    /// The scrutinee; per arm its tag, payload slot and body.
+    Case(Box<Code>, Vec<(String, usize, Code)>),
 }

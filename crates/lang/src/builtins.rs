@@ -7,14 +7,53 @@
 //! what the existential licenses. The `dbpl-core` API exposes the packages
 //! themselves.) `cons` is typed exactly as the paper's example
 //! `∀a. a → List[a] → List[a]`.
+//!
+//! The table is built once per process. The checker resolves a builtin's
+//! name to its [`Bi`] id; the evaluator dispatches on the id.
 
-use dbpl_types::Type;
+use dbpl_types::{parse_type, Type};
+use std::sync::LazyLock;
 
 /// The database's abstract type name.
 pub const DATABASE: &str = "Database";
 
+/// A builtin's id: its index in the table.
+#[allow(missing_docs)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bi {
+    Print,
+    Get,
+    Put,
+    Cons,
+    Head,
+    Tail,
+    IsEmpty,
+    Len,
+    Append,
+    Map,
+    Filter,
+    Fold,
+    Sum,
+    Str,
+    Reverse,
+    Distinct,
+    Range,
+    Panic,
+    Explain,
+    ExplainJoin,
+    ExplainAnalyze,
+    Scrub,
+    Timeline,
+    Analyze,
+    ExtentStats,
+    Workload,
+    ExplainAnalyzeJoin,
+}
+
 /// A builtin's static description.
 pub struct BuiltinSig {
+    /// Id (the evaluator dispatches on it).
+    pub id: Bi,
     /// Name (also the surface identifier).
     pub name: &'static str,
     /// Full (possibly quantified) type.
@@ -23,220 +62,111 @@ pub struct BuiltinSig {
     pub arity: usize,
 }
 
-fn db() -> Type {
-    Type::named(DATABASE)
-}
-fn v(s: &str) -> Type {
-    Type::var(s)
-}
-fn list(t: Type) -> Type {
-    Type::list(t)
-}
-fn fun2(a: Type, b: Type, r: Type) -> Type {
-    Type::fun(a, Type::fun(b, r))
-}
+/// `(id, name, value arity, type)`, in [`Bi`] order.
+const TABLE: [(Bi, &str, usize, &str); 27] = [
+    (Bi::Print, "print", 1, "Top -> Unit"),
+    // Get : ∀t. Database → List[t]   (use-at-bound; see module docs)
+    (Bi::Get, "get", 1, "forall t. Database -> List[t]"),
+    (Bi::Put, "put", 2, "Database -> Dynamic -> Unit"),
+    // Cons : ∀a. a → List[a] → List[a] — the paper's example.
+    (Bi::Cons, "cons", 2, "forall a. a -> List[a] -> List[a]"),
+    (Bi::Head, "head", 1, "forall a. List[a] -> a"),
+    (Bi::Tail, "tail", 1, "forall a. List[a] -> List[a]"),
+    (Bi::IsEmpty, "isEmpty", 1, "forall a. List[a] -> Bool"),
+    (Bi::Len, "len", 1, "forall a. List[a] -> Int"),
+    (
+        Bi::Append,
+        "append",
+        2,
+        "forall a. List[a] -> List[a] -> List[a]",
+    ),
+    (
+        Bi::Map,
+        "map",
+        2,
+        "forall a. forall b. (a -> b) -> List[a] -> List[b]",
+    ),
+    (
+        Bi::Filter,
+        "filter",
+        2,
+        "forall a. (a -> Bool) -> List[a] -> List[a]",
+    ),
+    (
+        Bi::Fold,
+        "fold",
+        3,
+        "forall a. forall b. (b -> a -> b) -> b -> List[a] -> b",
+    ),
+    (Bi::Sum, "sum", 1, "List[Float] -> Float"),
+    (Bi::Str, "str", 1, "Top -> Str"),
+    (Bi::Reverse, "reverse", 1, "forall a. List[a] -> List[a]"),
+    // Set semantics at the language level: duplicates collapse.
+    (Bi::Distinct, "distinct", 1, "forall a. List[a] -> List[a]"),
+    (Bi::Range, "range", 2, "Int -> Int -> List[Int]"),
+    // Unconditional failure, modelling a buggy program that unwinds.
+    // The session isolates the panic and aborts its transaction.
+    (Bi::Panic, "panic", 1, "Str -> Unit"),
+    // Query-plan introspection: run Get at the bound, report the counters it moved.
+    (Bi::Explain, "explain", 1, "forall t. Database -> Str"),
+    // The same for the generalized natural join of two object lists.
+    (
+        Bi::ExplainJoin,
+        "explainJoin",
+        2,
+        "forall a. forall b. List[a] -> List[b] -> Str",
+    ),
+    // EXPLAIN ANALYZE: run Get under a dedicated trace, render the measured plan tree.
+    (
+        Bi::ExplainAnalyze,
+        "explainAnalyze",
+        1,
+        "forall t. Database -> Str",
+    ),
+    // SCRUB: verify every stored unit's checksum, read-repair corrupt copies.
+    (Bi::Scrub, "scrub", 1, "Database -> Str"),
+    // TIMELINE: the flight recorder's recent ring ("what just happened").
+    (Bi::Timeline, "timeline", 1, "Database -> Str"),
+    // ANALYZE: rebuild the statistics catalog over the healthy store.
+    (Bi::Analyze, "analyze", 1, "Database -> Str"),
+    // The per-extent statistics catalog, rendered.
+    (Bi::ExtentStats, "extentStats", 1, "Database -> Str"),
+    // The workload query log: recent records, top-K by plan fingerprint.
+    (Bi::Workload, "workload", 1, "Database -> Str"),
+    // The same for the generalized natural join of two object lists.
+    (
+        Bi::ExplainAnalyzeJoin,
+        "explainAnalyzeJoin",
+        2,
+        "forall a. forall b. List[a] -> List[b] -> Str",
+    ),
+];
 
-/// The table of builtins.
-pub fn builtins() -> Vec<BuiltinSig> {
-    vec![
-        BuiltinSig {
-            name: "print",
-            ty: Type::fun(Type::Top, Type::Unit),
-            arity: 1,
-        },
-        // Get : ∀t. Database → List[t]   (use-at-bound; see module docs)
-        BuiltinSig {
-            name: "get",
-            ty: Type::forall("t", None, Type::fun(db(), list(v("t")))),
-            arity: 1,
-        },
-        BuiltinSig {
-            name: "put",
-            ty: fun2(db(), Type::Dynamic, Type::Unit),
-            arity: 2,
-        },
-        // Cons : ∀a. a → List[a] → List[a] — the paper's example.
-        BuiltinSig {
-            name: "cons",
-            ty: Type::forall("a", None, fun2(v("a"), list(v("a")), list(v("a")))),
-            arity: 2,
-        },
-        BuiltinSig {
-            name: "head",
-            ty: Type::forall("a", None, Type::fun(list(v("a")), v("a"))),
-            arity: 1,
-        },
-        BuiltinSig {
-            name: "tail",
-            ty: Type::forall("a", None, Type::fun(list(v("a")), list(v("a")))),
-            arity: 1,
-        },
-        BuiltinSig {
-            name: "isEmpty",
-            ty: Type::forall("a", None, Type::fun(list(v("a")), Type::Bool)),
-            arity: 1,
-        },
-        BuiltinSig {
-            name: "len",
-            ty: Type::forall("a", None, Type::fun(list(v("a")), Type::Int)),
-            arity: 1,
-        },
-        BuiltinSig {
-            name: "append",
-            ty: Type::forall("a", None, fun2(list(v("a")), list(v("a")), list(v("a")))),
-            arity: 2,
-        },
-        BuiltinSig {
-            name: "map",
-            ty: Type::forall(
-                "a",
-                None,
-                Type::forall(
-                    "b",
-                    None,
-                    fun2(Type::fun(v("a"), v("b")), list(v("a")), list(v("b"))),
-                ),
-            ),
-            arity: 2,
-        },
-        BuiltinSig {
-            name: "filter",
-            ty: Type::forall(
-                "a",
-                None,
-                fun2(Type::fun(v("a"), Type::Bool), list(v("a")), list(v("a"))),
-            ),
-            arity: 2,
-        },
-        BuiltinSig {
-            name: "fold",
-            ty: Type::forall(
-                "a",
-                None,
-                Type::forall(
-                    "b",
-                    None,
-                    Type::fun(
-                        fun2(v("b"), v("a"), v("b")),
-                        fun2(v("b"), list(v("a")), v("b")),
-                    ),
-                ),
-            ),
-            arity: 3,
-        },
-        BuiltinSig {
-            name: "sum",
-            ty: Type::fun(list(Type::Float), Type::Float),
-            arity: 1,
-        },
-        BuiltinSig {
-            name: "str",
-            ty: Type::fun(Type::Top, Type::Str),
-            arity: 1,
-        },
-        BuiltinSig {
-            name: "reverse",
-            ty: Type::forall("a", None, Type::fun(list(v("a")), list(v("a")))),
-            arity: 1,
-        },
-        // Set semantics at the language level: duplicates collapse.
-        BuiltinSig {
-            name: "distinct",
-            ty: Type::forall("a", None, Type::fun(list(v("a")), list(v("a")))),
-            arity: 1,
-        },
-        BuiltinSig {
-            name: "range",
-            ty: fun2(Type::Int, Type::Int, list(Type::Int)),
-            arity: 2,
-        },
-        // Unconditional failure, modelling a buggy program that unwinds.
-        // The session isolates the panic and aborts its transaction.
-        BuiltinSig {
-            name: "panic",
-            ty: Type::fun(Type::Str, Type::Unit),
-            arity: 1,
-        },
-        // Query-plan introspection: run Get at the bound and describe the
-        // strategy that executed it plus the counters it moved.
-        BuiltinSig {
-            name: "explain",
-            ty: Type::forall("t", None, Type::fun(db(), Type::Str)),
-            arity: 1,
-        },
-        // The same for the generalized natural join of two object lists.
-        BuiltinSig {
-            name: "explainJoin",
-            ty: Type::forall(
-                "a",
-                None,
-                Type::forall("b", None, fun2(list(v("a")), list(v("b")), Type::Str)),
-            ),
-            arity: 2,
-        },
-        // EXPLAIN ANALYZE: actually execute Get under a dedicated trace
-        // and render the measured plan tree — per-stage wall time, row
-        // counts, strategy, cache hit ratio.
-        BuiltinSig {
-            name: "explainAnalyze",
-            ty: Type::forall("t", None, Type::fun(db(), Type::Str)),
-            arity: 1,
-        },
-        // SCRUB: walk every stored unit, verify checksums, read-repair
-        // corrupt copies from the intrinsic replica, and render the
-        // summary plus the measured scrub span tree.
-        BuiltinSig {
-            name: "scrub",
-            ty: Type::fun(db(), Type::Str),
-            arity: 1,
-        },
-        // TIMELINE: render the recent ring of the flight recorder (the
-        // background sampler over the metrics registry), so an operator
-        // session can ask "what just happened" without leaving MiniDBPL.
-        BuiltinSig {
-            name: "timeline",
-            ty: Type::fun(db(), Type::Str),
-            arity: 1,
-        },
-        // ANALYZE: full statistics-catalog rebuild over the healthy
-        // store (the maintained catalog is replaced wholesale), and a
-        // one-line summary of what the rebuild saw.
-        BuiltinSig {
-            name: "analyze",
-            ty: Type::fun(db(), Type::Str),
-            arity: 1,
-        },
-        // The maintained per-extent statistics catalog, rendered: rows,
-        // ground-row density and per-path distinct sketches per carried
-        // type — the planner inputs, inspectable from a session.
-        BuiltinSig {
-            name: "extentStats",
-            ty: Type::fun(db(), Type::Str),
-            arity: 1,
-        },
-        // The workload query log: recent per-query records and the
-        // top-K heavy hitters by plan fingerprint.
-        BuiltinSig {
-            name: "workload",
-            ty: Type::fun(db(), Type::Str),
-            arity: 1,
-        },
-        // The same for the generalized natural join of two object lists.
-        BuiltinSig {
-            name: "explainAnalyzeJoin",
-            ty: Type::forall(
-                "a",
-                None,
-                Type::forall("b", None, fun2(list(v("a")), list(v("b")), Type::Str)),
-            ),
-            arity: 2,
-        },
-    ]
+static BUILTINS: LazyLock<Vec<BuiltinSig>> = LazyLock::new(|| {
+    TABLE
+        .iter()
+        .map(|&(id, name, arity, ty)| BuiltinSig {
+            id,
+            name,
+            ty: parse_type(ty).expect("builtin signatures parse"),
+            arity,
+        })
+        .collect()
+});
+
+/// The table of builtins, in [`Bi`] order.
+pub fn builtins() -> &'static [BuiltinSig] {
+    &BUILTINS
 }
 
 /// Look up one builtin by name.
-pub fn builtin(name: &str) -> Option<BuiltinSig> {
-    builtins().into_iter().find(|b| b.name == name)
+pub fn builtin(name: &str) -> Option<&'static BuiltinSig> {
+    builtins().iter().find(|b| b.name == name)
+}
+
+/// One builtin's description, by id.
+pub fn sig(id: Bi) -> &'static BuiltinSig {
+    &builtins()[id as usize]
 }
 
 #[cfg(test)]
@@ -263,5 +193,23 @@ mod tests {
         dedup.dedup();
         assert_eq!(names.len(), dedup.len());
         assert!(builtin("nope").is_none());
+    }
+
+    #[test]
+    fn ids_index_the_table_and_arities_match_the_types() {
+        for (i, b) in builtins().iter().enumerate() {
+            assert_eq!(b.id as usize, i, "{}", b.name);
+            assert!(std::ptr::eq(sig(b.id), b));
+            let mut ty = &b.ty;
+            while let Type::Forall(q) = ty {
+                ty = &q.body;
+            }
+            let mut arrows = 0;
+            while let Type::Fun(_, r) = ty {
+                arrows += 1;
+                ty = r;
+            }
+            assert_eq!(arrows, b.arity, "{}", b.name);
+        }
     }
 }

@@ -7,60 +7,63 @@
 //! requires, with subtyping (records by width and depth), explicit bounded
 //! polymorphism (`fun f[t <= Person](x: t): t`), and the `Dynamic` escape
 //! hatch whose `coerce` is the only dynamically checked operation.
+//!
+//! The rules are syntax-directed, so checking visits every binder once,
+//! in scope order. The checker therefore also *elaborates*: each variable
+//! it looks up is resolved to a frame slot, a captured value of the
+//! enclosing closure, or a constant (a builtin, `db`), and the program
+//! comes out as [`Code`] the evaluator runs without ever looking up a
+//! name.
 
-use crate::ast::{BinOp, Expr, ExprKind, Item, Program};
+use crate::ast::{BinOp, Code, Expr, ExprKind, Item, Lambda, Op, Program, Slot};
 use crate::builtins::{builtin, DATABASE};
 use crate::error::LangError;
+use crate::rt::RtValue;
 use dbpl_types::{is_subtype_with, join, TyVar, Type, TypeEnv};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// The result of checking a program: the (possibly extended) type
-/// environment and the types of the top-level bindings, in order.
+/// environment, the types of the top-level bindings, in order, and the
+/// elaborated program.
 pub struct Checked {
     /// Type environment after all `type` declarations.
     pub env: TypeEnv,
     /// `(name, type)` for every top-level `let`/`fun`.
     pub bindings: Vec<(String, Type)>,
+    /// One [`Code`] per `let`, `fun` and expression item, in order. The
+    /// `n`th `let`/`fun` binds slot `n` of the top-level frame.
+    pub code: Vec<Code>,
+    /// The size of the program's top-level frame.
+    pub frame: usize,
 }
 
 /// Check a whole program against a starting environment.
 pub fn check_program(prog: &Program, base_env: &TypeEnv) -> Result<Checked, LangError> {
-    let mut ck = Checker {
-        env: base_env.clone(),
-        vars: Vec::new(),
-        tyvars: BTreeMap::new(),
-    };
+    let mut ck = Checker::new(base_env);
     let mut bindings = Vec::new();
+    let mut code = Vec::new();
     for item in &prog.items {
         match item {
             Item::TypeDecl { at, name, ty } => {
                 // Recursive definitions mention their own name: check
                 // well-formedness with the name provisionally in scope
                 // (contractivity is enforced by `declare` below).
-                let mut prov = Checker {
-                    env: ck.env.clone(),
-                    vars: Vec::new(),
-                    tyvars: ck.tyvars.clone(),
-                };
+                let mut prov = Checker::new(&ck.env);
                 prov.env.redeclare(name.clone(), ty.clone());
                 prov.wf(ty, *at)?;
                 // Names abbreviate structures, so re-declaring a name at an
                 // equivalent structure (e.g. the same `type` line in a later
                 // program of the session) is a no-op; only a *conflicting*
                 // redeclaration is an error.
+                let differs = format!("type `{name}` already declared with a different structure");
                 match ck.env.lookup(name) {
                     Some(existing) if dbpl_types::is_equiv(existing, ty, &ck.env) => {}
-                    Some(_) => {
-                        return Err(LangError::check(
-                            *at,
-                            format!("type `{name}` already declared with a different structure"),
-                        ))
-                    }
-                    None => {
-                        ck.env
-                            .declare(name.clone(), ty.clone())
-                            .map_err(|e| LangError::check(*at, e.to_string()))?;
-                    }
+                    Some(_) => return err(*at, differs),
+                    None => ck
+                        .env
+                        .declare(name.clone(), ty.clone())
+                        .map_err(|e| LangError::check(*at, e.to_string()))?,
                 }
             }
             Item::Include { at, sub, sup } => {
@@ -74,17 +77,11 @@ pub fn check_program(prog: &Program, base_env: &TypeEnv) -> Result<Checked, Lang
                 ann,
                 expr,
             } => {
-                let inferred = ck.infer(expr)?;
-                let ty = match ann {
-                    Some(want) => {
-                        ck.wf(want, *at)?;
-                        ck.require_subtype(&inferred, want, *at)?;
-                        want.clone()
-                    }
-                    None => inferred,
-                };
-                ck.vars.push((name.clone(), ty.clone()));
+                let (inferred, c) = ck.infer(expr)?;
+                let ty = ck.ascribe(ann, inferred, *at, *at)?;
+                ck.bind(name, ty.clone());
                 bindings.push((name.clone(), ty));
+                code.push(c);
             }
             Item::FunDecl {
                 at,
@@ -94,51 +91,135 @@ pub fn check_program(prog: &Program, base_env: &TypeEnv) -> Result<Checked, Lang
                 result,
                 body,
             } => {
-                let ty = ck.check_fun(*at, name, tparams, params, result, body)?;
-                ck.vars.push((name.clone(), ty.clone()));
+                let (ty, c) = ck.check_fun(*at, name, tparams, params, result, body)?;
+                ck.bind(name, ty.clone());
                 bindings.push((name.clone(), ty));
+                code.push(c);
             }
             // Transaction delimiters have no static content; whether a
             // transaction is actually open is a run-time question.
             Item::Begin { .. } | Item::Commit { .. } | Item::Abort { .. } => {}
-            Item::Expr(e) => {
-                ck.infer(e)?;
-            }
+            Item::Expr(e) => code.push(ck.infer(e)?.1),
         }
     }
+    let frame = ck.scopes[0].frame;
     Ok(Checked {
         env: ck.env,
         bindings,
+        code,
+        frame,
     })
 }
 
 /// Infer the type of a standalone expression (for tests/REPL).
 pub fn infer_expr(e: &Expr, env: &TypeEnv) -> Result<Type, LangError> {
-    let mut ck = Checker {
-        env: env.clone(),
-        vars: Vec::new(),
-        tyvars: BTreeMap::new(),
-    };
-    ck.infer(e)
+    Ok(Checker::new(env).infer(e)?.0)
+}
+
+/// The names one function body (or the program's top level) can see.
+#[derive(Default)]
+struct Scope {
+    /// Bound names in slot order; a binder's slot is its index.
+    locals: Vec<(String, Type)>,
+    /// The most slots live at once: the frame size.
+    frame: usize,
+    /// Names this function captures: the slot each lives in, one scope out.
+    captures: Vec<(String, Type, Slot)>,
+    /// A `fun`'s own name, for recursion.
+    rec: Option<(String, Type)>,
 }
 
 struct Checker {
     env: TypeEnv,
-    vars: Vec<(String, Type)>,
+    /// The top level, then each enclosing function body, innermost last.
+    scopes: Vec<Scope>,
     tyvars: BTreeMap<TyVar, Option<Type>>,
 }
 
+fn err<T>(at: usize, msg: impl Into<String>) -> Result<T, LangError> {
+    Err(LangError::check(at, msg))
+}
+
+fn code(at: usize, op: Op) -> Code {
+    Code { at, op }
+}
+
 impl Checker {
+    fn new(env: &TypeEnv) -> Checker {
+        Checker {
+            env: env.clone(),
+            scopes: vec![Scope::default()],
+            tyvars: BTreeMap::new(),
+        }
+    }
+
+    // ---------- scopes ----------
+
+    /// Bind `name` in the next slot of the innermost scope; returns it.
+    fn bind(&mut self, name: &str, ty: Type) -> usize {
+        let sc = self.scopes.last_mut().expect("the top level");
+        sc.locals.push((name.to_string(), ty));
+        sc.frame = sc.frame.max(sc.locals.len());
+        sc.locals.len() - 1
+    }
+
+    fn unbind(&mut self) {
+        self.scopes.last_mut().expect("the top level").locals.pop();
+    }
+
+    /// Resolve `name` as seen from scope `depth`: its own binders first
+    /// (innermost wins), then the function's own name, then what it
+    /// captures, which a name found further out is added to.
+    fn resolve(&mut self, depth: usize, name: &str) -> Option<(Slot, Type)> {
+        let sc = &self.scopes[depth];
+        if let Some(i) = sc.locals.iter().rposition(|(n, _)| n == name) {
+            return Some((Slot::Local(i), sc.locals[i].1.clone()));
+        }
+        if let Some((_, t)) = sc.rec.as_ref().filter(|(n, _)| n == name) {
+            return Some((Slot::Rec, t.clone()));
+        }
+        if let Some(i) = sc.captures.iter().position(|(n, ..)| n == name) {
+            return Some((Slot::Captured(i), sc.captures[i].1.clone()));
+        }
+        let (outer, ty) = self.resolve(depth.checked_sub(1)?, name)?;
+        let captures = &mut self.scopes[depth].captures;
+        captures.push((name.to_string(), ty.clone(), outer));
+        Some((Slot::Captured(captures.len() - 1), ty))
+    }
+
+    /// Check a function body in a scope of its own — the parameters in its
+    /// first slots, `rec` naming the function itself — and resolve it.
+    fn lambda(
+        &mut self,
+        params: &[(String, Type)],
+        rec: Option<(String, Type)>,
+        body: &Expr,
+    ) -> Result<(Type, Rc<Lambda>), LangError> {
+        self.scopes.push(Scope {
+            rec,
+            ..Scope::default()
+        });
+        for (x, t) in params {
+            self.bind(x, t.clone());
+        }
+        let (ty, body) = self.infer(body)?;
+        let sc = self.scopes.pop().expect("pushed above");
+        let lambda = Lambda {
+            arity: params.len(),
+            frame: sc.frame,
+            captures: sc.captures.into_iter().map(|(.., slot)| slot).collect(),
+            body,
+        };
+        Ok((ty, Rc::new(lambda)))
+    }
+
     // ---------- helpers ----------
 
     fn require_subtype(&self, got: &Type, want: &Type, at: usize) -> Result<(), LangError> {
         if is_subtype_with(got, want, &self.env, &self.tyvars) {
             Ok(())
         } else {
-            Err(LangError::check(
-                at,
-                format!("expected {want}, found {got}"),
-            ))
+            err(at, format!("expected {want}, found {got}"))
         }
     }
 
@@ -146,45 +227,23 @@ impl Checker {
     /// `Database`), variables are in scope.
     fn wf(&self, ty: &Type, at: usize) -> Result<(), LangError> {
         match ty {
-            Type::Named(n) => {
-                if n != DATABASE && self.env.lookup(n).is_none() {
-                    return Err(LangError::check(at, format!("unknown type `{n}`")));
-                }
-                Ok(())
+            Type::Named(n) if n != DATABASE && self.env.lookup(n).is_none() => {
+                err(at, format!("unknown type `{n}`"))
             }
-            Type::Var(v) => {
-                if self.tyvars.contains_key(v) {
-                    Ok(())
-                } else {
-                    Err(LangError::check(
-                        at,
-                        format!("type variable `{v}` not in scope"),
-                    ))
-                }
+            Type::Var(v) if !self.tyvars.contains_key(v) => {
+                err(at, format!("type variable `{v}` not in scope"))
             }
             Type::List(t) | Type::Set(t) => self.wf(t, at),
-            Type::Fun(a, r) => {
-                self.wf(a, at)?;
-                self.wf(r, at)
-            }
-            Type::Record(fs) | Type::Variant(fs) => {
-                for t in fs.values() {
-                    self.wf(t, at)?;
-                }
-                Ok(())
-            }
+            Type::Fun(a, r) => self.wf(a, at).and_then(|()| self.wf(r, at)),
+            Type::Record(fs) | Type::Variant(fs) => fs.values().try_for_each(|t| self.wf(t, at)),
             Type::Forall(q) | Type::Exists(q) => {
                 if let Some(b) = &q.bound {
                     self.wf(b, at)?;
                 }
-                let mut inner = Checker {
-                    env: self.env.clone(),
-                    vars: Vec::new(),
-                    tyvars: self.tyvars.clone(),
-                };
-                inner
-                    .tyvars
-                    .insert(q.var.clone(), q.bound.as_deref().cloned());
+                let mut inner = Checker::new(&self.env);
+                inner.tyvars = self.tyvars.clone();
+                let bound = q.bound.as_deref().cloned();
+                inner.tyvars.insert(q.var.clone(), bound);
                 inner.wf(&q.body, at)
             }
             _ => Ok(()),
@@ -214,23 +273,21 @@ impl Checker {
                 _ => return Ok(cur),
             }
         }
-        Err(LangError::check(
-            at,
-            "type resolution did not terminate".to_string(),
-        ))
+        err(at, "type resolution did not terminate".to_string())
     }
 
-    fn lookup_var(&self, name: &str, at: usize) -> Result<Type, LangError> {
-        if let Some((_, t)) = self.vars.iter().rev().find(|(n, _)| n == name) {
-            return Ok(t.clone());
+    fn lookup_var(&mut self, name: &str, at: usize) -> Result<(Type, Code), LangError> {
+        if let Some((slot, t)) = self.resolve(self.scopes.len() - 1, name) {
+            return Ok((t, code(at, Op::Var(slot))));
         }
         if name == "db" {
-            return Ok(Type::named(DATABASE));
+            return Ok((Type::named(DATABASE), code(at, Op::Const(RtValue::DbToken))));
         }
         if let Some(sig) = builtin(name) {
-            return Ok(sig.ty);
+            let b = RtValue::Builtin(sig.id, Vec::new());
+            return Ok((sig.ty.clone(), code(at, Op::Const(b))));
         }
-        Err(LangError::check(at, format!("unbound variable `{name}`")))
+        err(at, format!("unbound variable `{name}`"))
     }
 
     fn check_fun(
@@ -241,12 +298,9 @@ impl Checker {
         params: &[(String, Type)],
         result: &Type,
         body: &Expr,
-    ) -> Result<Type, LangError> {
+    ) -> Result<(Type, Code), LangError> {
         if params.is_empty() {
-            return Err(LangError::check(
-                at,
-                "functions need at least one parameter",
-            ));
+            return err(at, "functions need at least one parameter");
         }
         // Bring type parameters into scope.
         let saved_tyvars = self.tyvars.clone();
@@ -261,24 +315,16 @@ impl Checker {
         }
         self.wf(result, at)?;
         // The function's full type (for recursion and for the caller).
-        let mut fun_ty = result.clone();
-        for (_, t) in params.iter().rev() {
-            fun_ty = Type::fun(t.clone(), fun_ty.clone());
-        }
+        let mut fun_ty = curried(params, result.clone());
         for (v, b) in tparams.iter().rev() {
             fun_ty = Type::forall(v.clone(), b.clone(), fun_ty);
         }
         // Check the body with the function itself in scope (recursion).
-        let saved_vars = self.vars.len();
-        self.vars.push((name.to_string(), fun_ty.clone()));
-        for (x, t) in params {
-            self.vars.push((x.clone(), t.clone()));
-        }
-        let body_ty = self.infer(body)?;
+        let (body_ty, lambda) =
+            self.lambda(params, Some((name.to_string(), fun_ty.clone())), body)?;
         self.require_subtype(&body_ty, result, body.at)?;
-        self.vars.truncate(saved_vars);
         self.tyvars = saved_tyvars;
-        Ok(fun_ty)
+        Ok((fun_ty, code(at, Op::Lambda(lambda))))
     }
 
     /// Solve quantified variables by structural matching of a parameter
@@ -341,222 +387,157 @@ impl Checker {
 
     // ---------- inference ----------
 
-    fn infer(&mut self, e: &Expr) -> Result<Type, LangError> {
+    fn infer(&mut self, e: &Expr) -> Result<(Type, Code), LangError> {
         let at = e.at;
-        match &e.node {
-            ExprKind::Int(_) => Ok(Type::Int),
-            ExprKind::Float(_) => Ok(Type::Float),
-            ExprKind::Str(_) => Ok(Type::Str),
-            ExprKind::Bool(_) => Ok(Type::Bool),
-            ExprKind::Unit => Ok(Type::Unit),
-            ExprKind::Var(x) => self.lookup_var(x, at),
+        let (ty, op) = match &e.node {
+            ExprKind::Int(i) => (Type::Int, Op::Const(RtValue::Int(*i))),
+            ExprKind::Float(x) => (Type::Float, Op::Const(RtValue::Float(*x))),
+            ExprKind::Str(st) => (Type::Str, Op::Const(RtValue::Str(st.clone()))),
+            ExprKind::Bool(b) => (Type::Bool, Op::Const(RtValue::Bool(*b))),
+            ExprKind::Unit => (Type::Unit, Op::Const(RtValue::Unit)),
+            ExprKind::Var(x) => return self.lookup_var(x, at),
             ExprKind::Record(fields) => {
                 let mut fs = dbpl_types::Fields::new();
+                let mut cs = Vec::with_capacity(fields.len());
                 for (l, fe) in fields {
-                    let t = self.infer(fe)?;
+                    let (t, c) = self.infer(fe)?;
                     if fs.insert(l.clone(), t).is_some() {
-                        return Err(LangError::check(at, format!("duplicate field `{l}`")));
+                        return err(at, format!("duplicate field `{l}`"));
                     }
+                    cs.push((l.clone(), c));
                 }
-                Ok(Type::Record(fs))
+                (Type::Record(fs), Op::Record(cs))
             }
             ExprKind::List(items) => {
                 let mut elem = Type::Bottom;
+                let mut cs = Vec::with_capacity(items.len());
                 for it in items {
-                    let t = self.infer(it)?;
+                    let (t, c) = self.infer(it)?;
                     elem = join(&elem, &t, &self.env);
+                    cs.push(c);
                 }
-                Ok(Type::list(elem))
+                (Type::list(elem), Op::List(cs))
             }
             ExprKind::Field(base, l) => {
-                let bt = self.infer(base)?;
-                match self.head(&bt, at)? {
+                let (bt, bc) = self.infer_boxed(base)?;
+                let ty = match self.head(&bt, at)? {
                     Type::Record(fs) => fs
                         .get(l)
                         .cloned()
-                        .ok_or_else(|| LangError::check(at, format!("no field `{l}` in {bt}"))),
-                    other => Err(LangError::check(
-                        at,
-                        format!("`{other}` is not a record (field `{l}`)"),
-                    )),
-                }
+                        .ok_or_else(|| LangError::check(at, format!("no field `{l}` in {bt}")))?,
+                    other => return err(at, format!("`{other}` is not a record (field `{l}`)")),
+                };
+                (ty, Op::Field(bc, l.clone()))
             }
             ExprKind::With(base, additions) => {
-                let bt = self.infer(base)?;
+                let (bt, bc) = self.infer_boxed(base)?;
                 match self.head(&bt, at)? {
                     Type::Record(mut fs) => {
+                        let mut cs = Vec::with_capacity(additions.len());
                         for (l, ae) in additions {
-                            let t = self.infer(ae)?;
+                            let (t, c) = self.infer(ae)?;
                             fs.insert(l.clone(), t);
+                            cs.push((l.clone(), c));
                         }
-                        Ok(Type::Record(fs))
+                        (Type::Record(fs), Op::With(bc, cs))
                     }
-                    other => Err(LangError::check(
-                        at,
-                        format!("`with` applies to records, not {other}"),
-                    )),
+                    other => return err(at, format!("`with` applies to records, not {other}")),
                 }
             }
             ExprKind::If(c, t, f) => {
-                let ct = self.infer(c)?;
-                self.require_subtype(&ct, &Type::Bool, c.at)?;
-                let tt = self.infer(t)?;
-                let ft = self.infer(f)?;
-                Ok(join(&tt, &ft, &self.env))
+                let cc = self.expect(c, &Type::Bool)?;
+                let (tt, tc) = self.infer_boxed(t)?;
+                let (ft, fc) = self.infer_boxed(f)?;
+                (join(&tt, &ft, &self.env), Op::If(cc, tc, fc))
             }
             ExprKind::Let(x, ann, bound, body) => {
-                let bt = self.infer(bound)?;
-                let xt = match ann {
-                    Some(want) => {
-                        self.wf(want, at)?;
-                        self.require_subtype(&bt, want, bound.at)?;
-                        want.clone()
-                    }
-                    None => bt,
-                };
-                self.vars.push((x.clone(), xt));
-                let r = self.infer(body);
-                self.vars.pop();
-                r
+                let (bt, bc) = self.infer_boxed(bound)?;
+                let xt = self.ascribe(ann, bt, at, bound.at)?;
+                let slot = self.bind(x, xt);
+                let (t, c) = self.infer_boxed(body)?;
+                self.unbind();
+                (t, Op::Let(slot, bc, c))
             }
-            ExprKind::Lambda(x, t, body) => {
-                self.wf(t, at)?;
-                self.vars.push((x.to_string(), t.clone()));
-                let bt = self.infer(body)?;
-                self.vars.pop();
-                Ok(Type::fun(t.clone(), bt))
-            }
-            ExprKind::App(f, a) => {
-                let ft = self.infer(f)?;
-                match self.head(&ft, at)? {
-                    Type::Fun(p, r) => {
-                        let at_arg = self.infer(a)?;
-                        self.require_subtype(&at_arg, &p, a.at)?;
-                        Ok(*r)
-                    }
-                    hd @ Type::Forall(_) => {
-                        // Auto-instantiation: peel the quantifier prefix,
-                        // infer the argument, and solve the type variables
-                        // by matching the parameter's shape against the
-                        // argument's type. (Explicit `f[T]` always remains
-                        // available and is required when the argument does
-                        // not determine the variables, e.g. `get`.)
-                        let mut vars: Vec<(TyVar, Option<Type>)> = Vec::new();
-                        let mut body = hd;
-                        while let Type::Forall(q) = body {
-                            vars.push((q.var.clone(), q.bound.as_deref().cloned()));
-                            body = *q.body;
-                        }
-                        let Type::Fun(p, r) = body else {
-                            return Err(LangError::check(
-                                at,
-                                format!("polymorphic value of type {ft} is not a function"),
-                            ));
-                        };
-                        let arg_ty = self.infer(a)?;
-                        let var_set: std::collections::BTreeSet<TyVar> =
-                            vars.iter().map(|(v, _)| v.clone()).collect();
-                        let mut solution: BTreeMap<TyVar, Type> = BTreeMap::new();
-                        self.match_shape(&p, &arg_ty, &var_set, &mut solution, a.at)?;
-                        for (v, bound) in &vars {
-                            let solved = solution.get(v).ok_or_else(|| {
-                                LangError::check(
-                                    at,
-                                    format!(
-                                        "cannot infer type argument `{v}` here; \
-                                         apply it explicitly with `[T]`"
-                                    ),
-                                )
-                            })?;
-                            if let Some(b) = bound {
-                                self.require_subtype(solved, b, at)?;
-                            }
-                        }
-                        let mut pi = *p;
-                        let mut ri = *r;
-                        for (v, t) in &solution {
-                            pi = pi.subst(v, t);
-                            ri = ri.subst(v, t);
-                        }
-                        self.require_subtype(&arg_ty, &pi, a.at)?;
-                        Ok(ri)
-                    }
-                    other => Err(LangError::check(at, format!("cannot apply a {other}"))),
+            ExprKind::Lambda(params, body) => {
+                for (_, t) in params {
+                    self.wf(t, at)?;
                 }
+                let (bt, lambda) = self.lambda(params, None, body)?;
+                (curried(params, bt), Op::Lambda(lambda))
+            }
+            ExprKind::App(..) => {
+                // `f(a)(b)` and `f(a, b)` are one call: gather the
+                // arguments, then type the applications in turn.
+                let mut args = Vec::new();
+                let mut f = e;
+                while let ExprKind::App(g, a) = &f.node {
+                    args.push((f.at, &**a));
+                    f = g;
+                }
+                let (mut ty, fc) = self.infer_boxed(f)?;
+                let mut cs = Vec::with_capacity(args.len());
+                for (at, a) in args.into_iter().rev() {
+                    let (r, c) = self.infer_app(&ty, a, at)?;
+                    ty = r;
+                    cs.push(c);
+                }
+                (ty, Op::Call(fc, cs))
             }
             ExprKind::TyApp(f, targ) => {
                 self.wf(targ, at)?;
-                let ft = self.infer(f)?;
+                let (ft, fc) = self.infer_boxed(f)?;
                 match self.head(&ft, at)? {
                     Type::Forall(q) => {
                         if let Some(b) = &q.bound {
                             self.require_subtype(targ, b, at)?;
                         }
-                        Ok(q.body.subst(&q.var, targ))
+                        (q.body.subst(&q.var, targ), Op::TyApp(fc, targ.clone()))
                     }
-                    other => Err(LangError::check(
-                        at,
-                        format!("`{other}` is not polymorphic"),
-                    )),
+                    other => return err(at, format!("`{other}` is not polymorphic")),
                 }
             }
-            ExprKind::Bin(op, l, r) => self.infer_bin(*op, l, r, at),
-            ExprKind::Not(x) => {
-                let t = self.infer(x)?;
-                self.require_subtype(&t, &Type::Bool, x.at)?;
-                Ok(Type::Bool)
-            }
+            ExprKind::Bin(op, l, r) => self.infer_bin(*op, l, r, at)?,
+            ExprKind::Not(x) => (Type::Bool, Op::Not(self.expect(x, &Type::Bool)?)),
             ExprKind::Neg(x) => {
-                let t = self.infer(x)?;
+                let (t, c) = self.infer_boxed(x)?;
                 self.require_subtype(&t, &Type::Float, x.at)?;
-                Ok(self.head(&t, at)?)
+                (self.head(&t, at)?, Op::Neg(c))
             }
             ExprKind::DynamicE(x) => {
-                let t = self.infer(x)?;
+                let (t, c) = self.infer_boxed(x)?;
                 if !persistable(&t) {
-                    return Err(LangError::check(
+                    return err(
                         x.at,
                         format!("type {t} contains functions and cannot be made dynamic"),
-                    ));
+                    );
                 }
-                Ok(Type::Dynamic)
+                (Type::Dynamic, Op::Dynamic(c))
             }
             ExprKind::CoerceE(x, want) => {
                 self.wf(want, at)?;
-                let t = self.infer(x)?;
-                self.require_subtype(&t, &Type::Dynamic, x.at)?;
-                Ok(want.clone())
+                let c = self.expect(x, &Type::Dynamic)?;
+                (want.clone(), Op::Coerce(c, want.clone()))
             }
-            ExprKind::TypeofE(x) => {
-                let t = self.infer(x)?;
-                self.require_subtype(&t, &Type::Dynamic, x.at)?;
-                Ok(Type::Str)
-            }
+            ExprKind::TypeofE(x) => (Type::Str, Op::Typeof(self.expect(x, &Type::Dynamic)?)),
             ExprKind::ExternE(h, v) => {
-                let ht = self.infer(h)?;
-                self.require_subtype(&ht, &Type::Str, h.at)?;
-                let vt = self.infer(v)?;
-                self.require_subtype(&vt, &Type::Dynamic, v.at)?;
-                Ok(Type::Unit)
+                let hc = self.expect(h, &Type::Str)?;
+                (Type::Unit, Op::Extern(hc, self.expect(v, &Type::Dynamic)?))
             }
-            ExprKind::InternE(h) => {
-                let ht = self.infer(h)?;
-                self.require_subtype(&ht, &Type::Str, h.at)?;
-                Ok(Type::Dynamic)
-            }
+            ExprKind::InternE(h) => (Type::Dynamic, Op::Intern(self.expect(h, &Type::Str)?)),
             ExprKind::TagE(label, payload) => {
-                let t = self.infer(payload)?;
-                Ok(Type::variant([(label.clone(), t)]))
+                let (t, c) = self.infer_boxed(payload)?;
+                let ty = Type::variant([(label.clone(), t)]);
+                (ty, Op::Tag(label.clone(), c))
             }
             ExprKind::CaseE(scrutinee, arms) => {
-                let st = self.infer(scrutinee)?;
+                let (st, sc) = self.infer_boxed(scrutinee)?;
                 let variant_arms = match self.head(&st, scrutinee.at)? {
                     Type::Variant(fs) => fs,
                     other => {
-                        return Err(LangError::check(
+                        return err(
                             scrutinee.at,
                             format!("`case` scrutinee must be a variant, found {other}"),
-                        ))
+                        )
                     }
                 };
                 // Exhaustiveness: every arm of the variant must be
@@ -564,73 +545,155 @@ impl Checker {
                 // (it could never fire).
                 let mut covered = std::collections::BTreeSet::new();
                 let mut result = Type::Bottom;
+                let mut cs = Vec::with_capacity(arms.len());
                 for (label, binder, body) in arms {
                     let payload_ty = variant_arms.get(label).cloned().ok_or_else(|| {
                         LangError::check(body.at, format!("variant {st} has no arm `{label}`"))
                     })?;
                     if !covered.insert(label.clone()) {
-                        return Err(LangError::check(
-                            body.at,
-                            format!("arm `{label}` handled twice"),
-                        ));
+                        return err(body.at, format!("arm `{label}` handled twice"));
                     }
-                    self.vars.push((binder.clone(), payload_ty));
-                    let bt = self.infer(body)?;
-                    self.vars.pop();
+                    let slot = self.bind(binder, payload_ty);
+                    let (bt, bc) = self.infer(body)?;
+                    self.unbind();
                     result = join(&result, &bt, &self.env);
+                    cs.push((label.clone(), slot, bc));
                 }
                 for missing in variant_arms.keys() {
                     if !covered.contains(missing) {
-                        return Err(LangError::check(
+                        return err(
                             at,
                             format!("non-exhaustive case: arm `{missing}` not handled"),
-                        ));
+                        );
                     }
                 }
-                Ok(result)
+                (result, Op::Case(sc, cs))
             }
+        };
+        Ok((ty, code(at, op)))
+    }
+
+    fn infer_boxed(&mut self, e: &Expr) -> Result<(Type, Box<Code>), LangError> {
+        let (t, c) = self.infer(e)?;
+        Ok((t, Box::new(c)))
+    }
+
+    /// Check `e` against `want`.
+    fn expect(&mut self, e: &Expr, want: &Type) -> Result<Box<Code>, LangError> {
+        let (t, c) = self.infer_boxed(e)?;
+        self.require_subtype(&t, want, e.at)?;
+        Ok(c)
+    }
+
+    /// The type a `let` binds: its annotation, which the bound type `got`
+    /// must fit, or else `got`.
+    fn ascribe(
+        &self,
+        ann: &Option<Type>,
+        got: Type,
+        at: usize,
+        got_at: usize,
+    ) -> Result<Type, LangError> {
+        let Some(want) = ann else { return Ok(got) };
+        self.wf(want, at)?;
+        self.require_subtype(&got, want, got_at)?;
+        Ok(want.clone())
+    }
+
+    /// The type of applying a function of type `ft` to `a`, and `a`'s code.
+    fn infer_app(&mut self, ft: &Type, a: &Expr, at: usize) -> Result<(Type, Code), LangError> {
+        match self.head(ft, at)? {
+            Type::Fun(p, r) => Ok((*r, *self.expect(a, &p)?)),
+            hd @ Type::Forall(_) => {
+                // Auto-instantiation: peel the quantifier prefix, infer
+                // the argument, and solve the type variables by matching
+                // the parameter's shape against the argument's type.
+                // (Explicit `f[T]` always remains available and is
+                // required when the argument does not determine the
+                // variables, e.g. `get`.)
+                let mut vars: Vec<(TyVar, Option<Type>)> = Vec::new();
+                let mut body = hd;
+                while let Type::Forall(q) = body {
+                    vars.push((q.var.clone(), q.bound.as_deref().cloned()));
+                    body = *q.body;
+                }
+                let Type::Fun(p, r) = body else {
+                    return err(
+                        at,
+                        format!("polymorphic value of type {ft} is not a function"),
+                    );
+                };
+                let (arg_ty, c) = self.infer(a)?;
+                let var_set: std::collections::BTreeSet<TyVar> =
+                    vars.iter().map(|(v, _)| v.clone()).collect();
+                let mut solution: BTreeMap<TyVar, Type> = BTreeMap::new();
+                self.match_shape(&p, &arg_ty, &var_set, &mut solution, a.at)?;
+                for (v, bound) in &vars {
+                    let solved = solution.get(v).ok_or_else(|| {
+                        LangError::check(
+                            at,
+                            format!(
+                                "cannot infer type argument `{v}` here; \
+                                 apply it explicitly with `[T]`"
+                            ),
+                        )
+                    })?;
+                    if let Some(b) = bound {
+                        self.require_subtype(solved, b, at)?;
+                    }
+                }
+                let mut pi = *p;
+                let mut ri = *r;
+                for (v, t) in &solution {
+                    pi = pi.subst(v, t);
+                    ri = ri.subst(v, t);
+                }
+                self.require_subtype(&arg_ty, &pi, a.at)?;
+                Ok((ri, c))
+            }
+            other => err(at, format!("cannot apply a {other}")),
         }
     }
 
-    fn infer_bin(&mut self, op: BinOp, l: &Expr, r: &Expr, at: usize) -> Result<Type, LangError> {
-        let lt = self.infer(l)?;
-        let rt = self.infer(r)?;
+    fn infer_bin(
+        &mut self,
+        op: BinOp,
+        l: &Expr,
+        r: &Expr,
+        at: usize,
+    ) -> Result<(Type, Op), LangError> {
+        let (lt, lc) = self.infer_boxed(l)?;
+        let (rt, rc) = self.infer_boxed(r)?;
         let num = |ck: &Self, t: &Type, at: usize| -> Result<Type, LangError> {
             let h = ck.head(t, at)?;
             match h {
                 Type::Int | Type::Float => Ok(h),
-                other => Err(LangError::check(
-                    at,
-                    format!("expected a number, found {other}"),
-                )),
+                other => err(at, format!("expected a number, found {other}")),
             }
         };
-        match op {
+        let ty = match op {
             BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
                 let a = num(self, &lt, l.at)?;
                 let b = num(self, &rt, r.at)?;
-                Ok(if a == Type::Float || b == Type::Float {
+                if a == Type::Float || b == Type::Float {
                     Type::Float
                 } else {
                     Type::Int
-                })
+                }
             }
             BinOp::Concat => {
                 self.require_subtype(&lt, &Type::Str, l.at)?;
                 self.require_subtype(&rt, &Type::Str, r.at)?;
-                Ok(Type::Str)
+                Type::Str
             }
             BinOp::Eq | BinOp::Ne => {
                 // Comparable: one side's type must subsume the other's.
                 if is_subtype_with(&lt, &rt, &self.env, &self.tyvars)
                     || is_subtype_with(&rt, &lt, &self.env, &self.tyvars)
                 {
-                    Ok(Type::Bool)
+                    Type::Bool
                 } else {
-                    Err(LangError::check(
-                        at,
-                        format!("cannot compare {lt} with {rt}"),
-                    ))
+                    return err(at, format!("cannot compare {lt} with {rt}"));
                 }
             }
             BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
@@ -640,15 +703,24 @@ impl Checker {
                     num(self, &lt, l.at)?;
                     num(self, &rt, r.at)?;
                 }
-                Ok(Type::Bool)
+                Type::Bool
             }
             BinOp::And | BinOp::Or => {
                 self.require_subtype(&lt, &Type::Bool, l.at)?;
                 self.require_subtype(&rt, &Type::Bool, r.at)?;
-                Ok(Type::Bool)
+                Type::Bool
             }
-        }
+        };
+        Ok((ty, Op::Bin(op, lc, rc)))
     }
+}
+
+/// `T1 -> ... -> Tn -> result`, for parameters of types `T1 ... Tn`.
+fn curried(params: &[(String, Type)], result: Type) -> Type {
+    params
+        .iter()
+        .rev()
+        .fold(result, |r, (_, t)| Type::fun(t.clone(), r))
 }
 
 /// Can values of this type be converted to storable data (no functions)?

@@ -1,9 +1,20 @@
-//! The tree-walking evaluator.
+//! The evaluator: runs the checker's resolved [`Code`] against a session.
 //!
 //! Static checking has already happened; the only *type* checks performed
 //! at run time are the ones the paper requires to be dynamic — the
 //! subtype test inside `coerce` (which raises the paper's "run-time
 //! exception" on mismatch) and the per-element test inside `get`.
+//!
+//! The checker also resolved every name (see [`crate::check`]), so nothing
+//! is looked up by name here. A [`Machine`] keeps one slot vector for the
+//! whole program. A frame is a run of slots: a function's arguments, then
+//! its `let` and `case` binders, at fixed offsets from the frame's start.
+//! A call pushes its arguments above the caller's frame, and they become
+//! the callee's first slots; a function that has every argument it takes
+//! runs at once, one given fewer becomes an [`RtValue::Partial`]. `fold`,
+//! `map` and `filter` apply their function to each element the same way,
+//! so a full-arity function costs no heap allocation per element. A
+//! closure holds only the values its body captures.
 //!
 //! `get` evaluates to an [`RtValue::Extent`]: a view of the snapshot's
 //! typed lists, not a list. What stays lazy:
@@ -18,634 +29,556 @@
 //! `cons`, `reverse`, `tail`, the join builtins, `dynamic`/`put`/`extern`,
 //! and a record, list, `with` or tag that stores it as data —
 //! materializes it through [`RtValue::materialized`] into a list of
-//! unopened [`RtValue::Stored`] packages that share the stored rows. A
-//! package is converted to its runtime form only where the evaluator
-//! inspects a value's shape: variable lookup, builtin arguments, the
-//! `head` result and the elements `sum` adds.
+//! unopened [`RtValue::Stored`] rows, shared with the store. A field read
+//! on a row converts only that field; the whole row is converted only
+//! where the evaluator inspects a value's shape: `with`,
+//! `case`, operators, conditions, builtin arguments and the elements `sum`
+//! adds.
 
-use crate::ast::{BinOp, Expr, ExprKind};
+use crate::ast::{BinOp, Code, Op, Slot};
+use crate::builtins::{sig, Bi};
 use crate::error::LangError;
-use crate::rt::{Builtin, Closure, Env, RtValue};
+use crate::rt::{Closure, Partial, RtValue};
 use crate::session::Session;
+use dbpl_relation::GenRelation;
 use dbpl_types::{is_subtype, Type};
 use dbpl_values::DynValue;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
-/// Evaluate an expression in an environment against a session.
-pub fn eval(e: &Expr, env: &Env, s: &mut Session) -> Result<RtValue, LangError> {
-    let at = e.at;
-    match &e.node {
-        ExprKind::Int(i) => Ok(RtValue::Int(*i)),
-        ExprKind::Float(x) => Ok(RtValue::Float(*x)),
-        ExprKind::Str(st) => Ok(RtValue::Str(st.clone())),
-        ExprKind::Bool(b) => Ok(RtValue::Bool(*b)),
-        ExprKind::Unit => Ok(RtValue::Unit),
-        ExprKind::Var(x) => {
-            if let Some(v) = env.lookup(x) {
-                return Ok(match v {
-                    RtValue::Stored(p) => RtValue::from_value(p.open()),
-                    v => v.clone(),
-                });
-            }
-            if x == "db" {
-                return Ok(RtValue::DbToken);
-            }
-            if let Some(sig) = crate::builtins::builtin(x) {
-                return Ok(RtValue::Builtin(Builtin {
-                    name: sig.name,
-                    tyargs: Vec::new(),
-                    args: Vec::new(),
-                    arity: sig.arity,
-                }));
-            }
-            Err(LangError::eval(at, format!("unbound variable `{x}`")))
+/// What evaluating an expression or applying a function yields.
+type Evaluated = Result<RtValue, LangError>;
+
+/// The evaluator's state while one program runs.
+pub struct Machine<'s> {
+    /// The session the program runs against.
+    pub(crate) s: &'s mut Session,
+    /// Every live frame, innermost last, with the arguments of calls
+    /// being gathered above the innermost one.
+    stack: Vec<RtValue>,
+    /// Where the running frame starts.
+    bp: usize,
+    /// The running closure; `None` at the top level.
+    cur: Option<Rc<Closure>>,
+}
+
+impl<'s> Machine<'s> {
+    /// A machine running against `s`, whose top-level frame has `frame`
+    /// slots.
+    pub fn new(s: &'s mut Session, frame: usize) -> Machine<'s> {
+        Machine {
+            s,
+            stack: vec![RtValue::Unit; frame],
+            bp: 0,
+            cur: None,
         }
-        ExprKind::Record(fields) => {
-            let mut fs = std::collections::BTreeMap::new();
-            for (l, fe) in fields {
-                fs.insert(l.clone(), eval(fe, env, s)?.materialized());
-            }
-            Ok(RtValue::Record(fs))
+    }
+
+    /// Fill slot `slot` of the top-level frame: a top-level binding.
+    pub fn bind(&mut self, slot: usize, v: RtValue) {
+        self.stack[slot] = v;
+    }
+
+    fn load(&self, slot: Slot) -> RtValue {
+        let closure = || self.cur.as_ref().expect("only a closure captures");
+        match slot {
+            Slot::Local(i) => self.stack[self.bp + i].clone(),
+            Slot::Captured(i) => closure().captured[i].clone(),
+            Slot::Rec => RtValue::Closure(Rc::clone(closure())),
         }
-        ExprKind::List(items) => {
-            let mut xs = Vec::with_capacity(items.len());
-            for it in items {
-                xs.push(eval(it, env, s)?.materialized());
-            }
-            Ok(RtValue::List(xs))
+    }
+
+    /// Field `l` of `base`'s value. A variable is read in place, and a
+    /// stored row converts only the field read.
+    fn field(&mut self, base: &Code, l: &str) -> Result<Option<RtValue>, LangError> {
+        let field = |v: &RtValue| match v {
+            RtValue::Stored(p) => p.value().field(l).map(RtValue::from_value),
+            RtValue::Record(fs) => fs.get(l).cloned(),
+            _ => None,
+        };
+        Ok(match base.op {
+            Op::Var(Slot::Local(i)) => field(&self.stack[self.bp + i]),
+            _ => field(&self.eval(base)?),
+        })
+    }
+
+    /// Evaluate `c` and open it if it is a stored row. Operands are
+    /// mostly variables and literals, read here without a call to `eval`.
+    fn open(&mut self, c: &Code) -> Evaluated {
+        Ok(match &c.op {
+            Op::Var(Slot::Local(i)) => self.stack[self.bp + i].clone(),
+            Op::Const(v) => v.clone(),
+            _ => self.eval(c)?,
         }
-        ExprKind::Field(base, l) => match eval(base, env, s)? {
-            RtValue::Record(fs) => fs
-                .get(l)
-                .cloned()
-                .ok_or_else(|| LangError::eval(at, format!("record has no field `{l}`"))),
-            other => Err(LangError::eval(at, format!("`{other}` is not a record"))),
-        },
-        ExprKind::With(base, additions) => match eval(base, env, s)? {
-            RtValue::Record(mut fs) => {
-                for (l, ae) in additions {
-                    let v = eval(ae, env, s)?.materialized();
-                    fs.insert(l.clone(), v);
+        .unpack())
+    }
+
+    fn truth(&mut self, c: &Code) -> Result<bool, LangError> {
+        match self.open(c)? {
+            RtValue::Bool(b) => Ok(b),
+            other => unexpected(c.at, "expected a boolean, found", &other),
+        }
+    }
+
+    fn handle(&mut self, c: &Code) -> Result<String, LangError> {
+        match self.open(c)? {
+            RtValue::Str(st) => Ok(st),
+            other => unexpected(c.at, "handle was", &other),
+        }
+    }
+
+    /// Evaluate an expression against a session.
+    pub fn eval(&mut self, c: &Code) -> Evaluated {
+        let at = c.at;
+        match &c.op {
+            Op::Const(v) => Ok(v.clone()),
+            Op::Var(slot) => Ok(self.load(*slot)),
+            Op::Record(fields) => {
+                let mut fs = BTreeMap::new();
+                for (l, fe) in fields {
+                    fs.insert(l.clone(), self.eval(fe)?.materialized());
                 }
                 Ok(RtValue::Record(fs))
             }
-            other => Err(LangError::eval(
-                at,
-                format!("`with` applies to records, not {other}"),
-            )),
-        },
-        ExprKind::If(c, t, f) => match eval(c, env, s)? {
-            RtValue::Bool(true) => eval(t, env, s),
-            RtValue::Bool(false) => eval(f, env, s),
-            other => Err(LangError::eval(
-                c.at,
-                format!("condition was {other}, not a boolean"),
-            )),
-        },
-        ExprKind::Let(x, _, bound, body) => {
-            let v = eval(bound, env, s)?;
-            let inner = env.bind(x.as_str(), v);
-            eval(body, &inner, s)
-        }
-        ExprKind::Lambda(x, _, body) => Ok(RtValue::Closure(Rc::new(Closure {
-            name: None,
-            param: Rc::clone(x),
-            body: Rc::clone(body),
-            env: env.clone(),
-        }))),
-        ExprKind::App(f, a) => {
-            let fv = eval(f, env, s)?;
-            let av = eval(a, env, s)?;
-            apply(fv, av, at, s)
-        }
-        ExprKind::TyApp(f, t) => match eval(f, env, s)? {
-            RtValue::Builtin(mut b) => {
-                b.tyargs.push(t.clone());
-                Ok(RtValue::Builtin(b))
-            }
-            // Type application on user functions is erased at run time.
-            other => Ok(other),
-        },
-        ExprKind::Bin(op, l, r) => {
-            // Short-circuit booleans first.
-            match op {
-                BinOp::And => {
-                    return match eval(l, env, s)? {
-                        RtValue::Bool(false) => Ok(RtValue::Bool(false)),
-                        RtValue::Bool(true) => eval(r, env, s),
-                        other => Err(LangError::eval(l.at, format!("`and` on {other}"))),
-                    }
+            Op::List(items) => {
+                let mut xs = Vec::with_capacity(items.len());
+                for it in items {
+                    xs.push(self.eval(it)?.materialized());
                 }
-                BinOp::Or => {
-                    return match eval(l, env, s)? {
-                        RtValue::Bool(true) => Ok(RtValue::Bool(true)),
-                        RtValue::Bool(false) => eval(r, env, s),
-                        other => Err(LangError::eval(l.at, format!("`or` on {other}"))),
-                    }
-                }
-                _ => {}
+                Ok(RtValue::List(xs))
             }
-            let lv = eval(l, env, s)?;
-            let rv = eval(r, env, s)?;
-            bin_op(*op, lv, rv, at)
-        }
-        ExprKind::Not(x) => match eval(x, env, s)? {
-            RtValue::Bool(b) => Ok(RtValue::Bool(!b)),
-            other => Err(LangError::eval(x.at, format!("`not` on {other}"))),
-        },
-        ExprKind::Neg(x) => match eval(x, env, s)? {
-            RtValue::Int(i) => Ok(RtValue::Int(-i)),
-            RtValue::Float(f) => Ok(RtValue::Float(-f)),
-            other => Err(LangError::eval(x.at, format!("negation of {other}"))),
-        },
-        ExprKind::DynamicE(x) => {
-            let v = eval(x, env, s)?.materialized();
-            let data = v.to_value(at)?;
-            // The carried description is the value's principal type.
-            let ty = dbpl_values::type_of(&data, s.db.env(), s.db.heap())
-                .map_err(|e| LangError::eval(at, e.to_string()))?;
-            Ok(RtValue::Dyn(ty, Rc::new(v)))
-        }
-        ExprKind::CoerceE(x, want) => match eval(x, env, s)? {
-            RtValue::Dyn(carried, v) => {
-                if is_subtype(&carried, want, s.db.env()) {
-                    Ok((*v).clone())
+            Op::Field(base, l) => self
+                .field(base, l)?
+                .ok_or_else(|| LangError::eval(at, format!("no field `{l}`"))),
+            Op::With(base, additions) => match self.open(base)? {
+                RtValue::Record(mut fs) => {
+                    for (l, ae) in additions {
+                        let v = self.eval(ae)?.materialized();
+                        fs.insert(l.clone(), v);
+                    }
+                    Ok(RtValue::Record(fs))
+                }
+                other => unexpected(at, "`with` applies to records, not", &other),
+            },
+            Op::If(c, t, f) => {
+                if self.truth(c)? {
+                    self.eval(t)
                 } else {
-                    // The paper's run-time exception.
-                    Err(LangError::eval(
-                        at,
-                        format!("coerce failed: dynamic value carries {carried}, wanted {want}"),
-                    ))
+                    self.eval(f)
                 }
             }
-            other => Err(LangError::eval(
-                x.at,
-                format!("coerce of non-dynamic {other}"),
-            )),
-        },
-        ExprKind::TypeofE(x) => match eval(x, env, s)? {
-            RtValue::Dyn(t, _) => Ok(RtValue::Str(t.to_string())),
-            other => Err(LangError::eval(
-                x.at,
-                format!("typeof of non-dynamic {other}"),
-            )),
-        },
-        ExprKind::ExternE(h, v) => {
-            let handle = match eval(h, env, s)? {
-                RtValue::Str(st) => st,
-                other => return Err(LangError::eval(h.at, format!("handle was {other}"))),
-            };
-            match eval(v, env, s)? {
-                RtValue::Dyn(t, inner) => {
-                    let d = DynValue::new(t, inner.to_value(v.at)?);
-                    // Staged in the session's open transaction; durable
-                    // only once that transaction commits.
-                    s.stage_extern(&handle, &d)
-                        .map_err(|e| LangError::eval(at, e.to_string()))?;
-                    Ok(RtValue::Unit)
-                }
-                other => Err(LangError::eval(
-                    v.at,
-                    format!("extern of non-dynamic {other}"),
-                )),
+            Op::Let(slot, bound, body) => {
+                let v = self.eval(bound)?;
+                self.stack[self.bp + slot] = v;
+                self.eval(body)
             }
-        }
-        ExprKind::InternE(h) => {
-            let handle = match eval(h, env, s)? {
-                RtValue::Str(st) => st,
-                other => return Err(LangError::eval(h.at, format!("handle was {other}"))),
-            };
-            // Reads through the open transaction's staged externs first
-            // (read-your-writes), then the store; a corrupt unit is
-            // quarantined in the session diagnostics as a side effect.
-            let d = s
-                .intern_staged(&handle)
-                .map_err(|e| LangError::eval(at, e.to_string()))?;
-            Ok(RtValue::Dyn(d.ty, Rc::new(RtValue::from_value(&d.value))))
-        }
-        ExprKind::TagE(label, payload) => {
-            let v = eval(payload, env, s)?.materialized();
-            Ok(RtValue::Tagged(label.clone(), Box::new(v)))
-        }
-        ExprKind::CaseE(scrutinee, arms) => match eval(scrutinee, env, s)? {
-            RtValue::Tagged(label, payload) => {
-                for (arm_label, binder, body) in arms {
-                    if arm_label == &label {
-                        let inner = env.bind(binder.as_str(), *payload);
-                        return eval(body, &inner, s);
-                    }
+            Op::Lambda(code) => {
+                let captured = code.captures.iter().map(|&slot| self.load(slot)).collect();
+                Ok(RtValue::Closure(Rc::new(Closure {
+                    code: Rc::clone(code),
+                    captured,
+                })))
+            }
+            Op::Call(f, args) => {
+                let mut fv = self.eval(f)?;
+                let base = self.stack.len();
+                for a in args {
+                    let v = self.eval(a)?;
+                    fv = self.push_arg(fv, base, v, at)?;
                 }
-                Err(LangError::eval(
+                Ok(self.partial(fv, base))
+            }
+            Op::TyApp(f, t) => match self.eval(f)? {
+                RtValue::Builtin(id, mut tyargs) => {
+                    tyargs.push(t.clone());
+                    Ok(RtValue::Builtin(id, tyargs))
+                }
+                // Type application on user functions is erased at run time.
+                other => Ok(other),
+            },
+            Op::Bin(BinOp::And, l, r) => Ok(RtValue::Bool(self.truth(l)? && self.truth(r)?)),
+            Op::Bin(BinOp::Or, l, r) => Ok(RtValue::Bool(self.truth(l)? || self.truth(r)?)),
+            Op::Bin(op, l, r) => {
+                let lv = self.open(l)?;
+                let rv = self.open(r)?;
+                bin_op(*op, lv, rv, at)
+            }
+            Op::Not(x) => Ok(RtValue::Bool(!self.truth(x)?)),
+            Op::Neg(x) => match self.open(x)? {
+                RtValue::Int(i) => Ok(RtValue::Int(-i)),
+                RtValue::Float(f) => Ok(RtValue::Float(-f)),
+                other => unexpected(x.at, "negation of", &other),
+            },
+            Op::Dynamic(x) => {
+                let v = self.eval(x)?.materialized();
+                let data = v.to_value(at)?;
+                // The carried description is the value's principal type.
+                let ty = dbpl_values::type_of(&data, self.s.db.env(), self.s.db.heap())
+                    .map_err(|e| LangError::eval(at, e.to_string()))?;
+                Ok(RtValue::Dyn(ty, Rc::new(v)))
+            }
+            Op::Coerce(x, want) => match self.open(x)? {
+                RtValue::Dyn(carried, v) if is_subtype(&carried, want, self.s.db.env()) => {
+                    Ok((*v).clone())
+                }
+                // The paper's run-time exception.
+                RtValue::Dyn(carried, _) => Err(LangError::eval(
                     at,
-                    format!("no case arm for tag `{label}`"),
-                ))
-            }
-            other => Err(LangError::eval(
-                scrutinee.at,
-                format!("`case` on non-variant {other}"),
-            )),
-        },
-    }
-}
-
-/// Apply a function value to an argument.
-pub fn apply(f: RtValue, arg: RtValue, at: usize, s: &mut Session) -> Result<RtValue, LangError> {
-    match f {
-        RtValue::Closure(c) => {
-            let mut env = c.env.clone();
-            if let Some(name) = &c.name {
-                env = env.bind(Rc::clone(name), RtValue::Closure(c.clone()));
-            }
-            let env = env.bind(Rc::clone(&c.param), arg);
-            eval(&c.body, &env, s)
-        }
-        RtValue::Builtin(mut b) => {
-            b.args.push(arg.unpack());
-            if b.args.len() >= b.arity {
-                exec_builtin(b, at, s)
-            } else {
-                Ok(RtValue::Builtin(b))
-            }
-        }
-        other => Err(LangError::eval(at, format!("cannot apply `{other}`"))),
-    }
-}
-
-fn bin_op(op: BinOp, l: RtValue, r: RtValue, at: usize) -> Result<RtValue, LangError> {
-    use RtValue::*;
-    let num = |v: &RtValue| -> Option<f64> {
-        match v {
-            Int(i) => Some(*i as f64),
-            Float(x) => Some(*x),
-            _ => None,
-        }
-    };
-    let both_int = matches!((&l, &r), (Int(_), Int(_)));
-    match op {
-        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
-            let (a, b) = match (num(&l), num(&r)) {
-                (Some(a), Some(b)) => (a, b),
-                _ => return Err(LangError::eval(at, format!("arithmetic on {l} and {r}"))),
-            };
-            if both_int {
-                let (a, b) = (a as i64, b as i64);
-                let v = match op {
-                    BinOp::Add => a.wrapping_add(b),
-                    BinOp::Sub => a.wrapping_sub(b),
-                    BinOp::Mul => a.wrapping_mul(b),
-                    BinOp::Div => {
-                        if b == 0 {
-                            return Err(LangError::eval(at, "division by zero".to_string()));
-                        }
-                        a / b
+                    format!("coerce failed: dynamic value carries {carried}, wanted {want}"),
+                )),
+                other => unexpected(x.at, "coerce of non-dynamic", &other),
+            },
+            Op::Typeof(x) => match self.open(x)? {
+                RtValue::Dyn(t, _) => Ok(RtValue::Str(t.to_string())),
+                other => unexpected(x.at, "typeof of non-dynamic", &other),
+            },
+            Op::Extern(h, v) => {
+                let handle = self.handle(h)?;
+                match self.open(v)? {
+                    RtValue::Dyn(t, inner) => {
+                        let d = DynValue::new(t, inner.to_value(v.at)?);
+                        // Staged in the session's open transaction; durable
+                        // only once that transaction commits.
+                        self.s
+                            .stage_extern(&handle, &d)
+                            .map_err(|e| LangError::eval(at, e.to_string()))?;
+                        Ok(RtValue::Unit)
                     }
-                    _ => unreachable!(),
-                };
-                Ok(Int(v))
-            } else {
-                let v = match op {
-                    BinOp::Add => a + b,
-                    BinOp::Sub => a - b,
-                    BinOp::Mul => a * b,
-                    BinOp::Div => a / b,
-                    _ => unreachable!(),
-                };
-                Ok(Float(v))
+                    other => unexpected(v.at, "extern of non-dynamic", &other),
+                }
+            }
+            Op::Intern(h) => {
+                let handle = self.handle(h)?;
+                // Reads through the open transaction's staged externs first
+                // (read-your-writes), then the store; a corrupt unit is
+                // quarantined in the session diagnostics as a side effect.
+                let d = self
+                    .s
+                    .intern_staged(&handle)
+                    .map_err(|e| LangError::eval(at, e.to_string()))?;
+                Ok(RtValue::Dyn(d.ty, Rc::new(RtValue::from_value(&d.value))))
+            }
+            Op::Tag(label, payload) => {
+                let v = self.eval(payload)?.materialized();
+                Ok(RtValue::Tagged(label.clone(), Box::new(v)))
+            }
+            Op::Case(scrutinee, arms) => match self.open(scrutinee)? {
+                RtValue::Tagged(label, payload) => {
+                    let (_, slot, body) =
+                        arms.iter().find(|(l, ..)| *l == label).ok_or_else(|| {
+                            LangError::eval(at, format!("no case arm for tag `{label}`"))
+                        })?;
+                    self.stack[self.bp + slot] = *payload;
+                    self.eval(body)
+                }
+                other => unexpected(scrutinee.at, "`case` on non-variant", &other),
+            },
+        }
+    }
+
+    /// Push one argument for `f` above `base`. Once `f` has every argument
+    /// it takes, apply it; the result takes any further arguments.
+    fn push_arg(&mut self, f: RtValue, base: usize, v: RtValue, at: usize) -> Evaluated {
+        self.stack.push(v);
+        if self.stack.len() - base < f.arity() {
+            return Ok(f);
+        }
+        self.call(f, base, at)
+    }
+
+    /// Apply `f` to `args`, as a call `f(args...)` would.
+    fn apply<const N: usize>(&mut self, f: &RtValue, args: [RtValue; N], at: usize) -> Evaluated {
+        let base = self.stack.len();
+        match f {
+            RtValue::Closure(c) if c.code.arity == N => {
+                self.stack.extend(args);
+                self.enter(c, base)
+            }
+            f => {
+                let mut f = f.clone();
+                for v in args {
+                    f = self.push_arg(f, base, v, at)?;
+                }
+                Ok(self.partial(f, base))
             }
         }
-        BinOp::Concat => match (l, r) {
-            (Str(a), Str(b)) => Ok(Str(a + &b)),
-            (l, r) => Err(LangError::eval(at, format!("`++` on {l} and {r}"))),
-        },
-        BinOp::Eq | BinOp::Ne => {
-            let eq = l
-                .data_eq(&r)
-                .ok_or_else(|| LangError::eval(at, "cannot compare functions".to_string()))?;
-            Ok(Bool(if op == BinOp::Eq { eq } else { !eq }))
-        }
-        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            let ord = match (&l, &r) {
-                (Str(a), Str(b)) => a.cmp(b),
-                _ => match (num(&l), num(&r)) {
-                    (Some(a), Some(b)) => a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal),
-                    _ => return Err(LangError::eval(at, format!("ordering on {l} and {r}"))),
-                },
-            };
-            use std::cmp::Ordering::*;
-            Ok(Bool(match op {
-                BinOp::Lt => ord == Less,
-                BinOp::Le => ord != Greater,
-                BinOp::Gt => ord == Greater,
-                BinOp::Ge => ord != Less,
-                _ => unreachable!(),
-            }))
-        }
-        BinOp::And | BinOp::Or => unreachable!("short-circuited in eval"),
     }
-}
 
-fn exec_builtin(b: Builtin, at: usize, s: &mut Session) -> Result<RtValue, LangError> {
-    let Builtin {
-        name,
-        tyargs,
-        mut args,
-        ..
-    } = b;
-    // List builtins consume their arguments: moved out, never cloned. A
-    // builtin that needs a list materializes a `get` extent; `len`,
-    // `isEmpty`, `head`, `fold`, `map`, `filter` and `sum` read one in
-    // place first.
-    let take = |args: &mut Vec<RtValue>, i: usize| std::mem::replace(&mut args[i], RtValue::Unit);
-    let list_arg = |v: RtValue, at: usize| -> Result<Vec<RtValue>, LangError> {
-        match v.materialized() {
-            RtValue::List(xs) => Ok(xs),
-            other => Err(LangError::eval(
-                at,
-                format!("expected a list, found {other}"),
-            )),
+    /// Run closure `c` on the arguments above `base`.
+    fn enter(&mut self, c: &Rc<Closure>, base: usize) -> Evaluated {
+        let (bp, cur) = (self.bp, self.cur.replace(Rc::clone(c)));
+        self.bp = base;
+        if c.code.frame > c.code.arity {
+            self.stack.resize(base + c.code.frame, RtValue::Unit);
         }
-    };
-    match name {
-        "print" => {
-            let v = args.remove(0);
-            s.out.push(v.to_string());
-            Ok(RtValue::Unit)
+        let result = self.eval(&c.code.body);
+        self.stack.truncate(base);
+        (self.bp, self.cur) = (bp, cur);
+        result
+    }
+
+    /// `f`, applied to the arguments left above `base`, if any.
+    fn partial(&mut self, f: RtValue, base: usize) -> RtValue {
+        if self.stack.len() == base {
+            return f;
         }
-        "str" => Ok(RtValue::Str(args.remove(0).to_string())),
-        "panic" => {
-            let msg = match args.remove(0) {
-                RtValue::Str(m) => m,
-                other => other.to_string(),
-            };
-            panic!("{msg}");
+        let args = self.stack.split_off(base);
+        RtValue::Partial(Rc::new(Partial { f, args }))
+    }
+
+    /// Apply `f` to the arguments above `base`: exactly as many as it takes.
+    fn call(&mut self, f: RtValue, base: usize, at: usize) -> Evaluated {
+        match f {
+            RtValue::Closure(c) => self.enter(&c, base),
+            RtValue::Builtin(id, tyargs) => {
+                let args = self.stack.drain(base..).map(RtValue::unpack).collect();
+                self.exec_builtin(id, &tyargs, args, at)
+            }
+            RtValue::Partial(p) => {
+                let first = p.args.iter().cloned();
+                self.stack.splice(base..base, first).for_each(drop);
+                self.call(p.f.clone(), base, at)
+            }
+            other => Err(LangError::eval(at, format!("cannot apply `{other}`"))),
         }
-        "get" => {
-            let bound = tyargs
+    }
+
+    #[inline(never)]
+    fn exec_builtin(
+        &mut self,
+        id: Bi,
+        tyargs: &[Type],
+        args: Vec<RtValue>,
+        at: usize,
+    ) -> Evaluated {
+        // List builtins consume their arguments: moved out, never cloned. A
+        // builtin that needs a list materializes a `get` extent; `len`,
+        // `isEmpty`, `head`, `fold`, `map`, `filter` and `sum` read one in
+        // place first.
+        let mut args = args.into_iter();
+        let mut arg = move || args.next().expect("a builtin runs with every argument");
+        let name = sig(id).name;
+        let bound = || {
+            tyargs
                 .first()
                 .cloned()
-                .ok_or_else(|| LangError::eval(at, "get needs a type argument".to_string()))?;
-            match args.remove(0) {
-                RtValue::DbToken => Ok(RtValue::Extent(Rc::new(s.db.get_view(&bound)))),
-                other => Err(LangError::eval(at, format!("get on non-database {other}"))),
+                .ok_or_else(|| LangError::eval(at, format!("{name} needs a type argument")))
+        };
+        let db = |v: RtValue| match v {
+            RtValue::DbToken => Ok(()),
+            other => unexpected(at, &format!("{name} on non-database"), &other),
+        };
+        match id {
+            Bi::Print => {
+                self.s.out.push(arg().to_string());
+                Ok(RtValue::Unit)
             }
-        }
-        "put" => {
-            let value = args.remove(1);
-            let dbtok = args.remove(0);
-            if !matches!(dbtok, RtValue::DbToken) {
-                return Err(LangError::eval(at, "put needs the database".to_string()));
+            Bi::Str => Ok(RtValue::Str(arg().to_string())),
+            Bi::Panic => match arg() {
+                RtValue::Str(m) => panic!("{m}"),
+                other => panic!("{other}"),
+            },
+            Bi::Get => {
+                db(arg())?;
+                Ok(RtValue::Extent(Rc::new(self.s.db.get_view(&bound()?))))
             }
-            match value {
-                RtValue::Dyn(t, v) => {
-                    let data = v.to_value(at)?;
-                    s.db.put(t, data)
-                        .map_err(|e| LangError::eval(at, e.to_string()))?;
-                    Ok(RtValue::Unit)
+            Bi::Put => {
+                db(arg())?;
+                match arg() {
+                    RtValue::Dyn(t, v) => {
+                        let data = v.to_value(at)?;
+                        self.s
+                            .db
+                            .put(t, data)
+                            .map_err(|e| LangError::eval(at, e.to_string()))?;
+                        Ok(RtValue::Unit)
+                    }
+                    other => unexpected(at, "put of non-dynamic", &other),
                 }
-                other => Err(LangError::eval(at, format!("put of non-dynamic {other}"))),
             }
-        }
-        "cons" => {
-            let xs = list_arg(take(&mut args, 1), at)?;
-            let mut out = Vec::with_capacity(xs.len() + 1);
-            out.push(take(&mut args, 0).materialized());
-            out.extend(xs);
-            Ok(RtValue::List(out))
-        }
-        "head" => {
-            let first = match take(&mut args, 0) {
-                RtValue::Extent(view) => view.iter().next().map(RtValue::Stored),
+            Bi::Cons => {
+                let x = arg().materialized();
+                let xs = list_arg(arg(), at)?;
+                let mut out = Vec::with_capacity(xs.len() + 1);
+                out.push(x);
+                out.extend(xs);
+                Ok(RtValue::List(out))
+            }
+            Bi::Head => match arg() {
+                RtValue::Extent(view) => view.rows().next().map(RtValue::Stored),
                 xs => list_arg(xs, at)?.into_iter().next(),
-            };
-            first
-                .map(RtValue::unpack)
-                .ok_or_else(|| LangError::eval(at, "head of empty list"))
-        }
-        "tail" => {
-            let mut xs = list_arg(take(&mut args, 0), at)?;
-            if xs.is_empty() {
-                return Err(LangError::eval(at, "tail of empty list".to_string()));
             }
-            xs.remove(0);
-            Ok(RtValue::List(xs))
-        }
-        "isEmpty" => Ok(RtValue::Bool(match take(&mut args, 0) {
-            RtValue::Extent(view) => view.is_empty(),
-            xs => list_arg(xs, at)?.is_empty(),
-        })),
-        "len" => Ok(RtValue::Int(match take(&mut args, 0) {
-            RtValue::Extent(view) => view.len(),
-            xs => list_arg(xs, at)?.len(),
-        } as i64)),
-        "append" => {
-            let mut xs = list_arg(take(&mut args, 0), at)?;
-            xs.extend(list_arg(take(&mut args, 1), at)?);
-            Ok(RtValue::List(xs))
-        }
-        "map" => {
-            let f = take(&mut args, 0);
-            let mut out = Vec::new();
-            for_each_elem(take(&mut args, 1), at, |x| {
-                out.push(apply(f.clone(), x, at, s)?);
-                Ok(())
-            })?;
-            Ok(RtValue::List(out))
-        }
-        "filter" => {
-            let f = take(&mut args, 0);
-            let mut out = Vec::new();
-            for_each_elem(take(&mut args, 1), at, |x| {
-                match apply(f.clone(), x.clone(), at, s)? {
-                    RtValue::Bool(true) => out.push(x),
-                    RtValue::Bool(false) => {}
-                    other => {
-                        return Err(LangError::eval(
-                            at,
-                            format!("filter predicate returned {other}"),
-                        ))
+            .ok_or_else(|| LangError::eval(at, "head of empty list")),
+            Bi::Tail => {
+                let mut xs = list_arg(arg(), at)?;
+                if xs.is_empty() {
+                    return Err(LangError::eval(at, "tail of empty list".to_string()));
+                }
+                xs.remove(0);
+                Ok(RtValue::List(xs))
+            }
+            Bi::IsEmpty => Ok(RtValue::Bool(match arg() {
+                RtValue::Extent(view) => view.is_empty(),
+                xs => list_arg(xs, at)?.is_empty(),
+            })),
+            Bi::Len => Ok(RtValue::Int(match arg() {
+                RtValue::Extent(view) => view.len(),
+                xs => list_arg(xs, at)?.len(),
+            } as i64)),
+            Bi::Append => {
+                let mut xs = list_arg(arg(), at)?;
+                xs.extend(list_arg(arg(), at)?);
+                Ok(RtValue::List(xs))
+            }
+            Bi::Map => {
+                let f = arg();
+                let mut out = Vec::new();
+                for_each_elem(arg(), at, |x| {
+                    out.push(self.apply(&f, [x], at)?);
+                    Ok(())
+                })?;
+                Ok(RtValue::List(out))
+            }
+            Bi::Filter => {
+                let f = arg();
+                let mut out = Vec::new();
+                for_each_elem(arg(), at, |x| {
+                    match self.apply(&f, [x.clone()], at)?.unpack() {
+                        RtValue::Bool(true) => out.push(x),
+                        RtValue::Bool(false) => {}
+                        other => return unexpected(at, "filter predicate returned", &other),
+                    }
+                    Ok(())
+                })?;
+                Ok(RtValue::List(out))
+            }
+            Bi::Fold => {
+                let f = arg();
+                let mut acc = arg();
+                for_each_elem(arg(), at, |x| {
+                    let prev = std::mem::replace(&mut acc, RtValue::Unit);
+                    acc = self.apply(&f, [prev, x], at)?;
+                    Ok(())
+                })?;
+                Ok(acc)
+            }
+            Bi::Reverse => {
+                let mut xs = list_arg(arg(), at)?;
+                xs.reverse();
+                Ok(RtValue::List(xs))
+            }
+            Bi::Distinct => {
+                let mut out: Vec<RtValue> = Vec::new();
+                for x in list_arg(arg(), at)? {
+                    if !out.iter().any(|y| y.data_eq(&x) == Some(true)) {
+                        out.push(x);
                     }
                 }
-                Ok(())
-            })?;
-            Ok(RtValue::List(out))
-        }
-        "fold" => {
-            let f = take(&mut args, 0);
-            let mut acc = take(&mut args, 1);
-            for_each_elem(take(&mut args, 2), at, |x| {
-                let partial = apply(f.clone(), std::mem::replace(&mut acc, RtValue::Unit), at, s)?;
-                acc = apply(partial, x, at, s)?;
-                Ok(())
-            })?;
-            Ok(acc)
-        }
-        "reverse" => {
-            let mut xs = list_arg(take(&mut args, 0), at)?;
-            xs.reverse();
-            Ok(RtValue::List(xs))
-        }
-        "distinct" => {
-            let xs = list_arg(take(&mut args, 0), at)?;
-            let mut out: Vec<RtValue> = Vec::new();
-            for x in xs {
-                let dup = out.iter().any(|y| y.data_eq(&x) == Some(true));
-                if !dup {
-                    out.push(x);
-                }
+                Ok(RtValue::List(out))
             }
-            Ok(RtValue::List(out))
-        }
-        "range" => {
-            let (lo, hi) = match (&args[0], &args[1]) {
-                (RtValue::Int(a), RtValue::Int(b)) => (*a, *b),
-                _ => return Err(LangError::eval(at, "range needs two Ints".to_string())),
-            };
-            Ok(RtValue::List((lo..hi).map(RtValue::Int).collect()))
-        }
-        "sum" => {
-            let mut total = 0.0;
-            for_each_elem(take(&mut args, 0), at, |x| {
-                total += match x.unpack() {
-                    RtValue::Int(i) => i as f64,
-                    RtValue::Float(f) => f,
-                    other => return Err(LangError::eval(at, format!("sum of {other}"))),
+            Bi::Range => match (arg(), arg()) {
+                (RtValue::Int(lo), RtValue::Int(hi)) => {
+                    Ok(RtValue::List((lo..hi).map(RtValue::Int).collect()))
+                }
+                _ => Err(LangError::eval(at, "range needs two Ints".to_string())),
+            },
+            Bi::Sum => {
+                let mut total = 0.0;
+                for_each_elem(arg(), at, |x| {
+                    total += match x.unpack() {
+                        RtValue::Int(i) => i as f64,
+                        RtValue::Float(f) => f,
+                        other => return unexpected(at, "sum of", &other),
+                    };
+                    Ok(())
+                })?;
+                Ok(RtValue::Float(total))
+            }
+            Bi::Explain | Bi::ExplainAnalyze => {
+                db(arg())?;
+                let bound = bound()?;
+                let analyze = id == Bi::ExplainAnalyze;
+                let before = dbpl_obs::global().snapshot();
+                let (pkgs, spans) = if analyze {
+                    dbpl_obs::trace::capture("explain_analyze", || self.s.db.get(&bound))
+                } else {
+                    (self.s.db.get(&bound), Vec::new())
                 };
-                Ok(())
-            })?;
-            Ok(RtValue::Float(total))
-        }
-        "explain" => {
-            let bound = tyargs
-                .first()
-                .cloned()
-                .ok_or_else(|| LangError::eval(at, "explain needs a type argument".to_string()))?;
-            match args.remove(0) {
-                RtValue::DbToken => {
-                    let before = dbpl_obs::global().snapshot();
-                    let pkgs = s.db.get(&bound);
-                    let delta = dbpl_obs::global().snapshot().delta_since(&before);
-                    Ok(RtValue::Str(format!(
-                        "get[{bound}]: strategy=typed_lists matches={} rows_scanned={} rows_sealed={} \
-                         subtype_cache_hits={} subtype_cache_misses={}",
-                        pkgs.len(),
-                        delta.counter("get.rows_scanned"),
-                        delta.counter("get.rows_sealed"),
-                        delta.counter("subtype.cache.hits"),
-                        delta.counter("subtype.cache.misses"),
-                    )))
-                }
-                other => Err(LangError::eval(
-                    at,
-                    format!("explain on non-database {other}"),
-                )),
+                let delta = dbpl_obs::global().snapshot().delta_since(&before);
+                let c = |counter| delta.counter(counter);
+                let (hits, misses) = (c("subtype.cache.hits"), c("subtype.cache.misses"));
+                let head = format!(
+                    "get[{bound}]: strategy=typed_lists matches={} rows_scanned={} rows_sealed={}",
+                    pkgs.len(),
+                    c("get.rows_scanned"),
+                    c("get.rows_sealed"),
+                );
+                Ok(RtValue::Str(if analyze {
+                    let ratio = cache_hit_ratio(hits, misses);
+                    format!("{head} cache_hit_ratio={ratio}\n{}", tree(&spans))
+                } else {
+                    format!("{head} subtype_cache_hits={hits} subtype_cache_misses={misses}")
+                }))
             }
-        }
-        "explainJoin" => {
-            let rhs = list_arg(take(&mut args, 1), at)?;
-            let lhs = list_arg(take(&mut args, 0), at)?;
-            let mut lvals = Vec::with_capacity(lhs.len());
-            for x in &lhs {
-                lvals.push(x.to_value(at)?);
+            Bi::ExplainJoin | Bi::ExplainAnalyzeJoin => {
+                let (l, r) = (relation(arg(), at)?, relation(arg(), at)?);
+                let analyze = id == Bi::ExplainAnalyzeJoin;
+                let before = dbpl_obs::global().snapshot();
+                let (joined, spans) = if analyze {
+                    dbpl_obs::trace::capture("explain_analyze_join", || l.natural_join(&r))
+                } else {
+                    (l.natural_join(&r), Vec::new())
+                };
+                let delta = dbpl_obs::global().snapshot().delta_since(&before);
+                let c = |counter| delta.counter(counter);
+                let head = format!(
+                    "join: strategy=partitioned left={} right={} out={} buckets={} fallback_rows={}",
+                    l.len(),
+                    r.len(),
+                    joined.len(),
+                    c("join.partitioned.buckets"),
+                    c("join.partitioned.fallback_rows"),
+                );
+                Ok(RtValue::Str(if analyze {
+                    let pairs = c("join.reduce.pairs_compared");
+                    format!("{head} reduce_pairs_compared={pairs}\n{}", tree(&spans))
+                } else {
+                    let (serial, parallel) =
+                        (c("join.products.serial"), c("join.products.parallel"));
+                    format!("{head} products_serial={serial} products_parallel={parallel}")
+                }))
             }
-            let mut rvals = Vec::with_capacity(rhs.len());
-            for x in &rhs {
-                rvals.push(x.to_value(at)?);
-            }
-            let a = dbpl_relation::GenRelation::from_values(lvals);
-            let b = dbpl_relation::GenRelation::from_values(rvals);
-            let before = dbpl_obs::global().snapshot();
-            let joined = a.natural_join(&b);
-            let delta = dbpl_obs::global().snapshot().delta_since(&before);
-            Ok(RtValue::Str(format!(
-                "join: strategy=partitioned left={} right={} out={} buckets={} fallback_rows={} \
-                 products_serial={} products_parallel={}",
-                a.len(),
-                b.len(),
-                joined.len(),
-                delta.counter("join.partitioned.buckets"),
-                delta.counter("join.partitioned.fallback_rows"),
-                delta.counter("join.products.serial"),
-                delta.counter("join.products.parallel"),
-            )))
-        }
-        "explainAnalyze" => {
-            let bound = tyargs.first().cloned().ok_or_else(|| {
-                LangError::eval(at, "explainAnalyze needs a type argument".to_string())
-            })?;
-            match args.remove(0) {
-                RtValue::DbToken => {
-                    let before = dbpl_obs::global().snapshot();
-                    let (pkgs, spans) =
-                        dbpl_obs::trace::capture("explain_analyze", || s.db.get(&bound));
-                    let delta = dbpl_obs::global().snapshot().delta_since(&before);
-                    let hits = delta.counter("subtype.cache.hits");
-                    let misses = delta.counter("subtype.cache.misses");
-                    let header = format!(
-                        "get[{bound}]: strategy=typed_lists matches={} rows_scanned={} \
-                         rows_sealed={} cache_hit_ratio={}",
-                        pkgs.len(),
-                        delta.counter("get.rows_scanned"),
-                        delta.counter("get.rows_sealed"),
-                        cache_hit_ratio(hits, misses),
-                    );
-                    Ok(RtValue::Str(format!(
-                        "{header}\n{}",
-                        dbpl_obs::trace::render_tree(&spans).trim_end()
-                    )))
-                }
-                other => Err(LangError::eval(
-                    at,
-                    format!("explainAnalyze on non-database {other}"),
-                )),
-            }
-        }
-        "scrub" => match args.remove(0) {
-            RtValue::DbToken => {
-                let (report, spans) = dbpl_obs::trace::capture("scrub_cmd", || s.scrub());
+            Bi::Scrub => {
+                db(arg())?;
+                let (report, spans) = dbpl_obs::trace::capture("scrub_cmd", || self.s.scrub());
                 Ok(RtValue::Str(format!(
                     "{}\n{}",
                     report.summary(),
-                    dbpl_obs::trace::render_tree(&spans).trim_end()
+                    tree(&spans)
                 )))
             }
-            other => Err(LangError::eval(
-                at,
-                format!("scrub on non-database {other}"),
-            )),
-        },
-        "timeline" => match args.remove(0) {
-            RtValue::DbToken => Ok(RtValue::Str(
-                dbpl_obs::timeline::render_active(10)
-                    .unwrap_or_else(|| "timeline: no recorder active".to_string()),
-            )),
-            other => Err(LangError::eval(
-                at,
-                format!("timeline on non-database {other}"),
-            )),
-        },
-        "analyze" => match args.remove(0) {
-            RtValue::DbToken => {
-                let catalog = s.db.analyze();
+            Bi::Timeline => {
+                db(arg())?;
+                Ok(RtValue::Str(
+                    dbpl_obs::timeline::render_active(10)
+                        .unwrap_or_else(|| "timeline: no recorder active".to_string()),
+                ))
+            }
+            Bi::Analyze => {
+                db(arg())?;
+                let catalog = self.s.db.analyze();
                 Ok(RtValue::Str(format!(
                     "analyze: rebuilt statistics for {} carried type(s), {} row(s)",
                     catalog.type_count(),
                     catalog.total_rows()
                 )))
             }
-            other => Err(LangError::eval(
-                at,
-                format!("analyze on non-database {other}"),
-            )),
-        },
-        "extentStats" => match args.remove(0) {
-            RtValue::DbToken => Ok(RtValue::Str(s.db.stats_catalog().render())),
-            other => Err(LangError::eval(
-                at,
-                format!("extentStats on non-database {other}"),
-            )),
-        },
-        "workload" => match args.remove(0) {
-            RtValue::DbToken => {
+            Bi::ExtentStats => {
+                db(arg())?;
+                Ok(RtValue::Str(self.s.db.stats_catalog().render()))
+            }
+            Bi::Workload => {
+                db(arg())?;
                 let log = dbpl_stats::query_log();
                 let records = log.snapshot();
                 let mut out = format!(
@@ -668,49 +601,72 @@ fn exec_builtin(b: Builtin, at: usize, s: &mut Session) -> Result<RtValue, LangE
                 }
                 Ok(RtValue::Str(out))
             }
-            other => Err(LangError::eval(
-                at,
-                format!("workload on non-database {other}"),
-            )),
-        },
-        "explainAnalyzeJoin" => {
-            let rhs = list_arg(take(&mut args, 1), at)?;
-            let lhs = list_arg(take(&mut args, 0), at)?;
-            let mut lvals = Vec::with_capacity(lhs.len());
-            for x in &lhs {
-                lvals.push(x.to_value(at)?);
-            }
-            let mut rvals = Vec::with_capacity(rhs.len());
-            for x in &rhs {
-                rvals.push(x.to_value(at)?);
-            }
-            let a = dbpl_relation::GenRelation::from_values(lvals);
-            let b = dbpl_relation::GenRelation::from_values(rvals);
-            let before = dbpl_obs::global().snapshot();
-            let (joined, spans) =
-                dbpl_obs::trace::capture("explain_analyze_join", || a.natural_join(&b));
-            let delta = dbpl_obs::global().snapshot().delta_since(&before);
-            let header = format!(
-                "join: strategy=partitioned left={} right={} out={} buckets={} fallback_rows={} \
-                 reduce_pairs_compared={}",
-                a.len(),
-                b.len(),
-                joined.len(),
-                delta.counter("join.partitioned.buckets"),
-                delta.counter("join.partitioned.fallback_rows"),
-                delta.counter("join.reduce.pairs_compared"),
-            );
-            Ok(RtValue::Str(format!(
-                "{header}\n{}",
-                dbpl_obs::trace::render_tree(&spans).trim_end()
-            )))
         }
-        other => Err(LangError::eval(at, format!("unknown builtin `{other}`"))),
+    }
+}
+
+fn list_arg(v: RtValue, at: usize) -> Result<Vec<RtValue>, LangError> {
+    match v.materialized() {
+        RtValue::List(xs) => Ok(xs),
+        other => unexpected(at, "expected a list, found", &other),
+    }
+}
+
+/// The error for a value of the wrong shape, which checking rules out.
+fn unexpected<T>(at: usize, what: &str, v: &RtValue) -> Result<T, LangError> {
+    Err(LangError::eval(at, format!("{what} {v}")))
+}
+
+/// A list argument of the join builtins, as a generalized relation.
+fn relation(v: RtValue, at: usize) -> Result<GenRelation, LangError> {
+    let rows: Result<Vec<_>, _> = list_arg(v, at)?.iter().map(|x| x.to_value(at)).collect();
+    Ok(GenRelation::from_values(rows?))
+}
+
+#[inline]
+fn bin_op(op: BinOp, l: RtValue, r: RtValue, at: usize) -> Evaluated {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    use BinOp::*;
+    use RtValue::{Bool, Float, Int, Str};
+    let ordered = |o: std::cmp::Ordering| {
+        Ok(Bool(match op {
+            Lt => o == Less,
+            Le => o != Greater,
+            Gt => o == Greater,
+            _ => o != Less,
+        }))
+    };
+    let num = |v: &RtValue| match v {
+        Int(i) => Some(*i as f64),
+        Float(x) => Some(*x),
+        _ => None,
+    };
+    match (op, l, r) {
+        (Eq | Ne, l, r) => match l.data_eq(&r) {
+            Some(eq) => Ok(Bool(eq == (op == Eq))),
+            None => Err(LangError::eval(at, "cannot compare functions")),
+        },
+        (Concat, Str(a), Str(b)) => Ok(Str(a + &b)),
+        (Div, Int(_), Int(0)) => Err(LangError::eval(at, "division by zero")),
+        (Add, Int(a), Int(b)) => Ok(Int(a.wrapping_add(b))),
+        (Sub, Int(a), Int(b)) => Ok(Int(a.wrapping_sub(b))),
+        (Mul, Int(a), Int(b)) => Ok(Int(a.wrapping_mul(b))),
+        (Div, Int(a), Int(b)) => Ok(Int(a.wrapping_div(b))),
+        (Lt | Le | Gt | Ge, Int(a), Int(b)) => ordered(a.cmp(&b)),
+        (Lt | Le | Gt | Ge, Str(a), Str(b)) => ordered(a.cmp(&b)),
+        (op, l, r) => match (op, num(&l), num(&r)) {
+            (Add, Some(a), Some(b)) => Ok(Float(a + b)),
+            (Sub, Some(a), Some(b)) => Ok(Float(a - b)),
+            (Mul, Some(a), Some(b)) => Ok(Float(a * b)),
+            (Div, Some(a), Some(b)) => Ok(Float(a / b)),
+            (Lt | Le | Gt | Ge, Some(a), Some(b)) => ordered(a.partial_cmp(&b).unwrap_or(Equal)),
+            _ => Err(LangError::eval(at, format!("{op:?} on {l} and {r}"))),
+        },
     }
 }
 
 /// Run `body` on each element of a list argument, in order. A `get`
-/// extent is iterated in place, one package sealed per element, instead
+/// extent is iterated in place, one row shared per element, instead
 /// of being materialized first.
 fn for_each_elem(
     xs: RtValue,
@@ -718,13 +674,15 @@ fn for_each_elem(
     mut body: impl FnMut(RtValue) -> Result<(), LangError>,
 ) -> Result<(), LangError> {
     match xs {
-        RtValue::Extent(view) => view.iter().try_for_each(|p| body(RtValue::Stored(p))),
+        RtValue::Extent(view) => view.rows().try_for_each(|p| body(RtValue::Stored(p))),
         RtValue::List(xs) => xs.into_iter().try_for_each(body),
-        other => Err(LangError::eval(
-            at,
-            format!("expected a list, found {other}"),
-        )),
+        other => unexpected(at, "expected a list, found", &other),
     }
+}
+
+/// A captured span tree, rendered.
+fn tree(spans: &[dbpl_obs::SpanRecord]) -> String {
+    dbpl_obs::trace::render_tree(spans).trim_end().to_string()
 }
 
 /// Hits over (hits + misses), rendered with two decimals; `1.00` when the
@@ -735,10 +693,4 @@ fn cache_hit_ratio(hits: u64, misses: u64) -> String {
     } else {
         format!("{:.2}", hits as f64 / (hits + misses) as f64)
     }
-}
-
-/// Check that a coerced or interned value is usable at a named type — the
-/// subtype relation over the session's environment. Re-exported for tests.
-pub fn carried_subtype(carried: &Type, want: &Type, s: &Session) -> bool {
-    is_subtype(carried, want, s.db.env())
 }

@@ -43,7 +43,7 @@ pub use check::{check_program, infer_expr};
 pub use dbpl_persist::Health;
 pub use error::{ErrorKind, LangError, Phase};
 pub use parser::{parse_expr, parse_program};
-pub use rt::{Env, RtValue};
+pub use rt::RtValue;
 pub use server::{
     sanitize_label, EngineState, Frame, Server, ServerConfig, ServerSession, MAX_BATCH,
 };

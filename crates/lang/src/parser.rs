@@ -9,7 +9,6 @@ use crate::ast::{BinOp, Expr, ExprKind, Item, Program};
 use crate::error::LangError;
 use crate::token::{lex, Spanned, Tok};
 use dbpl_types::{Fields, Type};
-use std::rc::Rc;
 
 /// Parse a whole program.
 pub fn parse_program(src: &str) -> Result<Program, LangError> {
@@ -353,12 +352,7 @@ impl Parser {
                 self.expect(Tok::RParen)?;
                 self.expect(Tok::FatArrow)?;
                 let body = self.expr()?;
-                // Curry.
-                let mut e = body;
-                for (x, t) in params.into_iter().rev() {
-                    e = Expr::new(at, ExprKind::Lambda(x.into(), t, Rc::new(e)));
-                }
-                Ok(e)
+                Ok(Expr::new(at, ExprKind::Lambda(params, Box::new(body))))
             }
             Tok::Coerce => {
                 self.bump();
@@ -701,12 +695,13 @@ mod tests {
     }
 
     #[test]
-    fn lambdas_curry() {
+    fn lambdas_keep_their_parameters_together() {
         let e = parse_expr("fn(x: Int, y: Int) => x + y").unwrap();
         match e.node {
-            ExprKind::Lambda(x, _, body) => {
-                assert_eq!(&*x, "x");
-                assert!(matches!(body.node, ExprKind::Lambda(_, _, _)));
+            ExprKind::Lambda(params, body) => {
+                let names: Vec<&str> = params.iter().map(|(x, _)| x.as_str()).collect();
+                assert_eq!(names, ["x", "y"]);
+                assert!(matches!(body.node, ExprKind::Bin(BinOp::Add, _, _)));
             }
             other => panic!("{other:?}"),
         }

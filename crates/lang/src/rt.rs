@@ -1,96 +1,56 @@
-//! Runtime values and environments for the MiniDBPL evaluator.
+//! Runtime values for the MiniDBPL evaluator.
 //!
 //! Runtime values extend the storable [`Value`]s of `dbpl-values` with
-//! closures and partially applied builtins, which exist only during
-//! evaluation. Conversion to [`Value`] happens at the *database
+//! functions — closures, builtins and partial applications — which exist
+//! only during evaluation. Conversion to [`Value`] happens at the *database
 //! boundaries* — `dynamic`, `put`, `extern` — where functions are
 //! rejected: only data persists.
 //!
+//! There is no name environment at run time: the checker resolved every
+//! variable to a frame slot (see [`crate::ast::Slot`]), so a
+//! [`Closure`] holds only the values its body captures.
+//!
 //! `get` results are not converted either. `get[T](db)` evaluates to an
 //! [`RtValue::Extent`]: a view of the snapshot's matching typed lists,
-//! sealed into packages only as it is iterated. The evaluator's `len`,
+//! read row by row only as it is iterated. The evaluator's `len`,
 //! `isEmpty`, `head`, `fold`, `map`, `filter` and `sum` read it in place,
 //! and an extent bound by `let` or passed to a function stays a view.
 //! Everything else — printing, `==`, storing it inside data, `dynamic`,
 //! the other list builtins — turns it into a list through one helper,
 //! [`RtValue::materialized`]. The elements a view yields are
-//! [`RtValue::Stored`] packages that share the stored row, and are
-//! converted only where the program looks inside one.
+//! [`RtValue::Stored`] rows, shared with the store and unpackaged: the
+//! program was checked at the bound, so the package has nothing left to
+//! tell the evaluator. A field read converts only that field, and
+//! [`RtValue::unpack`] converts a whole row where the evaluator inspects
+//! its shape.
 
-use crate::ast::Expr;
+use crate::ast::Lambda;
+use crate::builtins::{sig, Bi};
 use crate::error::LangError;
-use dbpl_core::{ExistsPkg, GetView};
+use dbpl_core::{GetView, StoredRow};
 use dbpl_types::Type;
 use dbpl_values::{Oid, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
-/// A lexical environment (persistent linked list, cheap to capture).
-#[derive(Debug, Clone, Default)]
-pub struct Env(Option<Rc<EnvNode>>);
-
-#[derive(Debug)]
-struct EnvNode {
-    name: Rc<str>,
-    value: RtValue,
-    next: Env,
-}
-
-impl Env {
-    /// The empty environment.
-    pub fn empty() -> Env {
-        Env(None)
-    }
-
-    /// Extend with a binding. Binder names are shared with the syntax
-    /// tree, so binding an `Rc<str>` allocates only the node.
-    pub fn bind(&self, name: impl Into<Rc<str>>, value: RtValue) -> Env {
-        Env(Some(Rc::new(EnvNode {
-            name: name.into(),
-            value,
-            next: self.clone(),
-        })))
-    }
-
-    /// Look up a name.
-    pub fn lookup(&self, name: &str) -> Option<&RtValue> {
-        let mut cur = self;
-        while let Some(node) = &cur.0 {
-            if &*node.name == name {
-                return Some(&node.value);
-            }
-            cur = &node.next;
-        }
-        None
-    }
-}
-
-/// A user function (possibly recursive through `name`).
+/// A function literal evaluated in a frame: its code and the values it
+/// captured there.
 #[derive(Debug)]
 pub struct Closure {
-    /// For recursive functions, the name under which the closure can see
-    /// itself.
-    pub name: Option<Rc<str>>,
-    /// Parameter name.
-    pub param: Rc<str>,
-    /// Body (shared with the `fn` expression it was made from).
-    pub body: Rc<Expr>,
-    /// Captured environment.
-    pub env: Env,
+    /// The resolved literal (shared with the program).
+    pub code: Rc<Lambda>,
+    /// The captured values, in [`Lambda::captures`] order.
+    pub captured: Vec<RtValue>,
 }
 
-/// A (possibly partially applied) builtin.
-#[derive(Debug, Clone)]
-pub struct Builtin {
-    /// Builtin name (keys into the builtin table).
-    pub name: &'static str,
-    /// Collected type arguments.
-    pub tyargs: Vec<Type>,
-    /// Collected value arguments.
+/// A function applied to fewer arguments than it takes.
+#[derive(Debug)]
+pub struct Partial {
+    /// The function: a closure, a builtin or a partial application.
+    pub f: RtValue,
+    /// The arguments collected so far.
     pub args: Vec<RtValue>,
-    /// Total number of value arguments required.
-    pub arity: usize,
 }
 
 /// A runtime value.
@@ -118,18 +78,20 @@ pub enum RtValue {
     Ref(Oid),
     /// A user function.
     Closure(Rc<Closure>),
-    /// A builtin (possibly partially applied).
-    Builtin(Builtin),
+    /// A builtin, with the type arguments applied to it so far.
+    Builtin(Bi, Vec<Type>),
+    /// A partially applied function.
+    Partial(Rc<Partial>),
     /// The session database token (the value of the global `db`).
     DbToken,
-    /// An unopened `get` result element: the package shares the stored
-    /// row. It behaves exactly like [`RtValue::from_value`] of the
-    /// package's value; [`RtValue::unpack`] performs that conversion
-    /// where the evaluator inspects a value's shape.
-    Stored(ExistsPkg),
+    /// An unopened `get` result element: a stored row, shared. It
+    /// behaves exactly like [`RtValue::from_value`] of the row's value;
+    /// [`RtValue::unpack`] performs that conversion where the evaluator
+    /// inspects a value's shape.
+    Stored(StoredRow),
     /// A `get` result not yet turned into a list: the view of the
     /// snapshot's typed lists. It behaves exactly like the list of its
-    /// [`RtValue::Stored`] packages, which [`RtValue::materialized`]
+    /// [`RtValue::Stored`] rows, which [`RtValue::materialized`]
     /// builds.
     Extent(Rc<GetView>),
 }
@@ -157,41 +119,49 @@ impl RtValue {
             RtValue::Tagged(l, v) => Value::Tagged(l.clone(), Box::new(v.to_value(at)?)),
             RtValue::Dyn(t, v) => Value::dynamic(t.clone(), v.to_value(at)?),
             RtValue::Ref(o) => Value::Ref(*o),
-            RtValue::Closure(_) | RtValue::Builtin(_) => {
-                return Err(LangError::eval(
-                    at,
-                    "functions cannot be stored as data".to_string(),
-                ))
+            RtValue::Closure(_) | RtValue::Builtin(..) | RtValue::Partial(_) => {
+                return Err(LangError::eval(at, "functions cannot be stored as data"))
             }
             RtValue::DbToken => {
                 return Err(LangError::eval(
                     at,
-                    "the database itself is not a storable value".to_string(),
+                    "the database itself is not a storable value",
                 ))
             }
             // Through the runtime form, so the stored value converts
             // exactly as an opened one would (sets become lists).
-            RtValue::Stored(p) => return RtValue::from_value(p.open()).to_value(at),
+            RtValue::Stored(p) => return RtValue::from_value(p.value()).to_value(at),
             RtValue::Extent(_) => return self.clone().materialized().to_value(at),
         })
     }
 
-    /// Turn an [`RtValue::Extent`] into the list of its packages, in
+    /// Turn an [`RtValue::Extent`] into the list of its rows, in
     /// store order; every other value is returned as is. The one place a
     /// `get` result is materialized.
     pub fn materialized(self) -> RtValue {
         match self {
-            RtValue::Extent(view) => RtValue::List(view.iter().map(RtValue::Stored).collect()),
+            RtValue::Extent(view) => RtValue::List(view.rows().map(RtValue::Stored).collect()),
             other => other,
         }
     }
 
-    /// Open a [`RtValue::Stored`] package into its runtime form; every
+    /// Open a [`RtValue::Stored`] row into its runtime form; every
     /// other value is returned as is.
     pub fn unpack(self) -> RtValue {
         match self {
-            RtValue::Stored(p) => RtValue::from_value(p.open()),
+            RtValue::Stored(p) => RtValue::from_value(p.value()),
             other => other,
+        }
+    }
+
+    /// How many more arguments a function value takes before it runs: 1
+    /// for any other value, so that applying one fails at once.
+    pub fn arity(&self) -> usize {
+        match self {
+            RtValue::Closure(c) => c.code.arity,
+            RtValue::Builtin(id, _) => sig(*id).arity,
+            RtValue::Partial(p) => p.f.arity() - p.args.len(),
+            _ => 1,
         }
     }
 
@@ -219,8 +189,8 @@ impl RtValue {
     /// Structural equality on data; functions are never equal.
     pub fn data_eq(&self, other: &RtValue) -> Option<bool> {
         match (self, other) {
-            (RtValue::Stored(p), _) => RtValue::from_value(p.open()).data_eq(other),
-            (_, RtValue::Stored(p)) => self.data_eq(&RtValue::from_value(p.open())),
+            (RtValue::Stored(p), _) => RtValue::from_value(p.value()).data_eq(other),
+            (_, RtValue::Stored(p)) => self.data_eq(&RtValue::from_value(p.value())),
             (RtValue::Extent(_), _) => self.clone().materialized().data_eq(other),
             (_, RtValue::Extent(_)) => self.data_eq(&other.clone().materialized()),
             (RtValue::Unit, RtValue::Unit) => Some(true),
@@ -311,9 +281,10 @@ impl fmt::Display for RtValue {
             RtValue::Dyn(t, v) => write!(f, "dynamic({v} : {t})"),
             RtValue::Ref(o) => write!(f, "{o}"),
             RtValue::Closure(_) => write!(f, "<fn>"),
-            RtValue::Builtin(b) => write!(f, "<builtin {}>", b.name),
+            RtValue::Builtin(id, _) => write!(f, "<builtin {}>", sig(*id).name),
+            RtValue::Partial(p) => write!(f, "{}", p.f),
             RtValue::DbToken => write!(f, "<database>"),
-            RtValue::Stored(p) => write!(f, "{}", RtValue::from_value(p.open())),
+            RtValue::Stored(p) => write!(f, "{}", RtValue::from_value(p.value())),
             RtValue::Extent(_) => write!(f, "{}", self.clone().materialized()),
         }
     }
@@ -322,15 +293,6 @@ impl fmt::Display for RtValue {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn env_lookup_shadows() {
-        let env = Env::empty()
-            .bind("x", RtValue::Int(1))
-            .bind("x", RtValue::Int(2));
-        assert!(matches!(env.lookup("x"), Some(RtValue::Int(2))));
-        assert!(env.lookup("y").is_none());
-    }
 
     #[test]
     fn value_roundtrip() {
@@ -345,12 +307,7 @@ mod tests {
 
     #[test]
     fn functions_do_not_convert() {
-        let b = RtValue::Builtin(Builtin {
-            name: "len",
-            tyargs: vec![],
-            args: vec![],
-            arity: 1,
-        });
+        let b = RtValue::Builtin(Bi::Len, vec![]);
         assert!(b.to_value(0).is_err());
         assert!(RtValue::DbToken.to_value(0).is_err());
     }
@@ -359,12 +316,7 @@ mod tests {
     fn data_eq_numeric_widening() {
         assert_eq!(RtValue::Int(3).data_eq(&RtValue::Float(3.0)), Some(true));
         assert_eq!(RtValue::Int(3).data_eq(&RtValue::Float(3.5)), Some(false));
-        let f = RtValue::Builtin(Builtin {
-            name: "len",
-            tyargs: vec![],
-            args: vec![],
-            arity: 1,
-        });
+        let f = RtValue::Builtin(Bi::Len, vec![]);
         assert_eq!(f.data_eq(&f), None);
     }
 

@@ -26,12 +26,12 @@
 //!
 //! [`run`]: Session::run
 
-use crate::ast::{Expr, ExprKind, Item, Program};
-use crate::check::check_program;
+use crate::ast::{Code, Item, Program};
+use crate::check::{check_program, Checked};
 use crate::error::LangError;
-use crate::eval::eval;
+use crate::eval::Machine;
 use crate::parser::parse_program;
-use crate::rt::{Closure, Env, RtValue};
+use crate::rt::RtValue;
 use dbpl_core::Database;
 use dbpl_persist::{
     DurabilityGate, Health, IntrinsicStore, PersistError, QuarantineEntry, QuarantineReason,
@@ -42,7 +42,6 @@ use dbpl_values::DynValue;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -355,10 +354,13 @@ impl Session {
         // The program's type declarations become part of the database's
         // schema for subsequent programs (rolled back if the frame
         // aborts).
-        *self.db.env_mut() = checked.env;
+        let Checked {
+            env, code, frame, ..
+        } = checked;
+        *self.db.env_mut() = env;
 
         let out_start = self.out.len();
-        self.guarded("program", |s| s.exec_items(&prog))?;
+        self.guarded("program", |s| s.exec_items(&prog, &code, frame))?;
         if !self.worker && self.txn.as_ref().is_some_and(|t| !t.explicit) {
             self.commit_frame()?;
         }
@@ -390,8 +392,13 @@ impl Session {
         result
     }
 
-    fn exec_items(&mut self, prog: &Program) -> Result<(), LangError> {
-        let mut env = Env::empty();
+    /// Run a checked program's items: `code` holds one entry per `let`,
+    /// `fun` and expression item, and the program's top-level frame has
+    /// `frame` slots.
+    fn exec_items(&mut self, prog: &Program, code: &[Code], frame: usize) -> Result<(), LangError> {
+        let mut m = Machine::new(self, frame);
+        let mut code = code.iter();
+        let mut bound = 0;
         for (index, item) in prog.items.iter().enumerate() {
             let mut stmt = dbpl_obs::span!("stmt");
             stmt.set_attr("index", index);
@@ -399,65 +406,41 @@ impl Session {
             match item {
                 Item::TypeDecl { .. } | Item::Include { .. } => {}
                 Item::Begin { at } => {
-                    if self.in_transaction() {
+                    if m.s.in_transaction() {
                         return Err(LangError::eval(
                             *at,
                             "transaction already in progress".to_string(),
                         ));
                     }
                     // Settle what ran before `begin`, then snapshot here.
-                    self.commit_frame()?;
-                    self.begin_frame(true);
+                    m.s.commit_frame()?;
+                    m.s.begin_frame(true);
                 }
                 Item::Commit { at } | Item::Abort { at } => {
-                    if !self.in_transaction() {
+                    if !m.s.in_transaction() {
                         return Err(LangError::eval(
                             *at,
                             "no transaction in progress".to_string(),
                         ));
                     }
                     if matches!(item, Item::Commit { .. }) {
-                        self.commit_frame()?;
+                        m.s.commit_frame()?;
                     } else {
-                        self.abort_frame();
+                        m.s.abort_frame();
                     }
                     // The rest of the program runs in a fresh implicit
                     // frame, committed when the program completes.
-                    self.begin_frame(false);
+                    m.s.begin_frame(false);
                 }
-                Item::Let { name, expr, .. } => {
-                    let v = eval(expr, &env, self)?;
-                    env = env.bind(name.clone(), v);
+                Item::Let { .. } | Item::FunDecl { .. } => {
+                    let v = m.eval(code.next().expect("checked"))?;
+                    m.bind(bound, v);
+                    bound += 1;
                 }
-                Item::FunDecl {
-                    at,
-                    name,
-                    params,
-                    body,
-                    ..
-                } => {
-                    // Curry the parameters; the outermost closure knows its
-                    // own name, enabling recursion.
-                    let mut inner = body.clone();
-                    for (x, t) in params.iter().skip(1).rev() {
-                        inner = Expr::new(
-                            *at,
-                            ExprKind::Lambda(x.as_str().into(), t.clone(), Rc::new(inner)),
-                        );
-                    }
-                    let (p0, _) = &params[0];
-                    let clo = RtValue::Closure(Rc::new(Closure {
-                        name: Some(name.as_str().into()),
-                        param: p0.as_str().into(),
-                        body: Rc::new(inner),
-                        env: env.clone(),
-                    }));
-                    env = env.bind(name.clone(), clo);
-                }
-                Item::Expr(e) => {
-                    let v = eval(e, &env, self)?;
+                Item::Expr(_) => {
+                    let v = m.eval(code.next().expect("checked"))?;
                     if !matches!(v, RtValue::Unit) {
-                        self.out.push(v.to_string());
+                        m.s.out.push(v.to_string());
                     }
                 }
             }

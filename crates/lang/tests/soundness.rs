@@ -33,6 +33,22 @@ fn gen_expr(kind: Kind) -> BoxedStrategy<String> {
             prop::collection::vec(int(depth - 1), 0..3)
                 .prop_map(|xs| format!("len([{}])", xs.join(", "))),
             (int(depth - 1)).prop_map(|a| format!("(let v = {a} in v + v)")),
+            // Shadowing: an inner `let`, a lambda parameter and a `case`
+            // binder rebind `v`, a closure captures the outer `v` before
+            // it is shadowed, and the generated operands may bind `v`
+            // again inside each scope.
+            (int(depth - 1), int(depth - 1))
+                .prop_map(|(a, b)| format!("(let v = {a} in (let v = v + {b} in v * v) - v)")),
+            (int(depth - 1), int(depth - 1))
+                .prop_map(|(a, b)| format!("(let v = {a} in (fn(v: Int) => v * 2)({b}) + v)")),
+            (int(depth - 1), int(depth - 1)).prop_map(|(a, b)| {
+                format!("(let v = {a} in let f = fn(w: Int) => v + w in (let v = {b} in f(v)))")
+            }),
+            (int(depth - 1), int(depth - 1))
+                .prop_map(|(a, b)| format!("(let v = {a} in case (tag A {b}) of A v => v - 1)")),
+            (int(depth - 1), int(depth - 1)).prop_map(|(a, b)| {
+                format!("(let v = {a} in let g = fn(x: Int, v: Int) => x * v in g(v)({b}))")
+            }),
             (int(depth - 1), int(depth - 1))
                 .prop_map(|(a, b)| format!("((fn(x: Int, y: Int) => x + y)({a}, {b}))")),
             (int(depth - 1)).prop_map(|a| format!("{{F = {a}}}.F")),

@@ -106,7 +106,7 @@ impl PascalRDatabase {
             // tuples
             format::put_u64(&mut out, rel.len() as u64);
             for t in rel.tuples() {
-                format::put_value(&mut out, &Value::Record(t.clone()));
+                format::put_value(&mut out, &Value::Record(t.clone().into()));
             }
         }
         let tmp = self.path.with_extension("tmp");
@@ -135,7 +135,8 @@ impl PascalRDatabase {
             for _ in 0..nt {
                 let v = r.value().map_err(decode)?;
                 if let Value::Record(fs) = v {
-                    rel.insert(fs).map_err(|e| ModelError::Io(e.to_string()))?;
+                    rel.insert((*fs).clone())
+                        .map_err(|e| ModelError::Io(e.to_string()))?;
                 }
             }
             self.relations.insert(name, rel);

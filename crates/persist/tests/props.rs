@@ -58,7 +58,8 @@ fn arb_value() -> impl Strategy<Value = Value> {
         prop_oneof![
             prop::collection::vec(inner.clone(), 0..4).prop_map(Value::List),
             prop::collection::btree_set(inner.clone(), 0..4).prop_map(Value::Set),
-            prop::collection::btree_map("[a-c]", inner.clone(), 0..4).prop_map(Value::Record),
+            prop::collection::btree_map("[a-c]", inner.clone(), 0..4)
+                .prop_map(|fs| Value::Record(fs.into())),
             ("[A-C]", inner.clone()).prop_map(|(l, v)| Value::tagged(l, v)),
         ]
     })

@@ -20,7 +20,7 @@ use dbpl_values::Value;
 /// schema are total, hence comparable only when equal) are never subsumed,
 /// so no information is lost.
 pub fn to_generalized(rel: &Relation) -> GenRelation {
-    GenRelation::from_values(rel.tuples().map(|t| Value::Record(t.clone())))
+    GenRelation::from_values(rel.tuples().map(|t| Value::Record(t.clone().into())))
 }
 
 /// Read a generalized relation back as a flat relation over `schema`.
@@ -32,7 +32,7 @@ pub fn to_flat(gen: &GenRelation, schema: Schema) -> Result<Relation, RelationEr
         let fields = row
             .as_record()
             .ok_or_else(|| RelationError::NotARecord(row.to_string()))?;
-        let tuple: Tuple = fields.clone();
+        let tuple: Tuple = (**fields).clone();
         rel.insert(tuple)?;
     }
     Ok(rel)

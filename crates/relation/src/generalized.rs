@@ -984,19 +984,28 @@ mod tests {
 
     #[test]
     fn parallel_sized_join_matches_nested() {
-        // Big enough that run_products crosses PAR_JOIN_CUTOFF and fans
-        // out over scoped threads; must stay byte-for-byte identical.
-        let side = |tag: i64| {
-            GenRelation::from_values((0..600).map(|i| {
-                rec(&[
-                    ("Name", Value::Int(i % 31)),
-                    (if tag == 0 { "L" } else { "R" }, Value::Int(i)),
-                ])
-            }))
+        // 300 × 300 pairs, past PAR_JOIN_CUTOFF, of which only the 100
+        // with equal `Name`s join: the product fans out over two workers,
+        // and the literal reductions behind the Nested oracle stay small.
+        let side = |label: &str, step: i64| {
+            GenRelation::from_values(
+                (0..300).map(|i| rec(&[("Name", Value::Int(i * step)), (label, Value::Int(i))])),
+            )
         };
-        let r1 = side(0);
-        let r2 = side(1);
-        assert!(r1.len() * r2.len() >= PAR_JOIN_CUTOFF);
+        let (r1, r2) = (side("L", 1), side("R", 3));
+        let (a, b): (Vec<&Value>, Vec<&Value>) = (r1.iter().collect(), r2.iter().collect());
+        assert!(a.len() * b.len() >= PAR_JOIN_CUTOFF);
+        let mut serial = run_products(vec![(a.clone(), b.clone())], 1);
+        let fanned_out = crate::metrics::products_parallel().get();
+        let mut parallel = run_products(vec![(a, b)], 2);
+        assert!(
+            crate::metrics::products_parallel().get() > fanned_out,
+            "two workers never fanned the product out"
+        );
+        serial.sort();
+        parallel.sort();
+        assert_eq!(serial.len(), 100);
+        assert_eq!(parallel, serial);
         strategies_agree(&r1, &r2);
     }
 }

@@ -197,7 +197,7 @@ mod tests {
             let fy = record_as_partial_fn(y).unwrap();
             assert_eq!(fx.leq(&fy), order::leq(x, y), "{x} vs {y}");
             // Joins agree too (as records).
-            let pj = fx.join(&fy).map(|f| Value::Record(f.entries));
+            let pj = fx.join(&fy).map(|f| Value::Record(f.entries.into()));
             assert_eq!(pj, order::join(x, y), "join {x} vs {y}");
         }
     }

@@ -13,6 +13,8 @@
 use dbpl_types::Type;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 /// A field label (shared with `dbpl_types::Label`).
 pub type Label = String;
@@ -91,8 +93,79 @@ impl DynValue {
     }
 }
 
-/// The fields of a record value.
-pub type RecordFields = BTreeMap<Label, Value>;
+/// The fields of a record value: an ordered map from labels to values,
+/// shared.
+///
+/// The map sits behind an [`Arc`], as [`dbpl_types::Fields`] does for
+/// record types: copying a record value is a refcount bump, so a copy of
+/// a stored row (a one-row package, a snapshot's rows, a backup) shares
+/// its fields with the row. Reads deref to the map; writes
+/// ([`DerefMut`]) un-share it first with [`Arc::make_mut`]. Equality,
+/// order and hashing are the map's.
+#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct RecordFields(Arc<BTreeMap<Label, Value>>);
+
+impl RecordFields {
+    /// No fields.
+    pub fn new() -> RecordFields {
+        RecordFields::default()
+    }
+
+    /// Do the two share one map (not merely equal ones)?
+    pub fn ptr_eq(&self, other: &RecordFields) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Deref for RecordFields {
+    type Target = BTreeMap<Label, Value>;
+
+    fn deref(&self) -> &BTreeMap<Label, Value> {
+        &self.0
+    }
+}
+
+impl DerefMut for RecordFields {
+    fn deref_mut(&mut self) -> &mut BTreeMap<Label, Value> {
+        Arc::make_mut(&mut self.0)
+    }
+}
+
+impl fmt::Debug for RecordFields {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl From<BTreeMap<Label, Value>> for RecordFields {
+    fn from(map: BTreeMap<Label, Value>) -> RecordFields {
+        RecordFields(Arc::new(map))
+    }
+}
+
+impl FromIterator<(Label, Value)> for RecordFields {
+    fn from_iter<I: IntoIterator<Item = (Label, Value)>>(fields: I) -> RecordFields {
+        RecordFields::from(fields.into_iter().collect::<BTreeMap<_, _>>())
+    }
+}
+
+impl IntoIterator for RecordFields {
+    type Item = (Label, Value);
+    type IntoIter = std::collections::btree_map::IntoIter<Label, Value>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        Arc::unwrap_or_clone(self.0).into_iter()
+    }
+}
+
+impl<'a> IntoIterator for &'a RecordFields {
+    type Item = (&'a Label, &'a Value);
+    type IntoIter = std::collections::btree_map::Iter<'a, Label, Value>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
 
 /// A runtime value.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -366,5 +439,18 @@ mod tests {
         assert_eq!(Value::Int(3).as_float(), Some(3.0));
         assert_eq!(Value::float(3.5).as_float(), Some(3.5));
         assert_eq!(Value::float(3.5).as_int(), None);
+    }
+
+    #[test]
+    fn record_copies_share_their_fields_until_written() {
+        let v = Value::record([("a", Value::Int(1))]);
+        let mut w = v.clone();
+        assert!(v.as_record().unwrap().ptr_eq(w.as_record().unwrap()));
+        w.as_record_mut()
+            .unwrap()
+            .insert("b".to_string(), Value::Int(2));
+        assert!(!v.as_record().unwrap().ptr_eq(w.as_record().unwrap()));
+        assert_eq!(v, Value::record([("a", Value::Int(1))]));
+        assert!(v < w, "order is the maps' order");
     }
 }

@@ -19,7 +19,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
     ];
     leaf.prop_recursive(3, 32, 4, |inner| {
         prop_oneof![
-            4 => prop::collection::btree_map("[xyz]", inner.clone(), 0..4).prop_map(Value::Record),
+            4 => prop::collection::btree_map("[xyz]", inner.clone(), 0..4).prop_map(|fs| Value::Record(fs.into())),
             1 => prop::collection::vec(inner.clone(), 0..3).prop_map(Value::List),
             1 => ("[AB]", inner).prop_map(|(l, v)| Value::tagged(l, v)),
         ]
