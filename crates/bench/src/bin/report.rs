@@ -17,6 +17,37 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
+/// A ratio gate's estimator: `rounds` paired rounds, each measuring the
+/// base arm and the treated arm back to back, alternating which runs
+/// first so clock drift and a warmer second slot tax both arms alike.
+/// Returns the median of the per-round `treated / base` ratios — a
+/// host stall lands on one round's pair, not on the verdict — and each
+/// arm's median measurement.
+fn paired_median_ratio(
+    rounds: usize,
+    mut base: impl FnMut() -> f64,
+    mut treated: impl FnMut() -> f64,
+) -> (f64, f64, f64) {
+    let median = |mut xs: Vec<f64>| {
+        xs.sort_by(f64::total_cmp);
+        xs[xs.len() / 2]
+    };
+    let (mut bases, mut treateds, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for round in 0..rounds {
+        let (b, t) = if round % 2 == 0 {
+            let b = base();
+            (b, treated())
+        } else {
+            let t = treated();
+            (base(), t)
+        };
+        bases.push(b);
+        treateds.push(t);
+        ratios.push(t / b.max(1e-9));
+    }
+    (median(ratios), median(bases), median(treateds))
+}
+
 fn time<R>(mut f: impl FnMut() -> R, iters: u32) -> (f64, R) {
     // Warm up once, then average.
     let mut out = f();
@@ -255,18 +286,9 @@ fn scrub_integrity(smoke: bool) {
         "framed v2 and legacy v1 decodes diverged"
     );
 
-    // Best-of-N batches: minimum is far less noisy than the mean under CI
-    // scheduling jitter, and the gate compares two minima.
-    let batches = if smoke { 5 } else { 8 };
-    let best = |bytes: &[u8]| -> f64 {
-        (0..batches)
-            .map(|_| time(|| decode_dyn(bytes).unwrap().ty, 3).0)
-            .fold(f64::INFINITY, f64::min)
-    };
-    let t_v1 = best(&v1);
-    let t_v2 = best(&v2);
-    let overhead = t_v2 / t_v1.max(1e-9);
-    println!("| decode path ({rows}-row unit) | µs | vs legacy |");
+    let decode = |bytes: &[u8]| time(|| decode_dyn(bytes).unwrap().ty, 3).0;
+    let (overhead, t_v1, t_v2) = paired_median_ratio(21, || decode(&v1), || decode(&v2));
+    println!("| decode path ({rows}-row unit, median of 21 pairs) | µs | vs legacy |");
     println!("|---|---|---|");
     println!("| legacy v1 (no checksum) | {t_v1:.0} | 1.000x |");
     println!("| framed v2 (CRC-32C verified) | {t_v2:.0} | {overhead:.3}x |");
@@ -422,9 +444,8 @@ fn mvcc_throughput(smoke: bool) {
 
     // --- Flight-recorder overhead gate ---
     // The background sampler at its default 100ms interval must cost at
-    // most 2% of read throughput. Fixed-duration trials, recorder off
-    // and on interleaved, best-of-5 per mode: the best observed rate is
-    // the least noisy estimator under CI scheduling jitter.
+    // most 2% of read throughput: fixed-duration trials, recorder off
+    // and on, in paired rounds.
     {
         use std::sync::atomic::{AtomicU64, Ordering};
         let trial = || -> f64 {
@@ -461,27 +482,24 @@ fn mvcc_throughput(smoke: bool) {
         if traced {
             dbpl_obs::trace::disable();
         }
-        let mut best_off = 0f64;
-        let mut best_on = 0f64;
-        for _ in 0..5 {
-            best_off = best_off.max(trial());
+        let (ratio, off, on) = paired_median_ratio(9, trial, || {
             let rec =
                 dbpl_obs::timeline::Recorder::start(dbpl_obs::timeline::RecorderConfig::default());
-            best_on = best_on.max(trial());
+            let reads = trial();
             drop(rec.stop());
-        }
+            reads
+        });
         if traced {
             dbpl_obs::trace::enable(1 << 16);
         }
-        let ratio = best_on / best_off.max(1e-9);
-        println!("| recorder (100ms sampling) | reads/sec | vs off |");
+        println!("| recorder (100ms sampling, median of 9 pairs) | reads/sec | vs off |");
         println!("|---|---|---|");
-        println!("| off | {best_off:.0} | 1.000x |");
-        println!("| on | {best_on:.0} | {ratio:.3}x |");
+        println!("| off | {off:.0} | 1.000x |");
+        println!("| on | {on:.0} | {ratio:.3}x |");
         assert!(
             ratio >= 0.98,
             "recorder overhead gate: sampling costs {:.1}% of read throughput \
-             ({best_on:.0} vs {best_off:.0} reads/s; budget 2%)",
+             ({on:.0} vs {off:.0} reads/s; budget 2%)",
             (1.0 - ratio) * 100.0
         );
         println!("\nrecorder overhead gate OK: {ratio:.3}x ≥ 0.98x\n");
@@ -836,170 +854,46 @@ fn overload(smoke: bool, timeline_out: Option<&str>) {
     }
 }
 
-/// Workload introspection: the statistics-catalog overhead gates, the
-/// query-log heavy hitters, and the `--workload-out` JSONL artifact.
+/// Workload introspection: the query log's heavy hitters over a mixed
+/// Get/join window, and the `--workload-out` JSONL artifact.
 ///
-/// The smoke gates (CI `workload-smoke`) fail the build if
-/// * incremental catalog maintenance costs more than 1.05x on the
-///   commit path (the same put program run with stats enabled vs
-///   disabled, best-of-N minima), or
-/// * read throughput with the catalog enabled drops below 0.98x of the
-///   disabled path, or
-/// * the incrementally maintained catalog diverges from `analyze`'s
-///   full rebuild after the measured workload.
-///
-/// With `--workload-out <path>` the phase additionally runs a mixed
-/// Get/join window over a cleared query log and writes the
-/// `dbpl.workload.v1` JSONL artifact `workload_check` validates:
-/// per-extent catalog rollups, raw query records, top-K heavy hitters,
-/// the `get.strategy.*` counter deltas over the same window, and the
-/// catalog differential verdict.
+/// The window runs under its own trace capture, so its query records —
+/// read from the window's `get` and `join` spans — are exactly the
+/// window's queries whether or not `--trace-out` is tracing the run.
+/// With `--workload-out <path>` the phase writes the `dbpl.workload.v1`
+/// JSONL artifact `workload_check` validates: per-carried-type extent
+/// statistics, raw query records, top-K heavy hitters, and the
+/// `get.strategy.*` counter deltas over the same window.
 fn workload(smoke: bool, workload_out: Option<&str>) {
-    use dbpl_lang::Session;
-    use dbpl_stats::{extent_json, query_json, query_log, top_json};
+    use dbpl_stats::{extent_json, queries, query_json, top_json, top_k};
 
-    println!("## Workload introspection — catalog overhead and the query log\n");
+    println!("## Workload introspection — the query log\n");
 
-    let rows = if smoke { 400usize } else { 2_000 };
-    let batches = if smoke { 5 } else { 8 };
-
-    // --- gate A: commit-path overhead of incremental maintenance ---
-    // The same put program, parsed/checked/committed per run; the only
-    // difference is whether the catalog observes the inserts. Best-of-N
-    // minima, like the verify-on-read gate.
-    let mut src = String::from("type W = {A: Int, B: Str}\n");
-    for i in 0..rows {
-        let _ = writeln!(src, "put(db, dynamic {{A = {i}, B = 'r{i}'}})");
-    }
-    let commit_once = |stats_on: bool| -> f64 {
-        time(
-            || {
-                let mut s = Session::new().unwrap();
-                s.db.set_stats_enabled(stats_on);
-                s.run(&src).unwrap();
-                assert_eq!(s.db.len(), rows);
-                assert_eq!(s.db.stats_enabled(), stats_on);
-            },
-            2,
-        )
-        .0
-    };
-    // Check the maintained catalog once, OUTSIDE the timed region —
-    // `stats_consistent` does a full rebuild, which is not commit work.
-    {
-        let mut s = Session::new().unwrap();
-        s.run(&src).unwrap();
-        assert!(s.db.stats_consistent());
-    }
-    // Interleave the two arms so clock drift and background load tax
-    // both equally, and gate on the median of paired per-round ratios —
-    // a host-level stall lands on one round's pair, not on the verdict.
-    let (mut t_off, mut t_on) = (f64::INFINITY, f64::INFINITY);
-    let mut commit_ratios = Vec::new();
-    for round in 0..batches + 3 {
-        // Alternate which arm goes first so a warm-cache (or ramping-
-        // clock) edge for the second slot cancels over the rounds.
-        let (off, on) = if round % 2 == 0 {
-            let off = commit_once(false);
-            (off, commit_once(true))
-        } else {
-            let on = commit_once(true);
-            (commit_once(false), on)
-        };
-        t_off = t_off.min(off);
-        t_on = t_on.min(on);
-        commit_ratios.push(on / off.max(1e-9));
-    }
-    commit_ratios.sort_by(f64::total_cmp);
-    // Two noise-robust estimators: the median paired ratio and the
-    // ratio of best-of minima (noise only ever *inflates* a minimum).
-    // A real regression shows up in both; a host-level stall in at
-    // most one — so the verdict takes the more favorable.
-    let over = commit_ratios[commit_ratios.len() / 2].min(t_on / t_off.max(1e-9));
-    println!("| commit path ({rows} puts) | µs/txn | vs stats off |");
-    println!("|---|---|---|");
-    println!("| stats disabled | {t_off:.0} | 1.000x |");
-    println!("| stats enabled | {t_on:.0} | {over:.3}x |");
-    assert!(
-        over <= 1.05,
-        "catalog maintenance overhead {over:.3}x blows the 1.05x commit budget \
-         ({t_on:.1}µs enabled vs {t_off:.1}µs disabled)"
-    );
-    println!("\ncatalog commit gate OK: {over:.3}x ≤ 1.05x\n");
-
-    // --- gate B: read throughput with the catalog enabled ---
-    // Reads never consult the maintained catalog; carrying it must not
-    // tax them. Same query against the same data, catalog on vs off.
-    let db_on = populated_db(rows, 7);
-    let mut db_off = db_on.clone();
-    db_off.set_stats_enabled(false);
+    let db = populated_db(if smoke { 400 } else { 2_000 }, 7);
     let bound = Type::named("Employee");
-    // The two paths run identical read code (reads never touch the
-    // catalog), so generous best-of minima keep scheduler jitter from
-    // tripping a gate that compares a path against itself.
-    let read_once = |db: &dbpl_core::Database| time(|| db.get(&bound).len(), 20).0;
-    read_once(&db_off); // warmup: fault in caches before the first pair
-    let (mut r_off, mut r_on) = (f64::INFINITY, f64::INFINITY);
-    let mut ratios = Vec::new();
-    for round in 0..batches * 2 {
-        // Alternate arm order (second slot runs warmer) and gate on the
-        // median of paired per-round ratios: a scheduler spike lands on
-        // one round's pair, not on the verdict.
-        let (off, on) = if round % 2 == 0 {
-            let off = read_once(&db_off);
-            (off, read_once(&db_on))
-        } else {
-            let on = read_once(&db_on);
-            (read_once(&db_off), on)
-        };
-        r_off = r_off.min(off);
-        r_on = r_on.min(on);
-        ratios.push(off / on.max(1e-9));
-    }
-    ratios.sort_by(f64::total_cmp);
-    // Same two-estimator verdict as the commit gate (here the ratio is
-    // a throughput retention, so the *max* is the favorable one).
-    let read_ratio = ratios[ratios.len() / 2].max(r_off / r_on.max(1e-9));
-    println!("| read path ({rows} rows) | µs/get | throughput vs stats off |");
-    println!("|---|---|---|");
-    println!("| stats disabled | {r_off:.1} | 1.000x |");
-    println!("| stats enabled | {r_on:.1} | {read_ratio:.3}x |");
-    assert!(
-        read_ratio >= 0.98,
-        "reads with the catalog enabled retain only {read_ratio:.3}x throughput \
-         ({r_on:.1}µs enabled vs {r_off:.1}µs disabled); budget is 0.98x"
-    );
-    println!("\ncatalog read gate OK: {read_ratio:.3}x ≥ 0.98x\n");
-
-    // --- the measured workload window ---
-    // Clear the log, mark the trace counters, run a mixed Get/join
-    // workload, then join the three views into one artifact.
-    query_log().clear();
     let before = dbpl_obs::global().snapshot();
-    for _ in 0..5 {
-        db_on.get_by_scan(&bound);
-    }
-    for _ in 0..3 {
-        db_on.get(&bound);
-    }
-    db_on.get(&Type::named("Person"));
-    let j1 = keyed_gen_relation(if smoke { 48 } else { 256 }, "L", 1);
-    let j2 = keyed_gen_relation(if smoke { 48 } else { 256 }, "R", 2);
-    let nested = j1.natural_join_strategy(&j2, Reduction::Maximal, JoinStrategy::Nested);
-    let partitioned = j1.natural_join_strategy(&j2, Reduction::Maximal, JoinStrategy::Partitioned);
-    assert_eq!(
-        nested.len(),
-        partitioned.len(),
-        "join strategies diverged inside the workload window"
-    );
+    let ((), spans) = dbpl_obs::trace::capture("workload_window", || {
+        for _ in 0..5 {
+            db.get_by_scan(&bound);
+        }
+        for _ in 0..3 {
+            db.get(&bound);
+        }
+        db.get(&Type::named("Person"));
+        let j1 = keyed_gen_relation(if smoke { 48 } else { 256 }, "L", 1);
+        let j2 = keyed_gen_relation(if smoke { 48 } else { 256 }, "R", 2);
+        let nested = j1.natural_join_strategy(&j2, Reduction::Maximal, JoinStrategy::Nested);
+        let partitioned =
+            j1.natural_join_strategy(&j2, Reduction::Maximal, JoinStrategy::Partitioned);
+        assert_eq!(
+            nested.len(),
+            partitioned.len(),
+            "join strategies diverged inside the workload window"
+        );
+    });
     let delta = dbpl_obs::global().snapshot().delta_since(&before);
-    let recs = query_log().snapshot();
-    let top = query_log().top_k(10);
-    let catalog_ok = db_on.stats_consistent();
-    assert!(
-        catalog_ok,
-        "maintained catalog diverged from analyze's rebuild"
-    );
+    let recs = queries(&spans);
+    let top = top_k(&recs, 10);
 
     println!("| rank | fingerprint | count | rows_in | rows_out | total µs |");
     println!("|---|---|---|---|---|---|");
@@ -1014,17 +908,15 @@ fn workload(smoke: bool, workload_out: Option<&str>) {
             a.total_dur_us
         );
     }
-    println!("\ncatalog differential OK: incremental ≡ analyze rebuild\n");
+    println!();
 
     if let Some(path) = workload_out {
         let mut lines = vec![format!(
-            "{{\"schema\":\"dbpl.workload.v1\",\"top_k\":{},\"query_capacity\":{},\"dropped\":{}}}",
-            top.len(),
-            query_log().capacity(),
-            query_log().dropped()
+            "{{\"schema\":\"dbpl.workload.v1\",\"top_k\":{}}}",
+            top.len()
         )];
-        for (ty, _) in db_on.stats_catalog().types() {
-            lines.push(extent_json(&ty.to_string(), &db_on.extent_stats(ty)));
+        for ty in db.stats_catalog().keys() {
+            lines.push(extent_json(&ty.to_string(), &db.extent_stats(ty)));
         }
         for r in &recs {
             lines.push(query_json(r));
@@ -1044,12 +936,6 @@ fn workload(smoke: bool, workload_out: Option<&str>) {
         }
         tc.push_str("}}");
         lines.push(tc);
-        lines.push(format!(
-            "{{\"catalog_check\":{{\"equal\":{},\"types\":{},\"rows\":{}}}}}",
-            catalog_ok,
-            db_on.stats_catalog().type_count(),
-            db_on.stats_catalog().total_rows()
-        ));
         let mut body = lines.join("\n");
         body.push('\n');
         std::fs::write(path, body).expect("write --workload-out");

@@ -5,24 +5,19 @@
 //! [--expect-smoke-workload]`.
 //!
 //! Checks:
-//! * line 1 is the `dbpl.workload.v1` header with a positive query
-//!   capacity and a `dropped` count;
+//! * line 1 is the `dbpl.workload.v1` header with its `top_k` count;
 //! * extent lines are internally consistent: `ground_rows ≤ rows`,
 //!   `fanout ≥ 1`, and per path `1 ≤ present`, `ground ≤ present ≤
-//!   rows`, with the distinct estimate inside the linear-counting
-//!   sketch's slack (`distinct ≤ 3·present/2 + 16`, and never zero for
-//!   a live path);
+//!   rows` and `1 ≤ distinct ≤ present` (the counts are exact);
 //! * query fingerprints obey the shared grammar (`get:<strategy>`,
 //!   `join:<kind>` or `join:<kind>[p,...]`) and a `get` never returns
 //!   more rows than it read;
-//! * top-K lines have consecutive ranks, non-increasing counts, and —
-//!   when nothing was dropped — aggregates that exactly equal the sums
-//!   over the raw query lines per fingerprint;
-//! * **fingerprint ↔ trace consistency** — when nothing was dropped,
-//!   the number of `get:<s>` query records equals the
-//!   `get.strategy.<s>` counter delta measured over the same window;
-//! * the catalog differential verdict is `equal: true`, and the carried
-//!   type count matches the number of extent lines.
+//! * top-K lines have consecutive ranks, non-increasing counts, and
+//!   aggregates that exactly equal the sums over the raw query lines
+//!   per fingerprint;
+//! * **fingerprint ↔ trace consistency** — the number of `get:<s>`
+//!   query records equals the `get.strategy.<s>` counter delta measured
+//!   over the same window.
 //!
 //! With `--expect-smoke-workload` (the CI `workload-smoke` mode) the
 //! artifact must additionally cover a mixed workload: at least two
@@ -102,13 +97,6 @@ fn main() -> ExitCode {
     if header.get("schema").and_then(Json::as_str) != Some("dbpl.workload.v1") {
         return fail("header schema is not dbpl.workload.v1");
     }
-    match need_u64(&header, "query_capacity") {
-        Some(c) if c > 0 => {}
-        _ => return fail("header lacks a positive query_capacity"),
-    }
-    let Some(dropped) = need_u64(&header, "dropped") else {
-        return fail("header lacks a dropped count");
-    };
     let Some(header_top_k) = need_u64(&header, "top_k") else {
         return fail("header lacks top_k");
     };
@@ -120,7 +108,6 @@ fn main() -> ExitCode {
     let mut get_strategy_counts: BTreeMap<String, u64> = BTreeMap::new();
     let mut tops: Vec<(u64, String, u64, u64, u64, u64, u64)> = Vec::new();
     let mut trace_counters: Option<BTreeMap<String, u64>> = None;
-    let mut catalog_check: Option<(bool, u64, u64)> = None;
     let mut seen_partitioned_with_key = false;
     let mut seen_nested_join = false;
 
@@ -173,13 +160,10 @@ fn main() -> ExitCode {
                          present {present}, ground {ground}, rows {rows}"
                     ));
                 }
-                // Linear-counting slack: the estimate may overshoot the
-                // true distinct count (≤ present) by sketch variance,
-                // but never vanish for a live path.
-                if distinct == 0 || distinct > present * 3 / 2 + 16 {
+                if distinct == 0 || distinct > present {
                     return fail(&format!(
-                        "line {n}: path `{name}.{p}` distinct {distinct} escapes \
-                         the sketch slack for present {present}"
+                        "line {n}: path `{name}.{p}` has distinct {distinct} \
+                         outside 1..={present}"
                     ));
                 }
             }
@@ -259,17 +243,6 @@ fn main() -> ExitCode {
             continue;
         }
 
-        if let Some(c) = v.get("catalog_check") {
-            let Some(Json::Bool(equal)) = c.get("equal") else {
-                return fail(&format!("line {n}: catalog_check lacks a boolean `equal`"));
-            };
-            let (Some(types), Some(rows)) = (need_u64(c, "types"), need_u64(c, "rows")) else {
-                return fail(&format!("line {n}: catalog_check malformed"));
-            };
-            catalog_check = Some((*equal, types, rows));
-            continue;
-        }
-
         return fail(&format!("line {n}: unrecognized workload line"));
     }
 
@@ -287,20 +260,18 @@ fn main() -> ExitCode {
         if i > 0 && *count > tops[i - 1].2 {
             return fail(&format!("top counts increase at rank {rank} (`{fp}`)"));
         }
-        if dropped == 0 {
-            let qc = query_counts.get(fp).copied().unwrap_or(0);
-            if qc != *count {
-                return fail(&format!(
-                    "top `{fp}` claims count {count} but {qc} query lines carry it"
-                ));
-            }
-            let (si, so, st, sm) = query_sums.get(fp).copied().unwrap_or_default();
-            if (si, so, st, sm) != (*rows_in, *rows_out, *total, *max) {
-                return fail(&format!(
-                    "top `{fp}` aggregates diverge from the raw query lines: \
-                     ({rows_in},{rows_out},{total},{max}) vs ({si},{so},{st},{sm})"
-                ));
-            }
+        let qc = query_counts.get(fp).copied().unwrap_or(0);
+        if qc != *count {
+            return fail(&format!(
+                "top `{fp}` claims count {count} but {qc} query lines carry it"
+            ));
+        }
+        let (si, so, st, sm) = query_sums.get(fp).copied().unwrap_or_default();
+        if (si, so, st, sm) != (*rows_in, *rows_out, *total, *max) {
+            return fail(&format!(
+                "top `{fp}` aggregates diverge from the raw query lines: \
+                 ({rows_in},{rows_out},{total},{max}) vs ({si},{so},{st},{sm})"
+            ));
         }
     }
 
@@ -308,43 +279,25 @@ fn main() -> ExitCode {
     let Some(trace) = &trace_counters else {
         return fail("no trace_counters line");
     };
-    if dropped == 0 {
-        for (name, &moved) in trace {
-            let Some(strategy) = name.strip_prefix("get.strategy.") else {
-                return fail(&format!("unexpected trace counter `{name}`"));
-            };
-            let logged = get_strategy_counts.get(strategy).copied().unwrap_or(0);
-            if logged != moved {
-                return fail(&format!(
-                    "fingerprint/trace mismatch for `{strategy}`: \
-                     {logged} get:{strategy} records vs counter delta {moved}"
-                ));
-            }
-        }
-        for (strategy, &logged) in &get_strategy_counts {
-            if !trace.contains_key(&format!("get.strategy.{strategy}")) {
-                return fail(&format!(
-                    "{logged} get:{strategy} records but no get.strategy.{strategy} \
-                     counter in the trace window"
-                ));
-            }
+    for (name, &moved) in trace {
+        let Some(strategy) = name.strip_prefix("get.strategy.") else {
+            return fail(&format!("unexpected trace counter `{name}`"));
+        };
+        let logged = get_strategy_counts.get(strategy).copied().unwrap_or(0);
+        if logged != moved {
+            return fail(&format!(
+                "fingerprint/trace mismatch for `{strategy}`: \
+                 {logged} get:{strategy} records vs counter delta {moved}"
+            ));
         }
     }
-
-    // --- Catalog differential verdict ---
-    let Some((equal, types, rows)) = catalog_check else {
-        return fail("no catalog_check line");
-    };
-    if !equal {
-        return fail("catalog_check: incremental catalog diverged from the analyze rebuild");
-    }
-    if types != extents {
-        return fail(&format!(
-            "catalog_check reports {types} carried types but {extents} extent lines"
-        ));
-    }
-    if rows == 0 && extents > 0 {
-        return fail("catalog_check reports zero rows under live extents");
+    for (strategy, &logged) in &get_strategy_counts {
+        if !trace.contains_key(&format!("get.strategy.{strategy}")) {
+            return fail(&format!(
+                "{logged} get:{strategy} records but no get.strategy.{strategy} \
+                 counter in the trace window"
+            ));
+        }
     }
 
     // --- Smoke-workload mode: the CI contract ---
@@ -370,7 +323,7 @@ fn main() -> ExitCode {
     println!(
         "workload_check OK: {extents} extents, {queries} queries over {} fingerprints, \
          top-{} verified against raw records, fingerprints consistent with trace \
-         counters, catalog differential equal{}",
+         counters{}",
         query_counts.len(),
         tops.len(),
         if expect_smoke {

@@ -22,12 +22,11 @@ use crate::get::{conformance_sweep, scan_get, ExistsPkg, GetView};
 use crate::hierarchy::ClassHierarchy;
 use crate::store::Store;
 use dbpl_persist::{Image, QuarantineEntry, QuarantineReason, QuarantineReport};
-use dbpl_stats::StatsCatalog;
-use dbpl_types::{is_subtype, Type, TypeEnv};
+use dbpl_stats::{ExtentStats, StatsCatalog, Tally};
+use dbpl_types::{Type, TypeEnv};
 use dbpl_values::{conforms, DynValue, Heap, Mode, Oid, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A database: types + heterogeneous values + optional extents + keys.
 ///
@@ -57,16 +56,6 @@ pub struct Database {
     /// element would shift everything after it. Shared, like the other
     /// components, so a [`GetView`] can hold it.
     quarantined_positions: Arc<BTreeSet<usize>>,
-    /// The maintained statistics catalog: updated in lockstep with the
-    /// dynamic store ([`Database::put`] observes, quarantine removes), so
-    /// every snapshot, fork, and rolled-back frame carries a catalog
-    /// consistent with its own rows — the incremental ≡ recomputed
-    /// invariant [`Database::stats_consistent`] checks.
-    stats: Arc<StatsCatalog>,
-    /// Inverted so `Default` means *enabled*: statistics maintenance is
-    /// on unless [`Database::set_stats_enabled`] turned it off (benches
-    /// measure both sides of that switch).
-    stats_off: bool,
 }
 
 impl Database {
@@ -158,12 +147,7 @@ impl Database {
         conforms(&value, &ty, &self.env, &self.heap, Mode::Strict)?;
         let pos = self.dynamics.len();
         let ty = Arc::make_mut(&mut self.index).add(ty, pos);
-        let d = DynValue::new(ty, value);
-        if !self.stats_off {
-            Arc::make_mut(&mut self.stats).observe_put(&d);
-            crate::metrics::stats_observed_puts().inc();
-        }
-        let copied = self.dynamics.push(d);
+        let copied = self.dynamics.push(DynValue::new(ty, value));
         if copied > 0 {
             crate::metrics::store_rows_copied().add(copied as u64);
         }
@@ -281,18 +265,17 @@ impl Database {
         })
     }
 
-    /// What both `Get`s record: a `get` span (attribute `strategy`) over
-    /// a `get.plan` stage and the strategy's own stages, the
-    /// `get.strategy.<name>` counter, and one `get:<name>` query-log
-    /// record whose duration matches what the `span.get` histogram
-    /// observes. `run` returns the result and its row count.
+    /// What both `Get`s record: a `get` span (attributes `strategy` and
+    /// `rows_out`, from which the query log derives its `get:<name>`
+    /// record) over a `get.plan` stage and the strategy's own stages,
+    /// and the `get.strategy.<name>` counter. `run` returns the result
+    /// and its row count.
     fn traced_get<T>(
         &self,
         strategy: &'static str,
         counter: &dbpl_obs::Counter,
         run: impl FnOnce() -> (T, usize),
     ) -> T {
-        let started = Instant::now();
         let mut root = dbpl_obs::span!("get");
         root.set_attr("strategy", strategy);
         counter.inc();
@@ -303,12 +286,6 @@ impl Database {
         }
         let (out, rows_out) = run();
         root.set_attr("rows_out", rows_out);
-        dbpl_stats::query_log().record(dbpl_stats::QueryRecord {
-            fingerprint: dbpl_stats::fingerprint_get(strategy),
-            rows_in: self.dynamics.len() as u64,
-            rows_out: rows_out as u64,
-            dur_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-        });
         out
     }
 
@@ -331,14 +308,6 @@ impl Database {
     /// from now on, and the report gains an entry naming it.
     pub fn quarantine_position(&mut self, pos: usize, cause: impl Into<String>) {
         if pos < self.dynamics.len() && Arc::make_mut(&mut self.quarantined_positions).insert(pos) {
-            if !self.stats_off {
-                // The element is still readable here (quarantine excludes,
-                // never erases), so the catalog can retract exactly what
-                // `put` once observed for it.
-                let (chunk, at) = self.dynamics.locate(pos);
-                Arc::make_mut(&mut self.stats).observe_remove(&chunk[at]);
-                crate::metrics::stats_observed_removes().inc();
-            }
             let entry = QuarantineEntry {
                 handle: format!("dynamics[{pos}]"),
                 cause: cause.into(),
@@ -390,30 +359,8 @@ impl Database {
         ClassHierarchy::derive(&self.env)
     }
 
-    /// The maintained statistics catalog (carried-type granularity).
-    pub fn stats_catalog(&self) -> &StatsCatalog {
-        &self.stats
-    }
-
-    /// Is incremental statistics maintenance on?
-    pub fn stats_enabled(&self) -> bool {
-        !self.stats_off
-    }
-
-    /// Switch statistics maintenance. Re-enabling after a disabled
-    /// stretch runs [`Database::analyze`] so the catalog catches up with
-    /// whatever the store did unobserved.
-    pub fn set_stats_enabled(&mut self, on: bool) {
-        if on && self.stats_off {
-            self.stats_off = false;
-            self.analyze();
-        } else {
-            self.stats_off = !on;
-        }
-    }
-
     /// The healthy rows: the dynamic store minus quarantined positions —
-    /// exactly what queries see and what the catalog describes.
+    /// exactly what queries see.
     fn healthy_rows(&self) -> impl Iterator<Item = &DynValue> {
         self.dynamics
             .iter()
@@ -422,30 +369,50 @@ impl Database {
             .map(|(_, d)| d)
     }
 
-    /// Full statistics rebuild over the healthy store — the `analyze(db)`
-    /// builtin. The maintained catalog is replaced wholesale; afterwards
-    /// [`Database::stats_consistent`] holds by construction.
-    pub fn analyze(&mut self) -> &StatsCatalog {
-        self.stats = Arc::new(StatsCatalog::rebuild(self.healthy_rows()));
-        crate::metrics::stats_rebuilds().inc();
-        &self.stats
+    /// The healthy rows carrying exactly `ty`, from its typed list.
+    fn typed_rows<'a>(&'a self, ty: &Type) -> impl Iterator<Item = &'a DynValue> {
+        self.index
+            .positions(ty)
+            .iter()
+            .filter(|pos| !self.quarantined_positions.contains(pos))
+            .map(|&pos| {
+                let (chunk, at) = self.dynamics.locate(pos);
+                &chunk[at]
+            })
     }
 
-    /// Does the incrementally maintained catalog equal a full rebuild
-    /// over the healthy rows? Always true while maintenance stays
-    /// enabled — the differential invariant `workload_check` and the
-    /// stats proptests assert.
-    pub fn stats_consistent(&self) -> bool {
-        *self.stats == StatsCatalog::rebuild(self.healthy_rows())
+    /// Per carried type with healthy rows, its statistics, counted now
+    /// in one pass over each typed list.
+    pub fn stats_catalog(&self) -> StatsCatalog {
+        self.index
+            .types()
+            .filter_map(|ty| {
+                let mut tally = Tally::default();
+                self.typed_rows(ty).for_each(|d| tally.add(&d.value));
+                (tally.rows() > 0).then(|| (ty.clone(), tally.finish(1)))
+            })
+            .collect()
     }
 
-    /// The rolled-up statistics of the extent at `bound` under this
-    /// database's subtype judgement: total rows, fully-ground rows,
-    /// subtype fan-out, and merged per-path sketches.
-    pub fn extent_stats(&self, bound: &Type) -> dbpl_stats::ExtentStats {
-        self.stats
-            .rollup(bound, |ty, b| is_subtype(ty, b, &self.env))
+    /// The statistics of the extent at `bound` under this database's
+    /// subtype judgement, counted now in one pass over the typed lists
+    /// `Get` would read: total rows, fully-ground rows, subtype fan-out
+    /// (the carried types with healthy rows) and per-path counts.
+    pub fn extent_stats(&self, bound: &Type) -> ExtentStats {
+        let mut tally = Tally::default();
+        let mut fanout = 0;
+        for ty in self.index.matching(bound, &self.env) {
+            let before = tally.rows();
+            self.typed_rows(&ty).for_each(|d| tally.add(&d.value));
+            fanout += u64::from(tally.rows() > before);
+        }
+        tally.finish(fanout)
     }
+
+    /// Does nothing: statistics are computed when asked for, so there is
+    /// no upkeep to switch. It stays only because the benchmark's write
+    /// probe (`perfbench`) still calls it, and goes with that call.
+    pub fn set_stats_enabled(&mut self, _on: bool) {}
 
     /// Bind a top-level name to a dynamic value (session variables; these
     /// are what an all-or-nothing image captures).
@@ -553,10 +520,6 @@ impl Database {
                 }
             }
         }
-        // A restored database re-derives its catalog from the restored
-        // rows — self-description survives the persistence boundary
-        // without the image format having to carry statistics.
-        let stats = StatsCatalog::rebuild(dynamics.iter());
         Ok(Database {
             env,
             heap: Arc::new(heap),
@@ -566,8 +529,6 @@ impl Database {
             bindings: Arc::new(bindings),
             quarantined: Vec::new(),
             quarantined_positions: Arc::default(),
-            stats: Arc::new(stats),
-            stats_off: false,
         })
     }
 
@@ -766,91 +727,62 @@ mod tests {
     }
 
     #[test]
-    fn catalog_is_maintained_by_put_and_quarantine() {
+    fn the_catalog_counts_the_healthy_rows() {
         let mut d = db();
-        assert!(d.stats_enabled());
-        assert!(d.stats_consistent());
-        assert_eq!(d.stats_catalog().total_rows(), 3);
-        // Quarantining retracts the row from the catalog...
+        let rows = |d: &Database| d.stats_catalog().values().map(|s| s.rows).sum::<u64>();
+        assert_eq!(rows(&d), 3);
         d.quarantine_position(2, "planted damage");
-        assert_eq!(d.stats_catalog().total_rows(), 2);
-        assert!(d.stats_catalog().get(&Type::Int).is_none());
-        assert!(d.stats_consistent());
-        // ...and a full rebuild changes nothing.
-        let maintained = d.stats_catalog().clone();
-        d.analyze();
-        assert_eq!(*d.stats_catalog(), maintained);
+        assert_eq!(rows(&d), 2);
+        let catalog = d.stats_catalog();
+        assert!(!catalog.contains_key(&Type::Int), "no healthy Int row");
+        assert_eq!(catalog.len(), 2);
     }
 
     #[test]
-    fn extent_rollup_follows_the_subtype_hierarchy() {
-        let d = db();
+    fn extent_stats_follow_the_subtype_hierarchy() {
+        let mut d = db();
         let person = d.extent_stats(&Type::named("Person"));
         assert_eq!(
             (person.rows, person.fanout),
             (2, 2),
-            "Employee rows roll up"
+            "Employee rows count toward Person"
         );
         assert_eq!(person.ground_rows, 2);
         let name = person.paths.get(&dbpl_values::Path::parse("Name")).unwrap();
-        assert_eq!((name.present, name.ground), (2, 2));
+        assert_eq!((name.present, name.ground, name.distinct), (2, 2, 2));
         let int = d.extent_stats(&Type::Int);
         assert_eq!((int.rows, int.fanout), (1, 1));
         assert_eq!(d.extent_stats(&Type::Top).rows, 3);
+        // A carried type whose rows are all quarantined feeds nothing.
+        d.quarantine_position(1, "planted damage");
+        let person = d.extent_stats(&Type::named("Person"));
+        assert_eq!((person.rows, person.fanout), (1, 1));
     }
 
     #[test]
-    fn disabling_stats_skips_maintenance_and_reenabling_catches_up() {
-        let mut d = db();
-        d.set_stats_enabled(false);
-        d.put(
-            Type::named("Person"),
-            Value::record([("Name", Value::str("unseen"))]),
-        )
-        .unwrap();
-        assert_eq!(d.stats_catalog().total_rows(), 3, "maintenance was off");
-        assert!(!d.stats_consistent());
-        d.set_stats_enabled(true);
-        assert!(d.stats_consistent(), "re-enabling re-analyzes");
-        assert_eq!(d.stats_catalog().total_rows(), 4);
-    }
-
-    #[test]
-    fn forks_carry_independent_catalogs() {
+    fn forks_and_restored_images_count_their_own_rows() {
         let mut d = db();
         let mut f = d.fork();
         f.put(Type::Int, Value::Int(99)).unwrap();
-        assert_eq!(f.stats_catalog().total_rows(), 4);
-        assert_eq!(d.stats_catalog().total_rows(), 3, "original untouched");
-        assert!(d.stats_consistent() && f.stats_consistent());
+        let ints = |d: &Database| d.stats_catalog()[&Type::Int].rows;
+        assert_eq!(ints(&f), 2);
+        assert_eq!(ints(&d), 1, "original untouched");
         d.adopt(f);
-        assert_eq!(d.stats_catalog().total_rows(), 4);
+        let restored = Database::from_image(&d.capture_image()).unwrap();
+        assert_eq!(restored.stats_catalog(), d.stats_catalog());
+        assert_eq!(ints(&restored), 2);
     }
 
     #[test]
-    fn restored_image_rederives_the_catalog() {
+    fn get_spans_carry_the_query_log_record() {
         let d = db();
-        let img = d.capture_image();
-        let restored = Database::from_image(&img).unwrap();
-        assert!(restored.stats_enabled());
-        assert_eq!(*restored.stats_catalog(), *d.stats_catalog());
-        assert!(restored.stats_consistent());
-    }
-
-    #[test]
-    fn get_records_into_the_query_log() {
-        let d = db();
-        let log = dbpl_stats::query_log();
-        let before = log.snapshot().len();
-        d.get_by_scan(&Type::named("Person"));
-        let snap = log.snapshot();
-        assert!(snap.len() > before);
-        // Tests share the process-global log, so look for our record
-        // rather than assuming it is the latest.
-        assert!(
-            snap.iter()
-                .any(|r| r.fingerprint == "get:scan" && r.rows_in == 3 && r.rows_out == 2),
-            "the Get left its record in the query log"
+        let (_, spans) = dbpl_obs::trace::capture("test", || d.get_by_scan(&Type::named("Person")));
+        let records = dbpl_stats::queries(&spans);
+        assert_eq!(records.len(), 1);
+        let r = &records[0];
+        assert_eq!(
+            (r.fingerprint.as_str(), r.rows_in, r.rows_out),
+            ("get:scan", 3, 2)
         );
     }
 

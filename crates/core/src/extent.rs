@@ -295,6 +295,11 @@ impl TypedListIndex {
         self.lists.get(ty).map_or(&[], Vec::as_slice)
     }
 
+    /// The carried types, in type order.
+    pub fn types(&self) -> impl Iterator<Item = &Type> {
+        self.lists.keys()
+    }
+
     /// Number of distinct carried types.
     pub fn distinct_types(&self) -> usize {
         self.lists.len()

@@ -19,7 +19,4 @@ counter_fn!(strategy_scan, "get.strategy.scan");
 counter_fn!(strategy_typed_lists, "get.strategy.typed_lists");
 counter_fn!(rows_scanned, "get.rows_scanned");
 counter_fn!(rows_sealed, "get.rows_sealed");
-counter_fn!(stats_observed_puts, "stats.observed_puts");
-counter_fn!(stats_observed_removes, "stats.observed_removes");
-counter_fn!(stats_rebuilds, "stats.rebuilds");
 counter_fn!(store_rows_copied, "store.rows_copied");

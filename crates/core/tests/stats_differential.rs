@@ -1,17 +1,18 @@
-//! The statistics differential invariant, property-tested: a catalog
-//! maintained incrementally through an arbitrary mutation sequence —
-//! inserts at several carried types, quarantines (the store's removal
-//! form), schema evolution, forks, and *abandoned* forks (the
-//! database-level shape of an aborted txn frame: mutations applied to a
-//! copy that is then dropped) — always equals `analyze`'s full rebuild
-//! over the surviving healthy rows. This is the correctness pattern the
-//! ROADMAP-1 incremental-view work will reuse.
+//! The derived statistics, property-tested against a literal count.
+//! Through an arbitrary mutation sequence — inserts at several carried
+//! types, quarantines (the store's removal form), schema evolution,
+//! forks, and *abandoned* forks (the database-level shape of an aborted
+//! txn frame: mutations applied to a copy that is then dropped) —
+//! `Database::extent_stats(bound)` equals a count over
+//! `get_by_scan(bound)`, and `Database::stats_catalog()` equals a count
+//! over the healthy rows grouped by carried type.
 
 use dbpl_core::Database;
-use dbpl_stats::StatsCatalog;
+use dbpl_stats::{is_ground_leaf, ExtentStats, PathStats, StatsCatalog, MAX_PATH_DEPTH};
 use dbpl_types::{parse_type, Type};
-use dbpl_values::Value;
+use dbpl_values::{DynValue, Path, Value};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn setup_db() -> Database {
     let mut db = Database::new();
@@ -112,11 +113,55 @@ fn apply(db: &mut Database, op: &Op) {
     }
 }
 
-/// The oracle: rebuild over exactly the healthy rows, independent of
-/// `Database::analyze`'s own iterator.
-fn oracle(db: &Database) -> StatsCatalog {
-    let healthy: Vec<_> = db
-        .dynamics()
+/// The leaves of `v` under record-only descent to `MAX_PATH_DEPTH`,
+/// with their paths.
+fn leaves(v: &Value, path: Vec<String>, out: &mut Vec<(Path, Value)>) {
+    match v {
+        Value::Record(fields) if path.len() < MAX_PATH_DEPTH && !fields.is_empty() => {
+            for (k, x) in fields {
+                let mut p = path.clone();
+                p.push(k.clone());
+                leaves(x, p, out);
+            }
+        }
+        _ => out.push((Path(path), v.clone())),
+    }
+}
+
+/// Count `values` literally: rows, fully-ground rows, and per leaf
+/// path its presence, groundness and the set of its distinct values.
+fn literal_count<'a>(values: impl IntoIterator<Item = &'a Value>, fanout: u64) -> ExtentStats {
+    let mut out = ExtentStats {
+        fanout,
+        ..ExtentStats::default()
+    };
+    let mut seen: BTreeMap<Path, BTreeSet<Value>> = BTreeMap::new();
+    for v in values {
+        out.rows += 1;
+        let mut found = Vec::new();
+        leaves(v, Vec::new(), &mut found);
+        if found.iter().all(|(_, leaf)| is_ground_leaf(leaf)) {
+            out.ground_rows += 1;
+        }
+        for (path, leaf) in found {
+            let ps: &mut PathStats = out.paths.entry(path.clone()).or_default();
+            ps.present += 1;
+            if is_ground_leaf(&leaf) {
+                ps.ground += 1;
+            }
+            seen.entry(path).or_default().insert(leaf);
+        }
+    }
+    for (path, values) in seen {
+        out.paths.get_mut(&path).unwrap().distinct = values.len() as u64;
+    }
+    out
+}
+
+/// The healthy rows: every stored row the quarantine report does not
+/// name, found independently of the database's own iterators.
+fn healthy(db: &Database) -> Vec<DynValue> {
+    db.dynamics()
         .iter()
         .enumerate()
         .filter(|(i, _)| {
@@ -126,44 +171,47 @@ fn oracle(db: &Database) -> StatsCatalog {
                 .any(|e| e.handle == format!("dynamics[{i}]"))
         })
         .map(|(_, d)| d.clone())
-        .collect();
-    StatsCatalog::rebuild(healthy.iter())
+        .collect()
+}
+
+fn catalog_oracle(db: &Database) -> StatsCatalog {
+    let rows = healthy(db);
+    let mut by_type: BTreeMap<&Type, Vec<&Value>> = BTreeMap::new();
+    for d in &rows {
+        by_type.entry(&d.ty).or_default().push(&d.value);
+    }
+    by_type
+        .into_iter()
+        .map(|(ty, values)| (ty.clone(), literal_count(values, 1)))
+        .collect()
+}
+
+fn extent_oracle(db: &Database, bound: &Type) -> ExtentStats {
+    let pkgs = db.get_by_scan(bound);
+    let fanout = pkgs.iter().map(|p| p.witness()).collect::<BTreeSet<_>>();
+    literal_count(pkgs.iter().map(|p| p.open()), fanout.len() as u64)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn incremental_catalog_equals_rebuild(ops in prop::collection::vec(arb_op(), 0..40)) {
+    fn derived_stats_equal_a_literal_count(ops in prop::collection::vec(arb_op(), 0..40)) {
         let mut db = setup_db();
         for op in &ops {
             apply(&mut db, op);
-            prop_assert!(db.stats_consistent(), "diverged after {op:?}");
+            for bound in [Type::Top, Type::named("Person"), Type::named("Employee"), Type::Int] {
+                prop_assert_eq!(
+                    db.extent_stats(&bound),
+                    extent_oracle(&db, &bound),
+                    "at {} after {:?}", bound, op
+                );
+            }
         }
-        prop_assert_eq!(db.stats_catalog().clone(), oracle(&db));
-        // And analyze() is idempotent on a consistent catalog.
-        let maintained = db.stats_catalog().clone();
-        db.analyze();
-        prop_assert_eq!(db.stats_catalog().clone(), maintained);
-    }
-
-    #[test]
-    fn rollups_conserve_rows(ops in prop::collection::vec(arb_op(), 0..30)) {
-        let mut db = setup_db();
-        for op in &ops {
-            apply(&mut db, op);
-        }
-        // Top admits every carried type, so its rollup counts all rows.
+        prop_assert_eq!(db.stats_catalog(), catalog_oracle(&db));
         let top = db.extent_stats(&Type::Top);
-        prop_assert_eq!(top.rows, db.stats_catalog().total_rows());
-        prop_assert_eq!(top.fanout as usize, db.stats_catalog().type_count());
-        prop_assert!(top.ground_rows <= top.rows);
-        // Person rows include Employee rows, never exceed the total.
-        let person = db.extent_stats(&Type::named("Person"));
-        prop_assert!(person.rows <= top.rows);
-        for ps in person.paths.values() {
-            prop_assert!(ps.ground <= ps.present);
-            prop_assert!(ps.present <= person.rows);
-        }
+        let catalog = db.stats_catalog();
+        prop_assert_eq!(top.rows, catalog.values().map(|s| s.rows).sum::<u64>());
+        prop_assert_eq!(top.fanout as usize, catalog.len());
     }
 }

@@ -127,11 +127,11 @@ const TABLE: [(Bi, &str, usize, &str); 27] = [
     (Bi::Scrub, "scrub", 1, "Database -> Str"),
     // TIMELINE: the flight recorder's recent ring ("what just happened").
     (Bi::Timeline, "timeline", 1, "Database -> Str"),
-    // ANALYZE: rebuild the statistics catalog over the healthy store.
+    // ANALYZE: count the statistics over the healthy store; one summary line.
     (Bi::Analyze, "analyze", 1, "Database -> Str"),
-    // The per-extent statistics catalog, rendered.
+    // The per-carried-type statistics, counted now and rendered.
     (Bi::ExtentStats, "extentStats", 1, "Database -> Str"),
-    // The workload query log: recent records, top-K by plan fingerprint.
+    // The workload query log, read from the trace ring: top-K by plan fingerprint.
     (Bi::Workload, "workload", 1, "Database -> Str"),
     // The same for the generalized natural join of two object lists.
     (

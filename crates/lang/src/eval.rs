@@ -49,6 +49,22 @@ use std::rc::Rc;
 /// What evaluating an expression or applying a function yields.
 type Evaluated = Result<RtValue, LangError>;
 
+/// How much of its thread's stack a program's calls may use, counted
+/// from where its [`Machine`] was made. The evaluator recurses on the
+/// Rust stack once per call, and a stack overflow aborts the process
+/// (it is not a panic `catch_unwind` can isolate), so a call that would
+/// go deeper fails the program instead. Three quarters of the 2 MiB a
+/// spawned thread gets by default leaves the rest for the caller's
+/// frames and for the builtin the innermost call runs; it holds about
+/// 1,200 nested calls of a small recursive function in a release build.
+const CALL_STACK_BUDGET: usize = 3 << 19;
+
+/// An address on the current stack frame.
+fn stack_position() -> usize {
+    let marker = 0u8;
+    std::ptr::addr_of!(marker) as usize
+}
+
 /// The evaluator's state while one program runs.
 pub struct Machine<'s> {
     /// The session the program runs against.
@@ -60,6 +76,9 @@ pub struct Machine<'s> {
     bp: usize,
     /// The running closure; `None` at the top level.
     cur: Option<Rc<Closure>>,
+    /// Where the stack stood when the machine was made: calls may use
+    /// [`CALL_STACK_BUDGET`] bytes past it.
+    stack_base: usize,
 }
 
 impl<'s> Machine<'s> {
@@ -71,6 +90,7 @@ impl<'s> Machine<'s> {
             stack: vec![RtValue::Unit; frame],
             bp: 0,
             cur: None,
+            stack_base: stack_position(),
         }
     }
 
@@ -306,6 +326,13 @@ impl<'s> Machine<'s> {
 
     /// Run closure `c` on the arguments above `base`.
     fn enter(&mut self, c: &Rc<Closure>, base: usize) -> Evaluated {
+        if stack_position().abs_diff(self.stack_base) > CALL_STACK_BUDGET {
+            self.stack.truncate(base);
+            return Err(LangError::eval(
+                c.code.body.at,
+                "calls nested too deeply: the program would overflow the stack".to_string(),
+            ));
+        }
         let (bp, cur) = (self.bp, self.cur.replace(Rc::clone(c)));
         self.bp = base;
         if c.code.frame > c.code.arity {
@@ -566,28 +593,29 @@ impl<'s> Machine<'s> {
             }
             Bi::Analyze => {
                 db(arg())?;
-                let catalog = self.s.db.analyze();
+                let catalog = self.s.db.stats_catalog();
+                let rows: u64 = catalog.values().map(|s| s.rows).sum();
                 Ok(RtValue::Str(format!(
-                    "analyze: rebuilt statistics for {} carried type(s), {} row(s)",
-                    catalog.type_count(),
-                    catalog.total_rows()
+                    "analyze: statistics for {} carried type(s), {rows} row(s)",
+                    catalog.len()
                 )))
             }
             Bi::ExtentStats => {
                 db(arg())?;
-                Ok(RtValue::Str(self.s.db.stats_catalog().render()))
+                Ok(RtValue::Str(dbpl_stats::render_catalog(
+                    &self.s.db.stats_catalog(),
+                )))
             }
             Bi::Workload => {
                 db(arg())?;
-                let log = dbpl_stats::query_log();
-                let records = log.snapshot();
-                let mut out = format!(
-                    "workload: {} recorded query(ies), {} dropped (capacity {})\n",
-                    records.len(),
-                    log.dropped(),
-                    log.capacity()
-                );
-                for (i, agg) in log.top_k(5).iter().enumerate() {
+                if !dbpl_obs::trace::is_active() {
+                    return Ok(RtValue::Str(
+                        "workload: tracing is off, so no queries were recorded".to_string(),
+                    ));
+                }
+                let records = dbpl_stats::queries(&dbpl_obs::trace::buffered());
+                let mut out = format!("workload: {} query(ies) in the trace ring\n", records.len());
+                for (i, agg) in dbpl_stats::top_k(&records, 5).iter().enumerate() {
                     out.push_str(&format!(
                         "  #{} {} count={} rows_in={} rows_out={} total_dur_us={} max_dur_us={}\n",
                         i + 1,

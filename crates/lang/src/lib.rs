@@ -42,7 +42,7 @@ pub mod token;
 pub use check::{check_program, infer_expr};
 pub use dbpl_persist::Health;
 pub use error::{ErrorKind, LangError, Phase};
-pub use parser::{parse_expr, parse_program};
+pub use parser::{parse_expr, parse_program, MAX_NESTING};
 pub use rt::RtValue;
 pub use server::{
     sanitize_label, EngineState, Frame, Server, ServerConfig, ServerSession, MAX_BATCH,

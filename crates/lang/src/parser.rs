@@ -10,10 +10,18 @@ use crate::error::LangError;
 use crate::token::{lex, Spanned, Tok};
 use dbpl_types::{Fields, Type};
 
+/// How deeply expressions and types may nest in program text, counting
+/// each operator of a chain like `a + b + c` as a level: the chain
+/// builds a tree one node deeper per operator. Parsing, checking,
+/// running and dropping a program each recurse once per level on the
+/// Rust stack, where an overflow aborts the process, so deeper text is
+/// a parse error. At this depth a program still parses, checks and runs
+/// on a 2 MiB thread stack in a debug build.
+pub const MAX_NESTING: usize = 48;
+
 /// Parse a whole program.
 pub fn parse_program(src: &str) -> Result<Program, LangError> {
-    let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser::new(src)?;
     let mut items = Vec::new();
     while p.peek() != &Tok::Eof {
         items.push(p.item()?);
@@ -27,8 +35,7 @@ pub fn parse_program(src: &str) -> Result<Program, LangError> {
 
 /// Parse a single expression (used by tests and the REPL-style driver).
 pub fn parse_expr(src: &str) -> Result<Expr, LangError> {
-    let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser::new(src)?;
     let e = p.expr()?;
     p.expect(Tok::Eof)?;
     Ok(e)
@@ -37,9 +44,69 @@ pub fn parse_expr(src: &str) -> Result<Expr, LangError> {
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// How deep in the tree being built the parser is: a level per open
+    /// [`Parser::nested`] call and per link of the chains above.
+    depth: usize,
+    /// The deepest `depth` reached since the innermost open chain began.
+    peak: usize,
 }
 
 impl Parser {
+    fn new(src: &str) -> Result<Parser, LangError> {
+        Ok(Parser {
+            toks: lex(src)?,
+            pos: 0,
+            depth: 0,
+            peak: 0,
+        })
+    }
+
+    /// Go one level deeper, refusing to pass [`MAX_NESTING`].
+    fn descend(&mut self) -> Result<(), LangError> {
+        if self.depth == MAX_NESTING {
+            return Err(LangError::parse(
+                self.at(),
+                format!("expression or type nested more than {MAX_NESTING} levels deep"),
+            ));
+        }
+        self.depth += 1;
+        self.peak = self.peak.max(self.depth);
+        Ok(())
+    }
+
+    /// Parse one nesting level with `f`.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, LangError>,
+    ) -> Result<T, LangError> {
+        let depth = self.depth;
+        self.descend()?;
+        let result = f(self);
+        self.depth = depth;
+        result
+    }
+
+    /// Begin a chain of links that each wrap the tree built so far (an
+    /// operator and its right operand, a field access, a call). Returns
+    /// what [`Parser::close_chain`] restores.
+    fn open_chain(&mut self) -> (usize, usize) {
+        let outer = (self.depth, self.peak);
+        self.peak = self.depth;
+        outer
+    }
+
+    /// One more link: everything parsed so far in the chain, down to
+    /// its deepest point, now sits a level below the new node.
+    fn link(&mut self) -> Result<(), LangError> {
+        self.depth = self.peak;
+        self.descend()
+    }
+
+    fn close_chain(&mut self, (depth, peak): (usize, usize)) {
+        self.depth = depth;
+        self.peak = self.peak.max(peak);
+    }
+
     fn peek(&self) -> &Tok {
         &self.toks[self.pos].tok
     }
@@ -186,6 +253,10 @@ impl Parser {
     // ---------- types ----------
 
     fn ty(&mut self) -> Result<Type, LangError> {
+        self.nested(Self::ty_level)
+    }
+
+    fn ty_level(&mut self) -> Result<Type, LangError> {
         match self.peek() {
             Tok::Forall | Tok::Exists => {
                 let is_forall = self.peek() == &Tok::Forall;
@@ -302,6 +373,10 @@ impl Parser {
     // ---------- expressions ----------
 
     fn expr(&mut self) -> Result<Expr, LangError> {
+        self.nested(Self::expr_level)
+    }
+
+    fn expr_level(&mut self) -> Result<Expr, LangError> {
         let at = self.at();
         match self.peek() {
             Tok::If => {
@@ -385,28 +460,15 @@ impl Parser {
     }
 
     fn or_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.and_expr()?;
-        while self.peek() == &Tok::Or {
-            let at = self.at();
-            self.bump();
-            let rhs = self.and_expr()?;
-            lhs = Expr::new(at, ExprKind::Bin(BinOp::Or, Box::new(lhs), Box::new(rhs)));
-        }
-        Ok(lhs)
+        self.chain(Self::and_expr, |t| (t == &Tok::Or).then_some(BinOp::Or))
     }
 
     fn and_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.cmp_expr()?;
-        while self.peek() == &Tok::And {
-            let at = self.at();
-            self.bump();
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::new(at, ExprKind::Bin(BinOp::And, Box::new(lhs), Box::new(rhs)));
-        }
-        Ok(lhs)
+        self.chain(Self::cmp_expr, |t| (t == &Tok::And).then_some(BinOp::And))
     }
 
     fn cmp_expr(&mut self) -> Result<Expr, LangError> {
+        let outer = self.open_chain();
         let lhs = self.add_expr()?;
         let op = match self.peek() {
             Tok::EqEq => Some(BinOp::Eq),
@@ -417,49 +479,53 @@ impl Parser {
             Tok::Ge => Some(BinOp::Ge),
             _ => None,
         };
-        if let Some(op) = op {
+        let e = if let Some(op) = op {
             let at = self.at();
+            self.link()?;
             self.bump();
             let rhs = self.add_expr()?;
-            Ok(Expr::new(
-                at,
-                ExprKind::Bin(op, Box::new(lhs), Box::new(rhs)),
-            ))
+            Expr::new(at, ExprKind::Bin(op, Box::new(lhs), Box::new(rhs)))
         } else {
-            Ok(lhs)
-        }
+            lhs
+        };
+        self.close_chain(outer);
+        Ok(e)
     }
 
     fn add_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                Tok::PlusPlus => BinOp::Concat,
-                _ => break,
-            };
-            let at = self.at();
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = Expr::new(at, ExprKind::Bin(op, Box::new(lhs), Box::new(rhs)));
-        }
-        Ok(lhs)
+        self.chain(Self::mul_expr, |t| match t {
+            Tok::Plus => Some(BinOp::Add),
+            Tok::Minus => Some(BinOp::Sub),
+            Tok::PlusPlus => Some(BinOp::Concat),
+            _ => None,
+        })
     }
 
     fn mul_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinOp::Mul,
-                Tok::Slash => BinOp::Div,
-                _ => break,
-            };
+        self.chain(Self::unary_expr, |t| match t {
+            Tok::Star => Some(BinOp::Mul),
+            Tok::Slash => Some(BinOp::Div),
+            _ => None,
+        })
+    }
+
+    /// A left-associative chain `operand (op operand)*` of the
+    /// operators `op_of` recognizes.
+    fn chain(
+        &mut self,
+        operand: fn(&mut Self) -> Result<Expr, LangError>,
+        op_of: fn(&Tok) -> Option<BinOp>,
+    ) -> Result<Expr, LangError> {
+        let outer = self.open_chain();
+        let mut lhs = operand(self)?;
+        while let Some(op) = op_of(self.peek()) {
             let at = self.at();
+            self.link()?;
             self.bump();
-            let rhs = self.unary_expr()?;
+            let rhs = operand(self)?;
             lhs = Expr::new(at, ExprKind::Bin(op, Box::new(lhs), Box::new(rhs)));
         }
+        self.close_chain(outer);
         Ok(lhs)
     }
 
@@ -468,12 +534,12 @@ impl Parser {
         match self.peek() {
             Tok::Not => {
                 self.bump();
-                let e = self.unary_expr()?;
+                let e = self.nested(Self::unary_expr)?;
                 Ok(Expr::new(at, ExprKind::Not(Box::new(e))))
             }
             Tok::Minus => {
                 self.bump();
-                let e = self.unary_expr()?;
+                let e = self.nested(Self::unary_expr)?;
                 Ok(Expr::new(at, ExprKind::Neg(Box::new(e))))
             }
             Tok::Dynamic => {
@@ -497,8 +563,15 @@ impl Parser {
     }
 
     fn postfix_expr(&mut self) -> Result<Expr, LangError> {
+        let outer = self.open_chain();
         let mut e = self.primary()?;
         loop {
+            if matches!(
+                self.peek(),
+                Tok::Dot | Tok::LParen | Tok::LBracket | Tok::With
+            ) {
+                self.link()?;
+            }
             match self.peek() {
                 Tok::Dot => {
                     let at = self.at();
@@ -520,6 +593,8 @@ impl Parser {
                             let arg = self.expr()?;
                             e = Expr::new(at, ExprKind::App(Box::new(e), Box::new(arg)));
                             if self.peek() == &Tok::Comma {
+                                // Each argument wraps the call one level deeper.
+                                self.link()?;
                                 self.bump();
                             } else {
                                 break;
@@ -545,6 +620,7 @@ impl Parser {
                 _ => break,
             }
         }
+        self.close_chain(outer);
         Ok(e)
     }
 

@@ -1759,7 +1759,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_builtins_render_catalog_and_workload() {
+    fn stats_builtins_render_the_counted_catalog() {
         let server = Server::new().unwrap();
         let mut s = server.session();
         s.run(concat!(
@@ -1774,17 +1774,10 @@ mod tests {
         // Dynamics carry their structural record type; both rows share it.
         assert!(text.contains("Age") && text.contains("Name"), "{text}");
         assert!(text.contains("rows=2"), "{text}");
-        assert!(text.contains("distinct~2"), "{text}");
+        assert!(text.contains("distinct=2"), "{text}");
         let out = s.run("analyze(db)").unwrap();
         let text = out[0].trim_matches('\'').to_string();
-        assert!(text.starts_with("analyze: rebuilt statistics"), "{text}");
-        let out = s.run("workload(db)").unwrap();
-        let text = out[0].trim_matches('\'').to_string();
-        assert!(text.starts_with("workload: "), "{text}");
-        // The Get above went through the query log; its fingerprint is
-        // visible among the heavy hitters (other tests share the global
-        // log, so only membership is stable).
-        assert!(text.contains("get:"), "{text}");
+        assert_eq!(text, "analyze: statistics for 1 carried type(s), 2 row(s)");
     }
 
     #[test]

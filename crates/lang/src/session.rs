@@ -676,16 +676,6 @@ impl Session {
         r
     }
 
-    /// The maintained per-extent statistics catalog of this session's
-    /// database snapshot: per carried type, row counts, ground-key
-    /// density, and per-path distinct sketches. Maintained incrementally
-    /// by every insert and quarantine; `analyze(db)` rebuilds it from
-    /// scratch. Unlike the process-global metrics registry
-    /// ([`dbpl_obs::global`]) this is per-database state.
-    pub fn stats_catalog(&self) -> &dbpl_stats::StatsCatalog {
-        self.db.stats_catalog()
-    }
-
     /// Run one program under its own dedicated trace and return
     /// `(output lines, rendered trace tree)` — the interactive
     /// "why was that slow" tool. The capture is detached from any

@@ -213,7 +213,6 @@ impl GenRelation {
         strategy: JoinStrategy,
         workers: usize,
     ) -> GenRelation {
-        let started = std::time::Instant::now();
         let mut root = dbpl_obs::span!("join");
         root.set_attr("strategy", strategy.name());
         root.set_attr("left", self.rows.len());
@@ -248,17 +247,10 @@ impl GenRelation {
             reduce.set_attr("rows_out", rows.len());
             rows
         };
+        // With the strategy, the hoisted key paths are the plan's shape:
+        // the query log's `join:<strategy>[<keys>]` fingerprint.
+        root.set_attr("keys", KeyPaths(&hoisted));
         root.set_attr("rows_out", rows.len());
-        // The workload-log record: the fingerprint carries the plan
-        // shape (strategy + hoisted key paths), the duration matches
-        // the `span.join` histogram, and rows_in bounds the pair
-        // product the plan had to consider.
-        dbpl_stats::query_log().record(dbpl_stats::QueryRecord {
-            fingerprint: dbpl_stats::fingerprint_join(strategy.name(), &hoisted),
-            rows_in: (self.rows.len() as u64).saturating_mul(other.rows.len() as u64),
-            rows_out: rows.len() as u64,
-            dur_us: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-        });
         GenRelation { rows }
     }
 
@@ -476,6 +468,24 @@ fn bucket<'r, T>(
         keyed.entry(k).or_default().push(tag);
     }
     (keyed, partial)
+}
+
+/// A join's hoisted key paths as a `join` span attribute: comma
+/// separated, `$` for the root path. Formatted only while tracing.
+struct KeyPaths<'a>(&'a [dbpl_values::Path]);
+
+impl fmt::Display for KeyPaths<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, p) in self.0.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            if p.is_root() {
+                write!(f, "{sep}$")?;
+            } else {
+                write!(f, "{sep}{p}")?;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// What one bucketed reduction examined, for the `join.reduce` span.
@@ -762,7 +772,7 @@ mod tests {
     }
 
     #[test]
-    fn joins_record_plan_fingerprints_with_hoisted_paths() {
+    fn join_spans_carry_their_hoisted_key_paths() {
         let a = GenRelation::from_values([
             rec(&[("K", Value::Int(1)), ("X", Value::Int(10))]),
             rec(&[("K", Value::Int(2)), ("X", Value::Int(20))]),
@@ -771,21 +781,21 @@ mod tests {
             rec(&[("K", Value::Int(1)), ("Y", Value::Int(100))]),
             rec(&[("K", Value::Int(2)), ("Y", Value::Int(200))]),
         ]);
-        a.natural_join_strategy(&b, Reduction::Maximal, JoinStrategy::Partitioned);
-        a.natural_join_strategy(&b, Reduction::Maximal, JoinStrategy::Nested);
-        // The log is process-global and shared with concurrent tests:
-        // look for our records rather than assuming they are latest.
-        let snap = dbpl_stats::query_log().snapshot();
-        assert!(
-            snap.iter().any(|r| {
-                r.fingerprint == "join:partitioned[K]" && r.rows_in == 4 && r.rows_out == 2
-            }),
-            "partitioned join fingerprint carries the hoisted key paths"
+        let join = |strategy| {
+            let ((), spans) = dbpl_obs::trace::capture("test", || {
+                a.natural_join_strategy(&b, Reduction::Maximal, strategy);
+            });
+            let root = spans.into_iter().find(|s| s.name == "join").unwrap();
+            let attr = |k| root.attrs.iter().find(|(n, _)| *n == k).unwrap().1.clone();
+            (attr("strategy"), attr("keys"), attr("rows_out"))
+        };
+        assert_eq!(
+            join(JoinStrategy::Partitioned),
+            ("partitioned".into(), "K".into(), "2".into())
         );
-        assert!(
-            snap.iter()
-                .any(|r| r.fingerprint == "join:nested" && r.rows_in == 4),
-            "nested join fingerprint has no hoisted paths"
+        assert_eq!(
+            join(JoinStrategy::Nested),
+            ("nested".into(), String::new(), "2".into())
         );
     }
 

@@ -1,89 +1,56 @@
-//! The per-extent statistics catalog.
+//! Extent statistics, computed when asked for.
 //!
-//! Statistics are keyed by *carried type* — the type a stored dynamic
-//! actually travels with — because that is the granularity at which the
-//! store mutates: an insert adds one row at one carried type, and later
-//! schema evolution (a new `include` edge, a redeclared name) changes
-//! which carried types an extent *queries*, never what was observed.
-//! Keying by carried type therefore makes incremental maintenance
-//! trivially commute with evolution; the extent-level view an inherited
-//! extent needs (rows across every subtype, plus the subtype fan-out)
-//! is derived on demand by [`StatsCatalog::rollup`] under whatever
-//! subtype judgement the caller's environment currently induces.
-//!
-//! Per type, the catalog keeps row counts, fully-ground row counts, and
-//! per-*definite-path* statistics: for every leaf path reachable by
-//! record-only descent (depth-capped at [`MAX_PATH_DEPTH`]) — presence
-//! count, ground-leaf count (a join can hoist the path only when its
-//! leaf is a ground scalar), and a removable distinct-value sketch.
+//! Nothing here is maintained: a [`Tally`] is fed the rows of one pass
+//! over the store (the rows of one carried type, or of every type an
+//! extent admits) and counts them exactly into [`ExtentStats`]: rows,
+//! fully-ground rows, and per *definite path* — every leaf path
+//! reachable by record-only descent, depth-capped at
+//! [`MAX_PATH_DEPTH`] — how many rows have it, how many of those have a
+//! ground scalar there (a join can hoist the path only then), and how
+//! many distinct values it takes. A carried type's statistics are those
+//! of the extent of exactly that type.
 
-use crate::sketch::{value_hash, DistinctSketch};
 use dbpl_types::Type;
-use dbpl_values::{DynValue, Label, Path, Value};
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use dbpl_values::{Label, Path, Value};
+use std::collections::{BTreeMap, HashSet};
 
 /// Record-only descent stops below this depth; a record nested deeper
 /// is treated as an (opaque, non-ground) leaf. Keeps the tracked path
 /// set small and deterministic.
 pub const MAX_PATH_DEPTH: usize = 4;
 
-/// Statistics for one definite path within one carried type.
+/// Statistics for one definite path.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PathStats {
     /// Rows in which the path exists.
     pub present: u64,
     /// Rows in which the path's leaf is a ground scalar (joinable key).
     pub ground: u64,
-    /// Distinct-value sketch over the leaf values.
-    pub sketch: DistinctSketch,
+    /// Distinct leaf values at the path.
+    pub distinct: u64,
 }
 
-/// Statistics for one carried type.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TypeStats {
-    /// Rows carrying this type.
-    pub rows: u64,
-    /// Rows all of whose leaves are ground scalars.
-    pub ground_rows: u64,
-    /// Per-leaf-path statistics.
-    pub paths: BTreeMap<Path, PathStats>,
-}
-
-/// The statistics rolled up over an extent bound: every carried type
-/// that is a subtype of the bound contributes.
+/// The statistics of an extent: over the rows of every carried type
+/// that is a subtype of its bound.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExtentStats {
     /// Total rows across contributing types.
     pub rows: u64,
-    /// Total fully-ground rows.
+    /// Rows all of whose leaves are ground scalars.
     pub ground_rows: u64,
     /// Subtype fan-out: how many distinct carried types contribute.
     pub fanout: u64,
-    /// Merged per-path statistics (sketches unioned bucket-wise).
+    /// Per-path statistics over all contributing rows.
     pub paths: BTreeMap<Path, PathStats>,
 }
 
-/// The maintained statistics catalog: carried type → [`TypeStats`].
-///
-/// `observe_put` and `observe_remove` are exact inverses (empty entries
-/// are pruned), so a catalog maintained incrementally over any
-/// interleaving of inserts and removals is `==` to
-/// [`StatsCatalog::rebuild`] over the surviving rows.
-///
-/// Per-type stats sit behind `Arc`s so the copy-on-write `Database`
-/// clone (MVCC snapshots, the applier's per-frame backup) shallow-copies
-/// the catalog; a write after a clone deep-copies only the one
-/// [`TypeStats`] it touches. (`Arc<T>: PartialEq` compares contents, so
-/// catalog equality — the differential invariant — is unaffected.)
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StatsCatalog {
-    types: BTreeMap<Type, Arc<TypeStats>>,
-}
+/// Per carried type with rows, its statistics.
+pub type StatsCatalog = BTreeMap<Type, ExtentStats>;
 
-/// Is this leaf value a ground scalar — the same judgement the join
-/// planner's path hoisting uses (unit, bool, int, float, string, or an
-/// object reference; never a collection, variant, dynamic, or record)?
+/// Is this leaf value a ground scalar — the same judgement the
+/// partitioned join's path hoisting uses (unit, bool, int, float,
+/// string, or an object reference; never a collection, variant,
+/// dynamic, or record)?
 pub fn is_ground_leaf(v: &Value) -> bool {
     matches!(
         v,
@@ -96,9 +63,10 @@ pub fn is_ground_leaf(v: &Value) -> bool {
     )
 }
 
-/// Record-only descent shared by both observers: calls `f` with each
-/// leaf's path (a borrowed label slice — no `Path` allocated per leaf)
-/// and the leaf value.
+/// Record-only descent: calls `f` with each leaf's path (a borrowed
+/// label slice — no `Path` allocated per leaf) and the leaf value.
+/// Every non-record value (and every record at [`MAX_PATH_DEPTH`]) is a
+/// leaf; a non-record top-level value is the single leaf at the root.
 fn walk_leaves<'a>(
     v: &'a Value,
     depth: usize,
@@ -117,20 +85,9 @@ fn walk_leaves<'a>(
     }
 }
 
-/// Enumerate the leaf paths of a value under record-only descent: every
-/// non-record value (and every record at [`MAX_PATH_DEPTH`]) is a leaf;
-/// a non-record top-level value is the single leaf at the root path.
-pub fn leaf_paths(v: &Value) -> Vec<(Path, &Value)> {
-    let mut out = Vec::new();
-    walk_leaves(v, 0, &mut Vec::new(), &mut |p, leaf| {
-        out.push((Path(p.to_vec()), leaf));
-    });
-    out
-}
-
-/// Render a path for catalog output: `$` for the root path (a bare
+/// Render a path for statistics output: `$` for the root path (a bare
 /// scalar row), the dotted form otherwise.
-pub fn path_display(p: &Path) -> String {
+fn path_display(p: &Path) -> String {
     if p.is_root() {
         "$".to_string()
     } else {
@@ -138,170 +95,88 @@ pub fn path_display(p: &Path) -> String {
     }
 }
 
-impl StatsCatalog {
-    /// An empty catalog.
-    pub fn new() -> StatsCatalog {
-        StatsCatalog::default()
+/// The entry for `path` in `map`, made on first use: the path is
+/// copied only when it is new.
+fn entry<'m, T: Default>(map: &'m mut BTreeMap<Path, T>, path: &[Label]) -> &'m mut T {
+    if !map.contains_key(path) {
+        map.insert(Path(path.to_vec()), T::default());
     }
+    map.get_mut(path).expect("just ensured")
+}
 
-    /// Observe one row entering the store. Hot on the commit path: the
-    /// carried type is cloned only when first seen, and path keys are
-    /// looked up by borrowed slice (allocated only when a new path
-    /// appears), so steady-state maintenance allocates nothing.
-    pub fn observe_put(&mut self, d: &DynValue) {
-        if !self.types.contains_key(&d.ty) {
-            self.types.insert(d.ty.clone(), Arc::default());
-        }
-        let entry = Arc::make_mut(self.types.get_mut(&d.ty).expect("just ensured"));
-        entry.rows += 1;
+/// The exact statistics of a row set, counted in one pass: feed it each
+/// row with [`Tally::add`], then take the result.
+#[derive(Default)]
+pub struct Tally<'a> {
+    stats: ExtentStats,
+    /// Per path, the distinct leaf values, borrowed from the rows.
+    values: BTreeMap<Path, HashSet<&'a Value>>,
+}
+
+impl<'a> Tally<'a> {
+    /// Count one row's value.
+    pub fn add(&mut self, row: &'a Value) {
+        let (stats, values) = (&mut self.stats, &mut self.values);
         let mut all_ground = true;
-        let mut prefix: Vec<Label> = Vec::new();
-        walk_leaves(&d.value, 0, &mut prefix, &mut |path, v| {
+        walk_leaves(row, 0, &mut Vec::new(), &mut |path, v| {
             let ground = is_ground_leaf(v);
             all_ground &= ground;
-            if !entry.paths.contains_key(path) {
-                entry
-                    .paths
-                    .insert(Path(path.to_vec()), PathStats::default());
-            }
-            let ps = entry.paths.get_mut(path).expect("just ensured");
+            let ps = entry(&mut stats.paths, path);
             ps.present += 1;
-            if ground {
-                ps.ground += 1;
-            }
-            ps.sketch.insert(value_hash(v));
+            ps.ground += u64::from(ground);
+            entry(values, path).insert(v);
         });
-        if all_ground {
-            entry.ground_rows += 1;
+        stats.rows += 1;
+        stats.ground_rows += u64::from(all_ground);
+    }
+
+    /// Rows counted so far.
+    pub fn rows(&self) -> u64 {
+        self.stats.rows
+    }
+
+    /// The rows' statistics, as an extent's fed by `fanout` carried types.
+    pub fn finish(mut self, fanout: u64) -> ExtentStats {
+        for (path, values) in self.values {
+            self.stats.paths.get_mut(&path).expect("counted").distinct = values.len() as u64;
         }
-    }
-
-    /// Observe one row leaving the store (quarantine, rollback). The
-    /// exact inverse of [`StatsCatalog::observe_put`] for the same row:
-    /// counts decrement, sketch refcounts decrement, and entries whose
-    /// counts reach zero are pruned so equality with a rebuild holds.
-    pub fn observe_remove(&mut self, d: &DynValue) {
-        let Some(arc) = self.types.get_mut(&d.ty) else {
-            return;
-        };
-        let entry = Arc::make_mut(arc);
-        entry.rows = entry.rows.saturating_sub(1);
-        let mut all_ground = true;
-        let mut prefix: Vec<Label> = Vec::new();
-        walk_leaves(&d.value, 0, &mut prefix, &mut |path, v| {
-            let ground = is_ground_leaf(v);
-            all_ground &= ground;
-            if let Some(ps) = entry.paths.get_mut(path) {
-                ps.present = ps.present.saturating_sub(1);
-                if ground {
-                    ps.ground = ps.ground.saturating_sub(1);
-                }
-                ps.sketch.remove(value_hash(v));
-                if ps.present == 0 {
-                    entry.paths.remove(path);
-                }
-            }
-        });
-        if all_ground {
-            entry.ground_rows = entry.ground_rows.saturating_sub(1);
+        ExtentStats {
+            fanout,
+            ..self.stats
         }
-        if entry.rows == 0 {
-            self.types.remove(&d.ty);
-        }
-    }
-
-    /// Build a catalog from scratch over a row set — what `analyze(db)`
-    /// runs, and the oracle the differential tests compare against.
-    pub fn rebuild<'a>(rows: impl IntoIterator<Item = &'a DynValue>) -> StatsCatalog {
-        let mut c = StatsCatalog::new();
-        for d in rows {
-            c.observe_put(d);
-        }
-        c
-    }
-
-    /// The statistics of the extent at `bound`: merge every carried
-    /// type the given subtype judgement admits. `fanout` counts the
-    /// contributing types — the inherited extent's subtype fan-out.
-    pub fn rollup(
-        &self,
-        bound: &Type,
-        mut is_sub: impl FnMut(&Type, &Type) -> bool,
-    ) -> ExtentStats {
-        let mut out = ExtentStats::default();
-        for (ty, ts) in &self.types {
-            if !is_sub(ty, bound) {
-                continue;
-            }
-            out.fanout += 1;
-            out.rows += ts.rows;
-            out.ground_rows += ts.ground_rows;
-            for (p, ps) in &ts.paths {
-                let slot = out.paths.entry(p.clone()).or_default();
-                slot.present += ps.present;
-                slot.ground += ps.ground;
-                slot.sketch.merge(&ps.sketch);
-            }
-        }
-        out
-    }
-
-    /// Carried types and their statistics, in type order.
-    pub fn types(&self) -> impl Iterator<Item = (&Type, &TypeStats)> {
-        self.types.iter().map(|(t, s)| (t, &**s))
-    }
-
-    /// The statistics at one carried type, if any rows carry it.
-    pub fn get(&self, ty: &Type) -> Option<&TypeStats> {
-        self.types.get(ty).map(|s| &**s)
-    }
-
-    /// Number of distinct carried types with live rows.
-    pub fn type_count(&self) -> usize {
-        self.types.len()
-    }
-
-    /// Total rows across all carried types.
-    pub fn total_rows(&self) -> u64 {
-        self.types.values().map(|t| t.rows).sum()
-    }
-
-    /// Has the catalog observed nothing (or had everything removed)?
-    pub fn is_empty(&self) -> bool {
-        self.types.is_empty()
-    }
-
-    /// Human-readable rendering, one block per carried type — what the
-    /// `extentStats(db)` builtin prints.
-    pub fn render(&self) -> String {
-        if self.is_empty() {
-            return "statistics catalog: empty\n".to_string();
-        }
-        let mut out = format!(
-            "statistics catalog: {} carried type(s), {} row(s)\n",
-            self.type_count(),
-            self.total_rows()
-        );
-        for (ty, ts) in &self.types {
-            out.push_str(&format!(
-                "  {ty}: rows={} ground_rows={}\n",
-                ts.rows, ts.ground_rows
-            ));
-            for (p, ps) in &ts.paths {
-                out.push_str(&format!(
-                    "    {}: present={} ground={} distinct~{}\n",
-                    path_display(p),
-                    ps.present,
-                    ps.ground,
-                    ps.sketch.estimate()
-                ));
-            }
-        }
-        out
     }
 }
 
-/// Render an extent rollup as one `dbpl.workload.v1` JSONL line:
+/// Human-readable rendering, one block per carried type — what the
+/// `extentStats(db)` builtin prints.
+pub fn render_catalog(catalog: &StatsCatalog) -> String {
+    if catalog.is_empty() {
+        return "statistics catalog: empty\n".to_string();
+    }
+    let rows: u64 = catalog.values().map(|s| s.rows).sum();
+    let mut out = format!(
+        "statistics catalog: {} carried type(s), {rows} row(s)\n",
+        catalog.len()
+    );
+    for (ty, ts) in catalog {
+        out.push_str(&format!(
+            "  {ty}: rows={} ground_rows={}\n",
+            ts.rows, ts.ground_rows
+        ));
+        for (p, ps) in &ts.paths {
+            out.push_str(&format!(
+                "    {}: present={} ground={} distinct={}\n",
+                path_display(p),
+                ps.present,
+                ps.ground,
+                ps.distinct
+            ));
+        }
+    }
+    out
+}
+
+/// Render an extent's statistics as one `dbpl.workload.v1` JSONL line:
 /// `{"extent":...,"rows":...,"ground_rows":...,"fanout":...,"paths":{...}}`.
 pub fn extent_json(name: &str, e: &ExtentStats) -> String {
     let mut out = format!(
@@ -320,7 +195,7 @@ pub fn extent_json(name: &str, e: &ExtentStats) -> String {
             dbpl_obs::json_escape(&path_display(p)),
             ps.present,
             ps.ground,
-            ps.sketch.estimate()
+            ps.distinct
         ));
     }
     out.push_str("}}");
@@ -331,51 +206,46 @@ pub fn extent_json(name: &str, e: &ExtentStats) -> String {
 mod tests {
     use super::*;
 
-    fn person(name: &str, city: &str) -> DynValue {
-        DynValue::new(
-            Type::named("Person"),
-            Value::record([
-                ("Name", Value::str(name)),
-                ("Address", Value::record([("City", Value::str(city))])),
-            ]),
-        )
+    fn person(name: &str, city: &str) -> Value {
+        Value::record([
+            ("Name", Value::str(name)),
+            ("Address", Value::record([("City", Value::str(city))])),
+        ])
+    }
+
+    fn tally<'a>(rows: impl IntoIterator<Item = &'a Value>) -> ExtentStats {
+        let mut t = Tally::default();
+        for r in rows {
+            t.add(r);
+        }
+        t.finish(1)
     }
 
     #[test]
-    fn put_counts_rows_paths_and_groundness() {
-        let mut c = StatsCatalog::new();
-        c.observe_put(&person("a", "x"));
-        c.observe_put(&person("b", "x"));
-        let ts = c.get(&Type::named("Person")).unwrap();
-        assert_eq!((ts.rows, ts.ground_rows), (2, 2));
-        let name = ts.paths.get(&Path::parse("Name")).unwrap();
-        assert_eq!((name.present, name.ground), (2, 2));
-        assert_eq!(name.sketch.estimate(), 2);
-        let city = ts.paths.get(&Path::parse("Address.City")).unwrap();
-        assert_eq!(city.sketch.estimate(), 1, "both rows share the city");
+    fn counts_rows_paths_groundness_and_distinct_values() {
+        let rows = [person("a", "x"), person("b", "x"), person("a", "y")];
+        let ts = tally(&rows);
+        assert_eq!((ts.rows, ts.ground_rows), (3, 3));
+        let name = &ts.paths[&Path::parse("Name")];
+        assert_eq!((name.present, name.ground, name.distinct), (3, 3, 2));
+        let city = &ts.paths[&Path::parse("Address.City")];
+        assert_eq!(city.distinct, 2);
     }
 
     #[test]
     fn non_ground_leaves_are_counted_but_not_ground() {
-        let mut c = StatsCatalog::new();
-        let d = DynValue::new(
-            Type::record([("Tags", Type::list(Type::Str))]),
-            Value::record([("Tags", Value::List(vec![Value::str("x")]))]),
-        );
-        c.observe_put(&d);
-        let ts = c.get(&d.ty).unwrap();
+        let row = Value::record([("Tags", Value::List(vec![Value::str("x")]))]);
+        let ts = tally([&row]);
         assert_eq!((ts.rows, ts.ground_rows), (1, 0));
-        let tags = ts.paths.get(&Path::parse("Tags")).unwrap();
-        assert_eq!((tags.present, tags.ground), (1, 0));
+        let tags = &ts.paths[&Path::parse("Tags")];
+        assert_eq!((tags.present, tags.ground, tags.distinct), (1, 0, 1));
     }
 
     #[test]
     fn scalar_rows_live_at_the_root_path() {
-        let mut c = StatsCatalog::new();
-        c.observe_put(&DynValue::new(Type::Int, Value::Int(7)));
-        let ts = c.get(&Type::Int).unwrap();
-        let root = ts.paths.get(&Path::default()).unwrap();
-        assert_eq!((root.present, root.ground), (1, 1));
+        let rows = [Value::Int(7), Value::Int(7)];
+        let root = &tally(&rows).paths[&Path::default()];
+        assert_eq!((root.present, root.ground, root.distinct), (2, 2, 1));
         assert_eq!(path_display(&Path::default()), "$");
     }
 
@@ -383,71 +253,20 @@ mod tests {
     fn descent_is_depth_capped() {
         let mut v = Value::record::<[(&str, Value); 0], &str>([]);
         dbpl_values::put_path(&mut v, &Path::parse("A.B.C.D.E"), Value::Int(1)).unwrap();
-        let leaves = leaf_paths(&v);
-        assert_eq!(leaves.len(), 1);
-        assert_eq!(leaves[0].0, Path::parse("A.B.C.D"));
-        assert!(
-            !is_ground_leaf(leaves[0].1),
+        let ts = tally([&v]);
+        assert_eq!(
+            ts.paths.keys().collect::<Vec<_>>(),
+            [&Path::parse("A.B.C.D")]
+        );
+        assert_eq!(
+            ts.ground_rows, 0,
             "the capped leaf is a record, hence not ground"
         );
     }
 
     #[test]
-    fn remove_is_the_exact_inverse_of_put() {
-        let mut c = StatsCatalog::new();
-        let rows = vec![
-            person("a", "x"),
-            person("b", "y"),
-            DynValue::new(Type::Int, Value::Int(1)),
-        ];
-        for r in &rows {
-            c.observe_put(r);
-        }
-        for r in &rows {
-            c.observe_remove(r);
-        }
-        assert_eq!(c, StatsCatalog::new(), "catalog empties back to new()");
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn interleaved_maintenance_equals_rebuild() {
-        let mut c = StatsCatalog::new();
-        let a = person("a", "x");
-        let b = person("b", "y");
-        let i = DynValue::new(Type::Int, Value::Int(3));
-        c.observe_put(&a);
-        c.observe_put(&b);
-        c.observe_put(&i);
-        c.observe_remove(&a);
-        let survivors = [b.clone(), i.clone()];
-        assert_eq!(c, StatsCatalog::rebuild(survivors.iter()));
-    }
-
-    #[test]
-    fn rollup_merges_subtypes_and_reports_fanout() {
-        let mut c = StatsCatalog::new();
-        c.observe_put(&person("a", "x"));
-        let emp = DynValue::new(
-            Type::named("Employee"),
-            Value::record([("Name", Value::str("e")), ("Empno", Value::Int(1))]),
-        );
-        c.observe_put(&emp);
-        c.observe_put(&DynValue::new(Type::Int, Value::Int(9)));
-        // A toy judgement: named types are subtypes of Person, Int is not.
-        let e = c.rollup(&Type::named("Person"), |ty, _| matches!(ty, Type::Named(_)));
-        assert_eq!((e.rows, e.fanout), (2, 2));
-        let name = e.paths.get(&Path::parse("Name")).unwrap();
-        assert_eq!(name.present, 2);
-        assert_eq!(name.sketch.estimate(), 2, "sketches union bucket-wise");
-    }
-
-    #[test]
     fn extent_json_line_shape() {
-        let mut c = StatsCatalog::new();
-        c.observe_put(&person("a", "x"));
-        let e = c.rollup(&Type::named("Person"), |_, _| true);
-        let line = extent_json("Person", &e);
+        let line = extent_json("Person", &tally([&person("a", "x")]));
         assert!(line.starts_with("{\"extent\":\"Person\",\"rows\":1,"));
         assert!(line.contains("\"fanout\":1"));
         assert!(line.contains("\"Address.City\":{\"present\":1,\"ground\":1,\"distinct\":1}"));
@@ -456,12 +275,14 @@ mod tests {
 
     #[test]
     fn render_mentions_every_type() {
-        let mut c = StatsCatalog::new();
-        c.observe_put(&person("a", "x"));
-        c.observe_put(&DynValue::new(Type::Int, Value::Int(1)));
-        let r = c.render();
+        let (p, i) = (person("a", "x"), Value::Int(1));
+        let c = StatsCatalog::from([
+            (Type::named("Person"), tally([&p])),
+            (Type::Int, tally([&i])),
+        ]);
+        let r = render_catalog(&c);
         assert!(r.contains("Person") && r.contains("Int"));
-        assert!(r.contains("distinct~"));
-        assert!(StatsCatalog::new().render().contains("empty"));
+        assert!(r.contains("distinct=1"));
+        assert!(render_catalog(&StatsCatalog::new()).contains("empty"));
     }
 }

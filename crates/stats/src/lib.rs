@@ -1,77 +1,26 @@
-//! Workload introspection: the statistics catalog and the query log.
+//! Workload introspection: extent statistics and the query log, both
+//! derived when asked for rather than maintained.
 //!
-//! The paper's generic `Get` and the generalized joins over inherited
-//! extents are served today by static strategy defaults; a cost-based
-//! planner (ROADMAP item 3) needs live inputs. This crate holds the two
-//! substrates it will consume:
-//!
-//! * a **statistics catalog** ([`StatsCatalog`]) — per carried type: row
-//!   counts, ground-key density, and per-definite-path selectivity
-//!   sketches ([`DistinctSketch`], removable linear-counting). The
-//!   catalog is *maintained*, not recomputed: `observe_put` /
-//!   `observe_remove` are exact inverses, so an incrementally maintained
-//!   catalog equals [`StatsCatalog::rebuild`] over the same rows — the
-//!   differential invariant `workload_check` and the proptests assert.
-//!   Extent-level statistics (an inherited extent unions every carried
-//!   subtype) are derived on demand by [`StatsCatalog::rollup`], which
-//!   also reports the subtype fan-out — how many distinct carried types
-//!   feed the extent.
-//! * a **query log** ([`QueryLog`]) — a bounded drop-oldest ring of
-//!   per-query [`QueryRecord`]s (plan fingerprint, rows in/out, measured
-//!   duration) with top-K heavy-hitter aggregation by fingerprint.
-//!
-//! Plan fingerprints follow a fixed grammar (see [`fingerprint_get`] and
-//! [`fingerprint_join`]): `get:<strategy>` for extent queries,
-//! `join:nested` / `join:partitioned[P1,P2]` (hoisted key paths in
-//! brackets) for generalized joins — so heavy-hitter aggregation groups
-//! by *plan shape*, not by query text.
+//! * **Extent statistics** ([`Tally`], [`ExtentStats`], [`StatsCatalog`])
+//!   — per carried type or per extent: row counts, ground-key density,
+//!   and per-definite-path presence and exact distinct-value counts.
+//!   `Database::extent_stats` and `Database::stats_catalog` count them
+//!   in one pass over the rows, the way the paper derives an extent from
+//!   the type lattice instead of maintaining a class. No write pays for
+//!   them.
+//! * **The query log** ([`queries`], [`top_k`]) — per-query
+//!   [`QueryRecord`]s (plan fingerprint, rows in/out, measured duration)
+//!   read from the `get` and `join` spans of the trace ring, with top-K
+//!   heavy-hitter aggregation by fingerprint. No query pays for it
+//!   beyond its span.
 
 mod catalog;
+mod hash;
 mod log;
-mod sketch;
 
 pub use catalog::{
-    extent_json, is_ground_leaf, leaf_paths, path_display, ExtentStats, PathStats, StatsCatalog,
-    TypeStats, MAX_PATH_DEPTH,
+    extent_json, is_ground_leaf, render_catalog, ExtentStats, PathStats, StatsCatalog, Tally,
+    MAX_PATH_DEPTH,
 };
-pub use log::{
-    query_json, query_log, top_json, FingerprintAgg, QueryLog, QueryRecord, DEFAULT_QUERY_CAPACITY,
-};
-pub use sketch::{value_hash, DistinctSketch, Fnv1a, SKETCH_BUCKETS};
-
-/// The plan fingerprint of a `Get`: `get:<strategy>` (snake_case
-/// strategy name, as used in `get.strategy.<name>` counters — the
-/// fingerprint↔trace join key).
-pub fn fingerprint_get(strategy: &str) -> String {
-    format!("get:{strategy}")
-}
-
-/// The plan fingerprint of a generalized join: `join:<kind>` with the
-/// hoisted key paths in brackets when any were hoisted —
-/// `join:partitioned[Name,Dept.Id]` — so two joins share a fingerprint
-/// exactly when they share a plan shape.
-pub fn fingerprint_join(kind: &str, key_paths: &[dbpl_values::Path]) -> String {
-    if key_paths.is_empty() {
-        format!("join:{kind}")
-    } else {
-        let paths: Vec<String> = key_paths.iter().map(path_display).collect();
-        format!("join:{kind}[{}]", paths.join(","))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use dbpl_values::Path;
-
-    #[test]
-    fn fingerprints_follow_the_grammar() {
-        assert_eq!(fingerprint_get("typed_lists"), "get:typed_lists");
-        assert_eq!(fingerprint_join("nested", &[]), "join:nested");
-        let paths = vec![Path::parse("Name"), Path::parse("Dept.Id")];
-        assert_eq!(
-            fingerprint_join("partitioned", &paths),
-            "join:partitioned[Name,Dept.Id]"
-        );
-    }
-}
+pub use hash::{value_hash, Fnv1a};
+pub use log::{queries, query_json, top_json, top_k, FingerprintAgg, QueryRecord};

@@ -1,21 +1,20 @@
-//! The workload query log: a bounded drop-oldest ring of per-query
-//! records with heavy-hitter aggregation by plan fingerprint.
+//! The workload query log, read from the span ring.
 //!
-//! Producers (the generic `Get`, the generalized joins) record one
-//! [`QueryRecord`] per executed query into the process-global
-//! [`query_log`]; the ring is bounded and evicts oldest-first, counting
-//! what it dropped, so a hot loop can never grow it without bound. The
-//! `workload(db)` builtin and `report --workload-out` read it back;
-//! `workload_check` cross-checks the per-fingerprint counts against the
-//! `get.strategy.<name>` trace counters recorded over the same window.
+//! Nothing records into a log of its own: every `Get` and every
+//! generalized join already closes a root span (`get`, `join`) carrying
+//! its plan and row counts as attributes. [`queries`] turns the spans
+//! of a window — [`dbpl_obs::trace::buffered`], or a
+//! [`dbpl_obs::trace::capture`] — into one [`QueryRecord`] per query,
+//! and [`top_k`] aggregates them by plan fingerprint. With tracing
+//! inactive there are no spans, so there is no log.
+//!
+//! Plan fingerprints follow a fixed grammar: `get:<strategy>` for extent
+//! queries, `join:nested` / `join:partitioned[P1,P2]` (hoisted key
+//! paths in brackets) for generalized joins — so heavy-hitter
+//! aggregation groups by *plan shape*, not by query text.
 
-use parking_lot::Mutex;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::OnceLock;
-
-/// Default ring capacity — enough to hold a whole smoke workload
-/// without drops (the fingerprint↔trace equality check relies on it).
-pub const DEFAULT_QUERY_CAPACITY: usize = 4096;
+use dbpl_obs::trace::SpanRecord;
+use std::collections::{BTreeMap, HashMap};
 
 /// One executed query: its plan fingerprint and measured cost features.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,8 +26,7 @@ pub struct QueryRecord {
     pub rows_in: u64,
     /// Rows the query produced.
     pub rows_out: u64,
-    /// Measured wall-clock duration — the same quantity the `span.get` /
-    /// `span.join` histograms observe.
+    /// The query span's duration.
     pub dur_us: u64,
 }
 
@@ -37,7 +35,7 @@ pub struct QueryRecord {
 pub struct FingerprintAgg {
     /// The shared plan fingerprint.
     pub fingerprint: String,
-    /// How many logged queries carry it.
+    /// How many queries carry it.
     pub count: u64,
     /// Summed rows in.
     pub rows_in: u64,
@@ -49,121 +47,83 @@ pub struct FingerprintAgg {
     pub max_dur_us: u64,
 }
 
-#[derive(Debug)]
-struct Inner {
-    records: VecDeque<QueryRecord>,
-    cap: usize,
-    dropped: u64,
+fn attr<'a>(span: &'a SpanRecord, key: &str) -> &'a str {
+    span.attrs
+        .iter()
+        .find(|(k, _)| *k == key)
+        .map_or("", |(_, v)| v.as_str())
 }
 
-/// A bounded drop-oldest query ring. Usually used through the
-/// process-global [`query_log`]; constructible standalone for tests.
-#[derive(Debug)]
-pub struct QueryLog {
-    inner: Mutex<Inner>,
+fn count(span: &SpanRecord, key: &str) -> u64 {
+    attr(span, key).parse().unwrap_or(0)
 }
 
-impl QueryLog {
-    /// A log with the given capacity.
-    pub fn with_capacity(cap: usize) -> QueryLog {
-        QueryLog {
-            inner: Mutex::new(Inner {
-                records: VecDeque::new(),
-                cap: cap.max(1),
-                dropped: 0,
-            }),
-        }
-    }
-
-    /// Append a record, evicting the oldest when full.
-    pub fn record(&self, rec: QueryRecord) {
-        let mut g = self.inner.lock();
-        if g.records.len() >= g.cap {
-            g.records.pop_front();
-            g.dropped += 1;
-        }
-        g.records.push_back(rec);
-    }
-
-    /// The ring's current contents, oldest first.
-    pub fn snapshot(&self) -> Vec<QueryRecord> {
-        self.inner.lock().records.iter().cloned().collect()
-    }
-
-    /// Records evicted since the last [`QueryLog::clear`].
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
-    }
-
-    /// Records currently held.
-    pub fn len(&self) -> usize {
-        self.inner.lock().records.len()
-    }
-
-    /// Is the ring empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Current capacity.
-    pub fn capacity(&self) -> usize {
-        self.inner.lock().cap
-    }
-
-    /// Resize the ring (evicting oldest-first if shrinking below the
-    /// current length; evictions count as drops).
-    pub fn set_capacity(&self, cap: usize) {
-        let mut g = self.inner.lock();
-        g.cap = cap.max(1);
-        while g.records.len() > g.cap {
-            g.records.pop_front();
-            g.dropped += 1;
-        }
-    }
-
-    /// Empty the ring and reset the dropped count — how a measurement
-    /// window starts.
-    pub fn clear(&self) {
-        let mut g = self.inner.lock();
-        g.records.clear();
-        g.dropped = 0;
-    }
-
-    /// The top-K heavy hitters by fingerprint: aggregate the ring by
-    /// fingerprint and rank by count (descending), fingerprint (ascending)
-    /// as the deterministic tiebreak.
-    pub fn top_k(&self, k: usize) -> Vec<FingerprintAgg> {
-        let g = self.inner.lock();
-        let mut by_fp: BTreeMap<&str, FingerprintAgg> = BTreeMap::new();
-        for r in &g.records {
-            let agg = by_fp.entry(&r.fingerprint).or_default();
-            agg.count += 1;
-            agg.rows_in += r.rows_in;
-            agg.rows_out += r.rows_out;
-            agg.total_dur_us += r.dur_us;
-            agg.max_dur_us = agg.max_dur_us.max(r.dur_us);
-        }
-        let mut out: Vec<FingerprintAgg> = by_fp
-            .into_iter()
-            .map(|(fp, mut agg)| {
-                agg.fingerprint = fp.to_string();
-                agg
+/// The queries among `spans`, in span completion order: one record per
+/// `get` span (its store size read from the `get.plan` stage under it)
+/// and per `join` span.
+pub fn queries(spans: &[SpanRecord]) -> Vec<QueryRecord> {
+    let store_rows: HashMap<Option<u64>, u64> = spans
+        .iter()
+        .filter(|s| s.name == "get.plan")
+        .map(|s| (s.parent_id, count(s, "store_rows")))
+        .collect();
+    spans
+        .iter()
+        .filter_map(|s| {
+            let (fingerprint, rows_in) = match s.name {
+                "get" => (
+                    format!("get:{}", attr(s, "strategy")),
+                    store_rows.get(&Some(s.span_id)).copied().unwrap_or(0),
+                ),
+                "join" => {
+                    let (kind, keys) = (attr(s, "strategy"), attr(s, "keys"));
+                    let fingerprint = if keys.is_empty() {
+                        format!("join:{kind}")
+                    } else {
+                        format!("join:{kind}[{keys}]")
+                    };
+                    let rows_in = count(s, "left").saturating_mul(count(s, "right"));
+                    (fingerprint, rows_in)
+                }
+                _ => return None,
+            };
+            Some(QueryRecord {
+                fingerprint,
+                rows_in,
+                rows_out: count(s, "rows_out"),
+                dur_us: s.dur_us,
             })
-            .collect();
-        out.sort_by(|a, b| {
-            b.count
-                .cmp(&a.count)
-                .then_with(|| a.fingerprint.cmp(&b.fingerprint))
-        });
-        out.truncate(k);
-        out
-    }
+        })
+        .collect()
 }
 
-/// The process-global query log all producers record into.
-pub fn query_log() -> &'static QueryLog {
-    static LOG: OnceLock<QueryLog> = OnceLock::new();
-    LOG.get_or_init(|| QueryLog::with_capacity(DEFAULT_QUERY_CAPACITY))
+/// The top-K heavy hitters by fingerprint: aggregate the records by
+/// fingerprint and rank by count (descending), fingerprint (ascending)
+/// as the deterministic tiebreak.
+pub fn top_k(records: &[QueryRecord], k: usize) -> Vec<FingerprintAgg> {
+    let mut by_fp: BTreeMap<&str, FingerprintAgg> = BTreeMap::new();
+    for r in records {
+        let agg = by_fp.entry(&r.fingerprint).or_default();
+        agg.count += 1;
+        agg.rows_in += r.rows_in;
+        agg.rows_out += r.rows_out;
+        agg.total_dur_us += r.dur_us;
+        agg.max_dur_us = agg.max_dur_us.max(r.dur_us);
+    }
+    let mut out: Vec<FingerprintAgg> = by_fp
+        .into_iter()
+        .map(|(fp, mut agg)| {
+            agg.fingerprint = fp.to_string();
+            agg
+        })
+        .collect();
+    out.sort_by(|a, b| {
+        b.count
+            .cmp(&a.count)
+            .then_with(|| a.fingerprint.cmp(&b.fingerprint))
+    });
+    out.truncate(k);
+    out
 }
 
 /// Render a query record as one `dbpl.workload.v1` JSONL line.
@@ -195,6 +155,75 @@ pub fn top_json(rank: usize, a: &FingerprintAgg) -> String {
 mod tests {
     use super::*;
 
+    fn span(
+        name: &'static str,
+        id: u64,
+        parent: Option<u64>,
+        attrs: &[(&'static str, &str)],
+    ) -> SpanRecord {
+        SpanRecord {
+            trace_id: 1,
+            span_id: id,
+            parent_id: parent,
+            name,
+            start_us: 0,
+            dur_us: id * 10,
+            tid: 0,
+            attrs: attrs.iter().map(|(k, v)| (*k, v.to_string())).collect(),
+        }
+    }
+
+    #[test]
+    fn get_and_join_spans_become_fingerprinted_records() {
+        let spans = [
+            span("get.plan", 2, Some(3), &[("store_rows", "8")]),
+            span(
+                "get",
+                3,
+                None,
+                &[("strategy", "typed_lists"), ("rows_out", "5")],
+            ),
+            span("join.reduce", 4, Some(5), &[("rows_out", "2")]),
+            span(
+                "join",
+                5,
+                None,
+                &[
+                    ("strategy", "partitioned"),
+                    ("left", "3"),
+                    ("right", "4"),
+                    ("keys", "Name,Dept.Id"),
+                    ("rows_out", "2"),
+                ],
+            ),
+            span(
+                "join",
+                6,
+                None,
+                &[
+                    ("strategy", "nested"),
+                    ("left", "1"),
+                    ("right", "2"),
+                    ("keys", ""),
+                    ("rows_out", "1"),
+                ],
+            ),
+        ];
+        let got = queries(&spans);
+        let want = [
+            ("get:typed_lists", 8, 5, 30),
+            ("join:partitioned[Name,Dept.Id]", 12, 2, 50),
+            ("join:nested", 2, 1, 60),
+        ];
+        assert_eq!(got.len(), want.len());
+        for (r, (fp, rows_in, rows_out, dur_us)) in got.iter().zip(want) {
+            assert_eq!(
+                (r.fingerprint.as_str(), r.rows_in, r.rows_out, r.dur_us),
+                (fp, rows_in, rows_out, dur_us)
+            );
+        }
+    }
+
     fn rec(fp: &str, dur: u64) -> QueryRecord {
         QueryRecord {
             fingerprint: fp.to_string(),
@@ -205,35 +234,11 @@ mod tests {
     }
 
     #[test]
-    fn ring_drops_oldest_and_counts_it() {
-        let log = QueryLog::with_capacity(2);
-        log.record(rec("a", 1));
-        log.record(rec("b", 2));
-        log.record(rec("c", 3));
-        let snap = log.snapshot();
-        assert_eq!(
-            snap.iter()
-                .map(|r| r.fingerprint.as_str())
-                .collect::<Vec<_>>(),
-            vec!["b", "c"]
-        );
-        assert_eq!(log.dropped(), 1);
-        log.clear();
-        assert!(log.is_empty());
-        assert_eq!(log.dropped(), 0);
-    }
-
-    #[test]
     fn top_k_ranks_by_count_then_fingerprint() {
-        let log = QueryLog::with_capacity(16);
-        for _ in 0..3 {
-            log.record(rec("get:scan", 5));
-        }
-        for _ in 0..3 {
-            log.record(rec("get:typed_lists", 1));
-        }
-        log.record(rec("join:nested", 100));
-        let top = log.top_k(2);
+        let mut records = vec![rec("get:scan", 5); 3];
+        records.extend(vec![rec("get:typed_lists", 1); 3]);
+        records.push(rec("join:nested", 100));
+        let top = top_k(&records, 2);
         assert_eq!(top.len(), 2);
         // Equal counts tie-break on fingerprint.
         assert_eq!(top[0].fingerprint, "get:scan");
@@ -242,18 +247,6 @@ mod tests {
         assert_eq!(top[0].total_dur_us, 15);
         assert_eq!(top[0].max_dur_us, 5);
         assert_eq!(top[0].rows_in, 30);
-    }
-
-    #[test]
-    fn shrinking_capacity_evicts_oldest() {
-        let log = QueryLog::with_capacity(8);
-        for i in 0..5 {
-            log.record(rec("x", i));
-        }
-        log.set_capacity(2);
-        assert_eq!(log.len(), 2);
-        assert_eq!(log.dropped(), 3);
-        assert_eq!(log.snapshot()[0].dur_us, 3);
     }
 
     #[test]

@@ -1,21 +1,20 @@
-//! Workload introspection, end to end: the per-extent statistics catalog
-//! (maintained incrementally at commit time, rebuildable with `analyze`),
-//! the bounded query log with measured cost features, and the
-//! `dbpl.workload.v1` JSONL artifact that joins the two views with the
-//! trace counters — the planner inputs of ROADMAP item 3, inspectable
-//! from a session today.
+//! Workload introspection, end to end: extent statistics counted when
+//! asked for, the query log read from the trace ring, and the
+//! `dbpl.workload.v1` JSONL lines `report --workload-out` joins them
+//! into.
 //!
 //! Run with `cargo run --example workload`.
 
 use dbpl::lang::Session;
-use dbpl::stats::{extent_json, query_json, query_log, top_json};
+use dbpl::stats::{extent_json, queries, query_json, top_json, top_k};
 use dbpl::types::Type;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // ---------- 1. the catalog is maintained, not recomputed ----------
-    // Every committed put/remove updates the statistics catalog in
-    // lockstep with the store: row counts, ground-row density, and a
-    // removable distinct sketch per definite path, all per carried type.
+    // ---------- 1. statistics are counted, not maintained ----------
+    // A put writes the row and its typed-list position, nothing more.
+    // `extentStats(db)` counts, per carried type, the rows, the
+    // ground-row density and, per definite path, its presence and its
+    // exact number of distinct values.
     let mut s = Session::new().map_err(|e| e.msg.clone())?;
     s.run(
         "type Person = {Name: Str}\n\
@@ -28,74 +27,68 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )
     .map_err(|e| e.msg.clone())?;
 
-    println!("== extentStats: the maintained catalog, per carried type");
+    println!("== extentStats: counted now, per carried type");
     let out = s.run("extentStats(db)").map_err(|e| e.msg.clone())?;
     println!("{}\n", out[0]);
 
-    // ---------- 2. inherited extents roll up their subtypes ----------
-    // `Get[Person]` serves every Employee and Student too, so extent
-    // statistics for the Person bound union all contributing carried
-    // types — the fan-out is how many types feed the extent.
+    // ---------- 2. an inherited extent counts its subtypes ----------
+    // `Get[Person]` serves every Employee and Student too, so the Person
+    // extent's statistics pass over every typed list `Get` would read;
+    // the fan-out is how many carried types feed the extent.
     let person = Type::named("Person");
     let e = s.db.extent_stats(&person);
-    println!("== rollup for the Person extent");
+    println!("== statistics of the Person extent");
     println!(
         "   rows={} ground_rows={} fanout={} (carried types feeding Get[Person])",
         e.rows, e.ground_rows, e.fanout
     );
     for (p, ps) in &e.paths {
         println!(
-            "   path {}: present={} distinct~{}",
-            p,
-            ps.present,
-            ps.sketch.estimate()
+            "   path {}: present={} distinct={}",
+            p, ps.present, ps.distinct
         );
     }
 
-    // ---------- 3. the query log measures what actually ran ----------
-    // Every Get and generalized join appends one record: the plan
-    // fingerprint (`get:<strategy>`, `join:partitioned[Name]`), rows
-    // in/out, and the measured duration. The ring is bounded and drops
-    // oldest-first, so it is safe to leave on in production.
-    query_log().clear();
+    // ---------- 3. the query log is the trace ring ----------
+    // Every Get and generalized join closes a span carrying its plan and
+    // row counts. While tracing is on, `workload(db)` reads those spans
+    // back as query records: the plan fingerprint (`get:<strategy>`,
+    // `join:partitioned[Name]`), rows in/out and the span's duration.
+    let out = s.run("workload(db)").map_err(|e| e.msg.clone())?;
+    println!("\n== {}", out[0]);
+    dbpl::obs::trace::enable(1 << 12);
+    dbpl::obs::trace::clear();
     for _ in 0..3 {
         s.db.get(&person);
     }
     s.db.get_by_scan(&person);
     s.db.get_by_scan(&Type::named("Employee"));
 
-    println!("\n== workload: recent queries and the heavy hitters");
+    println!("\n== workload: the heavy hitters among the traced queries");
     let out = s.run("workload(db)").map_err(|e| e.msg.clone())?;
     println!("{}\n", out[0]);
-
-    // ---------- 4. analyze rebuilds; the differential invariant ----------
-    // `observe_put`/`observe_remove` are exact inverses, so the
-    // maintained catalog always equals a from-scratch rebuild — the
-    // invariant the proptests and `workload_check` assert. `analyze`
-    // replaces the catalog wholesale (the recovery hatch after, say, a
-    // restored backup).
-    assert!(s.db.stats_consistent(), "maintained catalog != rebuild");
     let out = s.run("analyze(db)").map_err(|e| e.msg.clone())?;
     println!("== {}", out[0]);
-    assert!(s.db.stats_consistent());
 
-    // ---------- 5. the dbpl.workload.v1 artifact ----------
+    // ---------- 4. the dbpl.workload.v1 artifact ----------
     // `report --workload-out` joins the three views — extent statistics,
     // raw query records, top-K aggregates — into one JSONL file that
     // `workload_check` validates in CI. The same renderers are public:
     println!("\n== dbpl.workload.v1, rendered line by line");
-    for (ty, _) in s.db.stats_catalog().types() {
+    for ty in s.db.stats_catalog().keys() {
         println!("{}", extent_json(&ty.to_string(), &s.db.extent_stats(ty)));
     }
-    for rec in query_log().snapshot() {
-        println!("{}", query_json(&rec));
+    let records = queries(&dbpl::obs::trace::buffered());
+    dbpl::obs::trace::disable();
+    for rec in &records {
+        println!("{}", query_json(rec));
     }
-    for (i, agg) in query_log().top_k(3).iter().enumerate() {
+    for (i, agg) in top_k(&records, 3).iter().enumerate() {
         println!("{}", top_json(i + 1, agg));
     }
 
     // The heavy hitter is the fingerprint that ran three times.
-    let top = query_log().top_k(1);
+    let top = top_k(&records, 1);
     assert_eq!(top[0].fingerprint, "get:typed_lists");
     assert_eq!(top[0].count, 3);
     println!("\nworkload walkthrough OK");

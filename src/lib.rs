@@ -26,9 +26,9 @@
 //! * [`models`] — executable models of the five surveyed languages;
 //! * [`obs`] — unified observability: the metrics registry, span timing,
 //!   and structured event sinks every layer above reports into;
-//! * [`stats`] — workload introspection: the per-extent statistics
-//!   catalog (maintained incrementally, `analyze`-rebuildable) and the
-//!   bounded query log with measured cost features.
+//! * [`stats`] — workload introspection derived when asked for: exact
+//!   per-extent statistics counted over the typed lists, and the query
+//!   log read from the `get` and `join` spans of the trace ring.
 //!
 //! ## Quickstart
 //!
