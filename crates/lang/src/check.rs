@@ -19,7 +19,7 @@ use crate::ast::{BinOp, Code, Expr, ExprKind, Item, Lambda, Op, Program, Slot};
 use crate::builtins::{builtin, DATABASE};
 use crate::error::LangError;
 use crate::rt::RtValue;
-use dbpl_types::{is_subtype_with, join, TyVar, Type, TypeEnv};
+use dbpl_types::{is_equiv, is_subtype_with, join, TyVar, Type, TypeEnv, TypeError};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -36,6 +36,32 @@ pub struct Checked {
     pub code: Vec<Code>,
     /// The size of the program's top-level frame.
     pub frame: usize,
+    /// `(name, definition)` for every type the program newly declared (a
+    /// re-declaration at an equivalent structure declares nothing).
+    pub decls: Vec<(String, Type)>,
+    /// `(sub, sup)` for every `include` edge the program newly added.
+    pub includes: Vec<(String, String)>,
+}
+
+/// Declare type `name` as `ty` in `env`, by the one rule the checker and
+/// a server applying a frame share. Names abbreviate structures, so
+/// re-declaring a name at an equivalent structure is a no-op
+/// (`Ok(false)`); at a different one it fails with
+/// [`TypeError::Duplicate`].
+pub(crate) fn declare_type(env: &mut TypeEnv, name: &str, ty: &Type) -> Result<bool, TypeError> {
+    match env.lookup(name) {
+        Some(existing) if is_equiv(existing, ty, env) => Ok(false),
+        _ => env.declare(name, ty.clone()).map(|()| true),
+    }
+}
+
+/// Add the edge `include sub in sup` to `env`; `Ok(false)` if it was
+/// already there.
+pub(crate) fn include(env: &mut TypeEnv, sub: &str, sup: &str) -> Result<bool, TypeError> {
+    if env.declared_supertypes(sub).any(|s| s == sup) {
+        return Ok(false);
+    }
+    env.declare_subtype(sub, sup).map(|()| true)
 }
 
 /// Check a whole program against a starting environment.
@@ -43,6 +69,7 @@ pub fn check_program(prog: &Program, base_env: &TypeEnv) -> Result<Checked, Lang
     let mut ck = Checker::new(base_env);
     let mut bindings = Vec::new();
     let mut code = Vec::new();
+    let (mut decls, mut includes) = (Vec::new(), Vec::new());
     for item in &prog.items {
         match item {
             Item::TypeDecl { at, name, ty } => {
@@ -52,24 +79,22 @@ pub fn check_program(prog: &Program, base_env: &TypeEnv) -> Result<Checked, Lang
                 let mut prov = Checker::new(&ck.env);
                 prov.env.redeclare(name.clone(), ty.clone());
                 prov.wf(ty, *at)?;
-                // Names abbreviate structures, so re-declaring a name at an
-                // equivalent structure (e.g. the same `type` line in a later
-                // program of the session) is a no-op; only a *conflicting*
-                // redeclaration is an error.
-                let differs = format!("type `{name}` already declared with a different structure");
-                match ck.env.lookup(name) {
-                    Some(existing) if dbpl_types::is_equiv(existing, ty, &ck.env) => {}
-                    Some(_) => return err(*at, differs),
-                    None => ck
-                        .env
-                        .declare(name.clone(), ty.clone())
-                        .map_err(|e| LangError::check(*at, e.to_string()))?,
+                match declare_type(&mut ck.env, name, ty) {
+                    Ok(true) => decls.push((name.clone(), ty.clone())),
+                    Ok(false) => {}
+                    Err(TypeError::Duplicate(_)) => {
+                        let differs = "already declared with a different structure";
+                        return err(*at, format!("type `{name}` {differs}"));
+                    }
+                    Err(e) => return err(*at, e.to_string()),
                 }
             }
             Item::Include { at, sub, sup } => {
-                ck.env
-                    .declare_subtype(sub.clone(), sup.clone())
-                    .map_err(|e| LangError::check(*at, e.to_string()))?;
+                if include(&mut ck.env, sub, sup)
+                    .map_err(|e| LangError::check(*at, e.to_string()))?
+                {
+                    includes.push((sub.clone(), sup.clone()));
+                }
             }
             Item::Let {
                 at,
@@ -108,6 +133,8 @@ pub fn check_program(prog: &Program, base_env: &TypeEnv) -> Result<Checked, Lang
         bindings,
         code,
         frame,
+        decls,
+        includes,
     })
 }
 

@@ -1,4 +1,11 @@
-//! The evaluator: runs the checker's resolved [`Code`] against a session.
+//! The evaluator, and the one path both front ends run a program on.
+//!
+//! [`Ctx::run`] parses, checks and evaluates a program against a [`Ctx`]:
+//! the working database, the open transaction [`Frame`] the program
+//! records its effects in, the store behind `extern`/`intern`, output and
+//! quarantine. A [`crate::Session`] lends its own state and commits the
+//! frame through its durability gate; a [`crate::ServerSession`] lends a
+//! copy of its snapshot and hands the frame to group commit.
 //!
 //! Static checking has already happened; the only *type* checks performed
 //! at run time are the ones the paper requires to be dynamic — the
@@ -35,16 +42,24 @@
 //! `case`, operators, conditions, builtin arguments and the elements `sum`
 //! adds.
 
-use crate::ast::{BinOp, Code, Op, Slot};
+use crate::ast::{BinOp, Code, Item, Op, Program, Slot};
 use crate::builtins::{sig, Bi};
+use crate::check::{check_program, Checked};
 use crate::error::LangError;
+use crate::parser::parse_program;
 use crate::rt::{Closure, Partial, RtValue};
-use crate::session::Session;
+use dbpl_core::Database;
+use dbpl_persist::{
+    DurabilityGate, IntrinsicStore, PersistError, QuarantineEntry, QuarantineReason,
+    ReplicatingStore, ScrubReport,
+};
 use dbpl_relation::GenRelation;
 use dbpl_types::{is_subtype, Type};
 use dbpl_values::DynValue;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
+use std::time::{Duration, Instant};
 
 /// What evaluating an expression or applying a function yields.
 type Evaluated = Result<RtValue, LangError>;
@@ -65,10 +80,330 @@ fn stack_position() -> usize {
     std::ptr::addr_of!(marker) as usize
 }
 
+/// A transaction frame: one transaction's effects, recorded as its
+/// programs run. A frame opens on a base database, and programs only
+/// append to it, so the rows and heap objects past the base's watermarks
+/// — its row count and next oid — are the frame's puts and interned
+/// objects.
+#[derive(Clone)]
+pub(crate) struct Frame {
+    /// The database the frame opened on, restored when it aborts.
+    pub(crate) base: Database,
+    /// Staged extern mutations, applied at commit: `Some(bytes)` is an
+    /// encoded unit to install, `None` a removal.
+    pub(crate) externs: BTreeMap<String, Option<Vec<u8>>>,
+    /// Types the frame's programs newly declared: `(name, definition)`.
+    pub(crate) decls: Vec<(String, Type)>,
+    /// `include sub in sup` edges the frame's programs newly added.
+    pub(crate) includes: Vec<(String, String)>,
+    /// Wall-clock point after which the commit refuses to start its
+    /// durability step and aborts instead.
+    pub(crate) deadline: Option<Instant>,
+    /// Opened by `begin`/[`crate::Session::transaction`]: it stays open across
+    /// programs until `commit`/`abort`. A program's implicit frame is
+    /// not.
+    pub(crate) explicit: bool,
+}
+
+impl Frame {
+    fn open(base: &Database, explicit: bool, deadline: Option<Instant>) -> Frame {
+        dbpl_obs::emit(dbpl_obs::Event::TxnBegin { explicit });
+        Frame {
+            base: base.clone(),
+            externs: BTreeMap::new(),
+            decls: Vec::new(),
+            includes: Vec::new(),
+            deadline,
+            explicit,
+        }
+    }
+
+    /// Whether the frame wrote nothing into `db`, the database it
+    /// recorded: a pure read.
+    pub(crate) fn is_empty(&self, db: &Database) -> bool {
+        self.externs.is_empty()
+            && self.decls.is_empty()
+            && self.includes.is_empty()
+            && db.len() == self.base.len()
+            && db.heap().next_oid() == self.base.heap().next_oid()
+    }
+}
+
+/// What a running program reads and writes besides its own variables:
+/// the working database, the open frame it records into, the store
+/// behind `extern`/`intern`, output and quarantine. A [`crate::Session`] lends
+/// its own; a server session lends a copy of its snapshot.
+pub(crate) struct Ctx<'s> {
+    pub(crate) db: &'s mut Database,
+    pub(crate) txn: &'s mut Option<Frame>,
+    pub(crate) store: &'s ReplicatingStore,
+    /// The intrinsic store a session's frames commit with, which a scrub
+    /// also repairs from.
+    pub(crate) intrinsic: Option<&'s mut IntrinsicStore>,
+    pub(crate) out: &'s mut Vec<String>,
+    pub(crate) quarantined: &'s mut Vec<QuarantineEntry>,
+    /// A session's durability gate, which commits its frames. `None`
+    /// under an engine: the whole program is one frame, which group
+    /// commit makes durable, so a program has no commit points.
+    pub(crate) gate: Option<&'s DurabilityGate>,
+    /// Wall-clock budget of each frame, from when it opens.
+    pub(crate) budget: Option<Duration>,
+}
+
+/// The statement kind attached to per-statement trace spans.
+fn item_kind(item: &Item) -> &'static str {
+    match item {
+        Item::TypeDecl { .. } => "type_decl",
+        Item::Include { .. } => "include",
+        Item::Begin { .. } => "begin",
+        Item::Commit { .. } => "commit",
+        Item::Abort { .. } => "abort",
+        Item::Let { .. } => "let",
+        Item::FunDecl { .. } => "fun_decl",
+        Item::Expr(_) => "expr",
+    }
+}
+
+/// Render a caught panic payload for an error message.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "opaque panic payload".to_string()
+    }
+}
+
+/// Run `body` with panic isolation: a panic becomes an error naming
+/// `what`, and the caller aborts the open frame. A panic must poison
+/// nothing: the vendored lock primitives unlock on unwind rather than
+/// poison, and the abort restores all state from the frame's base, so
+/// resuming past the unwind is sound.
+pub(crate) fn contained<T>(
+    what: &str,
+    body: impl FnOnce() -> Result<T, LangError>,
+) -> Result<T, LangError> {
+    catch_unwind(AssertUnwindSafe(body)).unwrap_or_else(|payload| {
+        Err(LangError::eval(
+            0,
+            format!(
+                "{what} panicked: {}; transaction aborted",
+                panic_message(&*payload)
+            ),
+        ))
+    })
+}
+
+impl Ctx<'_> {
+    /// Parse, type-check and run one program in the open frame, opening
+    /// an implicit one if none is open, and — in a session — commit the
+    /// implicit frame when the program completes. A check error leaves
+    /// everything untouched; a run-time error or a panic aborts the
+    /// frame.
+    pub(crate) fn run(&mut self, src: &str) -> Result<(), LangError> {
+        // The frame's clock starts now: evaluation and, under an engine,
+        // admission and queue waiting all spend the same budget.
+        let deadline = self.deadline();
+        let mut root = dbpl_obs::span!("run");
+        let prog = {
+            let _sp = dbpl_obs::span!("run.parse");
+            parse_program(src)?
+        };
+        let commit_point = prog.items.iter().find_map(|item| match item {
+            Item::Begin { at } | Item::Commit { at } | Item::Abort { at } => Some(*at),
+            _ => None,
+        });
+        if let (None, Some(at)) = (self.gate, commit_point) {
+            return Err(LangError::eval(
+                at,
+                "explicit transaction statements are not supported in server sessions: \
+                 each program is one transaction",
+            ));
+        }
+        root.set_attr("statements", prog.items.len());
+        let Checked {
+            env,
+            code,
+            frame,
+            decls,
+            includes,
+            ..
+        } = {
+            let _sp = dbpl_obs::span!("run.check");
+            check_program(&prog, self.db.env())?
+        };
+        let txn = self
+            .txn
+            .get_or_insert_with(|| Frame::open(self.db, false, deadline));
+        txn.decls.extend(decls);
+        txn.includes.extend(includes);
+        // The program's type declarations become part of the database's
+        // schema for subsequent programs (rolled back if the frame
+        // aborts).
+        *self.db.env_mut() = env;
+        contained("program", || self.exec_items(&prog, &code, frame))
+            .inspect_err(|_| self.abort())?;
+        if self.gate.is_some() && self.txn.as_ref().is_some_and(|t| !t.explicit) {
+            self.commit()?;
+        }
+        Ok(())
+    }
+
+    /// Run a checked program's items: `code` holds one entry per `let`,
+    /// `fun` and expression item, and the program's top-level frame has
+    /// `frame` slots.
+    fn exec_items(&mut self, prog: &Program, code: &[Code], frame: usize) -> Result<(), LangError> {
+        let mut m = Machine::new(self, frame);
+        let mut code = code.iter();
+        let mut bound = 0;
+        for (index, item) in prog.items.iter().enumerate() {
+            let mut stmt = dbpl_obs::span!("stmt");
+            stmt.set_attr("index", index);
+            stmt.set_attr("kind", item_kind(item));
+            match item {
+                Item::TypeDecl { .. } | Item::Include { .. } => {}
+                Item::Begin { .. } | Item::Commit { .. } | Item::Abort { .. } => {
+                    m.cx.commit_point(item)?
+                }
+                Item::Let { .. } | Item::FunDecl { .. } => {
+                    let v = m.eval(code.next().expect("checked"))?;
+                    m.bind(bound, v);
+                    bound += 1;
+                }
+                Item::Expr(_) => {
+                    let v = m.eval(code.next().expect("checked"))?;
+                    if !matches!(v, RtValue::Unit) {
+                        m.cx.out.push(v.to_string());
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn deadline(&self) -> Option<Instant> {
+        self.budget.map(|budget| Instant::now() + budget)
+    }
+
+    pub(crate) fn open(&mut self, explicit: bool) {
+        debug_assert!(self.txn.is_none(), "frames do not nest");
+        *self.txn = Some(Frame::open(self.db, explicit, self.deadline()));
+    }
+
+    /// Discard the open frame: restore its base and drop staged
+    /// mutations, including anything staged in the intrinsic store.
+    /// Output is kept — printing already happened.
+    pub(crate) fn abort(&mut self) {
+        if let Some(frame) = self.txn.take() {
+            *self.db = frame.base;
+            dbpl_obs::emit(dbpl_obs::Event::TxnAbort {
+                reason: if frame.explicit {
+                    "explicit".to_string()
+                } else {
+                    "program failure".to_string()
+                },
+            });
+        }
+        if let Some(s) = self.intrinsic.as_mut() {
+            s.abort();
+        }
+    }
+
+    /// Stage an extern of `d` under `handle`, or the handle's removal
+    /// when `d` is `None`: buffered in the open frame or, outside any
+    /// frame, written now behind the same durability gate as a commit.
+    pub(crate) fn stage(&mut self, handle: &str, d: Option<&DynValue>) -> Result<(), PersistError> {
+        let what = if d.is_some() { "extern" } else { "remove" };
+        let unit = d
+            .map(|d| ReplicatingStore::encode_unit(d, self.db.heap()))
+            .transpose()?;
+        if self.store.is_read_only() {
+            return Err(PersistError::ReadOnly(what.to_string()));
+        }
+        if let Some(frame) = self.txn.as_mut() {
+            frame.externs.insert(handle.to_string(), unit);
+            return Ok(());
+        }
+        self.gated(|gate, intrinsic, store| gate.write(intrinsic, store, handle, unit))
+    }
+
+    /// Intern a handle with read-your-writes over the open frame's
+    /// staged externs. A unit that fails to decode (corruption) is
+    /// quarantined: the error still surfaces to the calling program, but
+    /// the report names the bad package.
+    pub(crate) fn intern(&mut self, handle: &str) -> Result<DynValue, PersistError> {
+        let staged = self
+            .txn
+            .as_ref()
+            .and_then(|t| t.externs.get(handle).cloned());
+        match staged {
+            Some(Some(bytes)) => ReplicatingStore::decode_unit(&bytes, self.db.heap_mut()),
+            Some(None) => Err(PersistError::UnknownHandle(handle.to_string())),
+            None => self
+                .store
+                .intern(handle, self.db.heap_mut())
+                .inspect_err(|e| {
+                    if is_corruption(e) {
+                        self.quarantine(handle, e.to_string(), QuarantineReason::of(e));
+                    }
+                }),
+        }
+    }
+
+    /// Verify every unit of the replicating store and read-repair corrupt
+    /// ones from the intrinsic store's copy, if there is one; units that
+    /// stay corrupt are quarantined.
+    pub(crate) fn scrub(&mut self) -> ScrubReport {
+        let report = self.store.scrub(self.intrinsic.as_deref());
+        for e in &report.corrupt {
+            self.quarantine(&e.handle, e.cause.clone(), e.reason);
+        }
+        report
+    }
+
+    /// Record a corrupt unit and announce it: the quarantine event fires
+    /// *at quarantine time*, so an attached [`dbpl_obs::EventSink`] hears
+    /// about the corruption when it happens rather than only when someone
+    /// pulls a quarantine report.
+    pub(crate) fn quarantine(
+        &mut self,
+        handle: &str,
+        cause: impl Into<String>,
+        reason: QuarantineReason,
+    ) {
+        if !self.quarantined.iter().any(|e| e.handle == handle) {
+            let entry = QuarantineEntry {
+                handle: handle.to_string(),
+                cause: cause.into(),
+                reason,
+            };
+            dbpl_obs::emit(dbpl_obs::Event::Quarantine {
+                handle: entry.handle.clone(),
+                reason: entry.cause.clone(),
+            });
+            self.quarantined.push(entry);
+        }
+    }
+}
+
+/// Does this error mean "the bytes on disk are bad" (quarantine-worthy),
+/// as opposed to a missing handle or an environmental failure?
+fn is_corruption(e: &PersistError) -> bool {
+    matches!(
+        e,
+        PersistError::BadMagic
+            | PersistError::Malformed(_)
+            | PersistError::UnexpectedEof
+            | PersistError::UnsupportedVersion(_)
+            | PersistError::ChecksumMismatch { .. }
+    )
+}
+
 /// The evaluator's state while one program runs.
-pub struct Machine<'s> {
-    /// The session the program runs against.
-    pub(crate) s: &'s mut Session,
+pub(crate) struct Machine<'a, 's> {
+    /// What the program runs against.
+    pub(crate) cx: &'a mut Ctx<'s>,
     /// Every live frame, innermost last, with the arguments of calls
     /// being gathered above the innermost one.
     stack: Vec<RtValue>,
@@ -81,12 +416,12 @@ pub struct Machine<'s> {
     stack_base: usize,
 }
 
-impl<'s> Machine<'s> {
-    /// A machine running against `s`, whose top-level frame has `frame`
+impl<'a, 's> Machine<'a, 's> {
+    /// A machine running against `cx`, whose top-level frame has `frame`
     /// slots.
-    pub fn new(s: &'s mut Session, frame: usize) -> Machine<'s> {
+    pub(crate) fn new(cx: &'a mut Ctx<'s>, frame: usize) -> Machine<'a, 's> {
         Machine {
-            s,
+            cx,
             stack: vec![RtValue::Unit; frame],
             bp: 0,
             cur: None,
@@ -95,7 +430,7 @@ impl<'s> Machine<'s> {
     }
 
     /// Fill slot `slot` of the top-level frame: a top-level binding.
-    pub fn bind(&mut self, slot: usize, v: RtValue) {
+    pub(crate) fn bind(&mut self, slot: usize, v: RtValue) {
         self.stack[slot] = v;
     }
 
@@ -147,8 +482,8 @@ impl<'s> Machine<'s> {
         }
     }
 
-    /// Evaluate an expression against a session.
-    pub fn eval(&mut self, c: &Code) -> Evaluated {
+    /// Evaluate an expression.
+    pub(crate) fn eval(&mut self, c: &Code) -> Evaluated {
         let at = c.at;
         match &c.op {
             Op::Const(v) => Ok(v.clone()),
@@ -233,12 +568,12 @@ impl<'s> Machine<'s> {
                 let v = self.eval(x)?.materialized();
                 let data = v.to_value(at)?;
                 // The carried description is the value's principal type.
-                let ty = dbpl_values::type_of(&data, self.s.db.env(), self.s.db.heap())
+                let ty = dbpl_values::type_of(&data, self.cx.db.env(), self.cx.db.heap())
                     .map_err(|e| LangError::eval(at, e.to_string()))?;
                 Ok(RtValue::Dyn(ty, Rc::new(v)))
             }
             Op::Coerce(x, want) => match self.open(x)? {
-                RtValue::Dyn(carried, v) if is_subtype(&carried, want, self.s.db.env()) => {
+                RtValue::Dyn(carried, v) if is_subtype(&carried, want, self.cx.db.env()) => {
                     Ok((*v).clone())
                 }
                 // The paper's run-time exception.
@@ -257,10 +592,10 @@ impl<'s> Machine<'s> {
                 match self.open(v)? {
                     RtValue::Dyn(t, inner) => {
                         let d = DynValue::new(t, inner.to_value(v.at)?);
-                        // Staged in the session's open transaction; durable
-                        // only once that transaction commits.
-                        self.s
-                            .stage_extern(&handle, &d)
+                        // Staged in the open frame; durable only once
+                        // that frame commits.
+                        self.cx
+                            .stage(&handle, Some(&d))
                             .map_err(|e| LangError::eval(at, e.to_string()))?;
                         Ok(RtValue::Unit)
                     }
@@ -269,12 +604,12 @@ impl<'s> Machine<'s> {
             }
             Op::Intern(h) => {
                 let handle = self.handle(h)?;
-                // Reads through the open transaction's staged externs first
+                // Reads through the open frame's staged externs first
                 // (read-your-writes), then the store; a corrupt unit is
-                // quarantined in the session diagnostics as a side effect.
+                // quarantined as a side effect.
                 let d = self
-                    .s
-                    .intern_staged(&handle)
+                    .cx
+                    .intern(&handle)
                     .map_err(|e| LangError::eval(at, e.to_string()))?;
                 Ok(RtValue::Dyn(d.ty, Rc::new(RtValue::from_value(&d.value))))
             }
@@ -397,7 +732,7 @@ impl<'s> Machine<'s> {
         };
         match id {
             Bi::Print => {
-                self.s.out.push(arg().to_string());
+                self.cx.out.push(arg().to_string());
                 Ok(RtValue::Unit)
             }
             Bi::Str => Ok(RtValue::Str(arg().to_string())),
@@ -407,14 +742,14 @@ impl<'s> Machine<'s> {
             },
             Bi::Get => {
                 db(arg())?;
-                Ok(RtValue::Extent(Rc::new(self.s.db.get_view(&bound()?))))
+                Ok(RtValue::Extent(Rc::new(self.cx.db.get_view(&bound()?))))
             }
             Bi::Put => {
                 db(arg())?;
                 match arg() {
                     RtValue::Dyn(t, v) => {
                         let data = v.to_value(at)?;
-                        self.s
+                        self.cx
                             .db
                             .put(t, data)
                             .map_err(|e| LangError::eval(at, e.to_string()))?;
@@ -527,9 +862,9 @@ impl<'s> Machine<'s> {
                 let analyze = id == Bi::ExplainAnalyze;
                 let before = dbpl_obs::global().snapshot();
                 let (pkgs, spans) = if analyze {
-                    dbpl_obs::trace::capture("explain_analyze", || self.s.db.get(&bound))
+                    dbpl_obs::trace::capture("explain_analyze", || self.cx.db.get(&bound))
                 } else {
-                    (self.s.db.get(&bound), Vec::new())
+                    (self.cx.db.get(&bound), Vec::new())
                 };
                 let delta = dbpl_obs::global().snapshot().delta_since(&before);
                 let c = |counter| delta.counter(counter);
@@ -577,7 +912,7 @@ impl<'s> Machine<'s> {
             }
             Bi::Scrub => {
                 db(arg())?;
-                let (report, spans) = dbpl_obs::trace::capture("scrub_cmd", || self.s.scrub());
+                let (report, spans) = dbpl_obs::trace::capture("scrub_cmd", || self.cx.scrub());
                 Ok(RtValue::Str(format!(
                     "{}\n{}",
                     report.summary(),
@@ -593,7 +928,7 @@ impl<'s> Machine<'s> {
             }
             Bi::Analyze => {
                 db(arg())?;
-                let catalog = self.s.db.stats_catalog();
+                let catalog = self.cx.db.stats_catalog();
                 let rows: u64 = catalog.values().map(|s| s.rows).sum();
                 Ok(RtValue::Str(format!(
                     "analyze: statistics for {} carried type(s), {rows} row(s)",
@@ -603,7 +938,7 @@ impl<'s> Machine<'s> {
             Bi::ExtentStats => {
                 db(arg())?;
                 Ok(RtValue::Str(dbpl_stats::render_catalog(
-                    &self.s.db.stats_catalog(),
+                    &self.cx.db.stats_catalog(),
                 )))
             }
             Bi::Workload => {

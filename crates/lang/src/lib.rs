@@ -44,7 +44,5 @@ pub use dbpl_persist::Health;
 pub use error::{ErrorKind, LangError, Phase};
 pub use parser::{parse_expr, parse_program, MAX_NESTING};
 pub use rt::RtValue;
-pub use server::{
-    sanitize_label, EngineState, Frame, Server, ServerConfig, ServerSession, MAX_BATCH,
-};
+pub use server::{sanitize_label, EngineState, Server, ServerConfig, ServerSession, MAX_BATCH};
 pub use session::Session;

@@ -13,11 +13,13 @@
 //!   Reclamation is the `Arc` itself: an old epoch's memory is freed when
 //!   the last reader holding it drops it — no epoch lists, no grace
 //!   periods.
-//! * **Frames.** A program that wrote anything is diffed against its base
-//!   snapshot into a [`Frame`]: the dynamics it appended, the types and
-//!   `include` edges it declared, the heap objects it allocated, and the
-//!   extern writes it staged. Programs can only *append* (put, declare,
-//!   extern, intern-allocate), so the diff is exact.
+//! * **Frames.** A program runs on a copy of its snapshot and records
+//!   its effects in a frame as it goes, exactly as in a standalone
+//!   session: the extern writes it staged and the types and `include`
+//!   edges the checker newly declared. Programs can only *append* (put,
+//!   declare, extern, intern-allocate), so the rows and heap objects past
+//!   the snapshot's watermarks are its puts and interned objects. A pure
+//!   read records nothing and never touches the commit queue.
 //! * **Group commit, led by a committing session.** There is no writer
 //!   thread. A session with a frame to commit queues it; if no batch is
 //!   in flight it becomes the **leader**: on its own thread it takes
@@ -29,7 +31,7 @@
 //!   outcome. Sessions whose frames another leader took just wait for
 //!   their answer. The fsync that dominated per-transaction commit cost
 //!   is paid once per batch.
-//! * **Failure semantics** are [`Session`]'s, because both go through one
+//! * **Failure semantics** are [`Session`](crate::Session)'s, because both go through one
 //!   [`DurabilityGate`]: a refused or pre-durability failure aborts the
 //!   whole batch (nothing published, disk-full flips the engine
 //!   degraded); a post-durability failure is **in doubt** and is
@@ -50,15 +52,16 @@
 //!   across [`Server::shutdown`], which closes admission and waits only
 //!   for the batches already queued.
 
+use crate::check::{declare_type, include};
 use crate::error::LangError;
-use crate::session::Session;
+use crate::eval::{Ctx, Frame};
 use dbpl_core::Database;
 use dbpl_obs::timeline::{Recorder, RecorderConfig, Timeline};
 use dbpl_obs::{Counter, Gauge, Histogram};
 use dbpl_persist::{
     DurabilityGate, Health, QuarantineEntry, ReplicatingStore, RetryPolicy, TempDir, Verdict, Vfs,
 };
-use dbpl_types::Type;
+use dbpl_types::TypeError;
 use dbpl_values::{DynValue, Oid, Value};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -152,18 +155,19 @@ struct QueueState {
 }
 
 impl CommitQueue {
-    /// Admit one frame and return its ticket, or refuse it with nothing
-    /// staged. At capacity the call waits for space until
-    /// `deadline` (the session's transaction deadline) and gives up
+    /// Admit one frame, with the database its program wrote, and return
+    /// its ticket, or refuse it with nothing staged. At capacity the call
+    /// waits for space until the frame's deadline and gives up
     /// `Overloaded` when it passes — or immediately, if the caller set
     /// no deadline.
     fn enqueue(
         &self,
         frame: Frame,
-        deadline: Option<Instant>,
+        db: Database,
         cfg: &ServerConfig,
     ) -> Result<u64, AdmissionError> {
         let enqueued_at = Instant::now();
+        let deadline = frame.deadline;
         let mut st = self.state.lock();
         loop {
             if st.shutdown {
@@ -182,7 +186,7 @@ impl CommitQueue {
                 st.items.push_back(CommitRequest {
                     ticket,
                     frame,
-                    deadline,
+                    db,
                     enqueued_at,
                 });
                 queue_depth().set(st.items.len() as i64);
@@ -329,93 +333,6 @@ impl SnapshotCell {
 // Frames
 // ---------------------------------------------------------------------------
 
-/// The effects of one program, as a diff against its base snapshot.
-/// MiniDBPL programs can only *extend* the database — append dynamics,
-/// declare new types/edges, allocate heap objects, stage extern writes —
-/// so a frame is a complete record of a program's database effects.
-#[derive(Debug, Clone)]
-pub struct Frame {
-    /// Epoch of the snapshot the program ran against (observability and
-    /// test assertions; frames validate against the *current* state at
-    /// apply time).
-    pub base_epoch: u64,
-    /// Type definitions the program added: `(name, definition)`.
-    pub decls: Vec<(String, Type)>,
-    /// `include sub in sup` edges the program added.
-    pub includes: Vec<(String, String)>,
-    /// Heap objects the program allocated (ascending by oid). Values may
-    /// reference earlier objects in this same list; at apply time they
-    /// are re-allocated in the master heap and references are remapped.
-    pub heap_news: Vec<(Oid, Type, Value)>,
-    /// Dynamics the program appended, in order.
-    pub puts: Vec<DynValue>,
-    /// Staged extern mutations: `Some(bytes)` installs, `None` removes.
-    pub externs: BTreeMap<String, Option<Vec<u8>>>,
-}
-
-impl Frame {
-    /// A frame with no effects — a pure read.
-    pub fn is_empty(&self) -> bool {
-        self.decls.is_empty()
-            && self.includes.is_empty()
-            && self.heap_news.is_empty()
-            && self.puts.is_empty()
-            && self.externs.is_empty()
-    }
-}
-
-/// Diff the database a program produced against the snapshot it started
-/// from. Exact because programs only append (see [`Frame`]). Costs
-/// O(effects): the schema is compared only if the program changed it
-/// (every env mutation bumps its generation), and only the objects and
-/// rows past the base's watermarks are read.
-fn diff_frame(
-    base: &Database,
-    worked: &Database,
-    externs: BTreeMap<String, Option<Vec<u8>>>,
-    base_epoch: u64,
-) -> Result<Frame, LangError> {
-    let mut decls = Vec::new();
-    let mut includes = Vec::new();
-    if worked.env().generation() != base.env().generation() {
-        for (name, ty) in worked.env().definitions() {
-            match base.env().lookup(name) {
-                None => decls.push((name.clone(), ty.clone())),
-                Some(t) if t == ty => {}
-                Some(_) => {
-                    return Err(LangError::eval(
-                        0,
-                        format!("type '{name}' was redefined mid-program; server sessions do not support schema evolution"),
-                    ))
-                }
-            }
-        }
-        for name in worked.env().names() {
-            let base_sups: std::collections::BTreeSet<&String> =
-                base.env().declared_supertypes(name).collect();
-            for sup in worked.env().declared_supertypes(name) {
-                if !base_sups.contains(sup) {
-                    includes.push((name.clone(), sup.clone()));
-                }
-            }
-        }
-    }
-    let heap_news: Vec<(Oid, Type, Value)> = worked
-        .heap()
-        .iter_from(base.heap().next_oid())
-        .map(|(oid, obj)| (oid, obj.ty.clone(), obj.value.clone()))
-        .collect();
-    let puts = worked.rows_from(base.len()).cloned().collect();
-    Ok(Frame {
-        base_epoch,
-        decls,
-        includes,
-        heap_news,
-        puts,
-        externs,
-    })
-}
-
 /// Rewrite every `Ref` in `value` through `remap`, leaving unmapped
 /// references (objects that predate the frame) untouched.
 fn remap_refs(value: &Value, remap: &BTreeMap<Oid, Oid>) -> Value {
@@ -434,33 +351,25 @@ fn remap_refs(value: &Value, remap: &BTreeMap<Oid, Oid>) -> Value {
     }
 }
 
-/// Apply one frame to `working` in place. On `Err` the caller restores
-/// its pre-frame backup — `working` must be treated as poisoned.
-fn apply_frame(working: &mut Database, frame: &Frame) -> Result<(), String> {
+/// Apply one frame, and the rows and heap objects its program wrote into
+/// `db`, to `working` in place. On `Err` the caller restores its
+/// pre-frame backup — `working` must be treated as poisoned.
+fn apply_frame(working: &mut Database, frame: &Frame, db: &Database) -> Result<(), String> {
     // Schema first, validated against the *current* master env: another
     // frame may have declared the same name since this program's base
-    // snapshot. An identical definition is idempotent; a different one
-    // is a genuine write-write conflict.
+    // snapshot. An equivalent definition is idempotent — the checker's
+    // rule — and a different one is a genuine write-write conflict.
     let mut env = working.env().clone(); // O(1) copy-on-write
     for (name, ty) in &frame.decls {
-        match env.lookup(name) {
-            None => env
-                .declare(name.clone(), ty.clone())
-                .map_err(|e| format!("declaring type '{name}': {e}"))?,
-            Some(t) if t == ty => {}
-            Some(_) => {
-                return Err(format!(
-                    "type '{name}' was concurrently declared with a different definition"
-                ))
+        declare_type(&mut env, name, ty).map_err(|e| match e {
+            TypeError::Duplicate(_) => {
+                format!("type '{name}' was concurrently declared with a different definition")
             }
-        }
+            e => format!("declaring type '{name}': {e}"),
+        })?;
     }
     for (sub, sup) in &frame.includes {
-        let already = env.declared_supertypes(sub).any(|s| s == sup);
-        if !already {
-            env.declare_subtype(sub.clone(), sup.clone())
-                .map_err(|e| format!("include {sub} in {sup}: {e}"))?;
-        }
+        include(&mut env, sub, sup).map_err(|e| format!("include {sub} in {sup}: {e}"))?;
     }
     *working.env_mut() = env;
     // Heap objects re-allocate at master identities; references between
@@ -468,14 +377,14 @@ fn apply_frame(working: &mut Database, frame: &Frame) -> Result<(), String> {
     // one forward pass sufficient; cycles cannot form because programs
     // cannot update an object after allocating it).
     let mut remap: BTreeMap<Oid, Oid> = BTreeMap::new();
-    for (oid, ty, value) in &frame.heap_news {
-        let v = remap_refs(value, &remap);
-        let new = working.heap_mut().alloc(ty.clone(), v);
-        if new != *oid {
-            remap.insert(*oid, new);
+    for (oid, obj) in db.heap().iter_from(frame.base.heap().next_oid()) {
+        let v = remap_refs(&obj.value, &remap);
+        let new = working.heap_mut().alloc(obj.ty.clone(), v);
+        if new != oid {
+            remap.insert(oid, new);
         }
     }
-    for d in &frame.puts {
+    for d in db.rows_from(frame.base.len()) {
         let v = remap_refs(&d.value, &remap);
         working
             .put_dyn(DynValue::new(d.ty.clone(), v))
@@ -488,43 +397,21 @@ fn apply_frame(working: &mut Database, frame: &Frame) -> Result<(), String> {
 // Group commit
 // ---------------------------------------------------------------------------
 
-/// Group commit's verdict on one queued frame.
-#[derive(Debug, Clone)]
-enum CommitOutcome {
-    /// Applied and published as part of the given epoch.
-    Applied { epoch: u64 },
-    /// The frame conflicts with a commit serialized ahead of it (e.g. a
-    /// concurrent incompatible type declaration). The frame was not
-    /// applied; the rest of its batch is unaffected.
-    Conflict(String),
-    /// The frame's transaction deadline expired while it waited behind
-    /// the batch in flight: dropped **before the log record was
-    /// written** — nothing durable happened. Queue-aware: wait time
-    /// counts against the deadline.
-    DeadlineExceeded { waited_ms: u64 },
-    /// This frame's application panicked, or the batch's durable commit
-    /// was refused or failed before the durability point: aborted,
-    /// nothing of this frame published. Carries the caller-facing
-    /// message.
-    Aborted(String),
-    /// A panic escaped the frame's batch: the engine degraded and the
-    /// batch published nothing. Definitively not committed.
-    EngineDown(String),
-    /// The batch's durable commit failed *after* the durability point:
-    /// the coalesced record is durable and will roll forward on
-    /// recovery. Attributed to every member of the batch, with the
-    /// caller-facing message.
-    InDoubt(String),
-}
+/// Group commit's answer for one queued frame: the epoch that published
+/// it, or the caller-facing error of a frame that did not commit —
+/// conflicted, expired in the queue, aborted, engine-down or in doubt.
+type CommitOutcome = Result<u64, LangError>;
 
 struct CommitRequest {
     /// Where the batch's leader posts this request's outcome.
     ticket: u64,
+    /// The program's frame. Admission waits until its deadline, and the
+    /// leader drops it (pre-durability) if the deadline has passed by
+    /// the time its batch starts.
     frame: Frame,
-    /// The session's transaction deadline: admission waits until it,
-    /// and the leader drops the frame (pre-durability) if it has passed
-    /// by the time its batch starts.
-    deadline: Option<Instant>,
+    /// The database the program wrote: its snapshot plus the frame's
+    /// rows and heap objects.
+    db: Database,
     /// When the request asked for admission (`server.queue_wait_us`).
     enqueued_at: Instant,
 }
@@ -577,7 +464,8 @@ struct Engine {
 
 struct FrameLog {
     base: Database,
-    frames: Vec<Frame>,
+    /// Each applied frame with the database its program wrote.
+    frames: Vec<(Frame, Database)>,
 }
 
 impl Engine {
@@ -609,19 +497,16 @@ impl Engine {
         })
     }
 
-    /// Admit `frame` and return its outcome, leading batches on this
-    /// thread while no other session is. A leader takes everything
+    /// Admit `frame` (with the database its program wrote) and return its
+    /// outcome, leading batches on this thread while no other session
+    /// is. A leader takes everything
     /// queued (up to [`MAX_BATCH`]) — its own frame and whatever queued
     /// behind the previous batch — commits it with [`commit_batch`],
     /// posts every member's outcome and gives up the lead. A session
     /// whose frame another leader took waits for that batch's answer, so
     /// nobody waits behind more than the batch in flight ahead of it.
-    fn commit(
-        &self,
-        frame: Frame,
-        deadline: Option<Instant>,
-    ) -> Result<CommitOutcome, AdmissionError> {
-        let ticket = self.queue.enqueue(frame, deadline, &self.cfg)?;
+    fn commit(&self, frame: Frame, db: Database) -> Result<CommitOutcome, AdmissionError> {
+        let ticket = self.queue.enqueue(frame, db, &self.cfg)?;
         let mut st = self.queue.state.lock();
         loop {
             if let Some(outcome) = st.answered.remove(&ticket) {
@@ -668,6 +553,16 @@ impl Drop for Engine {
     }
 }
 
+/// The error of a frame that will not commit, announced with a
+/// `TxnAbort` event as a failed session commit is. (A batch the
+/// durability gate fails is announced by the gate.)
+fn aborted(err: LangError) -> LangError {
+    dbpl_obs::emit(dbpl_obs::Event::TxnAbort {
+        reason: err.msg.clone(),
+    });
+    err
+}
+
 /// Commit one taken batch on the calling thread and return each
 /// member's outcome, in batch order. Supervision: a panic that escapes
 /// the batch (a bug, or injected chaos) is caught here, and the engine
@@ -679,10 +574,11 @@ fn commit_batch(engine: &Engine, batch: &[CommitRequest]) -> Vec<CommitOutcome> 
         dbpl_obs::global().counter("applier.panic").inc();
         let msg = format!(
             "group commit panicked mid-batch: {}",
-            crate::session::panic_message(&payload)
+            crate::eval::panic_message(&payload)
         );
         engine.gate.degrade(msg.clone());
-        vec![CommitOutcome::EngineDown(msg); batch.len()]
+        let down = || LangError::engine_down(format!("commit not applied: {msg}"));
+        batch.iter().map(|_| Err(aborted(down()))).collect()
     })
 }
 
@@ -694,11 +590,15 @@ fn apply_batch(engine: &Engine, batch: &[CommitRequest]) -> Vec<CommitOutcome> {
     let now = Instant::now();
     let mut outcomes: Vec<Option<CommitOutcome>> = batch
         .iter()
-        .map(|req| match req.deadline {
+        .map(|req| match req.frame.deadline {
             Some(d) if now >= d => {
                 deadline_dropped().inc();
                 let waited_ms = now.duration_since(req.enqueued_at).as_millis() as u64;
-                Some(CommitOutcome::DeadlineExceeded { waited_ms })
+                Some(Err(aborted(LangError::deadline_exceeded(format!(
+                    "transaction deadline expired after {waited_ms} ms in the commit \
+                     queue; dropped before the log record was written — nothing durable \
+                     happened"
+                )))))
             }
             _ => None,
         })
@@ -721,7 +621,7 @@ fn apply_batch(engine: &Engine, batch: &[CommitRequest]) -> Vec<CommitOutcome> {
     let mut externs: BTreeMap<String, Option<Vec<u8>>> = BTreeMap::new();
     let panic_frame_at = engine.chaos.panic_frame_at.load(Ordering::Relaxed);
     for i in live {
-        let frame = &batch[i].frame;
+        let CommitRequest { frame, db, .. } = &batch[i];
         // O(1); pays copy-on-write only if the frame applies partially.
         let backup = working.clone();
         // Per-frame supervision: a panic while applying one frame (bad
@@ -733,7 +633,7 @@ fn apply_batch(engine: &Engine, batch: &[CommitRequest]) -> Vec<CommitOutcome> {
             if panic_frame_at != 0 && frame_no == panic_frame_at {
                 panic!("chaos: injected panic applying frame {frame_no}");
             }
-            apply_frame(&mut working, frame)
+            apply_frame(&mut working, frame, db)
         }));
         match res {
             Ok(Ok(())) => {
@@ -746,16 +646,22 @@ fn apply_batch(engine: &Engine, batch: &[CommitRequest]) -> Vec<CommitOutcome> {
             }
             Ok(Err(msg)) => {
                 working = backup;
-                outcomes[i] = Some(CommitOutcome::Conflict(msg));
+                outcomes[i] = Some(Err(aborted(LangError::eval(
+                    0,
+                    format!("commit conflict, transaction aborted: {msg}"),
+                ))));
             }
             Err(payload) => {
                 dbpl_obs::global().counter("applier.frame_panic").inc();
                 working = backup;
-                outcomes[i] = Some(CommitOutcome::Aborted(format!(
-                    "commit failed, transaction aborted: frame application panicked (frame \
-                     aborted, batch unaffected): {}",
-                    crate::session::panic_message(&payload)
-                )));
+                outcomes[i] = Some(Err(aborted(LangError::eval(
+                    0,
+                    format!(
+                        "commit failed, transaction aborted: frame application panicked \
+                         (frame aborted, batch unaffected): {}",
+                        crate::eval::panic_message(&payload)
+                    ),
+                ))));
             }
         }
     }
@@ -778,19 +684,19 @@ fn apply_batch(engine: &Engine, batch: &[CommitRequest]) -> Vec<CommitOutcome> {
         .commit(None, &engine.store, &externs, &RetryPolicy::default());
     let epoch = current.epoch + 1;
     let outcome = match verdict {
-        Verdict::Committed => CommitOutcome::Applied { epoch },
+        Verdict::Committed => Ok(epoch),
         // Past the durability point: the coalesced record is durable, so
         // the batch publishes and every member is in doubt as a unit.
         Verdict::InDoubt { .. } => {
             span.set_attr("outcome", "in_doubt");
-            CommitOutcome::InDoubt(verdict.to_string())
+            Err(LangError::eval(0, verdict.to_string()))
         }
         // Nothing durable happened: the whole batch aborts and no new
         // epoch is published.
         Verdict::Refused(_) | Verdict::Aborted(_) => {
             span.set_attr("outcome", "aborted");
             for &i in &applied {
-                outcomes[i] = Some(CommitOutcome::Aborted(verdict.to_string()));
+                outcomes[i] = Some(Err(LangError::eval(0, verdict.to_string())));
             }
             return finish(outcomes);
         }
@@ -798,7 +704,8 @@ fn apply_batch(engine: &Engine, batch: &[CommitRequest]) -> Vec<CommitOutcome> {
     span.set_attr("epoch", epoch);
     if let Some(log) = engine.frame_log.lock().as_mut() {
         for &i in &applied {
-            log.frames.push(batch[i].frame.clone());
+            log.frames
+                .push((batch[i].frame.clone(), batch[i].db.clone()));
         }
     }
     engine
@@ -814,9 +721,7 @@ fn apply_batch(engine: &Engine, batch: &[CommitRequest]) -> Vec<CommitOutcome> {
 fn finish(outcomes: Vec<Option<CommitOutcome>>) -> Vec<CommitOutcome> {
     outcomes
         .into_iter()
-        .map(|o| {
-            o.unwrap_or_else(|| CommitOutcome::Aborted("group commit invariant broken".into()))
-        })
+        .map(|o| o.unwrap_or_else(|| Err(LangError::eval(0, "group commit invariant broken"))))
         .collect()
 }
 
@@ -993,8 +898,9 @@ impl Server {
             (log.base.clone(), log.frames.clone())
         };
         let mut replayed = base;
-        for (i, frame) in frames.iter().enumerate() {
-            apply_frame(&mut replayed, frame).map_err(|e| format!("replaying frame {i}: {e}"))?;
+        for (i, (frame, db)) in frames.iter().enumerate() {
+            apply_frame(&mut replayed, frame, db)
+                .map_err(|e| format!("replaying frame {i}: {e}"))?;
         }
         let published = self.engine.snap.load();
         db_equiv(&replayed, &published.db)?;
@@ -1209,27 +1115,10 @@ impl ServerSession {
     /// Returns the lines of output it produced. The program is one
     /// transaction: explicit `begin`/`commit`/`abort` are rejected.
     pub fn run(&mut self, src: &str) -> Result<Vec<String>, LangError> {
-        // The transaction clock starts NOW: evaluation, admission
-        // waiting, and queue waiting all spend the same budget.
-        let deadline = self.txn_deadline.map(|d| Instant::now() + d);
-        let (state, mut worker) = {
-            let _sp = dbpl_obs::span!("server.worker");
-            let state = self.engine.snap.load();
-            snapshot_reads().inc();
-            let worker = Session::for_engine(state.db.clone(), Arc::clone(&self.engine.store));
-            (state, worker)
-        };
-        let ran = worker.run(src);
-        self.out.extend_from_slice(&worker.out);
-        self.quarantined.extend_from_slice(&worker.quarantined);
-        let out_lines = ran?;
-
-        let externs = worker.take_frame();
-        let frame = {
-            let _sp = dbpl_obs::span!("server.diff");
-            diff_frame(&state.db, &worker.db, externs, state.epoch)?
-        };
-        if frame.is_empty() {
+        let out_start = self.out.len();
+        let (frame, db) = self.execute(src)?;
+        let out_lines = self.out[out_start..].to_vec();
+        if frame.is_empty(&db) {
             // A pure read never touches the commit queue: this is the
             // reader-scaling fast path.
             if let Some(tag) = &self.attribution {
@@ -1246,47 +1135,45 @@ impl ServerSession {
 
         // A deadline that expired during evaluation refuses to start the
         // durability step at all — nothing enqueued, nothing staged.
-        if let Some(d) = deadline {
-            if Instant::now() >= d {
-                return Err(LangError::deadline_exceeded(
-                    "transaction deadline expired before the commit was enqueued; \
-                     nothing durable happened",
-                ));
-            }
+        if frame.deadline.is_some_and(|d| Instant::now() >= d) {
+            return Err(aborted(LangError::deadline_exceeded(
+                "transaction deadline expired before the commit was enqueued; \
+                 nothing durable happened",
+            )));
         }
 
-        let outcome = self.engine.commit(frame, deadline).map_err(|e| match e {
+        let epoch = self.engine.commit(frame, db).map_err(|e| match e {
             AdmissionError::Overloaded { gate, depth } => LangError::overloaded(format!(
                 "commit not admitted, transaction aborted: engine overloaded \
                      ({gate}, queue depth {depth}); nothing was staged"
             )),
-            AdmissionError::EngineDown => {
-                LangError::engine_down("engine is shut down; the commit was not enqueued")
-            }
-        })?;
-        match outcome {
-            CommitOutcome::Applied { epoch } => {
-                self.last_commit_epoch = Some(epoch);
-                Ok(out_lines)
-            }
-            CommitOutcome::Conflict(msg) => Err(LangError::eval(
-                0,
-                format!("commit conflict, transaction aborted: {msg}"),
+            AdmissionError::EngineDown => aborted(LangError::engine_down(
+                "engine is shut down; the commit was not enqueued",
             )),
-            CommitOutcome::DeadlineExceeded { waited_ms } => {
-                Err(LangError::deadline_exceeded(format!(
-                    "transaction deadline expired after {waited_ms} ms in the commit \
-                     queue; dropped before the log record was written — nothing durable \
-                     happened"
-                )))
-            }
-            CommitOutcome::Aborted(msg) | CommitOutcome::InDoubt(msg) => {
-                Err(LangError::eval(0, msg))
-            }
-            CommitOutcome::EngineDown(msg) => {
-                Err(LangError::engine_down(format!("commit not applied: {msg}")))
-            }
+        })??;
+        self.last_commit_epoch = Some(epoch);
+        Ok(out_lines)
+    }
+
+    /// Run `src` on a copy of the published snapshot, with its output
+    /// appended to [`ServerSession::out`]: the frame it recorded and the
+    /// database it wrote, for group commit to apply.
+    fn execute(&mut self, src: &str) -> Result<(Frame, Database), LangError> {
+        let mut db = self.engine.snap.load().db.clone();
+        snapshot_reads().inc();
+        let mut txn = None;
+        Ctx {
+            db: &mut db,
+            txn: &mut txn,
+            store: &self.engine.store,
+            intrinsic: None,
+            out: &mut self.out,
+            quarantined: &mut self.quarantined,
+            gate: None,
+            budget: self.txn_deadline,
         }
+        .run(src)?;
+        Ok((txn.expect("a program that ran leaves its frame open"), db))
     }
 
     /// Run a program, rendering any error against the source.
@@ -1468,26 +1355,44 @@ mod tests {
     #[test]
     fn conflicting_decl_frames_fail_only_that_frame() {
         let server = Server::new().unwrap();
-        let s = server.session();
-        // Build two frames against the same base snapshot by hand.
-        let state = s.snapshot();
-        let mk = |ty: &str| {
-            let mut w = Session::for_engine(state.db.clone(), Arc::clone(&server.engine.store));
-            w.run(&format!("type T = {{X: {ty}}} put(db, dynamic {{X = 1}})"))
-                .unwrap();
-            let externs = w.take_frame();
-            diff_frame(&state.db, &w.db, externs, state.epoch).unwrap()
+        let mut s = server.session();
+        // Record three frames against the same base snapshot: nothing
+        // commits until they are sent.
+        let mut mk = |ty: &str| {
+            s.execute(&format!("type T = {{X: {ty}}} put(db, dynamic {{X = 1}})"))
+                .unwrap()
         };
         let f1 = mk("Int");
         let f2 = mk("Int"); // identical: idempotent
         let f3 = mk("Str"); // structurally different: conflict
-        let send = |frame: Frame| server.engine.commit(frame, None).unwrap();
-        assert!(matches!(send(f1), CommitOutcome::Applied { .. }));
-        assert!(matches!(send(f2), CommitOutcome::Applied { .. }));
-        assert!(matches!(send(f3), CommitOutcome::Conflict(_)));
+        let send = |(frame, db)| server.engine.commit(frame, db).unwrap();
+        assert!(send(f1).is_ok());
+        assert!(send(f2).is_ok());
+        assert!(matches!(send(f3), Err(e) if e.msg.starts_with("commit conflict")));
         // The conflicting frame aborted alone; the store still serves T.
         let mut s2 = server.session();
         assert_eq!(s2.run("len[T](get[T](db))").unwrap(), vec!["2"]);
+    }
+
+    #[test]
+    fn equivalent_concurrent_declarations_do_not_conflict() {
+        // Run one after the other, both programs succeed: the checker
+        // takes `type Q = P` and `type Q = {Name: Str}` as one structure.
+        // Recorded from one base, the second frame must apply too.
+        let server = Server::new().unwrap();
+        let mut s = server.session();
+        s.run("type P = {Name: Str}").unwrap();
+        let by_name = s
+            .execute("type Q = P put(db, dynamic {Name = 'a'})")
+            .unwrap();
+        let by_structure = s
+            .execute("type Q = {Name: Str} put(db, dynamic {Name = 'b'})")
+            .unwrap();
+        let send = |(frame, db)| server.engine.commit(frame, db).unwrap();
+        assert!(send(by_name).is_ok());
+        let outcome = send(by_structure);
+        assert!(outcome.is_ok(), "{outcome:?}");
+        assert_eq!(s.run("len[Q](get[Q](db))").unwrap(), vec!["2"]);
     }
 
     #[test]
@@ -1569,19 +1474,15 @@ mod tests {
             setup2
                 .run("type T = {X: Int} extern('seed', dynamic {X = 0})")
                 .unwrap();
-            let state2 = server2.engine.snap.load();
             let mut batch = Vec::new();
             for i in 0..3 {
-                let mut w =
-                    Session::for_engine(state2.db.clone(), Arc::clone(&server2.engine.store));
-                w.run(&format!("extern('h{i}', dynamic {{X = {i}}})"))
+                let (frame, db) = setup2
+                    .execute(&format!("extern('h{i}', dynamic {{X = {i}}})"))
                     .unwrap();
-                let externs = w.take_frame();
-                let frame = diff_frame(&state2.db, &w.db, externs, state2.epoch).unwrap();
                 batch.push(CommitRequest {
                     ticket: i,
                     frame,
-                    deadline: None,
+                    db,
                     enqueued_at: Instant::now(),
                 });
             }
@@ -1593,7 +1494,7 @@ mod tests {
             let outcomes = commit_batch(&server2.engine, &batch);
             let in_doubt = outcomes
                 .iter()
-                .filter(|o| matches!(o, CommitOutcome::InDoubt(_)))
+                .filter(|o| matches!(o, Err(e) if e.msg.contains("in doubt")))
                 .count();
             if in_doubt > 0 {
                 // The regression: in-doubt must cover the WHOLE batch.
@@ -1606,7 +1507,7 @@ mod tests {
                 let msgs: std::collections::BTreeSet<&str> = outcomes
                     .iter()
                     .map(|o| match o {
-                        CommitOutcome::InDoubt(msg) => msg.as_str(),
+                        Err(e) => e.msg.as_str(),
                         _ => unreachable!(),
                     })
                     .collect();
@@ -1666,7 +1567,7 @@ mod tests {
     }
 
     #[test]
-    fn a_read_splits_into_worker_setup_run_and_diff() {
+    fn a_read_is_one_run_span() {
         let server = Server::new().unwrap();
         let mut s = server.session();
         s.run("put(db, dynamic 1)").unwrap();
@@ -1678,12 +1579,7 @@ mod tests {
             .filter(|sp| sp.parent_id == Some(root.span_id))
             .map(|sp| sp.name)
             .collect();
-        assert_eq!(
-            stages,
-            ["server.worker", "run", "server.diff"],
-            "{}",
-            dbpl_obs::trace::render_tree(&spans)
-        );
+        assert_eq!(stages, ["run"], "{}", dbpl_obs::trace::render_tree(&spans));
     }
 
     #[test]

@@ -24,52 +24,31 @@
 //! on reopen (see `dbpl_persist::txn`). Dropping a session is a clean
 //! close: it checkpoints the commit log.
 //!
+//! Both front ends run a program the same way (see [`crate::eval`]): it
+//! records its effects in a transaction frame as it goes. A session
+//! commits the frame through its own durability gate; a
+//! [`crate::ServerSession`] hands it to the engine's group commit.
+//!
 //! [`run`]: Session::run
 
-use crate::ast::{Code, Item, Program};
-use crate::check::{check_program, Checked};
+use crate::ast::Item;
 use crate::error::LangError;
-use crate::eval::Machine;
-use crate::parser::parse_program;
-use crate::rt::RtValue;
+use crate::eval::{contained, Ctx, Frame};
 use dbpl_core::Database;
 use dbpl_persist::{
-    DurabilityGate, Health, IntrinsicStore, PersistError, QuarantineEntry, QuarantineReason,
-    QuarantineReport, Recovery, ReplicatingStore, RetryPolicy, SalvageReport, ScrubReport, TempDir,
-    Verdict,
+    DurabilityGate, Health, IntrinsicStore, PersistError, QuarantineEntry, QuarantineReport,
+    Recovery, ReplicatingStore, RetryPolicy, SalvageReport, ScrubReport, TempDir, Verdict,
 };
 use dbpl_values::DynValue;
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// An open transaction frame: the rollback state plus the staged
-/// replicating-store writes.
-struct TxnState {
-    /// `true` for a frame opened by `begin`/[`Session::transaction`] —
-    /// it stays open across programs until `commit`/`abort`. Implicit
-    /// per-program frames are `false`.
-    explicit: bool,
-    /// Snapshot of the database (heap, dynamics, extents, schema) taken
-    /// when the frame opened; restored verbatim on abort.
-    saved_db: Box<Database>,
-    /// Staged extern mutations, applied at commit: `Some(bytes)` is an
-    /// encoded unit to install, `None` a removal.
-    staged_externs: BTreeMap<String, Option<Vec<u8>>>,
-    /// Wall-clock point after which the commit refuses to start its
-    /// durability step and aborts instead.
-    deadline: Option<Instant>,
-}
+use std::time::Duration;
 
 /// A running MiniDBPL session.
 pub struct Session {
     /// The database shared by all programs of this session.
     pub db: Database,
-    /// The replicating store behind `extern`/`intern`. Shared: an engine
-    /// ([`crate::Server`]) hands the same store to many sessions.
-    pub store: Arc<ReplicatingStore>,
+    /// The replicating store behind `extern`/`intern`.
+    pub store: ReplicatingStore,
     /// An intrinsic (log-structured) store, once one has been attached
     /// with [`Session::attach_intrinsic`]. Mutations staged here (via the
     /// host API) commit atomically with the session's externs.
@@ -85,48 +64,98 @@ pub struct Session {
     /// means only the bounded retry policy limits a commit.
     pub txn_deadline: Option<Duration>,
     /// The open transaction frame, if any.
-    txn: Option<TxnState>,
+    txn: Option<Frame>,
     /// Corrupt store units hit by `intern` — quarantined here, at the
     /// session level, so the record survives the enclosing transaction's
-    /// abort. Merged into [`Session::quarantine_report`], and carried
-    /// over by a [`crate::server::ServerSession`] from its worker.
-    pub(crate) quarantined: Vec<QuarantineEntry>,
+    /// abort. Merged into [`Session::quarantine_report`].
+    quarantined: Vec<QuarantineEntry>,
     /// What happens when a durable write fails: degraded mode, pending
     /// recovery, in-doubt roll-forward and abort bookkeeping — the same
     /// policy an engine's group commit uses.
     gate: DurabilityGate,
-    /// An engine worker ([`Session::for_engine`]): explicit transaction
-    /// statements are rejected, and a completed program's frame is left
-    /// for the engine to take ([`Session::take_frame`]) instead of being
-    /// committed here.
-    worker: bool,
     /// The temp directory [`Session::new`] created for the store, removed
     /// on drop. A directory the caller named is never removed.
     owned_dir: Option<TempDir>,
 }
 
-/// The statement kind attached to per-statement trace spans.
-fn item_kind(item: &Item) -> &'static str {
-    match item {
-        Item::TypeDecl { .. } => "type_decl",
-        Item::Include { .. } => "include",
-        Item::Begin { .. } => "begin",
-        Item::Commit { .. } => "commit",
-        Item::Abort { .. } => "abort",
-        Item::Let { .. } => "let",
-        Item::FunDecl { .. } => "fun_decl",
-        Item::Expr(_) => "expr",
+/// A session's frames commit, and its writes outside any frame land,
+/// through its own durability gate.
+impl Ctx<'_> {
+    /// Run a commit point: `begin` settles what ran before it and opens
+    /// an explicit frame; `commit` and `abort` close the explicit frame,
+    /// and the rest of the program runs in a fresh implicit one,
+    /// committed when the program completes.
+    pub(crate) fn commit_point(&mut self, item: &Item) -> Result<(), LangError> {
+        let explicit = self.txn.as_ref().is_some_and(|t| t.explicit);
+        match item {
+            Item::Begin { at } if explicit => {
+                Err(LangError::eval(*at, "transaction already in progress"))
+            }
+            Item::Commit { at } | Item::Abort { at } if !explicit => {
+                Err(LangError::eval(*at, "no transaction in progress"))
+            }
+            Item::Abort { .. } => {
+                self.abort();
+                self.open(false);
+                Ok(())
+            }
+            _ => {
+                self.commit()?;
+                self.open(matches!(item, Item::Begin { .. }));
+                Ok(())
+            }
+        }
     }
-}
 
-/// Render a caught panic payload for an error message.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "opaque panic payload".to_string()
+    /// Durably apply the open frame: one crash-atomic commit across the
+    /// intrinsic store (if attached and dirty) and the staged externs,
+    /// through the session's [`DurabilityGate`]. A commit that did not
+    /// become durable rolls memory back to the frame's base; an in-doubt
+    /// one keeps it, since the transaction will roll forward.
+    pub(crate) fn commit(&mut self) -> Result<(), LangError> {
+        let Some(frame) = self.txn.take() else {
+            return Ok(());
+        };
+        let policy = frame
+            .deadline
+            .map_or_else(RetryPolicy::default, RetryPolicy::with_deadline);
+        let verdict = self
+            .gated(|gate, intrinsic, store| gate.commit(intrinsic, store, &frame.externs, &policy));
+        match verdict {
+            Verdict::Committed => return Ok(()),
+            Verdict::InDoubt { .. } => {}
+            Verdict::Refused(_) | Verdict::Aborted(_) => {
+                *self.db = frame.base;
+                if let Some(s) = self.intrinsic.as_mut() {
+                    s.abort();
+                }
+            }
+        }
+        Err(LangError::eval(0, verdict.to_string()))
+    }
+
+    /// Run one operation through the session's durability gate and
+    /// announce any health change it made in the output.
+    pub(crate) fn gated<T>(
+        &mut self,
+        op: impl FnOnce(&DurabilityGate, Option<&mut IntrinsicStore>, &ReplicatingStore) -> T,
+    ) -> T {
+        let gate = self
+            .gate
+            .expect("only a session writes through its own gate");
+        let was_degraded = gate.health().is_degraded();
+        let result = op(gate, self.intrinsic.as_deref_mut(), self.store);
+        match gate.health() {
+            Health::Degraded { reason } if !was_degraded => self.out.push(format!(
+                "warning: session degraded ({reason}); durable commits are refused until \
+                 the store is writable again"
+            )),
+            Health::Healthy if was_degraded => self
+                .out
+                .push("note: session healthy again; durable commits resume".to_string()),
+            _ => {}
+        }
+        result
     }
 }
 
@@ -187,15 +216,19 @@ impl Session {
     /// [`dbpl_persist::Vfs`] (fault injection, in-memory testing) via
     /// [`ReplicatingStore::open_with`].
     pub fn from_store(store: ReplicatingStore) -> Result<Session, LangError> {
-        Session::from_shared_store(Arc::new(store))
-    }
-
-    /// [`Session::from_store`] over an already-shared store — how an
-    /// engine builds sessions that all read and write the same store.
-    pub fn from_shared_store(store: Arc<ReplicatingStore>) -> Result<Session, LangError> {
         let (gate, recovery) = DurabilityGate::open(&store)
             .map_err(|e| LangError::eval(0, format!("cannot recover pending transaction: {e}")))?;
-        let mut s = Session::bare(Database::new(), store, gate, false);
+        let mut s = Session {
+            db: Database::new(),
+            store,
+            intrinsic: None,
+            out: Vec::new(),
+            txn_deadline: None,
+            txn: None,
+            quarantined: Vec::new(),
+            gate,
+            owned_dir: None,
+        };
         match recovery {
             Recovery::Clean => {}
             Recovery::Completed(txn_id) => s.out.push(completed_note(txn_id)),
@@ -208,28 +241,6 @@ impl Session {
             )),
         }
         Ok(s)
-    }
-
-    /// The fields every constructor starts from: no frame, no intrinsic
-    /// store, no output.
-    fn bare(
-        db: Database,
-        store: Arc<ReplicatingStore>,
-        gate: DurabilityGate,
-        worker: bool,
-    ) -> Session {
-        Session {
-            db,
-            store,
-            intrinsic: None,
-            out: Vec::new(),
-            txn_deadline: None,
-            txn: None,
-            quarantined: Vec::new(),
-            gate,
-            worker,
-            owned_dir: None,
-        }
     }
 
     /// Attach an intrinsic store backed by the log at `path`, surfacing
@@ -292,22 +303,18 @@ impl Session {
         Ok(report)
     }
 
-    /// A lightweight worker session over an existing database snapshot
-    /// and a shared store: no recovery I/O, no temp directory. Used by
-    /// the engine to execute one program against an MVCC snapshot; the
-    /// resulting database is diffed into a frame, not kept, and the
-    /// engine makes the frame durable ([`Session::take_frame`]).
-    pub(crate) fn for_engine(db: Database, store: Arc<ReplicatingStore>) -> Session {
-        Session::bare(db, store, DurabilityGate::default(), true)
-    }
-
-    /// Take an engine worker's completed frame: its staged extern writes
-    /// (the database mutations stay in [`Session::db`]).
-    pub(crate) fn take_frame(&mut self) -> BTreeMap<String, Option<Vec<u8>>> {
-        self.txn
-            .take()
-            .map(|frame| frame.staged_externs)
-            .unwrap_or_default()
+    /// The session's own state, lent to a program.
+    fn ctx(&mut self) -> Ctx<'_> {
+        Ctx {
+            db: &mut self.db,
+            txn: &mut self.txn,
+            store: &self.store,
+            intrinsic: self.intrinsic.as_mut(),
+            out: &mut self.out,
+            quarantined: &mut self.quarantined,
+            gate: Some(&self.gate),
+            budget: self.txn_deadline,
+        }
     }
 
     /// Parse, type-check and run one program. Returns the lines of output
@@ -323,129 +330,9 @@ impl Session {
     /// statements, so in a program that uses them the abort rolls back
     /// to the most recent commit point rather than the program's start.
     pub fn run(&mut self, src: &str) -> Result<Vec<String>, LangError> {
-        let mut root = dbpl_obs::span!("run");
-        let prog = {
-            let _sp = dbpl_obs::span!("run.parse");
-            parse_program(src)?
-        };
-        if self.worker {
-            // Under an engine the whole program is the transaction.
-            let explicit = prog.items.iter().find_map(|item| match item {
-                Item::Begin { at } | Item::Commit { at } | Item::Abort { at } => Some(*at),
-                _ => None,
-            });
-            if let Some(at) = explicit {
-                return Err(LangError::eval(
-                    at,
-                    "explicit transaction statements are not supported in server \
-                     sessions: each program is one transaction"
-                        .to_string(),
-                ));
-            }
-        }
-        root.set_attr("statements", prog.items.len());
-        let checked = {
-            let _sp = dbpl_obs::span!("run.check");
-            check_program(&prog, self.db.env())?
-        };
-        if self.txn.is_none() {
-            self.begin_frame(false);
-        }
-        // The program's type declarations become part of the database's
-        // schema for subsequent programs (rolled back if the frame
-        // aborts).
-        let Checked {
-            env, code, frame, ..
-        } = checked;
-        *self.db.env_mut() = env;
-
         let out_start = self.out.len();
-        self.guarded("program", |s| s.exec_items(&prog, &code, frame))?;
-        if !self.worker && self.txn.as_ref().is_some_and(|t| !t.explicit) {
-            self.commit_frame()?;
-        }
+        self.ctx().run(src)?;
         Ok(self.out[out_start..].to_vec())
-    }
-
-    /// Run `body` with panic isolation: if it fails or panics, the open
-    /// frame aborts. A panic must poison nothing: the vendored lock
-    /// primitives unlock on unwind rather than poison, and all session
-    /// state is restored from the frame snapshot, so resuming past the
-    /// unwind is sound.
-    fn guarded<T>(
-        &mut self,
-        what: &str,
-        body: impl FnOnce(&mut Session) -> Result<T, LangError>,
-    ) -> Result<T, LangError> {
-        let result = catch_unwind(AssertUnwindSafe(|| body(self))).unwrap_or_else(|payload| {
-            Err(LangError::eval(
-                0,
-                format!(
-                    "{what} panicked: {}; transaction aborted",
-                    panic_message(&*payload)
-                ),
-            ))
-        });
-        if result.is_err() {
-            self.abort_frame();
-        }
-        result
-    }
-
-    /// Run a checked program's items: `code` holds one entry per `let`,
-    /// `fun` and expression item, and the program's top-level frame has
-    /// `frame` slots.
-    fn exec_items(&mut self, prog: &Program, code: &[Code], frame: usize) -> Result<(), LangError> {
-        let mut m = Machine::new(self, frame);
-        let mut code = code.iter();
-        let mut bound = 0;
-        for (index, item) in prog.items.iter().enumerate() {
-            let mut stmt = dbpl_obs::span!("stmt");
-            stmt.set_attr("index", index);
-            stmt.set_attr("kind", item_kind(item));
-            match item {
-                Item::TypeDecl { .. } | Item::Include { .. } => {}
-                Item::Begin { at } => {
-                    if m.s.in_transaction() {
-                        return Err(LangError::eval(
-                            *at,
-                            "transaction already in progress".to_string(),
-                        ));
-                    }
-                    // Settle what ran before `begin`, then snapshot here.
-                    m.s.commit_frame()?;
-                    m.s.begin_frame(true);
-                }
-                Item::Commit { at } | Item::Abort { at } => {
-                    if !m.s.in_transaction() {
-                        return Err(LangError::eval(
-                            *at,
-                            "no transaction in progress".to_string(),
-                        ));
-                    }
-                    if matches!(item, Item::Commit { .. }) {
-                        m.s.commit_frame()?;
-                    } else {
-                        m.s.abort_frame();
-                    }
-                    // The rest of the program runs in a fresh implicit
-                    // frame, committed when the program completes.
-                    m.s.begin_frame(false);
-                }
-                Item::Let { .. } | Item::FunDecl { .. } => {
-                    let v = m.eval(code.next().expect("checked"))?;
-                    m.bind(bound, v);
-                    bound += 1;
-                }
-                Item::Expr(_) => {
-                    let v = m.eval(code.next().expect("checked"))?;
-                    if !matches!(v, RtValue::Unit) {
-                        m.s.out.push(v.to_string());
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Run a program, rendering any error against the source.
@@ -464,14 +351,11 @@ impl Session {
         f: impl FnOnce(&mut Session) -> Result<T, LangError>,
     ) -> Result<T, LangError> {
         if self.in_transaction() {
-            return Err(LangError::eval(
-                0,
-                "transaction already in progress".to_string(),
-            ));
+            return Err(LangError::eval(0, "transaction already in progress"));
         }
-        self.begin_frame(true);
-        let v = self.guarded("transaction", f)?;
-        self.commit_frame()?;
+        self.ctx().open(true);
+        let v = contained("transaction", || f(self)).inspect_err(|_| self.ctx().abort())?;
+        self.ctx().commit()?;
         Ok(v)
     }
 
@@ -480,116 +364,18 @@ impl Session {
         self.txn.as_ref().is_some_and(|t| t.explicit)
     }
 
-    fn begin_frame(&mut self, explicit: bool) {
-        debug_assert!(self.txn.is_none(), "frames do not nest");
-        dbpl_obs::emit(dbpl_obs::Event::TxnBegin { explicit });
-        self.txn = Some(TxnState {
-            explicit,
-            saved_db: Box::new(self.db.clone()),
-            staged_externs: BTreeMap::new(),
-            deadline: self.txn_deadline.map(|budget| Instant::now() + budget),
-        });
-    }
-
-    /// Durably apply the open frame: one crash-atomic commit across the
-    /// intrinsic store (if attached and dirty) and the staged externs,
-    /// through the session's [`DurabilityGate`]. A commit that did not
-    /// become durable rolls memory back to the snapshot; an in-doubt one
-    /// keeps it, since the transaction will roll forward.
-    fn commit_frame(&mut self) -> Result<(), LangError> {
-        let Some(frame) = self.txn.take() else {
-            return Ok(());
-        };
-        let policy = frame
-            .deadline
-            .map_or_else(RetryPolicy::default, RetryPolicy::with_deadline);
-        let verdict = self.gated(|gate, intrinsic, store| {
-            gate.commit(intrinsic, store, &frame.staged_externs, &policy)
-        });
-        match verdict {
-            Verdict::Committed => return Ok(()),
-            Verdict::InDoubt { .. } => {}
-            Verdict::Refused(_) | Verdict::Aborted(_) => {
-                self.db = *frame.saved_db;
-                if let Some(s) = self.intrinsic.as_mut() {
-                    s.abort();
-                }
-            }
-        }
-        Err(LangError::eval(0, verdict.to_string()))
-    }
-
-    /// Run one operation through the durability gate and announce any
-    /// health change it made in the session output.
-    fn gated<T>(
-        &mut self,
-        op: impl FnOnce(&DurabilityGate, Option<&mut IntrinsicStore>, &ReplicatingStore) -> T,
-    ) -> T {
-        let was_degraded = self.gate.health().is_degraded();
-        let result = op(&self.gate, self.intrinsic.as_mut(), &self.store);
-        match self.gate.health() {
-            Health::Degraded { reason } if !was_degraded => self.out.push(format!(
-                "warning: session degraded ({reason}); durable commits are refused until \
-                 the store is writable again"
-            )),
-            Health::Healthy if was_degraded => self
-                .out
-                .push("note: session healthy again; durable commits resume".to_string()),
-            _ => {}
-        }
-        result
-    }
-
-    /// Discard the open frame: restore the database snapshot and drop
-    /// staged mutations, including anything staged in the intrinsic
-    /// store. Session output is kept — printing already happened.
-    fn abort_frame(&mut self) {
-        if let Some(frame) = self.txn.take() {
-            self.db = *frame.saved_db;
-            dbpl_obs::emit(dbpl_obs::Event::TxnAbort {
-                reason: if frame.explicit {
-                    "explicit".to_string()
-                } else {
-                    "program failure".to_string()
-                },
-            });
-        }
-        if let Some(s) = self.intrinsic.as_mut() {
-            s.abort();
-        }
-    }
-
     // ---------- staged store access ----------
 
     /// Stage an extern: inside a transaction frame the encoded unit is
     /// buffered and written only at commit; outside any frame it is
     /// installed (hardened) immediately, behind the durability gate.
     pub fn stage_extern(&mut self, handle: &str, d: &DynValue) -> Result<(), PersistError> {
-        let bytes = ReplicatingStore::encode_unit(d, self.db.heap())?;
-        self.stage("extern", handle, Some(bytes))
+        self.ctx().stage(handle, Some(d))
     }
 
     /// Stage a handle removal, transactionally when a frame is open.
     pub fn stage_remove(&mut self, handle: &str) -> Result<(), PersistError> {
-        self.stage("remove", handle, None)
-    }
-
-    /// Buffer one extern mutation in the open frame or, outside any
-    /// frame, write it now behind the same durability gate as a commit.
-    fn stage(
-        &mut self,
-        what: &str,
-        handle: &str,
-        unit: Option<Vec<u8>>,
-    ) -> Result<(), PersistError> {
-        if self.store.is_read_only() {
-            return Err(PersistError::ReadOnly(what.to_string()));
-        }
-        if let Some(frame) = &mut self.txn {
-            frame.staged_externs.insert(handle.to_string(), unit);
-            return Ok(());
-        }
-        self.gated(|gate, intrinsic, store| gate.write(intrinsic, store, handle, unit))
+        self.ctx().stage(handle, None)
     }
 
     /// Intern a handle with read-your-writes over the open frame's
@@ -598,23 +384,7 @@ impl Session {
     /// to the calling program, but the session itself stays healthy and
     /// the report names the bad package.
     pub fn intern_staged(&mut self, handle: &str) -> Result<DynValue, PersistError> {
-        let staged = self
-            .txn
-            .as_ref()
-            .and_then(|t| t.staged_externs.get(handle).cloned());
-        match staged {
-            Some(Some(bytes)) => ReplicatingStore::decode_unit(&bytes, self.db.heap_mut()),
-            Some(None) => Err(PersistError::UnknownHandle(handle.to_string())),
-            None => match self.store.intern(handle, self.db.heap_mut()) {
-                Ok(d) => Ok(d),
-                Err(e) => {
-                    if is_corruption(&e) {
-                        self.quarantine(handle, e.to_string(), QuarantineReason::of(&e));
-                    }
-                    Err(e)
-                }
-            },
-        }
+        self.ctx().intern(handle)
     }
 
     /// Load every readable unit of the replicating store into the
@@ -638,7 +408,7 @@ impl Session {
             ));
         }
         for e in report.entries {
-            self.quarantine(&e.handle, e.cause, e.reason);
+            self.ctx().quarantine(&e.handle, e.cause, e.reason);
         }
         Ok(n)
     }
@@ -650,11 +420,7 @@ impl Session {
     /// session level, exactly as if `intern` had tripped over them.
     /// Emits [`dbpl_obs::Event::ScrubReport`] and the `scrub.*` counters.
     pub fn scrub(&mut self) -> ScrubReport {
-        let report = self.store.scrub(self.intrinsic.as_ref());
-        for e in &report.corrupt {
-            self.quarantine(&e.handle, e.cause.clone(), e.reason);
-        }
-        report
+        self.ctx().scrub()
     }
 
     // ---------- diagnostics ----------
@@ -700,36 +466,14 @@ impl Session {
         std::fs::write(path, json)
             .map_err(|e| LangError::eval(0, format!("trace export failed: {e}")))
     }
-
-    /// Record a corrupt unit and announce it: the quarantine event fires
-    /// *at quarantine time*, so an attached [`dbpl_obs::EventSink`] hears
-    /// about the corruption when it happens rather than only when someone
-    /// pulls [`Session::quarantine_report`].
-    fn quarantine(&mut self, handle: &str, cause: impl Into<String>, reason: QuarantineReason) {
-        if !self.quarantined.iter().any(|e| e.handle == handle) {
-            let entry = QuarantineEntry {
-                handle: handle.to_string(),
-                cause: cause.into(),
-                reason,
-            };
-            dbpl_obs::emit(dbpl_obs::Event::Quarantine {
-                handle: entry.handle.clone(),
-                reason: entry.cause.clone(),
-            });
-            self.quarantined.push(entry);
-        }
-    }
 }
 
 /// Dropping a session is a clean close: the commit log is checkpointed
 /// so the next open has nothing to replay, and a temp directory the
-/// session created is removed after that. An engine worker leaves the
-/// engine's store alone.
+/// session created is removed after that.
 impl Drop for Session {
     fn drop(&mut self) {
-        if !self.worker {
-            self.gate.close(self.intrinsic.as_mut(), &self.store);
-        }
+        self.gate.close(self.intrinsic.as_mut(), &self.store);
         // `owned_dir` drops after this, removing the directory.
     }
 }
@@ -737,19 +481,6 @@ impl Drop for Session {
 /// The session note for a pending transaction recovery rolled forward.
 fn completed_note(txn_id: u64) -> String {
     format!("note: completed pending transaction {txn_id} left by an interrupted commit")
-}
-
-/// Does this error mean "the bytes on disk are bad" (quarantine-worthy),
-/// as opposed to a missing handle or an environmental failure?
-fn is_corruption(e: &PersistError) -> bool {
-    matches!(
-        e,
-        PersistError::BadMagic
-            | PersistError::Malformed(_)
-            | PersistError::UnexpectedEof
-            | PersistError::UnsupportedVersion(_)
-            | PersistError::ChecksumMismatch { .. }
-    )
 }
 
 #[cfg(test)]
@@ -1338,6 +1069,7 @@ mod txn_tests {
     use super::*;
     use dbpl_types::Type;
     use dbpl_values::Value;
+    use std::sync::Arc;
 
     /// A fresh store directory, removed when the guard drops.
     fn fresh_dir(name: &str) -> TempDir {

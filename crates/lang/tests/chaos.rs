@@ -335,6 +335,73 @@ fn frame_panic_aborts_only_that_frame() {
     assert_eq!(r.snapshot().db.len(), 1);
 }
 
+/// Every server frame that does not commit emits exactly one `TxnAbort`
+/// event, as a failed standalone-session commit does: a frame panic, a
+/// deadline that expired before the enqueue, an engine-down reply and a
+/// failed program. A batch the durability gate fails emits its one event
+/// through the gate, not a second per frame.
+#[test]
+fn every_uncommitted_server_frame_emits_one_txn_abort() {
+    let _obs = obs_lock();
+    let sink = Arc::new(dbpl_obs::MemorySink::new());
+    dbpl_obs::set_sink(sink.clone());
+    let vfs = SimVfs::new();
+    let server = Server::open_with(Arc::new(vfs.clone()), "/aborts").unwrap();
+    let mut s = server.try_session().unwrap();
+    // The reasons of the `TxnAbort` events `src` caused.
+    let aborts_of = |s: &mut ServerSession, src: &str| {
+        sink.clear();
+        let res = s.run(src);
+        let reasons: Vec<String> = sink
+            .events()
+            .into_iter()
+            .filter_map(|e| match e {
+                dbpl_obs::Event::TxnAbort { reason } => Some(reason),
+                _ => None,
+            })
+            .collect();
+        (res, reasons)
+    };
+
+    server.chaos_panic_at_frame(1);
+    let (res, reasons) = aborts_of(&mut s, "put(db, dynamic 1)");
+    assert!(res.unwrap_err().msg.contains("panicked"));
+    assert_eq!(reasons.len(), 1, "frame panic: {reasons:?}");
+    assert!(reasons[0].contains("panicked"), "{reasons:?}");
+
+    s.txn_deadline = Some(Duration::ZERO);
+    let (res, reasons) = aborts_of(&mut s, "put(db, dynamic 2)");
+    assert!(res.unwrap_err().is_deadline_exceeded());
+    assert_eq!(reasons.len(), 1, "deadline before enqueue: {reasons:?}");
+    assert!(reasons[0].contains("deadline"), "{reasons:?}");
+    s.txn_deadline = None;
+
+    // The frame panic's batch was the first; arm the next one.
+    server.chaos_panic_at_batch(2);
+    let (res, reasons) = aborts_of(&mut s, "put(db, dynamic 3)");
+    assert!(res.unwrap_err().is_engine_down());
+    assert_eq!(reasons.len(), 1, "engine down: {reasons:?}");
+
+    // The next commit heals the engine, and a commit aborts nothing.
+    let (res, reasons) = aborts_of(&mut s, "put(db, dynamic 4)");
+    res.unwrap();
+    assert!(reasons.is_empty(), "{reasons:?}");
+
+    let (res, reasons) = aborts_of(&mut s, "put(db, dynamic 5) head[Int]([])");
+    assert!(res.is_err());
+    assert_eq!(reasons, ["program failure"]);
+
+    vfs.set_plan(FaultPlan {
+        enospc_at_op: Some(vfs.ops() + 1),
+        ..Default::default()
+    });
+    let (res, reasons) = aborts_of(&mut s, "extern('full', dynamic 6)");
+    let err = res.unwrap_err();
+    assert!(err.msg.starts_with("commit failed"), "{err}");
+    assert_eq!(reasons.len(), 1, "gate failure: {reasons:?}");
+    dbpl_obs::clear_sink();
+}
+
 // ---------------------------------------------------------------------------
 // Regression: shutdown/enqueue race (satellite)
 // ---------------------------------------------------------------------------
@@ -396,9 +463,7 @@ fn deadline_expires_in_queue_before_durability() {
     });
     let server = Arc::new(Server::open_with(Arc::new(vfs.clone()), "/deadline").unwrap());
 
-    let before = dbpl_obs::global()
-        .snapshot()
-        .counter("server.deadline_dropped");
+    let before = dbpl_obs::global().snapshot();
     let slow = {
         let server = Arc::clone(&server);
         std::thread::spawn(move || {
@@ -421,10 +486,16 @@ fn deadline_expires_in_queue_before_durability() {
     // The wait was bounded by the stalled batch, not unbounded.
     assert!(start.elapsed() < Duration::from_secs(5));
     slow.join().unwrap();
-    let after = dbpl_obs::global()
-        .snapshot()
-        .counter("server.deadline_dropped");
-    assert!(after > before, "the leader must count the dropped frame");
+    let delta = dbpl_obs::global().snapshot().delta_since(&before);
+    assert!(
+        delta.counter("server.deadline_dropped") > 0,
+        "the leader must count the dropped frame"
+    );
+    assert_eq!(
+        delta.counter("events.txn_abort"),
+        1,
+        "the dropped frame aborts once"
+    );
     // Nothing of b's frame published: only a's extern commit (epoch 1,
     // no dynamics) exists.
     vfs.set_plan(FaultPlan::default());
