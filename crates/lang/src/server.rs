@@ -1143,10 +1143,10 @@ impl ServerSession {
         }
 
         let epoch = self.engine.commit(frame, db).map_err(|e| match e {
-            AdmissionError::Overloaded { gate, depth } => LangError::overloaded(format!(
+            AdmissionError::Overloaded { gate, depth } => aborted(LangError::overloaded(format!(
                 "commit not admitted, transaction aborted: engine overloaded \
                      ({gate}, queue depth {depth}); nothing was staged"
-            )),
+            ))),
             AdmissionError::EngineDown => aborted(LangError::engine_down(
                 "engine is shut down; the commit was not enqueued",
             )),

@@ -19,9 +19,10 @@
 //! 3. **Serializability survives chaos** — the final published state
 //!    equals a single-threaded replay of the engine's own frame log.
 //! 4. **Metrics conservation** — the overload phase must leave
-//!    `server.overload_rejected` equal to the fleet's Overloaded tally
-//!    (and > 0), and the `server.queue_wait_us` histogram must hold
-//!    exactly one observation per admitted frame
+//!    `server.overload_rejected` and the overload-reason `TxnAbort`
+//!    events each equal to the fleet's Overloaded tally (and > 0), and
+//!    the `server.queue_wait_us` histogram must hold exactly one
+//!    observation per admitted frame
 //!    (`server.frames_admitted`). Tests serialize on [`obs_lock`] so
 //!    the process-global registry deltas are attributable.
 //!
@@ -100,6 +101,16 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The `TxnAbort` events in `sink` whose reason is an admission refusal.
+fn overload_aborts(sink: &dbpl_obs::MemorySink) -> u64 {
+    sink.events()
+        .iter()
+        .filter(|e| {
+            matches!(e, dbpl_obs::Event::TxnAbort { reason } if reason.contains("engine overloaded"))
+        })
+        .count() as u64
+}
+
 /// One seeded chaos run: K sessions offer ~4x the queue's capacity while
 /// the seed places group-commit panics, fsync jitter and an ENOSPC window.
 fn chaos_run(seed: u64) {
@@ -108,6 +119,8 @@ fn chaos_run(seed: u64) {
 
     let _obs = obs_lock();
     let obs_before = dbpl_obs::global().snapshot();
+    let sink = Arc::new(dbpl_obs::MemorySink::new());
+    dbpl_obs::set_sink(sink.clone());
     let vfs = SimVfs::new();
     vfs.set_plan(FaultPlan {
         seed,
@@ -215,6 +228,12 @@ fn chaos_run(seed: u64) {
     assert_eq!(
         rejected, overloaded,
         "every Overloaded reply bumps server.overload_rejected exactly once: {tally:?}"
+    );
+    dbpl_obs::clear_sink();
+    assert_eq!(
+        overload_aborts(&sink),
+        overloaded,
+        "every Overloaded commit emits one TxnAbort: {tally:?}"
     );
     // Every admitted (taken) frame records exactly one queue-wait
     // observation — the histogram count and the admission counter move
@@ -515,6 +534,8 @@ fn deadline_expires_in_queue_before_durability() {
 fn saturated_queue_sheds_load_and_survivors_replay() {
     let _obs = obs_lock();
     let obs_before = dbpl_obs::global().snapshot();
+    let sink = Arc::new(dbpl_obs::MemorySink::new());
+    dbpl_obs::set_sink(sink.clone());
     let vfs = SimVfs::new();
     vfs.set_plan(FaultPlan {
         fsync_delay_us: Some(2_000),
@@ -562,6 +583,12 @@ fn saturated_queue_sheds_load_and_survivors_replay() {
     assert_eq!(
         d.counter("server.overload_rejected"),
         tally.overloaded.load(Ordering::Relaxed)
+    );
+    dbpl_obs::clear_sink();
+    assert_eq!(
+        overload_aborts(&sink),
+        tally.overloaded.load(Ordering::Relaxed),
+        "every Overloaded commit emits one TxnAbort"
     );
     assert_eq!(
         d.histogram("server.queue_wait_us")

@@ -57,9 +57,9 @@ pub enum JoinStrategy {
     /// partition key fall back to the nested loop. Pairs in different
     /// buckets are provably joinless (they disagree on a shared base
     /// field), so skipping them cannot change the result. Parallelizes
-    /// over scoped threads above a work cutoff. A maximal reduction is
-    /// bucketed on the same key, comparing only rows that can subsume
-    /// each other. The default.
+    /// over scoped threads above a work cutoff. Joined rows keep their
+    /// bucket, so a maximal reduction compares only rows that can subsume
+    /// each other without deriving the key again. The default.
     #[default]
     Partitioned,
 }
@@ -232,7 +232,7 @@ impl GenRelation {
             reduce.set_attr("rows_in", out.len());
             let rows = match (strategy, reduction) {
                 (JoinStrategy::Partitioned, Reduction::Maximal) => {
-                    let (rows, stats) = reduce_maximal_keyed(out, &hoisted);
+                    let (rows, stats) = reduce_maximal_grouped(out);
                     reduce.set_attr("buckets", stats.buckets);
                     reduce.set_attr("partial_rows", stats.partial_rows);
                     reduce.set_attr("pairs_compared", stats.pairs_compared);
@@ -240,9 +240,9 @@ impl GenRelation {
                     rows
                 }
                 // Nested, and the minimal form, keep the paper-literal
-                // reduction: the oracle the bucketed one is tested against.
-                (JoinStrategy::Nested, Reduction::Maximal) => reduce_maximal(out),
-                (_, Reduction::Minimal) => reduce_minimal(out),
+                // reduction: the oracle the grouped one is tested against.
+                (JoinStrategy::Nested, Reduction::Maximal) => reduce_maximal(untagged(out)),
+                (_, Reduction::Minimal) => reduce_minimal(untagged(out)),
             };
             reduce.set_attr("rows_out", rows.len());
             rows
@@ -347,6 +347,11 @@ impl GenRelation {
     }
 }
 
+/// Candidate rows without their group tags.
+fn untagged(cands: Vec<(u32, Value)>) -> Vec<Value> {
+    cands.into_iter().map(|(_, v)| v).collect()
+}
+
 /// Pair-product work threshold below which a join runs on a single
 /// thread: spawning scoped workers for tiny joins would cost more than
 /// the join itself.
@@ -371,32 +376,35 @@ fn is_ground(v: &Value) -> bool {
     )
 }
 
-/// Collect every path (through records only) at which `row` carries a
-/// ground value. A bare ground row is ground at the root path.
-fn ground_leaf_paths(row: &Value, prefix: &mut Vec<String>, out: &mut Vec<Path>) {
-    match row {
-        Value::Record(fields) => {
-            for (l, v) in fields {
-                prefix.push(l.clone());
-                ground_leaf_paths(v, prefix, out);
-                prefix.pop();
-            }
-        }
-        v if is_ground(v) => out.push(Path(prefix.clone())),
-        _ => {}
-    }
-}
+/// A path through records as borrowed labels: the root path is empty.
+type Labels<'r> = Vec<&'r str>;
 
-/// How many rows carry a ground value at each path.
-fn ground_coverage(rows: &[Value]) -> HashMap<Path, usize> {
-    let mut cov: HashMap<Path, usize> = HashMap::new();
-    let mut paths = Vec::new();
+/// How many rows carry a ground value at each path through records (a
+/// bare ground row counts at the root path). Paths are counted as
+/// borrowed label slices; no [`Path`] is built here.
+fn ground_coverage(rows: &[Value]) -> HashMap<Labels<'_>, usize> {
+    fn walk<'r>(v: &'r Value, prefix: &mut Labels<'r>, cov: &mut HashMap<Labels<'r>, usize>) {
+        match v {
+            Value::Record(fields) => {
+                for (l, f) in fields.iter() {
+                    prefix.push(l);
+                    walk(f, prefix, cov);
+                    prefix.pop();
+                }
+            }
+            v if is_ground(v) => match cov.get_mut(prefix.as_slice()) {
+                Some(n) => *n += 1,
+                None => {
+                    cov.insert(prefix.clone(), 1);
+                }
+            },
+            _ => {}
+        }
+    }
+    let mut cov = HashMap::new();
     let mut prefix = Vec::new();
     for r in rows {
-        ground_leaf_paths(r, &mut prefix, &mut paths);
-        for p in paths.drain(..) {
-            *cov.entry(p).or_insert(0) += 1;
-        }
+        walk(r, &mut prefix, &mut cov);
     }
     cov
 }
@@ -412,37 +420,42 @@ fn partition_key(a: &[Value], b: &[Value]) -> Vec<Path> {
 }
 
 /// [`partition_key`] over precomputed coverage maps of `na` and `nb` rows.
+/// Only the chosen paths become [`Path`]s.
 fn shared_key(
-    ca: &HashMap<Path, usize>,
+    ca: &HashMap<Labels, usize>,
     na: usize,
-    cb: &HashMap<Path, usize>,
+    cb: &HashMap<Labels, usize>,
     nb: usize,
 ) -> Vec<Path> {
-    let mut shared: Vec<(Path, usize)> = ca
+    let to_path = |p: &[&str]| Path(p.iter().map(|l| l.to_string()).collect());
+    let mut shared: Vec<(&[&str], usize)> = ca
         .iter()
-        .filter_map(|(p, a)| cb.get(p).map(|b| (p.clone(), a + b)))
+        .filter_map(|(p, a)| cb.get(p).map(|b| (p.as_slice(), a + b)))
         .collect();
     if shared.is_empty() {
         return Vec::new();
     }
-    let mut full: Vec<Path> = shared
+    let mut full: Vec<&[&str]> = shared
         .iter()
-        .filter(|(p, _)| ca[p] == na && cb[p] == nb)
-        .map(|(p, _)| p.clone())
+        .filter(|(p, _)| ca[*p] == na && cb[*p] == nb)
+        .map(|(p, _)| *p)
         .collect();
     if !full.is_empty() {
         full.sort();
         full.truncate(MAX_KEY_PATHS);
-        return full;
+        return full.into_iter().map(to_path).collect();
     }
-    shared.sort_by(|x, y| y.1.cmp(&x.1).then_with(|| x.0.cmp(&y.0)));
-    shared.truncate(1);
-    shared.into_iter().map(|(p, _)| p).collect()
+    shared.sort_by(|x, y| y.1.cmp(&x.1).then_with(|| x.0.cmp(y.0)));
+    vec![to_path(shared[0].0)]
 }
 
+/// The group of a candidate row that is partial on the partition key (or
+/// of every row when there is no key).
+const PARTIAL: u32 = u32::MAX;
+
 /// A slice product: every row on the left is to be joined with every row
-/// on the right.
-type Product<'r> = (Vec<&'r Value>, Vec<&'r Value>);
+/// on the right, and the joins land in the group named first.
+type Product<'p, 'r> = (u32, &'p [&'r Value], &'p [&'r Value]);
 
 /// Split rows into buckets keyed by their ground values on `key`, plus
 /// the fallback rows that are partial (or non-ground) somewhere on it.
@@ -488,7 +501,7 @@ impl fmt::Display for KeyPaths<'_> {
     }
 }
 
-/// What one bucketed reduction examined, for the `join.reduce` span.
+/// What one grouped reduction examined, for the `join.reduce` span.
 struct ReduceStats {
     buckets: usize,
     partial_rows: usize,
@@ -500,42 +513,146 @@ struct ReduceStats {
 fn reduce_maximal_own_key(items: Vec<Value>) -> Vec<Value> {
     let cov = ground_coverage(&items);
     let key = shared_key(&cov, items.len(), &cov, items.len());
-    reduce_maximal_keyed(items, &key).0
+    reduce_maximal_grouped(group_on(items, &key)).0
 }
 
-/// [`reduce_maximal`], comparing only rows that can subsume each other.
-///
-/// The deduplicated, sorted rows are bucketed on `key`. If `x ⊑ y` and
-/// `x` holds a base value at some path, `y` holds the same value there;
-/// so rows in different buckets never subsume each other, and a row
-/// ground at every key path is never `⊑` a key-partial row. A keyed row
-/// is therefore compared only within its bucket, a key-partial row with
-/// every row. This is exact for any `key`; a finer key is only faster.
-/// The literal rule `leq(x, y) && (!leq(y, x) || j < i)` over sorted
-/// indices decides each pair, so the result equals `reduce_maximal`'s
-/// element for element, in order, Hoare-equivalent rows included.
-fn reduce_maximal_keyed(mut rows: Vec<Value>, key: &[Path]) -> (Vec<Value>, ReduceStats) {
-    rows.sort_unstable();
-    rows.dedup();
-    let mut pairs_compared = 0;
-    let mut dominated = |i: usize, rivals: &mut dyn Iterator<Item = usize>| {
-        rivals.filter(|&j| j != i).any(|j| {
-            pairs_compared += 1;
-            leq(&rows[i], &rows[j]) && (!leq(&rows[j], &rows[i]) || j < i)
-        })
-    };
-    let (keyed, partial) = bucket(rows.iter().enumerate(), key);
-    let mut keep = vec![true; rows.len()];
-    for members in keyed.values() {
-        for &i in members {
-            keep[i] = !dominated(i, &mut members.iter().copied());
+/// Tag every row with its bucket on `key` (numbered from 0), or with
+/// [`PARTIAL`] when it is key-partial; with no key every row is.
+fn group_on(items: Vec<Value>, key: &[Path]) -> Vec<(u32, Value)> {
+    let mut group = vec![PARTIAL; items.len()];
+    if !key.is_empty() {
+        let (keyed, _) = bucket(items.iter().enumerate(), key);
+        for (g, members) in (0..).zip(keyed.into_values()) {
+            for i in members {
+                group[i] = g;
+            }
         }
     }
-    for &i in &partial {
-        keep[i] = !dominated(i, &mut (0..rows.len()));
+    group.into_iter().zip(items).collect()
+}
+
+/// Sort rows into `Value` order and drop duplicates, comparing byte keys
+/// ([`order::sort_key`]) held in one arena. Each row keeps its group.
+fn sort_dedup(cands: Vec<(u32, Value)>) -> (Vec<u32>, Vec<Value>) {
+    let mut arena = Vec::new();
+    let mut bounds = Vec::with_capacity(cands.len() + 1);
+    bounds.push(0);
+    for (_, v) in &cands {
+        order::sort_key(v, &mut arena);
+        bounds.push(arena.len());
+    }
+    let key = |i: usize| &arena[bounds[i]..bounds[i + 1]];
+    let mut idx: Vec<usize> = (0..cands.len()).collect();
+    idx.sort_unstable_by(|&i, &j| key(i).cmp(key(j)));
+    idx.dedup_by(|i, j| key(*i) == key(*j));
+    let mut slots: Vec<Option<(u32, Value)>> = cands.into_iter().map(Some).collect();
+    idx.into_iter()
+        .map(|i| slots[i].take().expect("each row is taken once"))
+        .unzip()
+}
+
+/// A ground value in `v` at a shortest path (the first in label order
+/// among those), with the path: the cheapest one to index rows by.
+fn shallowest_ground_leaf(v: &Value) -> Option<(Labels<'_>, &Value)> {
+    let mut level: Vec<(Labels, &Value)> = vec![(Vec::new(), v)];
+    while !level.is_empty() {
+        if let Some(found) = level.iter().find(|(_, v)| is_ground(v)) {
+            return Some(found.clone());
+        }
+        level = level
+            .into_iter()
+            .filter_map(|(path, v)| Some((path, v.as_record()?)))
+            .flat_map(|(path, fields)| {
+                fields.iter().map(move |(l, f)| {
+                    let mut p = path.clone();
+                    p.push(l);
+                    (p, f)
+                })
+            })
+            .collect();
+    }
+    None
+}
+
+/// The rows (by index, ascending) grouped by the ground value they hold
+/// at `path`.
+fn ground_index<'r>(rows: &'r [Value], path: &[&str]) -> HashMap<&'r Value, Vec<usize>> {
+    let mut index: HashMap<&Value, Vec<usize>> = HashMap::new();
+    'rows: for (j, r) in rows.iter().enumerate() {
+        let mut v = r;
+        for l in path {
+            match v.field(l) {
+                Some(f) => v = f,
+                None => continue 'rows,
+            }
+        }
+        if is_ground(v) {
+            index.entry(v).or_default().push(j);
+        }
+    }
+    index
+}
+
+/// [`reduce_maximal`] over rows tagged with their partition group,
+/// comparing only rows that can subsume each other.
+///
+/// If `x ⊑ y` and `x` holds a base value at some path, `y` holds the same
+/// value there. So a row of a keyed group (ground on the key) is `⊑` only
+/// rows of its own group, and is compared only with those. A
+/// [`PARTIAL`] row is compared with the rows holding the same value at
+/// one of its ground leaves (a shallowest one), found in a per-path index
+/// built on first use; a row without a ground leaf is compared with every
+/// row. This is exact
+/// for any grouping by ground key values ([`group_on`]); a finer one is
+/// only faster. The rows are sorted and deduplicated first, and the
+/// literal rule `leq(x, y) && (!leq(y, x) || j < i)` over sorted indices
+/// decides each pair, so the result equals `reduce_maximal`'s element for
+/// element, in order, Hoare-equivalent rows included.
+fn reduce_maximal_grouped(cands: Vec<(u32, Value)>) -> (Vec<Value>, ReduceStats) {
+    let (groups, mut rows) = sort_dedup(cands);
+    let mut members: Vec<Vec<usize>> = Vec::new();
+    let mut partial = Vec::new();
+    for (i, &g) in groups.iter().enumerate() {
+        if g == PARTIAL {
+            partial.push(i);
+        } else {
+            let g = g as usize;
+            if members.len() <= g {
+                members.resize_with(g + 1, Vec::new);
+            }
+            members[g].push(i);
+        }
+    }
+    let mut pairs_compared = 0;
+    let mut keep = vec![true; rows.len()];
+    {
+        let rows = &rows;
+        let mut dominated = |i: usize, rivals: &mut dyn Iterator<Item = usize>| {
+            rivals.filter(|&j| j != i).any(|j| {
+                pairs_compared += 1;
+                leq(&rows[i], &rows[j]) && (!leq(&rows[j], &rows[i]) || j < i)
+            })
+        };
+        for group in &members {
+            for &i in group {
+                keep[i] = !dominated(i, &mut group.iter().copied());
+            }
+        }
+        let mut indexes: HashMap<Labels, HashMap<&Value, Vec<usize>>> = HashMap::new();
+        for &i in &partial {
+            keep[i] = !match shallowest_ground_leaf(&rows[i]) {
+                Some((path, leaf)) => {
+                    let index = indexes
+                        .entry(path)
+                        .or_insert_with_key(|path| ground_index(rows, path));
+                    dominated(i, &mut index[leaf].iter().copied())
+                }
+                None => dominated(i, &mut (0..rows.len())),
+            };
+        }
     }
     let stats = ReduceStats {
-        buckets: keyed.len(),
+        buckets: members.iter().filter(|m| !m.is_empty()).count(),
         partial_rows: partial.len(),
         pairs_compared,
     };
@@ -546,12 +663,12 @@ fn reduce_maximal_keyed(mut rows: Vec<Value>, key: &[Path]) -> (Vec<Value>, Redu
 
 /// Every pair — the paper's definition, transcribed. Deliberately
 /// sequential: this is the baseline the fast path is measured against.
-fn join_pairs_nested(a: &[Value], b: &[Value]) -> Vec<Value> {
+fn join_pairs_nested(a: &[Value], b: &[Value]) -> Vec<(u32, Value)> {
     let mut out = Vec::new();
     join_product(
         &a.iter().collect::<Vec<_>>(),
         &b.iter().collect::<Vec<_>>(),
-        &mut out,
+        |j| out.push((PARTIAL, j)),
     );
     out
 }
@@ -561,13 +678,24 @@ fn join_pairs_nested(a: &[Value], b: &[Value]) -> Vec<Value> {
 /// some shared path with unequal base values there, so their object join
 /// is `None` (record join recurses field-wise down to the disagreeing
 /// flat leaf) — skipping those pairs cannot change the result. Rows
-/// partial on the key may join with anything and fall back to full
-/// products: `partial_a × b` plus `keyed_a × partial_b` (the
-/// `partial × partial` pairs are covered exactly once, by the first).
+/// partial on the key may join with anything: `partial_a` meets every
+/// bucket of `b` and `partial_b`, and every bucket of `a` meets
+/// `partial_b`.
 ///
-/// Returns the joined rows together with the hoisted key paths, which
+/// Each joined row is tagged with its group. A join with a row ground on
+/// the key holds that row's key values, since ground values join only
+/// with equal ones; so the products of bucket `k` with either side's
+/// key-partial rows land in group `k`, and only `partial_a × partial_b`
+/// yields [`PARTIAL`] rows (with a single key path both are partial on
+/// it, and so is their join; a composite key is ground in every row).
+///
+/// Returns the tagged rows together with the hoisted key paths, which
 /// become part of the query's plan fingerprint.
-fn join_pairs_partitioned(a: &[Value], b: &[Value], workers: usize) -> (Vec<Value>, Vec<Path>) {
+fn join_pairs_partitioned(
+    a: &[Value],
+    b: &[Value],
+    workers: usize,
+) -> (Vec<(u32, Value)>, Vec<Path>) {
     let _span = dbpl_obs::span!("join.partition");
     let key = {
         let mut hoist = dbpl_obs::span!("join.path_hoist");
@@ -579,7 +707,8 @@ fn join_pairs_partitioned(a: &[Value], b: &[Value], workers: usize) -> (Vec<Valu
         // No shared ground path: nothing can be pruned, but a large pair
         // product still parallelizes.
         crate::metrics::fallback_rows().add((a.len() + b.len()) as u64);
-        let out = run_products(vec![(a.iter().collect(), b.iter().collect())], workers);
+        let (a, b): (Vec<&Value>, Vec<&Value>) = (a.iter().collect(), b.iter().collect());
+        let out = run_products(vec![(PARTIAL, &a, &b)], workers);
         return (out, key);
     }
     let (keyed_a, partial_a, keyed_b, partial_b) = {
@@ -590,37 +719,43 @@ fn join_pairs_partitioned(a: &[Value], b: &[Value], workers: usize) -> (Vec<Valu
         bucket_span.set_attr("fallback_rows", partial_a.len() + partial_b.len());
         (keyed_a, partial_a, keyed_b, partial_b)
     };
+    debug_assert!(
+        key.len() == 1 || (partial_a.is_empty() && partial_b.is_empty()),
+        "a composite key is ground in every row of both sides"
+    );
     crate::metrics::partition_buckets().add((keyed_a.len() + keyed_b.len()) as u64);
     crate::metrics::fallback_rows().add((partial_a.len() + partial_b.len()) as u64);
     let products = {
         let mut probe = dbpl_obs::span!("join.probe");
         let mut products: Vec<Product> = Vec::new();
+        let mut group = 0;
         for (k, rows_a) in &keyed_a {
-            if let Some(rows_b) = keyed_b.get(k) {
-                products.push((rows_a.clone(), rows_b.clone()));
+            let rows_b = keyed_b.get(k).map_or(&[][..], Vec::as_slice);
+            products.push((group, rows_a, rows_b));
+            products.push((group, rows_a, &partial_b));
+            products.push((group, &partial_a, rows_b));
+            group += 1;
+        }
+        for (k, rows_b) in &keyed_b {
+            if !keyed_a.contains_key(k) {
+                products.push((group, &partial_a, rows_b));
+                group += 1;
             }
         }
-        if !partial_a.is_empty() {
-            products.push((partial_a, b.iter().collect()));
-        }
-        if !partial_b.is_empty() {
-            let keyed_rows_a: Vec<&Value> = keyed_a.values().flatten().copied().collect();
-            if !keyed_rows_a.is_empty() {
-                products.push((keyed_rows_a, partial_b));
-            }
-        }
+        products.push((PARTIAL, &partial_a, &partial_b));
+        products.retain(|(_, l, r)| !l.is_empty() && !r.is_empty());
         probe.set_attr("products", products.len());
         products
     };
     (run_products(products, workers), key)
 }
 
-/// All existing object joins of a slice product, appended to `out`.
-fn join_product(l: &[&Value], r: &[&Value], out: &mut Vec<Value>) {
+/// Every existing object join of a slice product, handed to `emit`.
+fn join_product(l: &[&Value], r: &[&Value], mut emit: impl FnMut(Value)) {
     for x in l {
         for y in r {
             if let Some(j) = order::join(x, y) {
-                out.push(j);
+                emit(j);
             }
         }
     }
@@ -636,45 +771,40 @@ fn detected_workers() -> usize {
         .min(8)
 }
 
-/// Evaluate slice products: sequentially under [`PAR_JOIN_CUTOFF`] total
-/// work, otherwise over scoped threads with oversized products split and
+/// Evaluate slice products into group-tagged rows: sequentially under
+/// [`PAR_JOIN_CUTOFF`] total work, otherwise over scoped threads with
+/// oversized products split (each piece keeps its product's group) and
 /// pieces placed longest-first on the least-loaded worker. Output order
 /// varies with scheduling, which is harmless — the caller canonicalizes
 /// through a reduction that sorts first.
-fn run_products(products: Vec<Product>, workers: usize) -> Vec<Value> {
+fn run_products(products: Vec<Product>, workers: usize) -> Vec<(u32, Value)> {
     let mut span = dbpl_obs::span!("join.product");
-    let work: usize = products.iter().map(|(l, r)| l.len() * r.len()).sum();
+    let work: usize = products.iter().map(|(_, l, r)| l.len() * r.len()).sum();
     span.set_attr("pairs", work);
+    let run = |pieces: &[Product]| {
+        let mut out = Vec::new();
+        for &(g, l, r) in pieces {
+            join_product(l, r, |j| out.push((g, j)));
+        }
+        out
+    };
     if work < PAR_JOIN_CUTOFF || workers <= 1 {
         span.set_attr("mode", "serial");
         crate::metrics::products_serial().add(products.len() as u64);
-        let mut out = Vec::new();
-        for (l, r) in &products {
-            join_product(l, r, &mut out);
-        }
-        return out;
+        return run(&products);
     }
     span.set_attr("mode", "parallel");
     crate::metrics::products_parallel().add(products.len() as u64);
     let target = work.div_ceil(workers).max(1);
     let mut pieces: Vec<Product> = Vec::new();
-    for (l, r) in products {
-        if l.is_empty() || r.is_empty() {
-            continue;
-        }
-        let rows_per = (target / r.len()).max(1);
-        if l.len() <= rows_per {
-            pieces.push((l, r));
-        } else {
-            for chunk in l.chunks(rows_per) {
-                pieces.push((chunk.to_vec(), r.clone()));
-            }
-        }
+    for (g, l, r) in products {
+        let rows_per = (target / r.len().max(1)).max(1);
+        pieces.extend(l.chunks(rows_per).map(|chunk| (g, chunk, r)));
     }
-    pieces.sort_by_key(|(l, r)| std::cmp::Reverse(l.len() * r.len()));
+    pieces.sort_by_key(|(_, l, r)| std::cmp::Reverse(l.len() * r.len()));
     let mut groups: Vec<(usize, Vec<Product>)> = vec![(0, Vec::new()); workers];
     for piece in pieces {
-        let w = piece.0.len() * piece.1.len();
+        let w = piece.1.len() * piece.2.len();
         let g = groups
             .iter_mut()
             .min_by_key(|(load, _)| *load)
@@ -694,11 +824,7 @@ fn run_products(products: Vec<Product>, workers: usize) -> Vec<Value> {
                     let _ctx = dbpl_obs::trace::adopt(ctx);
                     let mut sp = dbpl_obs::span!("join.product.worker");
                     sp.set_attr("pieces", g.len());
-                    let mut out = Vec::new();
-                    for (l, r) in &g {
-                        join_product(l, r, &mut out);
-                    }
-                    out
+                    run(&g)
                 })
             })
             .collect();
@@ -1005,9 +1131,9 @@ mod tests {
         let (r1, r2) = (side("L", 1), side("R", 3));
         let (a, b): (Vec<&Value>, Vec<&Value>) = (r1.iter().collect(), r2.iter().collect());
         assert!(a.len() * b.len() >= PAR_JOIN_CUTOFF);
-        let mut serial = run_products(vec![(a.clone(), b.clone())], 1);
+        let mut serial = untagged(run_products(vec![(0, &a, &b)], 1));
         let fanned_out = crate::metrics::products_parallel().get();
-        let mut parallel = run_products(vec![(a, b)], 2);
+        let mut parallel = untagged(run_products(vec![(0, &a, &b)], 2));
         assert!(
             crate::metrics::products_parallel().get() > fanned_out,
             "two workers never fanned the product out"
@@ -1065,19 +1191,42 @@ mod reduce_tests {
         prop::collection::vec(path, 0..4).prop_map(|ps| ps.into_iter().map(Path::parse).collect())
     }
 
+    /// The grouped reduction over `rows` bucketed on `key`.
+    fn keyed(rows: Vec<Value>, key: &[Path]) -> (Vec<Value>, ReduceStats) {
+        reduce_maximal_grouped(group_on(rows, key))
+    }
+
+    /// The grouped reduction is the literal one for `key`: the same rows,
+    /// in the same order.
+    fn keyed_reduction_is_literal(rows: Vec<Value>, key: &[Path]) -> TestCaseResult {
+        let literal = reduce_maximal(rows.clone());
+        prop_assert_eq!(keyed(rows.clone(), key).0, literal.clone());
+        prop_assert_eq!(reduce_maximal_own_key(rows), literal);
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
-        /// The bucketed reduction is the literal one for every key: the
-        /// same rows, in the same order.
         #[test]
         fn keyed_reduction_equals_reduce_maximal(
             rows in prop::collection::vec(arb_row(), 0..14),
             key in arb_key()
         ) {
-            let literal = reduce_maximal(rows.clone());
-            prop_assert_eq!(reduce_maximal_keyed(rows.clone(), &key).0, literal.clone());
-            prop_assert_eq!(reduce_maximal_own_key(rows), literal);
+            keyed_reduction_is_literal(rows, &key)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16 * 512))]
+
+        #[test]
+        #[ignore = "16x the tier-1 cases; nightly runs with --ignored"]
+        fn keyed_reduction_equals_reduce_maximal_nightly(
+            rows in prop::collection::vec(arb_row(), 0..14),
+            key in arb_key()
+        ) {
+            keyed_reduction_is_literal(rows, &key)?;
         }
     }
 
@@ -1091,30 +1240,37 @@ mod reduce_tests {
         let literal = reduce_maximal(rows.clone());
         assert_eq!(literal.len(), 1);
         for key in [vec![], vec![Path::parse("k")], vec![Path::parse("s")]] {
-            assert_eq!(
-                reduce_maximal_keyed(rows.clone(), &key).0,
-                literal,
-                "key {key:?}"
-            );
+            assert_eq!(keyed(rows.clone(), &key).0, literal, "key {key:?}");
         }
     }
 
     #[test]
-    fn keyed_rows_meet_only_their_bucket_and_partial_rows_meet_all() {
+    fn keyed_rows_meet_their_bucket_and_partial_rows_their_possible_dominators() {
         // Two buckets of two rows on `K`, one row without `K`: each keyed
-        // row meets only its bucket-mate (4 pairs), the undominated
-        // partial row meets all four other rows (4 pairs).
-        let rows = vec![
+        // row meets only its bucket-mate (4 pairs); the partial row meets
+        // only the rows holding its ground leaf `B = 7`, none but itself
+        // (0 pairs).
+        let mut rows = vec![
             rec(&[("K", Value::Int(1)), ("A", Value::Int(1))]),
             rec(&[("K", Value::Int(1)), ("A", Value::Int(2))]),
             rec(&[("K", Value::Int(2)), ("A", Value::Int(1))]),
             rec(&[("K", Value::Int(2)), ("A", Value::Int(2))]),
             rec(&[("B", Value::Int(7))]),
         ];
-        let (kept, stats) = reduce_maximal_keyed(rows.clone(), &[Path::parse("K")]);
-        assert_eq!(kept, reduce_maximal(rows));
+        let key = [Path::parse("K")];
+        let (kept, stats) = keyed(rows.clone(), &key);
+        assert_eq!(kept, reduce_maximal(rows.clone()));
         assert_eq!((stats.buckets, stats.partial_rows), (2, 1));
-        assert_eq!(stats.pairs_compared, 4 + 4);
+        assert_eq!(stats.pairs_compared, 4, "4 keyed pairs, 0 partial");
+        // A partial row with no ground leaf meets all six other rows, and
+        // `{A = 1}` stops at the first row holding `A = 1`, which
+        // dominates it.
+        rows.push(rec(&[("s", Value::set([]))]));
+        rows.push(rec(&[("A", Value::Int(1))]));
+        let (kept, stats) = keyed(rows.clone(), &key);
+        assert_eq!(kept, reduce_maximal(rows));
+        assert_eq!((stats.buckets, stats.partial_rows), (2, 3));
+        assert_eq!(stats.pairs_compared, 4 + 6 + 1);
     }
 }
 

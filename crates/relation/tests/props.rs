@@ -10,6 +10,7 @@ use dbpl_relation::{
 use dbpl_types::Type;
 use dbpl_values::{is_antichain, reduce_maximal, Path, Value};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 // ---------- generators ----------
 
@@ -36,9 +37,9 @@ fn arb_nested_record() -> impl Strategy<Value = Value> {
 }
 
 /// A relation whose rows mostly carry a shared key field `k` holding a
-/// base value, plus explicit key-partial rows without `k`, and rows whose
-/// `k` holds a partial record (non-ground at `k`, ground at `k.a` or
-/// `k.b` perhaps).
+/// base value, plus explicit key-partial rows without `k` (some with no
+/// ground leaf at all), and rows whose `k` holds a partial record
+/// (non-ground at `k`, ground at `k.a` or `k.b` perhaps).
 fn arb_key_partial_relation() -> impl Strategy<Value = GenRelation> {
     fn with_k(mut row: Value, k: Value) -> Value {
         if let Value::Record(fields) = &mut row {
@@ -46,16 +47,81 @@ fn arb_key_partial_relation() -> impl Strategy<Value = GenRelation> {
         }
         row
     }
-    let keyed = (arb_partial_record(), 0i64..3).prop_map(|(row, k)| with_k(row, Value::Int(k)));
-    let record_k = (arb_partial_record(), arb_partial_record()).prop_map(|(row, k)| with_k(row, k));
+    let keyed = (arb_join_record(), arb_join_leaf()).prop_map(|(row, k)| with_k(row, k));
+    let record_k = (arb_join_record(), arb_partial_record()).prop_map(|(row, k)| with_k(row, k));
+    let partial = prop_oneof![3 => arb_join_record(), 1 => arb_leafless_row()];
     (
         prop::collection::vec(keyed, 3..9),
-        prop::collection::vec(arb_partial_record(), 0..3),
+        prop::collection::vec(partial, 0..3),
         prop::collection::vec(record_k, 0..3),
     )
         .prop_map(|(keyed, partial, record_k)| {
             GenRelation::from_values(keyed.into_iter().chain(partial).chain(record_k))
         })
+}
+
+/// Base values of several kinds over tiny domains: `Int`s, `Str`s and
+/// `Float`s (`0.0` and `-0.0` are different values that do not join).
+fn arb_join_leaf() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        3 => (0i64..3).prop_map(Value::Int),
+        1 => prop::sample::select(vec!["x", "y"]).prop_map(Value::str),
+        1 => prop::sample::select(vec![0.0, -0.0, 1.5]).prop_map(Value::float),
+    ]
+}
+
+/// An optional set of flat partial records, for a field `s`: sets are
+/// never ground, so rows meet through them only by the Hoare ordering.
+fn arb_set() -> impl Strategy<Value = Option<BTreeSet<Value>>> {
+    prop::option::of(prop::collection::btree_set(arb_partial_record(), 0..3))
+}
+
+/// `row` with `set`, if any, as its field `s`.
+fn with_set(mut row: Value, set: Option<BTreeSet<Value>>) -> Value {
+    if let (Value::Record(fields), Some(set)) = (&mut row, set) {
+        fields.insert("s".to_string(), Value::Set(set));
+    }
+    row
+}
+
+/// Partial records over `[abcd]` holding mixed base values, some with a
+/// set-valued field.
+fn arb_join_record() -> impl Strategy<Value = Value> {
+    (
+        prop::collection::btree_map("[abcd]", arb_join_leaf(), 0..4),
+        arb_set(),
+    )
+        .prop_map(|(m, set)| with_set(Value::Record(m.into_iter().collect()), set))
+}
+
+/// Rows with no ground leaf at all: `{}`, an empty nested record `n`, a
+/// set, or both — key-partial on any key, and without a ground value to
+/// look their possible dominators up by.
+fn arb_leafless_row() -> impl Strategy<Value = Value> {
+    (any::<bool>(), arb_set()).prop_map(|(n, set)| {
+        let row = if n {
+            Value::record([("n", Value::record::<[(&str, Value); 0], &str>([]))])
+        } else {
+            Value::record::<[(&str, Value); 0], &str>([])
+        };
+        with_set(row, set)
+    })
+}
+
+/// Relations of mixed-kind rows, about one in five of them leafless.
+fn arb_join_relation() -> impl Strategy<Value = GenRelation> {
+    let row = prop_oneof![4 => arb_join_record(), 1 => arb_leafless_row()];
+    prop::collection::vec(row, 0..8).prop_map(GenRelation::from_values)
+}
+
+/// [`arb_join_record`]s whose `n` field may itself be one.
+fn arb_nested_join_record() -> impl Strategy<Value = Value> {
+    (arb_join_record(), prop::option::of(arb_join_record())).prop_map(|(mut outer, inner)| {
+        if let (Value::Record(fields), Some(nested)) = (&mut outer, inner) {
+            fields.insert("n".to_string(), nested);
+        }
+        outer
+    })
 }
 
 /// Flat relations over a fixed 3-attribute schema with small domains.
@@ -94,6 +160,77 @@ fn all_attrs() -> Attrs {
 
 // ---------- properties ----------
 
+/// Partitioned ≡ nested under `reductions`, byte for byte.
+fn strategies_agree(a: &GenRelation, b: &GenRelation, reductions: &[Reduction]) -> TestCaseResult {
+    for &red in reductions {
+        let nested = a.natural_join_strategy(b, red, JoinStrategy::Nested);
+        let partitioned = a.natural_join_strategy(b, red, JoinStrategy::Partitioned);
+        prop_assert_eq!(nested, partitioned, "strategies diverged under {:?}", red);
+    }
+    Ok(())
+}
+
+const BOTH: [Reduction; 2] = [Reduction::Maximal, Reduction::Minimal];
+
+/// The join differentials: tier 1 runs `cases` of each, the nightly 16×.
+macro_rules! join_differentials {
+    ($cases:expr, $($ignore:meta)?; $plain:ident, $nested:ident, $key_partial:ident) => {
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases($cases))]
+
+            /// The differential test behind the fast path: the
+            /// hash-partitioned join must be byte-for-byte the nested-loop
+            /// join, on random partial-record relations (small domains of
+            /// `Int`, `Str` and `Float` values make both disagreeing ground
+            /// values and rows partial on the key common; set-valued and
+            /// leafless rows meet only through the ordering) under both
+            /// reductions. The Figure 1 fixture is checked in the unit suite.
+            #[test]
+            $(#[$ignore])?
+            fn $plain(a in arb_join_relation(), b in arb_join_relation()) {
+                strategies_agree(&a, &b, &BOTH)?;
+            }
+
+            /// Same differential on *nested* partial records, so the
+            /// partition key must discriminate on dotted paths, not just
+            /// top-level fields.
+            #[test]
+            $(#[$ignore])?
+            fn $nested(
+                a in prop::collection::vec(arb_nested_join_record(), 0..8),
+                b in prop::collection::vec(arb_nested_join_record(), 0..8)
+            ) {
+                let (a, b) = (GenRelation::from_values(a), GenRelation::from_values(b));
+                strategies_agree(&a, &b, &[Reduction::Maximal])?;
+            }
+
+            /// Partitioned ≡ nested where the hoisted key `k` is missing
+            /// from some rows and holds a record in others, so both the
+            /// join's key-partial products and the grouped reduction's
+            /// key-partial rows are exercised.
+            #[test]
+            $(#[$ignore])?
+            fn $key_partial(a in arb_key_partial_relation(), b in arb_key_partial_relation()) {
+                strategies_agree(&a, &b, &BOTH)?;
+            }
+        }
+    };
+}
+
+join_differentials!(
+    128,;
+    partitioned_join_equals_nested_join,
+    partitioned_join_equals_nested_join_on_nested_records,
+    partitioned_join_equals_nested_join_with_key_partial_rows
+);
+
+join_differentials!(
+    16 * 128, ignore = "16x the tier-1 cases; nightly runs with --ignored";
+    partitioned_join_equals_nested_join_nightly,
+    partitioned_join_equals_nested_join_on_nested_records_nightly,
+    partitioned_join_equals_nested_join_with_key_partial_rows_nightly
+);
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -113,49 +250,6 @@ proptest! {
             prop_assert!(a.leq(&j), "R1 not ⊑ join under {red:?}");
             prop_assert!(b.leq(&j), "R2 not ⊑ join under {red:?}");
             prop_assert!(is_antichain(j.rows()));
-        }
-    }
-
-    /// The differential test behind the fast path: the hash-partitioned
-    /// join must be byte-for-byte the nested-loop join, on random
-    /// partial-record relations (small domains make both disagreeing
-    /// ground values and rows partial on the key common) under both
-    /// reductions. The Figure 1 fixture is checked in the unit suite.
-    #[test]
-    fn partitioned_join_equals_nested_join(a in arb_gen_relation(), b in arb_gen_relation()) {
-        for red in [Reduction::Maximal, Reduction::Minimal] {
-            let nested = a.natural_join_strategy(&b, red, JoinStrategy::Nested);
-            let partitioned = a.natural_join_strategy(&b, red, JoinStrategy::Partitioned);
-            prop_assert_eq!(nested, partitioned, "strategies diverged under {:?}", red);
-        }
-    }
-
-    /// Same differential on *nested* partial records, so the partition
-    /// key must discriminate on dotted paths, not just top-level fields.
-    #[test]
-    fn partitioned_join_equals_nested_join_on_nested_records(
-        a in prop::collection::vec(arb_nested_record(), 0..8),
-        b in prop::collection::vec(arb_nested_record(), 0..8)
-    ) {
-        let (a, b) = (GenRelation::from_values(a), GenRelation::from_values(b));
-        let nested = a.natural_join_strategy(&b, Reduction::Maximal, JoinStrategy::Nested);
-        let partitioned = a.natural_join_strategy(&b, Reduction::Maximal, JoinStrategy::Partitioned);
-        prop_assert_eq!(nested, partitioned);
-    }
-
-    /// Partitioned ≡ nested where the hoisted key `k` is missing from
-    /// some rows and holds a record in others, so both the join's
-    /// fallback products and the bucketed reduction's key-partial rows
-    /// are exercised.
-    #[test]
-    fn partitioned_join_equals_nested_join_with_key_partial_rows(
-        a in arb_key_partial_relation(),
-        b in arb_key_partial_relation()
-    ) {
-        for red in [Reduction::Maximal, Reduction::Minimal] {
-            let nested = a.natural_join_strategy(&b, red, JoinStrategy::Nested);
-            let partitioned = a.natural_join_strategy(&b, red, JoinStrategy::Partitioned);
-            prop_assert_eq!(nested, partitioned, "strategies diverged under {:?}", red);
         }
     }
 

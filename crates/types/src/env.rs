@@ -182,6 +182,14 @@ impl TypeEnv {
         if !self.defs.contains_key(&sup) {
             return Err(TypeError::UnknownInDeclaration(sup));
         }
+        if self
+            .declared_sups
+            .get(&sub)
+            .is_some_and(|s| s.contains(&sup))
+        {
+            // Already declared: nothing changes, so the cache stays.
+            return Ok(());
+        }
         let structurally_ok = {
             // Check against a structural view of this environment.
             // `set_policy` gives the view its own fresh memo table, so
@@ -193,17 +201,14 @@ impl TypeEnv {
         if !structurally_ok {
             return Err(TypeError::IncompatibleDeclaration { sub, sup });
         }
-        Arc::make_mut(&mut self.declared_sups)
-            .entry(sub.clone())
-            .or_default()
-            .insert(sup);
-        if self.declared_cycle_from(&sub) {
-            // Roll back the edge we just added.
-            if let Some(sups) = Arc::make_mut(&mut self.declared_sups).get_mut(&sub) {
-                sups.pop_last();
-            }
+        if self.declared_le(&sup, &sub) {
+            // The edge would close a cycle: refuse it before it is added.
             return Err(TypeError::CyclicDeclaration(sub));
         }
+        Arc::make_mut(&mut self.declared_sups)
+            .entry(sub)
+            .or_default()
+            .insert(sup);
         self.touch();
         Ok(())
     }
@@ -234,29 +239,6 @@ impl TypeEnv {
     /// Direct declared supertypes of a name.
     pub fn declared_supertypes(&self, name: &str) -> impl Iterator<Item = &Name> {
         self.declared_sups.get(name).into_iter().flatten()
-    }
-
-    fn declared_cycle_from(&self, start: &str) -> bool {
-        // A cycle exists iff start is reachable from one of its proper
-        // supertypes.
-        let mut seen = BTreeSet::new();
-        let mut stack: Vec<Name> = self
-            .declared_sups
-            .get(start)
-            .into_iter()
-            .flatten()
-            .cloned()
-            .collect();
-        while let Some(n) = stack.pop() {
-            if n == start {
-                return true;
-            }
-            if !seen.insert(n.clone()) {
-                continue;
-            }
-            stack.extend(self.declared_sups.get(&n).into_iter().flatten().cloned());
-        }
-        false
     }
 
     /// Verify that the (possibly mutually) recursive definition of `name`
@@ -528,5 +510,47 @@ mod tests {
         // Edge rolled back: only the A -> B edge remains.
         assert!(env.declared_le("A", "B"));
         assert!(!env.declared_le("B", "A"));
+    }
+
+    #[test]
+    fn refused_cycle_keeps_the_earlier_edges() {
+        // `A` already has the supertype `Y`, which sorts after the refused
+        // `C`: refusing `A <= C` must leave `A <= Y`, and only it.
+        let mut env = TypeEnv::new();
+        for n in ["A", "C", "Y"] {
+            env.declare(n, Type::record([("Name", Type::Str)])).unwrap();
+        }
+        env.declare_subtype("A", "Y").unwrap();
+        env.declare_subtype("C", "A").unwrap();
+        assert_eq!(
+            env.declare_subtype("A", "C"),
+            Err(TypeError::CyclicDeclaration("A".into()))
+        );
+        assert!(
+            env.declared_le("A", "Y"),
+            "the earlier edge A <= Y survives"
+        );
+        assert!(!env.declared_le("A", "C"), "the refused edge is gone");
+        assert_eq!(env.declared_supertypes("A").collect::<Vec<_>>(), ["Y"]);
+    }
+
+    #[test]
+    fn repeated_edge_keeps_generation_and_cache() {
+        let mut env = TypeEnv::new();
+        env.declare("P", Type::record([("Name", Type::Str)]))
+            .unwrap();
+        env.declare("E", Type::record([("Name", Type::Str), ("No", Type::Int)]))
+            .unwrap();
+        env.declare_subtype("E", "P").unwrap();
+        assert!(crate::subtype::is_subtype(
+            &Type::named("E"),
+            &Type::named("P"),
+            &env
+        ));
+        let (generation, cached) = (env.generation(), env.subtype_cache().len());
+        assert!(cached > 0);
+        env.declare_subtype("E", "P").unwrap();
+        assert_eq!(env.generation(), generation);
+        assert_eq!(env.subtype_cache().len(), cached);
     }
 }

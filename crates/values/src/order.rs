@@ -22,6 +22,7 @@
 //! Aït-Kaci and Bancilhon–Khoshafian.
 
 use crate::value::Value;
+use dbpl_types::Type;
 use std::collections::BTreeSet;
 
 /// Does `a ⊑ b` hold — is `b` at least as informative as `a`?
@@ -210,6 +211,160 @@ pub fn is_antichain(items: &[Value]) -> bool {
         }
     }
     true
+}
+
+/// Append a byte key for `v` to `out`: keys compare (as byte strings) in
+/// the order of `Value`'s derived `Ord`, and two keys are equal exactly
+/// when the values are. Sorting many values on keys held in one buffer
+/// compares with `memcmp` instead of walking string-keyed maps.
+///
+/// The key is prefix-free, so the keys of a sequence's elements can be
+/// concatenated: a variant tag in declaration order, then a sign-flipped
+/// big-endian `Int`, the `total_cmp` order of a `Float`'s bits, strings
+/// with NUL escaped as `00 FF` and terminated by `00 00`, and elements or
+/// fields each prefixed by `1` and the sequence closed by `0` (a shorter
+/// sequence sorts first). A `Dyn`'s type is encoded the same way, after
+/// `Type`'s derived order.
+pub fn sort_key(v: &Value, out: &mut Vec<u8>) {
+    match v {
+        Value::Unit => out.push(0),
+        Value::Bool(b) => out.extend([1, u8::from(*b)]),
+        Value::Int(i) => {
+            out.push(2);
+            out.extend(((*i as u64) ^ (1 << 63)).to_be_bytes());
+        }
+        Value::Float(x) => {
+            out.push(3);
+            let bits = x.0.to_bits();
+            let key = if bits >> 63 == 1 {
+                !bits
+            } else {
+                bits ^ (1 << 63)
+            };
+            out.extend(key.to_be_bytes());
+        }
+        Value::Str(s) => {
+            out.push(4);
+            str_key(s, out);
+        }
+        Value::List(xs) => {
+            out.push(5);
+            seq_key(xs, out, sort_key);
+        }
+        Value::Set(xs) => {
+            out.push(6);
+            seq_key(xs, out, sort_key);
+        }
+        Value::Record(fields) => {
+            out.push(7);
+            seq_key(fields.iter(), out, |(l, v), out| {
+                str_key(l, out);
+                sort_key(v, out);
+            });
+        }
+        Value::Tagged(l, v) => {
+            out.push(8);
+            str_key(l, out);
+            sort_key(v, out);
+        }
+        Value::Dyn(d) => {
+            out.push(9);
+            type_key(&d.ty, out);
+            sort_key(&d.value, out);
+        }
+        Value::Ref(oid) => {
+            out.push(10);
+            out.extend(oid.0.to_be_bytes());
+        }
+    }
+}
+
+/// A string's bytes, NUL escaped as `00 FF`, terminated by `00 00`.
+fn str_key(s: &str, out: &mut Vec<u8>) {
+    for &b in s.as_bytes() {
+        out.push(b);
+        if b == 0 {
+            out.push(0xFF);
+        }
+    }
+    out.extend([0, 0]);
+}
+
+/// Each item prefixed by `1`, the sequence closed by `0`.
+fn seq_key<I: IntoIterator>(items: I, out: &mut Vec<u8>, item_key: impl Fn(I::Item, &mut Vec<u8>)) {
+    for item in items {
+        out.push(1);
+        item_key(item, out);
+    }
+    out.push(0);
+}
+
+/// [`sort_key`] for the type a `Dyn` carries, after `Type`'s derived order.
+fn type_key(t: &Type, out: &mut Vec<u8>) {
+    let fields = |fs: &dbpl_types::Fields, out: &mut Vec<u8>| {
+        seq_key(fs.iter(), out, |(l, t), out| {
+            str_key(l, out);
+            type_key(t, out);
+        })
+    };
+    let quant = |q: &dbpl_types::Quant, out: &mut Vec<u8>| {
+        str_key(&q.var, out);
+        match &q.bound {
+            None => out.push(0),
+            Some(b) => {
+                out.push(1);
+                type_key(b, out);
+            }
+        }
+        type_key(&q.body, out);
+    };
+    match t {
+        Type::Int => out.push(0),
+        Type::Float => out.push(1),
+        Type::Bool => out.push(2),
+        Type::Str => out.push(3),
+        Type::Unit => out.push(4),
+        Type::Top => out.push(5),
+        Type::Bottom => out.push(6),
+        Type::Dynamic => out.push(7),
+        Type::List(e) => {
+            out.push(8);
+            type_key(e, out);
+        }
+        Type::Set(e) => {
+            out.push(9);
+            type_key(e, out);
+        }
+        Type::Record(fs) => {
+            out.push(10);
+            fields(fs, out);
+        }
+        Type::Variant(fs) => {
+            out.push(11);
+            fields(fs, out);
+        }
+        Type::Fun(a, r) => {
+            out.push(12);
+            type_key(a, out);
+            type_key(r, out);
+        }
+        Type::Named(n) => {
+            out.push(13);
+            str_key(n, out);
+        }
+        Type::Var(v) => {
+            out.push(14);
+            str_key(v, out);
+        }
+        Type::Forall(q) => {
+            out.push(15);
+            quant(q, out);
+        }
+        Type::Exists(q) => {
+            out.push(16);
+            quant(q, out);
+        }
+    }
 }
 
 #[cfg(test)]

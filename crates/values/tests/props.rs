@@ -2,8 +2,10 @@
 //! `⊔` is a least upper bound where defined, `⊓` a greatest lower bound,
 //! and the antichain reductions are canonical.
 
+use dbpl_types::{Quant, Type};
 use dbpl_values::{
-    comparable, compatible, is_antichain, join, leq, meet, reduce_maximal, reduce_minimal, Value,
+    comparable, compatible, is_antichain, join, leq, meet, order::sort_key, reduce_maximal,
+    reduce_minimal, Oid, Value,
 };
 use proptest::prelude::*;
 
@@ -150,4 +152,177 @@ proptest! {
             prop_assert!(leq(&base, &e));
         }
     }
+}
+
+// ---------- byte sort keys ----------
+
+/// Types for `Dyn` values over tiny domains, so that types differing in
+/// one spot are common: every variant of `Type`, records most often,
+/// quantifiers bounded and unbounded.
+fn arb_type() -> impl Strategy<Value = Type> {
+    let leaf = prop_oneof![
+        Just(Type::Int),
+        Just(Type::Top),
+        Just(Type::Dynamic),
+        prop::sample::select(vec![
+            Type::Float,
+            Type::Bool,
+            Type::Str,
+            Type::Unit,
+            Type::Bottom
+        ]),
+        "[P]".prop_map(Type::Named),
+        "[u]".prop_map(Type::Var),
+    ];
+    leaf.prop_recursive(2, 16, 3, |inner| {
+        let quant = ("[u]", prop::option::of(inner.clone()), inner.clone()).prop_map(
+            |(var, bound, body)| Quant {
+                var,
+                bound: bound.map(Box::new),
+                body: Box::new(body),
+            },
+        );
+        prop_oneof![
+            3 => prop::collection::btree_map("[xy]", inner.clone(), 0..3).prop_map(Type::record),
+            1 => prop::collection::btree_map("[A]", inner.clone(), 0..2).prop_map(Type::variant),
+            1 => inner.clone().prop_map(|t| Type::List(Box::new(t))),
+            1 => inner.clone().prop_map(|t| Type::Set(Box::new(t))),
+            1 => (inner.clone(), inner).prop_map(|(a, r)| Type::Fun(Box::new(a), Box::new(r))),
+            2 => quant.clone().prop_map(|q| Type::Forall(Box::new(q))),
+            1 => quant.prop_map(|q| Type::Exists(Box::new(q))),
+        ]
+    })
+}
+
+/// Strings that are NUL-bearing, empty, or prefixes of each other.
+fn arb_text() -> impl Strategy<Value = String> {
+    prop::sample::select(vec!["", "a", "a\0", "a\0b", "\0", "ab", "b", "é"]).prop_map(String::from)
+}
+
+/// Every variant of `Value` over small domains, so that equal and
+/// barely-different values are common: boundary `Int`s, NaN of both
+/// signs, ±0.0 and infinities, `Ref`s, sets, lists, `Tagged` and `Dyn`.
+fn arb_any_value() -> impl Strategy<Value = Value> {
+    let leaf = prop_oneof![
+        Just(Value::Unit),
+        any::<bool>().prop_map(Value::Bool),
+        prop_oneof![-2i64..2, Just(i64::MIN), Just(i64::MAX)].prop_map(Value::Int),
+        prop::sample::select(vec![
+            0.0,
+            -0.0,
+            1.5,
+            -1.5,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+        ])
+        .prop_map(Value::float),
+        any::<f64>().prop_map(Value::float),
+        arb_text().prop_map(Value::Str),
+        prop::sample::select(vec![0u64, 1, u64::MAX]).prop_map(|n| Value::Ref(Oid(n))),
+    ];
+    leaf.prop_recursive(3, 32, 4, |inner| {
+        prop_oneof![
+            3 => prop::collection::btree_map(arb_text(), inner.clone(), 0..3)
+                .prop_map(|fs| Value::Record(fs.into())),
+            1 => prop::collection::vec(inner.clone(), 0..3).prop_map(Value::List),
+            1 => prop::collection::btree_set(inner.clone(), 0..3).prop_map(Value::Set),
+            1 => (arb_text(), inner.clone()).prop_map(|(l, v)| Value::tagged(l, v)),
+            1 => (arb_type(), inner).prop_map(|(t, v)| Value::dynamic(t, v)),
+        ]
+    })
+}
+
+fn key_of(v: &Value) -> Vec<u8> {
+    let mut out = Vec::new();
+    sort_key(v, &mut out);
+    out
+}
+
+/// Byte keys order like `Value`'s `Ord`, are equal exactly for equal
+/// values, and no key is a proper prefix of another.
+fn sort_keys_mirror_ord(vs: Vec<Value>) -> TestCaseResult {
+    let keys: Vec<Vec<u8>> = vs.iter().map(key_of).collect();
+    for (a, ka) in vs.iter().zip(&keys) {
+        prop_assert_eq!(&key_of(&a.clone()), ka);
+        for (b, kb) in vs.iter().zip(&keys) {
+            prop_assert_eq!(ka.cmp(kb), a.cmp(b), "{:?} vs {:?}", a, b);
+            prop_assert_eq!(ka == kb, a == b, "{:?} vs {:?}", a, b);
+            prop_assert!(ka == kb || !kb.starts_with(ka), "{:?} prefixes {:?}", a, b);
+        }
+    }
+    let mut by_ord = vs.clone();
+    by_ord.sort();
+    let mut by_key = vs;
+    by_key.sort_by_cached_key(key_of);
+    prop_assert_eq!(by_key, by_ord);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn sort_key_order_is_value_order(vs in prop::collection::vec(arb_any_value(), 0..8)) {
+        sort_keys_mirror_ord(vs)?;
+    }
+
+    /// `Dyn`s of one value differ only in their types, which the keys
+    /// must order as `Type`'s derived `Ord` does.
+    #[test]
+    fn sort_key_orders_dyn_by_type(ts in prop::collection::vec(arb_type(), 0..8)) {
+        sort_keys_mirror_ord(ts.into_iter().map(|t| Value::dynamic(t, Value::Unit)).collect())?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16 * 512))]
+
+    #[test]
+    #[ignore = "16x the tier-1 cases; nightly runs with --ignored"]
+    fn sort_key_order_is_value_order_nightly(vs in prop::collection::vec(arb_any_value(), 0..8)) {
+        sort_keys_mirror_ord(vs)?;
+    }
+
+    #[test]
+    #[ignore = "16x the tier-1 cases; nightly runs with --ignored"]
+    fn sort_key_orders_dyn_by_type_nightly(ts in prop::collection::vec(arb_type(), 0..8)) {
+        sort_keys_mirror_ord(ts.into_iter().map(|t| Value::dynamic(t, Value::Unit)).collect())?;
+    }
+}
+
+#[test]
+fn sort_key_edge_cases() {
+    let ordered = [
+        Value::Int(i64::MIN),
+        Value::Int(-1),
+        Value::Int(0),
+        Value::Int(i64::MAX),
+        Value::float(-f64::NAN),
+        Value::float(f64::NEG_INFINITY),
+        Value::float(-0.0),
+        Value::float(0.0),
+        Value::float(f64::NAN),
+        Value::str(""),
+        Value::str("a"),
+        Value::str("a\0"),
+        Value::str("a\0b"),
+        Value::str("a\u{1}"),
+        Value::str("ab"),
+        Value::list([]),
+        Value::list([Value::Unit]),
+        Value::list([Value::Unit, Value::Unit]),
+        Value::list([Value::Bool(false)]),
+    ];
+    for w in ordered.windows(2) {
+        assert!(w[0] < w[1], "{:?} < {:?}", w[0], w[1]);
+        assert!(key_of(&w[0]) < key_of(&w[1]), "{:?} < {:?}", w[0], w[1]);
+    }
+    assert_ne!(key_of(&Value::float(0.0)), key_of(&Value::float(-0.0)));
+    assert_eq!(
+        key_of(&Value::float(f64::NAN)),
+        key_of(&Value::float(f64::NAN))
+    );
 }
