@@ -135,7 +135,7 @@ impl PascalRDatabase {
             for _ in 0..nt {
                 let v = r.value().map_err(decode)?;
                 if let Value::Record(fs) = v {
-                    rel.insert((*fs).clone())
+                    rel.insert(fs.into_iter().collect())
                         .map_err(|e| ModelError::Io(e.to_string()))?;
                 }
             }

@@ -390,14 +390,23 @@ impl<'a> Reader<'a> {
                 Value::Set(xs)
             }
             RECORD => {
-                let n = self.u64()? as usize;
-                let mut fs = dbpl_values::RecordFields::new();
-                for _ in 0..n {
-                    let l = self.str()?;
-                    let v = self.value()?;
-                    fs.insert(l, v);
+                // A field takes at least two bytes (a label length and a
+                // value tag), so a count the payload cannot hold is
+                // refused before anything is read or reserved. The fields
+                // are collected once, labels sorted, the last value of a
+                // repeated label kept.
+                let n = self.u64()?;
+                if n > self.remaining() as u64 / 2 {
+                    return Err(PersistError::Malformed(format!(
+                        "a record of {n} fields in {} bytes",
+                        self.remaining()
+                    )));
                 }
-                Value::Record(fs)
+                Value::Record(
+                    (0..n)
+                        .map(|_| Ok((self.str()?, self.value()?)))
+                        .collect::<Result<_, PersistError>>()?,
+                )
             }
             TAGGED => {
                 let l = self.str()?;
@@ -562,6 +571,46 @@ mod tests {
         roundtrip_value(Value::tagged("Some", Value::Int(1)));
         roundtrip_value(Value::dynamic(Type::Int, Value::Int(3)));
         roundtrip_value(Value::Ref(Oid(777)));
+    }
+
+    #[test]
+    fn a_record_decodes_sorted_with_the_last_value_of_a_repeated_label() {
+        // Labels out of order and `b` twice; no encoder writes this, but
+        // a unit file may hold it.
+        let mut out = vec![vtag::RECORD];
+        put_u64(&mut out, 4);
+        for (l, v) in [("c", 1), ("b", 2), ("a", 3), ("b", 4)] {
+            put_str(&mut out, l);
+            put_value(&mut out, &Value::Int(v));
+        }
+        let got = Reader::new(&out).value().unwrap();
+        let want = Value::record([
+            ("a", Value::Int(3)),
+            ("b", Value::Int(4)),
+            ("c", Value::Int(1)),
+        ]);
+        assert_eq!(got, want);
+        let labels: Vec<&str> = got
+            .as_record()
+            .unwrap()
+            .keys()
+            .map(String::as_str)
+            .collect();
+        assert_eq!(labels, ["a", "b", "c"]);
+    }
+
+    #[test]
+    fn a_record_claiming_more_fields_than_bytes_is_malformed() {
+        let mut out = vec![vtag::RECORD];
+        put_u64(&mut out, 1 << 40);
+        put_str(&mut out, "a");
+        put_value(&mut out, &Value::Int(1));
+        // 2^40 fields of 56 bytes each could not be reserved; the decoder
+        // refuses the count before reading a field.
+        assert!(matches!(
+            Reader::new(&out).value(),
+            Err(PersistError::Malformed(_))
+        ));
     }
 
     #[test]

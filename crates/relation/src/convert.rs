@@ -32,7 +32,7 @@ pub fn to_flat(gen: &GenRelation, schema: Schema) -> Result<Relation, RelationEr
         let fields = row
             .as_record()
             .ok_or_else(|| RelationError::NotARecord(row.to_string()))?;
-        let tuple: Tuple = (**fields).clone();
+        let tuple: Tuple = fields.clone().into_iter().collect();
         rel.insert(tuple)?;
     }
     Ok(rel)

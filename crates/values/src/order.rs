@@ -21,16 +21,23 @@
 //! identity. The result is a complete partial order on finite values, after
 //! Aït-Kaci and Bancilhon–Khoshafian.
 
-use crate::value::Value;
+use crate::value::{RecordFields, Step, Value};
 use dbpl_types::Type;
 use std::collections::BTreeSet;
 
 /// Does `a ⊑ b` hold — is `b` at least as informative as `a`?
 pub fn leq(a: &Value, b: &Value) -> bool {
     match (a, b) {
-        (Value::Record(fa), Value::Record(fb)) => fa
-            .iter()
-            .all(|(l, va)| fb.get(l).is_some_and(|vb| leq(va, vb))),
+        // Every field of `a` is in `b`, and better defined there: one walk
+        // of the two label-sorted arrays.
+        (Value::Record(fa), Value::Record(fb)) => {
+            fa.len() <= fb.len()
+                && fa.merge(fb).all(|step| match step {
+                    Step::Left(_) => false,
+                    Step::Right(_) => true,
+                    Step::Both((_, va), (_, vb)) => leq(va, vb),
+                })
+        }
         (Value::Tagged(la, va), Value::Tagged(lb, vb)) => la == lb && leq(va, vb),
         (Value::List(xa), Value::List(xb)) => {
             xa.len() == xb.len() && xa.iter().zip(xb).all(|(x, y)| leq(x, y))
@@ -53,21 +60,17 @@ pub fn comparable(a: &Value, b: &Value) -> bool {
 /// or `None` when the two disagree (e.g. on a base field).
 pub fn join(a: &Value, b: &Value) -> Option<Value> {
     match (a, b) {
-        (Value::Record(fa), Value::Record(fb)) => {
-            let mut out = fa.clone();
-            for (l, vb) in fb {
-                match out.get(l) {
-                    Some(va) => {
-                        let j = join(va, vb)?;
-                        out.insert(l.clone(), j);
-                    }
-                    None => {
-                        out.insert(l.clone(), vb.clone());
-                    }
-                }
+        // The union of the fields, joined where both records have one.
+        (Value::Record(fa), Value::Record(fb)) => RecordFields::build_sorted(|out| {
+            for step in fa.merge(fb) {
+                out.push(match step {
+                    Step::Left(pair) | Step::Right(pair) => pair.clone(),
+                    Step::Both((l, va), (_, vb)) => (l.clone(), join(va, vb)?),
+                });
             }
-            Some(Value::Record(out))
-        }
+            Some(())
+        })
+        .map(Value::Record),
         (Value::Tagged(la, va), Value::Tagged(lb, vb)) => {
             if la == lb {
                 Some(Value::Tagged(la.clone(), Box::new(join(va, vb)?)))
@@ -109,17 +112,18 @@ pub fn join(a: &Value, b: &Value) -> Option<Value> {
 /// always exists (possibly the empty record).
 pub fn meet(a: &Value, b: &Value) -> Option<Value> {
     match (a, b) {
-        (Value::Record(fa), Value::Record(fb)) => {
-            let mut out = crate::value::RecordFields::new();
-            for (l, va) in fa {
-                if let Some(vb) = fb.get(l) {
+        // The common fields, met; a field whose meet is ⊥ drops out.
+        (Value::Record(fa), Value::Record(fb)) => RecordFields::build_sorted(|out| {
+            for step in fa.merge(fb) {
+                if let Step::Both((l, va), (_, vb)) = step {
                     if let Some(m) = meet(va, vb) {
-                        out.insert(l.clone(), m);
+                        out.push((l.clone(), m));
                     }
                 }
             }
-            Some(Value::Record(out))
-        }
+            Some(())
+        })
+        .map(Value::Record),
         (Value::Tagged(la, va), Value::Tagged(lb, vb)) => {
             if la == lb {
                 meet(va, vb).map(|m| Value::Tagged(la.clone(), Box::new(m)))

@@ -21,8 +21,13 @@
 //!   carry no information beyond being present, and the Hoare lifting of
 //!   the element ordering is recovered on the quotient.
 //!
-//! The test suite *proves* both derivations against the concrete
-//! implementations in [`crate::order`], for arbitrary generated values.
+//! [`crate::order`] implements records as a merge of two label-sorted
+//! arrays; this module is its oracle. The proptest
+//! `record_order_is_the_partial_function_order` (`tests/props.rs`)
+//! checks that `⊑`, `⊔` and `⊓` on arbitrary generated record pairs
+//! (nested, with set, list, tagged and `Dyn` fields) equal the pointwise
+//! operations here; the unit tests below check the set derivation on
+//! discretely ordered elements.
 
 use std::collections::BTreeMap;
 

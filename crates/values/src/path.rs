@@ -5,7 +5,7 @@
 //! of the join `⊔` for the common case of adding or refining fields.
 
 use crate::error::ValueError;
-use crate::value::{Label, Value};
+use crate::value::{Label, RecordFields, Value};
 use std::fmt;
 
 /// A dotted path into nested records, e.g. `Address.City`.
@@ -67,25 +67,28 @@ pub fn get_path<'v>(v: &'v Value, path: &Path) -> Option<&'v Value> {
 /// Set the value at `path`, creating intermediate (partial) records as
 /// needed. Fails if an intermediate value exists but is not a record.
 pub fn put_path(v: &mut Value, path: &Path, new: Value) -> Result<(), ValueError> {
-    if path.is_root() {
+    put_at(v, &path.0, new)
+}
+
+fn put_at(v: &mut Value, path: &[Label], new: Value) -> Result<(), ValueError> {
+    let Some((seg, rest)) = path.split_first() else {
         *v = new;
         return Ok(());
-    }
-    let mut cur = v;
-    let (last, init) = path.0.split_last().expect("non-root path");
-    for seg in init {
-        let fields = cur
-            .as_record_mut()
-            .ok_or_else(|| ValueError::Shape(format!("`{seg}`: not a record on path")))?;
-        cur = fields
-            .entry(seg.clone())
-            .or_insert_with(|| Value::record::<[(&str, Value); 0], &str>([]));
-    }
-    let fields = cur
+    };
+    let fields = v
         .as_record_mut()
-        .ok_or_else(|| ValueError::Shape(format!("`{last}`: not a record on path")))?;
-    fields.insert(last.clone(), new);
-    Ok(())
+        .ok_or_else(|| ValueError::Shape(format!("`{seg}`: not a record on path")))?;
+    match fields.get_mut(seg) {
+        Some(child) => put_at(child, rest, new),
+        None => {
+            // A missing field: build the whole new branch, then add it
+            // with one rebuild of this record's array.
+            let mut child = Value::Record(RecordFields::new());
+            put_at(&mut child, rest, new)?;
+            fields.insert(seg.clone(), child);
+            Ok(())
+        }
+    }
 }
 
 /// Record extension: `base with {l = v, ...}` — the paper's operation for
@@ -102,9 +105,7 @@ where
         .as_record()
         .ok_or_else(|| ValueError::Shape("`with` applies to records".into()))?
         .clone();
-    for (l, v) in additions {
-        fields.insert(l.into(), v);
-    }
+    fields.extend(additions.into_iter().map(|(l, v)| (l.into(), v)));
     Ok(Value::Record(fields))
 }
 

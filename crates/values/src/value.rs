@@ -7,13 +7,15 @@
 //! identified by intrinsic properties").
 //!
 //! A record value is inherently *partial*: `{Name = 'J Doe'}` carries less
-//! information than `{Name = 'J Doe', Emp_no = 1234}`. The information
-//! ordering and join live in [`crate::order`].
+//! information than `{Name = 'J Doe', Emp_no = 1234}`. It is a finite
+//! partial function from labels, kept as one shared array of
+//! `(label, value)` pairs in label order ([`RecordFields`]). The
+//! information ordering and join live in [`crate::order`].
 
 use dbpl_types::Type;
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// A field label (shared with `dbpl_types::Label`).
@@ -93,17 +95,32 @@ impl DynValue {
     }
 }
 
-/// The fields of a record value: an ordered map from labels to values,
-/// shared.
+/// A field of a record value: its label and its value.
+type Pair = (Label, Value);
+
+/// The fields of a record value: one shared array of `(label, value)`
+/// pairs, sorted by label, no label twice.
 ///
-/// The map sits behind an [`Arc`], as [`dbpl_types::Fields`] does for
-/// record types: copying a record value is a refcount bump, so a copy of
-/// a stored row (a one-row package, a snapshot's rows, a backup) shares
-/// its fields with the row. Reads deref to the map; writes
-/// ([`DerefMut`]) un-share it first with [`Arc::make_mut`]. Equality,
-/// order and hashing are the map's.
+/// A record is the paper's finite partial function from labels to
+/// values, kept as its graph in label order. A field read scans a record
+/// of a few fields and binary searches a larger one; `⊑`, `⊔` and `⊓`
+/// ([`crate::order`]) walk two records' arrays in step. The array sits
+/// behind an [`Arc`], as [`dbpl_types::Fields`] does for record types:
+/// copying a record value is a refcount bump, so a copy of a stored row
+/// (a one-row package, a snapshot's rows, a backup) shares its fields
+/// with the row. The mutators ([`RecordFields::insert`],
+/// [`RecordFields::get_mut`], [`RecordFields::remove`], [`Extend`])
+/// un-share the array first.
+///
+/// Every builder (`collect`, [`Extend`], the joins and meets of
+/// [`crate::order`]) stages its pairs in a per-thread buffer and makes
+/// the array in one allocation. Given a label twice, the last value
+/// wins, as it does for a `BTreeMap`'s `collect`. Equality, order and
+/// hashing are the slice's, which are exactly those of the
+/// `BTreeMap<Label, Value>` holding the same pairs: lexicographic over
+/// the pairs in label order, and the length, then each pair, hashed.
 #[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct RecordFields(Arc<BTreeMap<Label, Value>>);
+pub struct RecordFields(Arc<[Pair]>);
 
 impl RecordFields {
     /// No fields.
@@ -111,59 +128,271 @@ impl RecordFields {
         RecordFields::default()
     }
 
-    /// Do the two share one map (not merely equal ones)?
+    /// Do the two share one array (not merely equal ones)?
     pub fn ptr_eq(&self, other: &RecordFields) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
     }
-}
 
-impl Deref for RecordFields {
-    type Target = BTreeMap<Label, Value>;
+    /// Number of fields.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
 
-    fn deref(&self) -> &BTreeMap<Label, Value> {
-        &self.0
+    /// No fields at all?
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The field's position. A record of a few fields is scanned with
+    /// `==`, which compares lengths before bytes; a larger one is
+    /// binary searched.
+    fn index_of(&self, label: &str) -> Option<usize> {
+        if self.0.len() <= 8 {
+            self.0.iter().position(|(l, _)| l == label)
+        } else {
+            self.0.binary_search_by(|(l, _)| l.as_str().cmp(label)).ok()
+        }
+    }
+
+    /// The value of a field.
+    pub fn get(&self, label: &str) -> Option<&Value> {
+        self.index_of(label).map(|i| &self.0[i].1)
+    }
+
+    /// Is the field present?
+    pub fn contains_key(&self, label: &str) -> bool {
+        self.index_of(label).is_some()
+    }
+
+    /// The value of a field, to overwrite in place.
+    pub fn get_mut(&mut self, label: &str) -> Option<&mut Value> {
+        let i = self.index_of(label)?;
+        Some(&mut Arc::make_mut(&mut self.0)[i].1)
+    }
+
+    /// Set a field, returning the value it replaces. A new label
+    /// rebuilds the array (one allocation).
+    pub fn insert(&mut self, label: Label, value: Value) -> Option<Value> {
+        match self.get_mut(&label) {
+            Some(slot) => Some(std::mem::replace(slot, value)),
+            None => {
+                self.extend([(label, value)]);
+                None
+            }
+        }
+    }
+
+    /// Drop a field, returning its value.
+    pub fn remove(&mut self, label: &str) -> Option<Value> {
+        let i = self.index_of(label)?;
+        let (fields, (_, value)) = with_buffer(|buf| {
+            self.drain_into(buf);
+            let removed = buf.remove(i);
+            (seal(buf), removed)
+        });
+        *self = fields;
+        Some(value)
+    }
+
+    /// The fields, in label order.
+    pub fn iter(&self) -> Iter<'_> {
+        Iter(self.0.iter())
+    }
+
+    /// The labels, in order.
+    pub fn keys(&self) -> impl Iterator<Item = &Label> {
+        self.0.iter().map(|(l, _)| l)
+    }
+
+    /// The values, in label order.
+    pub fn values(&self) -> impl Iterator<Item = &Value> {
+        self.0.iter().map(|(_, v)| v)
+    }
+
+    /// Walk two records' fields in step, in label order.
+    pub(crate) fn merge<'a>(&'a self, other: &'a RecordFields) -> Merge<'a> {
+        Merge(&self.0, &other.0)
+    }
+
+    /// Build a record from the pairs `fill` pushes in strictly ascending
+    /// label order, in one allocation; `None` if `fill` gives up.
+    pub(crate) fn build_sorted(
+        fill: impl FnOnce(&mut Vec<(Label, Value)>) -> Option<()>,
+    ) -> Option<RecordFields> {
+        with_buffer(|buf| {
+            fill(buf)?;
+            Some(seal(buf))
+        })
+    }
+
+    /// Move every pair to the end of `out` (copying them if the array is
+    /// shared), leaving no fields.
+    fn drain_into(&mut self, out: &mut Vec<Pair>) {
+        match Arc::get_mut(&mut self.0) {
+            Some(pairs) => out.extend(
+                pairs
+                    .iter_mut()
+                    .map(|p| std::mem::replace(p, (Label::new(), Value::Unit))),
+            ),
+            None => out.extend_from_slice(&self.0),
+        }
+        *self = RecordFields::new();
     }
 }
 
-impl DerefMut for RecordFields {
-    fn deref_mut(&mut self) -> &mut BTreeMap<Label, Value> {
-        Arc::make_mut(&mut self.0)
+thread_local! {
+    /// Staging buffers for record builders, one per build in progress on
+    /// this thread (a build nests when a field's value is itself built).
+    static BUFFERS: RefCell<Vec<Vec<Pair>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Run `f` on an empty staging buffer, kept for reuse afterwards unless
+/// it grew past a few hundred fields or many builds are nested.
+fn with_buffer<R>(f: impl FnOnce(&mut Vec<Pair>) -> R) -> R {
+    let mut buf = BUFFERS.with_borrow_mut(Vec::pop).unwrap_or_default();
+    let out = f(&mut buf);
+    buf.clear();
+    if buf.capacity() <= 256 {
+        BUFFERS.with_borrow_mut(|bufs| {
+            if bufs.len() < 32 {
+                bufs.push(buf)
+            }
+        });
     }
+    out
+}
+
+/// Sort staged pairs by label, keeping the last value given for a label
+/// (a no-op on pairs already strictly ascending).
+fn normalize(buf: &mut Vec<Pair>) {
+    if buf.is_sorted_by(|x, y| x.0 < y.0) {
+        return;
+    }
+    // Stable, so the pairs of one label keep the order they came in.
+    buf.sort_by(|x, y| x.0.cmp(&y.0));
+    buf.dedup_by(|later, kept| {
+        if later.0 == kept.0 {
+            std::mem::swap(later, kept);
+            true
+        } else {
+            false
+        }
+    });
+}
+
+/// Make the array of staged pairs, which are strictly ascending by label:
+/// one allocation, the pairs moved.
+fn seal(buf: &mut Vec<Pair>) -> RecordFields {
+    debug_assert!(
+        buf.is_sorted_by(|x, y| x.0 < y.0),
+        "record labels out of order"
+    );
+    RecordFields(buf.drain(..).collect())
 }
 
 impl fmt::Debug for RecordFields {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
 impl From<BTreeMap<Label, Value>> for RecordFields {
     fn from(map: BTreeMap<Label, Value>) -> RecordFields {
-        RecordFields(Arc::new(map))
+        map.into_iter().collect()
     }
 }
 
 impl FromIterator<(Label, Value)> for RecordFields {
-    fn from_iter<I: IntoIterator<Item = (Label, Value)>>(fields: I) -> RecordFields {
-        RecordFields::from(fields.into_iter().collect::<BTreeMap<_, _>>())
+    fn from_iter<I: IntoIterator<Item = (Label, Value)>>(pairs: I) -> RecordFields {
+        with_buffer(|buf| {
+            buf.extend(pairs);
+            normalize(buf);
+            seal(buf)
+        })
+    }
+}
+
+impl Extend<(Label, Value)> for RecordFields {
+    /// Set every given field, the last value given for a label winning,
+    /// as repeated [`RecordFields::insert`]s would; the array is rebuilt
+    /// once.
+    fn extend<I: IntoIterator<Item = (Label, Value)>>(&mut self, pairs: I) {
+        *self = with_buffer(|buf| {
+            self.drain_into(buf);
+            buf.extend(pairs);
+            normalize(buf);
+            seal(buf)
+        });
     }
 }
 
 impl IntoIterator for RecordFields {
     type Item = (Label, Value);
-    type IntoIter = std::collections::btree_map::IntoIter<Label, Value>;
+    type IntoIter = std::vec::IntoIter<(Label, Value)>;
 
-    fn into_iter(self) -> Self::IntoIter {
-        Arc::unwrap_or_clone(self.0).into_iter()
+    fn into_iter(mut self) -> Self::IntoIter {
+        let mut pairs = Vec::with_capacity(self.len());
+        self.drain_into(&mut pairs);
+        pairs.into_iter()
     }
 }
 
 impl<'a> IntoIterator for &'a RecordFields {
     type Item = (&'a Label, &'a Value);
-    type IntoIter = std::collections::btree_map::Iter<'a, Label, Value>;
+    type IntoIter = Iter<'a>;
 
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.iter()
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
+/// The fields of a record, borrowed, in label order.
+pub struct Iter<'a>(std::slice::Iter<'a, Pair>);
+
+impl<'a> Iterator for Iter<'a> {
+    type Item = (&'a Label, &'a Value);
+
+    fn next(&mut self) -> Option<(&'a Label, &'a Value)> {
+        self.0.next().map(|(l, v)| (l, v))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+/// One step of walking two records' fields in label order: a label only
+/// the left record has, only the right one has, or both have.
+pub(crate) enum Step<'a> {
+    Left(&'a Pair),
+    Right(&'a Pair),
+    Both(&'a Pair, &'a Pair),
+}
+
+/// Two records' fields walked in step ([`RecordFields::merge`]).
+pub(crate) struct Merge<'a>(&'a [Pair], &'a [Pair]);
+
+impl<'a> Iterator for Merge<'a> {
+    type Item = Step<'a>;
+
+    fn next(&mut self) -> Option<Step<'a>> {
+        let step = match (self.0.first(), self.1.first()) {
+            (None, None) => return None,
+            (Some(x), None) => Step::Left(x),
+            (None, Some(y)) => Step::Right(y),
+            // Records met in a join or an ordering mostly share labels,
+            // so test `==` (lengths first) before ordering them.
+            (Some(x), Some(y)) if x.0 == y.0 => Step::Both(x, y),
+            (Some(x), Some(y)) if x.0 < y.0 => Step::Left(x),
+            (Some(_), Some(y)) => Step::Right(y),
+        };
+        if !matches!(step, Step::Right(_)) {
+            self.0 = &self.0[1..];
+        }
+        if !matches!(step, Step::Left(_)) {
+            self.1 = &self.1[1..];
+        }
+        Some(step)
     }
 }
 
@@ -442,6 +671,26 @@ mod tests {
     }
 
     #[test]
+    fn a_value_is_four_words() {
+        // A record's array is a fat pointer (two words), no wider than a
+        // `Tagged` label and its box.
+        assert_eq!(std::mem::size_of::<Value>(), 32);
+    }
+
+    #[test]
+    fn record_labels_are_sorted_and_unique_whatever_the_input() {
+        let v = Value::record([
+            ("b", Value::Int(1)),
+            ("a", Value::Int(2)),
+            ("b", Value::Int(3)),
+        ]);
+        let fields = v.as_record().unwrap();
+        let labels: Vec<&str> = fields.keys().map(String::as_str).collect();
+        assert_eq!(labels, ["a", "b"]);
+        assert_eq!(format!("{fields:?}"), r#"{"a": Int(2), "b": Int(3)}"#);
+    }
+
+    #[test]
     fn record_copies_share_their_fields_until_written() {
         let v = Value::record([("a", Value::Int(1))]);
         let mut w = v.clone();
@@ -451,6 +700,6 @@ mod tests {
             .insert("b".to_string(), Value::Int(2));
         assert!(!v.as_record().unwrap().ptr_eq(w.as_record().unwrap()));
         assert_eq!(v, Value::record([("a", Value::Int(1))]));
-        assert!(v < w, "order is the maps' order");
+        assert!(v < w, "order is the pairs' order, as a map's");
     }
 }

@@ -1,13 +1,18 @@
 //! Property tests for the information ordering: `⊑` is a partial order,
 //! `⊔` is a least upper bound where defined, `⊓` a greatest lower bound,
-//! and the antichain reductions are canonical.
+//! the antichain reductions are canonical, and on records all three are
+//! the pointwise operations on partial functions. `RecordFields` is
+//! checked against a `BTreeMap` model.
 
 use dbpl_types::{Quant, Type};
 use dbpl_values::{
-    comparable, compatible, is_antichain, join, leq, meet, order::sort_key, reduce_maximal,
-    reduce_minimal, Oid, Value,
+    comparable, compatible, is_antichain, join, leq, meet, order::sort_key, put_path,
+    record_as_partial_fn, reduce_maximal, reduce_minimal, Label, Oid, PartialFn, Path,
+    RecordFields, Value,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 
 /// Record-heavy values without sets (sets have non-canonical
 /// representatives, covered by targeted tests below) and without Dyn/Ref
@@ -325,4 +330,290 @@ fn sort_key_edge_cases() {
         key_of(&Value::float(f64::NAN)),
         key_of(&Value::float(f64::NAN))
     );
+}
+
+// ---------- records are partial functions (the map-form oracle) ----------
+
+/// A label from one small alphabet, so two records' labels overlap, are
+/// disjoint, or coincide.
+fn arb_label() -> impl Strategy<Value = String> {
+    prop::sample::select(vec!["a", "b", "c", "d", "e"]).prop_map(String::from)
+}
+
+/// Field values: base values, records over [`arb_label`] nesting up to
+/// four deep, sets, lists, tagged values and `Dyn`s of two types.
+fn arb_field() -> impl Strategy<Value = Value> {
+    let leaf = prop_oneof![
+        Just(Value::Unit),
+        (-2i64..2).prop_map(Value::Int),
+        "[xy]".prop_map(Value::str),
+    ];
+    leaf.prop_recursive(3, 24, 4, |inner| {
+        prop_oneof![
+            4 => prop::collection::btree_map(arb_label(), inner.clone(), 0..4)
+                .prop_map(|fs| Value::Record(fs.into())),
+            1 => prop::collection::btree_set(inner.clone(), 0..3).prop_map(Value::Set),
+            1 => prop::collection::vec(inner.clone(), 0..3).prop_map(Value::List),
+            1 => ("[AB]", inner.clone()).prop_map(|(l, v)| Value::tagged(l, v)),
+            1 => (prop::sample::select(vec![Type::Top, Type::Int]), inner)
+                .prop_map(|(t, v)| Value::dynamic(t, v)),
+        ]
+    })
+}
+
+/// A record over [`arb_label`] whose fields are [`arb_field`]s.
+fn arb_record() -> impl Strategy<Value = Value> {
+    prop::collection::btree_map(arb_label(), arb_field(), 0..5)
+        .prop_map(|fs| Value::Record(fs.into()))
+}
+
+/// A partial function back as a record value, built from its graph.
+fn partial_fn_record(f: &PartialFn<Label, Value>) -> Value {
+    Value::record(f.domain().map(|l| (l.clone(), f.apply(l).unwrap().clone())))
+}
+
+/// `⊑`, `⊔` and `⊓` on two records are the pointwise ordering, join and
+/// meet of the partial functions `Label ⇀ Value` they denote.
+fn records_are_partial_functions(a: &Value, b: &Value) -> TestCaseResult {
+    let fa = record_as_partial_fn(a).unwrap();
+    let fb = record_as_partial_fn(b).unwrap();
+    prop_assert_eq!(leq(a, b), fa.leq(&fb), "{} ⊑ {}", a, b);
+    prop_assert_eq!(
+        join(a, b),
+        fa.join(&fb).map(|f| partial_fn_record(&f)),
+        "{} ⊔ {}",
+        a,
+        b
+    );
+    prop_assert_eq!(
+        meet(a, b),
+        Some(partial_fn_record(&fa.meet(&fb))),
+        "{} ⊓ {}",
+        a,
+        b
+    );
+    Ok(())
+}
+
+/// Two records: unrelated ones, a record and itself with one field set
+/// (added or overwritten), or a record with its first field dropped and
+/// the record itself (so `a ⊑ b`). Related pairs are then common, not
+/// only incomparable ones.
+fn arb_record_pair() -> impl Strategy<Value = (Value, Value)> {
+    prop_oneof![
+        (arb_record(), arb_record()),
+        (arb_record(), arb_label(), arb_field()).prop_map(|(a, l, v)| {
+            let b = dbpl_values::extend(&a, [(l, v)]).unwrap();
+            (a, b)
+        }),
+        arb_record().prop_map(|b| {
+            let a = match b.as_record().unwrap().keys().next() {
+                Some(l) => dbpl_values::without(&b, l).unwrap(),
+                None => b.clone(),
+            };
+            (a, b)
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn record_order_is_the_partial_function_order((a, b) in arb_record_pair()) {
+        records_are_partial_functions(&a, &b)?;
+        records_are_partial_functions(&b, &a)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16 * 512))]
+
+    #[test]
+    #[ignore = "16x the tier-1 cases; nightly runs with --ignored"]
+    fn record_order_is_the_partial_function_order_nightly((a, b) in arb_record_pair()) {
+        records_are_partial_functions(&a, &b)?;
+        records_are_partial_functions(&b, &a)?;
+    }
+}
+
+// ---------- `RecordFields` against a `BTreeMap` model ----------
+
+/// A write to one record and to its model map.
+#[derive(Clone, Debug)]
+enum FieldOp {
+    Insert(String, Value),
+    Remove(String),
+    Extend(Vec<(String, Value)>),
+    Overwrite(String, Value),
+}
+
+fn arb_field_op() -> impl Strategy<Value = FieldOp> {
+    prop_oneof![
+        3 => (arb_label(), arb_field()).prop_map(|(l, v)| FieldOp::Insert(l, v)),
+        2 => arb_label().prop_map(FieldOp::Remove),
+        1 => prop::collection::vec((arb_label(), arb_field()), 0..4).prop_map(FieldOp::Extend),
+        1 => (arb_label(), arb_field()).prop_map(|(l, v)| FieldOp::Overwrite(l, v)),
+    ]
+}
+
+/// The record holds exactly the model's pairs, in the model's order,
+/// and answers every lookup as the model does.
+fn agrees(fields: &RecordFields, model: &BTreeMap<String, Value>) -> TestCaseResult {
+    prop_assert_eq!(fields.len(), model.len());
+    prop_assert!(
+        fields.iter().eq(model.iter()),
+        "{:?} vs {:?}",
+        fields,
+        model
+    );
+    for l in ["a", "b", "c", "d", "e", "", "aa"] {
+        prop_assert_eq!(fields.get(l), model.get(l), "get {}", l);
+        prop_assert_eq!(
+            fields.contains_key(l),
+            model.contains_key(l),
+            "contains {}",
+            l
+        );
+    }
+    Ok(())
+}
+
+/// `collect` from unsorted pairs with repeated labels keeps the last
+/// value of a label, as a `BTreeMap`'s `collect` does; each mutator then
+/// moves the record as it moves the map, and never a copy that shares
+/// the record's array.
+fn record_fields_follow_the_model(
+    pairs: Vec<(String, Value)>,
+    ops: Vec<FieldOp>,
+) -> TestCaseResult {
+    let mut fields: RecordFields = pairs.iter().cloned().collect();
+    let mut model: BTreeMap<String, Value> = pairs.into_iter().collect();
+    agrees(&fields, &model)?;
+    for op in ops {
+        let (before, model_before) = (fields.clone(), model.clone());
+        match op {
+            FieldOp::Insert(l, v) => {
+                prop_assert_eq!(fields.insert(l.clone(), v.clone()), model.insert(l, v));
+            }
+            FieldOp::Remove(l) => prop_assert_eq!(fields.remove(&l), model.remove(&l)),
+            FieldOp::Extend(adds) => {
+                fields.extend(adds.clone());
+                model.extend(adds);
+            }
+            FieldOp::Overwrite(l, v) => {
+                if let Some(slot) = fields.get_mut(&l) {
+                    *slot = v.clone();
+                }
+                if let Some(slot) = model.get_mut(&l) {
+                    *slot = v;
+                }
+            }
+        }
+        agrees(&fields, &model)?;
+        agrees(&before, &model_before)?;
+    }
+    Ok(())
+}
+
+/// The map form of a record value (its top level).
+fn map_form(v: &Value) -> BTreeMap<String, Value> {
+    v.as_record().unwrap().clone().into_iter().collect()
+}
+
+/// `put_path` on the map form: missing records along the path are made,
+/// a non-record along it is an error (`None`).
+fn model_put_path(v: &Value, path: &[String], new: Value) -> Option<Value> {
+    let Some((seg, rest)) = path.split_first() else {
+        return Some(new);
+    };
+    let mut map = v.as_record().map(|_| map_form(v))?;
+    let child = map
+        .get(seg)
+        .cloned()
+        .unwrap_or_else(|| Value::Record(Default::default()));
+    map.insert(seg.clone(), model_put_path(&child, rest, new)?);
+    Some(Value::Record(map.into()))
+}
+
+fn hash_of(x: &impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    x.hash(&mut h);
+    h.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn record_fields_behave_as_a_btree_map(
+        pairs in prop::collection::vec((arb_label(), arb_field()), 0..8),
+        ops in prop::collection::vec(arb_field_op(), 0..12),
+    ) {
+        record_fields_follow_the_model(pairs, ops)?;
+    }
+
+    /// `Value::record`, `extend`, `without` and `put_path` build the
+    /// record their map form says.
+    #[test]
+    fn record_builders_match_the_map_model(
+        pairs in prop::collection::vec((arb_label(), arb_field()), 0..6),
+        adds in prop::collection::vec((arb_label(), arb_field()), 0..4),
+        gone in arb_label(),
+        path in prop::collection::vec(arb_label(), 0..4),
+        new in arb_field(),
+    ) {
+        let v = Value::record(pairs.clone());
+        let model: BTreeMap<String, Value> = pairs.into_iter().collect();
+        agrees(v.as_record().unwrap(), &model)?;
+
+        let extended = dbpl_values::extend(&v, adds.clone()).unwrap();
+        let mut model_extended = model.clone();
+        model_extended.extend(adds);
+        agrees(extended.as_record().unwrap(), &model_extended)?;
+
+        let less = dbpl_values::without(&v, &gone).unwrap();
+        let mut model_less = model.clone();
+        model_less.remove(&gone);
+        agrees(less.as_record().unwrap(), &model_less)?;
+
+        let mut put = v.clone();
+        let ok = put_path(&mut put, &Path(path.clone()), new.clone()).is_ok();
+        let model_put = model_put_path(&v, &path, new);
+        prop_assert_eq!(ok, model_put.is_some());
+        if let Some(want) = model_put {
+            prop_assert_eq!(&put, &want);
+            if let Some(fs) = put.as_record() {
+                agrees(fs, &map_form(&want))?;
+            }
+        } else {
+            prop_assert_eq!(&put, &v, "a refused put changes nothing");
+        }
+    }
+
+    /// Two records order, compare, hash and sort-key exactly as their map
+    /// forms do.
+    #[test]
+    fn records_order_and_hash_as_their_map_forms((a, b) in arb_record_pair()) {
+        let (ma, mb) = (map_form(&a), map_form(&b));
+        prop_assert_eq!(a.cmp(&b), ma.cmp(&mb));
+        prop_assert_eq!(a == b, ma == mb);
+        prop_assert_eq!(key_of(&a).cmp(&key_of(&b)), ma.cmp(&mb));
+        prop_assert_eq!(key_of(&a) == key_of(&b), ma == mb);
+        prop_assert_eq!(hash_of(a.as_record().unwrap()), hash_of(&ma));
+        prop_assert_eq!(format!("{:?}", a.as_record().unwrap()), format!("{ma:?}"));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16 * 512))]
+
+    #[test]
+    #[ignore = "16x the tier-1 cases; nightly runs with --ignored"]
+    fn record_fields_behave_as_a_btree_map_nightly(
+        pairs in prop::collection::vec((arb_label(), arb_field()), 0..8),
+        ops in prop::collection::vec(arb_field_op(), 0..12),
+    ) {
+        record_fields_follow_the_model(pairs, ops)?;
+    }
 }
