@@ -1,6 +1,11 @@
-//! Shared workload generators for the benchmark harness (experiments
-//! F1, E1–E7 in DESIGN.md/EXPERIMENTS.md) and for the `report` binary
-//! that regenerates the EXPERIMENTS.md tables.
+//! Workload generators (experiments F1, E1–E7 in DESIGN.md and
+//! EXPERIMENTS.md), the measurements built on them ([`measure`]), and
+//! the checks of the observability artifacts ([`check`]). The `report`
+//! binary prints the EXPERIMENTS.md tables from these measurements; the
+//! tests under `tests/` gate them.
+
+pub mod check;
+pub mod measure;
 
 use dbpl_core::Database;
 use dbpl_relation::{GenRelation, Relation, Schema};
@@ -8,6 +13,16 @@ use dbpl_types::{parse_type, Type};
 use dbpl_values::{Heap, Oid, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the measurements of one process. The metrics registry,
+/// the trace ring and the CPU are shared by every thread, so a test
+/// that reads a counter delta or times itself holds this for its whole
+/// run. Poisoning is tolerated: one failed test must not fail the rest.
+pub fn exclusive() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Deterministic RNG for reproducible workloads.
 pub fn rng(seed: u64) -> StdRng {
@@ -98,28 +113,6 @@ pub fn build_extents(db: &mut Database) {
     for (n, oid) in pending {
         db.extents_mut().insert(&n, oid, &heap, &env).unwrap();
     }
-}
-
-/// A synthetic generalized relation of `n` partial records over a shared
-/// 4-attribute vocabulary, with `defined` attributes present per record
-/// (controls partiality and match probability), for F1-scaled and E4.
-pub fn gen_relation(n: usize, defined: usize, domain: i64, seed: u64) -> GenRelation {
-    let attrs = ["a", "b", "c", "d"];
-    let mut r = rng(seed);
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut picked: Vec<&str> = attrs.to_vec();
-        while picked.len() > defined {
-            let i = r.gen_range(0..picked.len());
-            picked.remove(i);
-        }
-        let fields: Vec<(String, Value)> = picked
-            .into_iter()
-            .map(|a| (a.to_string(), Value::Int(r.gen_range(0..domain))))
-            .collect();
-        out.push(Value::record(fields));
-    }
-    GenRelation::from_values(out)
 }
 
 /// A Figure-1-like keyed workload: `n` records that all carry a ground
@@ -245,10 +238,14 @@ mod tests {
     #[test]
     fn record_tower_subtyping_shape() {
         let env = dbpl_types::TypeEnv::new();
-        let narrow = record_tower(4, 4, false);
-        let wide = record_tower(4, 4, true);
-        assert!(dbpl_types::is_subtype(&wide, &narrow, &env));
-        assert!(!dbpl_types::is_subtype(&narrow, &wide, &env));
+        for (w, d) in [(4, 4), (8, 8), (16, 16)] {
+            let narrow = record_tower(w, d, false);
+            let wide = record_tower(w, d, true);
+            for check in [dbpl_types::is_subtype, dbpl_types::is_subtype_uncached] {
+                assert!(check(&wide, &narrow, &env), "{w}×{d}");
+                assert!(!check(&narrow, &wide, &env), "{w}×{d}");
+            }
+        }
     }
 
     #[test]
@@ -261,18 +258,5 @@ mod tests {
             a.rows().iter().all(|v| v.field("Name").is_some()),
             "every row carries the Name key, as in Figure 1"
         );
-    }
-
-    #[test]
-    fn gen_relation_defined_controls_partiality() {
-        let full = gen_relation(50, 4, 3, 3);
-        for row in full.rows() {
-            assert_eq!(row.as_record().unwrap().len(), 4);
-        }
-        let partial = gen_relation(50, 2, 100, 3);
-        assert!(partial
-            .rows()
-            .iter()
-            .all(|r| r.as_record().unwrap().len() == 2));
     }
 }

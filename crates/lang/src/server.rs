@@ -220,7 +220,7 @@ impl CommitQueue {
         // Conservation pair with `server.queue_wait_us`: every admitted
         // (taken) frame records exactly one queue-wait observation, so
         // the counter and the histogram count move in lockstep — the
-        // invariant the chaos harness and `timeline_check` verify.
+        // invariant the chaos harness and `check_timeline` verify.
         frames_admitted().add(n as u64);
         let wait = queue_wait_us();
         let now = Instant::now();

@@ -13,9 +13,15 @@
 //! * the reported [`Health`] after each;
 //! * the outcome of a follow-up commit once the fault is cleared;
 //! * which handles `intern` successfully afterwards.
+//!
+//! Without faults, the write paths agree too: the same externs written
+//! as raw store writes, by a program (an implicit transaction) and
+//! inside `begin` … `commit` leave identical durable values.
 
 use dbpl_lang::{Health, LangError, Server, ServerSession, Session};
-use dbpl_persist::{FaultPlan, ReplicatingStore, SimVfs};
+use dbpl_persist::{recover_pending, FaultPlan, ReplicatingStore, SimVfs};
+use dbpl_types::Type;
+use dbpl_values::{DynValue, Heap, Value};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -176,4 +182,39 @@ fn dead_flush_gets_the_same_verdict_from_session_and_server() {
     // durable. A dead flush never degrades, and once the commit's fsync
     // is behind it, that commit is acknowledged.
     assert_eq!(seen, [Class::Ok, Class::Refused, Class::InDoubt]);
+}
+
+#[test]
+fn raw_implicit_and_explicit_writes_leave_the_same_durable_values() {
+    const N: i64 = 4;
+    let vfs = SimVfs::new();
+    let open = |dir: &str| ReplicatingStore::open_with(Arc::new(vfs.clone()), dir).unwrap();
+    let raw = open("raw");
+    for i in 0..N {
+        let d = DynValue::new(Type::Int, Value::Int(i));
+        raw.extern_value(&format!("h{i}"), &d, &Heap::new())
+            .unwrap();
+    }
+    let program: String = (0..N)
+        .map(|i| format!("extern('h{i}', dynamic {i})\n"))
+        .collect();
+    Session::from_store(open("implicit"))
+        .unwrap()
+        .run(&program)
+        .unwrap();
+    Session::from_store(open("explicit"))
+        .unwrap()
+        .run(&format!("begin\n{program}commit"))
+        .unwrap();
+    // Each store reopened from disk, its commit log replayed.
+    let durable = |dir: &str| -> Vec<DynValue> {
+        let store = open(dir);
+        recover_pending(None, &store).unwrap();
+        (0..N)
+            .map(|i| store.intern(&format!("h{i}"), &mut Heap::new()).unwrap())
+            .collect()
+    };
+    let raw = durable("raw");
+    assert_eq!(raw, durable("implicit"), "an implicit transaction diverged");
+    assert_eq!(raw, durable("explicit"), "an explicit transaction diverged");
 }

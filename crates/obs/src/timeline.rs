@@ -14,8 +14,8 @@
 //! healthy evaluations before re-arming) keeps alerts from flapping,
 //! the same enter/exit shape as the engine's degraded-health handling.
 //!
-//! Exports: [`Timeline::to_jsonl`] (schema-tagged JSONL validated by
-//! the `timeline_check` tool), [`Timeline::to_chrome`] (`ph:"C"`
+//! Exports: [`Timeline::to_jsonl`] (schema-tagged JSONL, checked by
+//! `dbpl_bench::check::check_timeline`), [`Timeline::to_chrome`] (`ph:"C"`
 //! counter tracks for chrome://tracing / Perfetto, loadable next to the
 //! span export), and [`Timeline::render`] (the ASCII view behind the
 //! `timeline(db)` MiniDBPL builtin).
@@ -336,7 +336,7 @@ impl Timeline {
     /// histograms with window observations; `total` always carries
     /// every counter, so consecutive lines conserve sums
     /// (`total[i][c] - total[i-1][c] == counters[i][c]`) — the
-    /// invariant `timeline_check` verifies. Histogram percentiles are
+    /// invariant `dbpl_bench::check::check_timeline` verifies. Histogram percentiles are
     /// estimated over that sample's window delta.
     pub fn to_jsonl(&self) -> String {
         let mut lines = vec![format!(
@@ -514,7 +514,8 @@ fn render_samples(samples: &[TimelineSample], interval_us: u64, dropped: u64) ->
 pub struct RecorderConfig {
     /// Sampling interval. Each tick costs one registry snapshot, so at
     /// the default 100ms the recorder is far below noise on the commit
-    /// path (the `report --smoke` mvcc phase gates this at ≤2%).
+    /// path (the `dbpl-bench` timing test
+    /// `recorder_costs_at_most_2_percent_of_reads` gates this at ≤2%).
     pub interval: Duration,
     /// Ring capacity in samples; the oldest sample is dropped when
     /// full. 600 × 100ms = one minute of history by default.

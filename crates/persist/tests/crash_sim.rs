@@ -71,7 +71,7 @@ fn replicating_recovers_committed_prefix_at_every_crash_point() {
 
 #[test]
 fn multi_store_transactions_are_atomic_at_every_crash_point() {
-    // The tentpole acceptance criterion: for every injected crash point
+    // The atomicity property: for every injected crash point
     // in a transaction spanning both store kinds — and in a checkpoint —
     // reopening (plus a replay of the commit log) yields either the full
     // transaction or none of it.
@@ -137,7 +137,7 @@ fn snapshot_saves_are_atomic_at_every_crash_point() {
 
 #[test]
 fn bit_rot_is_found_and_repaired_at_every_seed() {
-    // The self-healing acceptance criterion: for every seed, a single bit
+    // The self-healing property: for every seed, a single bit
     // flipped at rest in any unit is (a) never served, (b) found by
     // scrub, (c) repaired from the intrinsic replica.
     for &seed in &SEEDS {

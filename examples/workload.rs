@@ -1,7 +1,7 @@
 //! Workload introspection, end to end: extent statistics counted when
 //! asked for, the query log read from the trace ring, and the
-//! `dbpl.workload.v1` JSONL lines `report --workload-out` joins them
-//! into.
+//! `dbpl.workload.v1` JSONL lines `dbpl_bench::measure::Workload`
+//! joins them into.
 //!
 //! Run with `cargo run --example workload`.
 
@@ -71,9 +71,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== {}", out[0]);
 
     // ---------- 4. the dbpl.workload.v1 artifact ----------
-    // `report --workload-out` joins the three views — extent statistics,
-    // raw query records, top-K aggregates — into one JSONL file that
-    // `workload_check` validates in CI. The same renderers are public:
+    // `dbpl_bench::measure::Workload::to_jsonl` joins the three views —
+    // extent statistics, raw query records, top-K aggregates — into one
+    // JSONL file that `dbpl_bench::check::check_workload` validates. The
+    // same renderers are public:
     println!("\n== dbpl.workload.v1, rendered line by line");
     for ty in s.db.stats_catalog().keys() {
         println!("{}", extent_json(&ty.to_string(), &s.db.extent_stats(ty)));
