@@ -258,7 +258,7 @@ fn main() {
     let n = 1_000;
     let mut heap = Heap::new();
     let refs: Vec<Value> = (0..n)
-        .map(|i| Value::Ref(heap.alloc(Type::Str, Value::Str(format!("payload {i:050}")))))
+        .map(|i| Value::Ref(heap.alloc(Type::Str, Value::str(format!("payload {i:050}")))))
         .collect();
     let root = Value::record([("members", Value::List(refs))]);
     let d = DynValue::new(Type::Top, root.clone());
@@ -279,7 +279,7 @@ fn main() {
     let mut istore = IntrinsicStore::open(&log).unwrap();
     let mut first = None;
     for i in 0..n {
-        let o = istore.alloc(Type::Str, Value::Str(format!("payload {i:050}")));
+        let o = istore.alloc(Type::Str, Value::str(format!("payload {i:050}")));
         first.get_or_insert(o);
     }
     istore.set_handle("root", Type::Top, root);
@@ -300,14 +300,14 @@ fn main() {
 
     // Storage duplication.
     let mut h2 = Heap::new();
-    let shared = h2.alloc(Type::Str, Value::Str("x".repeat(8192)));
+    let shared = h2.alloc(Type::Str, Value::str("x".repeat(8192)));
     let a = DynValue::new(Type::Top, Value::record([("c", Value::Ref(shared))]));
     store.extern_value("A", &a, &h2).unwrap();
     store.extern_value("B", &a, &h2).unwrap();
     let dup = store.stored_bytes("A").unwrap() + store.stored_bytes("B").unwrap();
     println!("| bytes for 8 KiB shared payload via 2 replicating handles | {dup} |");
     let mut i2 = IntrinsicStore::open(dir.join("intr2.log")).unwrap();
-    let so = i2.alloc(Type::Str, Value::Str("x".repeat(8192)));
+    let so = i2.alloc(Type::Str, Value::str("x".repeat(8192)));
     i2.set_handle("a", Type::Top, Value::record([("c", Value::Ref(so))]));
     i2.set_handle("b", Type::Top, Value::record([("c", Value::Ref(so))]));
     i2.commit().unwrap();

@@ -10,7 +10,7 @@ pub mod measure;
 use dbpl_core::Database;
 use dbpl_relation::{GenRelation, Relation, Schema};
 use dbpl_types::{parse_type, Type};
-use dbpl_values::{Heap, Oid, Value};
+use dbpl_values::{Heap, Label, Oid, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Mutex, MutexGuard};
@@ -144,7 +144,7 @@ pub fn flat_relation(attrs: &[&str], n: usize, domain: i64, seed: u64) -> Relati
     for _ in 0..n {
         let row = attrs
             .iter()
-            .map(|a| (a.to_string(), Value::Int(r.gen_range(0..domain))))
+            .map(|a| ((*a).into(), Value::Int(r.gen_range(0..domain))))
             .collect();
         let _ = rel.insert(row);
     }
@@ -188,16 +188,16 @@ pub fn fd_workload(
     n_fds: usize,
     seed: u64,
 ) -> (dbpl_relation::Attrs, dbpl_relation::FdSet) {
-    let attrs: Vec<String> = (0..width).map(|i| format!("A{i}")).collect();
-    let all: dbpl_relation::Attrs = attrs.iter().cloned().collect();
+    let attrs: Vec<Label> = (0..width).map(|i| format!("A{i}").into()).collect();
+    let all: dbpl_relation::Attrs = attrs.iter().copied().collect();
     let mut r = rng(seed);
     let mut fds = dbpl_relation::FdSet::new();
     for _ in 0..n_fds {
-        let lhs: std::collections::BTreeSet<String> = (0..r.gen_range(1..3usize))
-            .map(|_| attrs[r.gen_range(0..width)].clone())
+        let lhs: dbpl_relation::Attrs = (0..r.gen_range(1..3usize))
+            .map(|_| attrs[r.gen_range(0..width)])
             .collect();
-        let rhs: std::collections::BTreeSet<String> = (0..r.gen_range(1..3usize))
-            .map(|_| attrs[r.gen_range(0..width)].clone())
+        let rhs: dbpl_relation::Attrs = (0..r.gen_range(1..3usize))
+            .map(|_| attrs[r.gen_range(0..width)])
             .collect();
         fds.add(dbpl_relation::Fd { lhs, rhs });
     }

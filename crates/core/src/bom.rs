@@ -28,7 +28,7 @@
 
 use crate::error::CoreError;
 use dbpl_types::{parse_type, Type, TypeEnv};
-use dbpl_values::{Heap, Oid, RecordFields, Value};
+use dbpl_values::{Heap, Label, Oid, RecordFields, Value};
 use std::collections::BTreeMap;
 
 /// Transient fields: extra, non-persistent information attached to
@@ -45,7 +45,7 @@ impl TransientFields {
     }
 
     /// Attach (or overwrite) a transient field on an object.
-    pub fn put(&mut self, oid: Oid, field: impl Into<String>, v: Value) {
+    pub fn put(&mut self, oid: Oid, field: impl Into<Label>, v: Value) {
         self.table.entry(oid).or_default().insert(field.into(), v);
     }
 

@@ -462,7 +462,7 @@ impl Database {
         store.set_handle(
             "__database_image",
             Type::Str,
-            Value::Str(bytes.iter().map(|b| format!("{b:02x}")).collect()),
+            Value::str(bytes.iter().map(|b| format!("{b:02x}")).collect::<String>()),
         );
         Ok(())
     }

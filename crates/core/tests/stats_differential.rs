@@ -10,7 +10,7 @@
 use dbpl_core::Database;
 use dbpl_stats::{is_ground_leaf, ExtentStats, PathStats, StatsCatalog, MAX_PATH_DEPTH};
 use dbpl_types::{parse_type, Type};
-use dbpl_values::{DynValue, Path, Value};
+use dbpl_values::{DynValue, Label, Path, Value};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -115,12 +115,12 @@ fn apply(db: &mut Database, op: &Op) {
 
 /// The leaves of `v` under record-only descent to `MAX_PATH_DEPTH`,
 /// with their paths.
-fn leaves(v: &Value, path: Vec<String>, out: &mut Vec<(Path, Value)>) {
+fn leaves(v: &Value, path: Vec<Label>, out: &mut Vec<(Path, Value)>) {
     match v {
         Value::Record(fields) if path.len() < MAX_PATH_DEPTH && !fields.is_empty() => {
             for (k, x) in fields {
                 let mut p = path.clone();
-                p.push(k.clone());
+                p.push(*k);
                 leaves(x, p, out);
             }
         }

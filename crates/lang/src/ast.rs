@@ -8,7 +8,7 @@
 //! size and what it captures, and a call `f(a, b)` is one [`Op::Call`].
 
 use crate::rt::RtValue;
-use dbpl_types::Type;
+use dbpl_types::{Label, Type};
 use std::rc::Rc;
 
 /// A binary operator.
@@ -67,13 +67,13 @@ pub enum ExprKind {
     /// Variable reference.
     Var(String),
     /// Record literal `{l = e, ...}`.
-    Record(Vec<(String, Expr)>),
+    Record(Vec<(Label, Expr)>),
     /// List literal `[e, ...]`.
     List(Vec<Expr>),
     /// Field access `e.l`.
-    Field(Box<Expr>, String),
+    Field(Box<Expr>, Label),
     /// Record extension `e with {l = e, ...}` — object-level inheritance.
-    With(Box<Expr>, Vec<(String, Expr)>),
+    With(Box<Expr>, Vec<(Label, Expr)>),
     /// Conditional.
     If(Box<Expr>, Box<Expr>, Box<Expr>),
     /// `let x (: T)? = e1 in e2`.
@@ -103,9 +103,9 @@ pub enum ExprKind {
     InternE(Box<Expr>),
     /// `tag Label e` — variant construction; infers the singleton variant
     /// `<Label: T>`, a subtype of every wider variant carrying that arm.
-    TagE(String, Box<Expr>),
+    TagE(Label, Box<Expr>),
     /// `case e of A x => e1 | B y => e2 …` — exhaustive variant analysis.
-    CaseE(Box<Expr>, Vec<(String, String, Expr)>),
+    CaseE(Box<Expr>, Vec<(Label, String, Expr)>),
 }
 
 impl Expr {
@@ -233,10 +233,10 @@ pub enum Op {
     /// A literal, a builtin or the database token.
     Const(RtValue),
     Var(Slot),
-    Record(Vec<(String, Code)>),
+    Record(Vec<(Label, Code)>),
     List(Vec<Code>),
-    Field(Box<Code>, String),
-    With(Box<Code>, Vec<(String, Code)>),
+    Field(Box<Code>, Label),
+    With(Box<Code>, Vec<(Label, Code)>),
     If(Box<Code>, Box<Code>, Box<Code>),
     Let(usize, Box<Code>, Box<Code>),
     Lambda(Rc<Lambda>),
@@ -251,7 +251,7 @@ pub enum Op {
     Typeof(Box<Code>),
     Extern(Box<Code>, Box<Code>),
     Intern(Box<Code>),
-    Tag(String, Box<Code>),
+    Tag(Label, Box<Code>),
     /// The scrutinee; per arm its tag, payload slot and body.
-    Case(Box<Code>, Vec<(String, usize, Code)>),
+    Case(Box<Code>, Vec<(Label, usize, Code)>),
 }

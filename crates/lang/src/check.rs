@@ -419,7 +419,7 @@ impl Checker {
         let (ty, op) = match &e.node {
             ExprKind::Int(i) => (Type::Int, Op::Const(RtValue::Int(*i))),
             ExprKind::Float(x) => (Type::Float, Op::Const(RtValue::Float(*x))),
-            ExprKind::Str(st) => (Type::Str, Op::Const(RtValue::Str(st.clone()))),
+            ExprKind::Str(st) => (Type::Str, Op::Const(RtValue::Str(st.as_str().into()))),
             ExprKind::Bool(b) => (Type::Bool, Op::Const(RtValue::Bool(*b))),
             ExprKind::Unit => (Type::Unit, Op::Const(RtValue::Unit)),
             ExprKind::Var(x) => return self.lookup_var(x, at),
@@ -428,10 +428,10 @@ impl Checker {
                 let mut cs = Vec::with_capacity(fields.len());
                 for (l, fe) in fields {
                     let (t, c) = self.infer(fe)?;
-                    if fs.insert(l.clone(), t).is_some() {
+                    if fs.insert(*l, t).is_some() {
                         return err(at, format!("duplicate field `{l}`"));
                     }
-                    cs.push((l.clone(), c));
+                    cs.push((*l, c));
                 }
                 (Type::Record(fs), Op::Record(cs))
             }
@@ -454,7 +454,7 @@ impl Checker {
                         .ok_or_else(|| LangError::check(at, format!("no field `{l}` in {bt}")))?,
                     other => return err(at, format!("`{other}` is not a record (field `{l}`)")),
                 };
-                (ty, Op::Field(bc, l.clone()))
+                (ty, Op::Field(bc, *l))
             }
             ExprKind::With(base, additions) => {
                 let (bt, bc) = self.infer_boxed(base)?;
@@ -463,8 +463,8 @@ impl Checker {
                         let mut cs = Vec::with_capacity(additions.len());
                         for (l, ae) in additions {
                             let (t, c) = self.infer(ae)?;
-                            fs.insert(l.clone(), t);
-                            cs.push((l.clone(), c));
+                            fs.insert(*l, t);
+                            cs.push((*l, c));
                         }
                         (Type::Record(fs), Op::With(bc, cs))
                     }
@@ -553,8 +553,8 @@ impl Checker {
             ExprKind::InternE(h) => (Type::Dynamic, Op::Intern(self.expect(h, &Type::Str)?)),
             ExprKind::TagE(label, payload) => {
                 let (t, c) = self.infer_boxed(payload)?;
-                let ty = Type::variant([(label.clone(), t)]);
-                (ty, Op::Tag(label.clone(), c))
+                let ty = Type::variant([(*label, t)]);
+                (ty, Op::Tag(*label, c))
             }
             ExprKind::CaseE(scrutinee, arms) => {
                 let (st, sc) = self.infer_boxed(scrutinee)?;
@@ -577,14 +577,14 @@ impl Checker {
                     let payload_ty = variant_arms.get(label).cloned().ok_or_else(|| {
                         LangError::check(body.at, format!("variant {st} has no arm `{label}`"))
                     })?;
-                    if !covered.insert(label.clone()) {
+                    if !covered.insert(*label) {
                         return err(body.at, format!("arm `{label}` handled twice"));
                     }
                     let slot = self.bind(binder, payload_ty);
                     let (bt, bc) = self.infer(body)?;
                     self.unbind();
                     result = join(&result, &bt, &self.env);
-                    cs.push((label.clone(), slot, bc));
+                    cs.push((*label, slot, bc));
                 }
                 for missing in variant_arms.keys() {
                     if !covered.contains(missing) {

@@ -55,10 +55,11 @@ use dbpl_persist::{
 };
 use dbpl_relation::GenRelation;
 use dbpl_types::{is_subtype, Type};
-use dbpl_values::DynValue;
+use dbpl_values::{DynValue, Label};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// What evaluating an expression or applying a function yields.
@@ -444,11 +445,12 @@ impl<'a, 's> Machine<'a, 's> {
     }
 
     /// Field `l` of `base`'s value. A variable is read in place, and a
-    /// stored row converts only the field read.
-    fn field(&mut self, base: &Code, l: &str) -> Result<Option<RtValue>, LangError> {
+    /// stored row converts only the field read, found by comparing label
+    /// symbols.
+    fn field(&mut self, base: &Code, l: Label) -> Result<Option<RtValue>, LangError> {
         let field = |v: &RtValue| match v {
             RtValue::Stored(p) => p.value().field(l).map(RtValue::from_value),
-            RtValue::Record(fs) => fs.get(l).cloned(),
+            RtValue::Record(fs) => fs.get(&l).cloned(),
             _ => None,
         };
         Ok(match base.op {
@@ -477,7 +479,7 @@ impl<'a, 's> Machine<'a, 's> {
 
     fn handle(&mut self, c: &Code) -> Result<String, LangError> {
         match self.open(c)? {
-            RtValue::Str(st) => Ok(st),
+            RtValue::Str(st) => Ok(st.to_string()),
             other => unexpected(c.at, "handle was", &other),
         }
     }
@@ -491,7 +493,7 @@ impl<'a, 's> Machine<'a, 's> {
             Op::Record(fields) => {
                 let mut fs = BTreeMap::new();
                 for (l, fe) in fields {
-                    fs.insert(l.clone(), self.eval(fe)?.materialized());
+                    fs.insert(*l, self.eval(fe)?.materialized());
                 }
                 Ok(RtValue::Record(fs))
             }
@@ -503,13 +505,13 @@ impl<'a, 's> Machine<'a, 's> {
                 Ok(RtValue::List(xs))
             }
             Op::Field(base, l) => self
-                .field(base, l)?
+                .field(base, *l)?
                 .ok_or_else(|| LangError::eval(at, format!("no field `{l}`"))),
             Op::With(base, additions) => match self.open(base)? {
                 RtValue::Record(mut fs) => {
                     for (l, ae) in additions {
                         let v = self.eval(ae)?.materialized();
-                        fs.insert(l.clone(), v);
+                        fs.insert(*l, v);
                     }
                     Ok(RtValue::Record(fs))
                 }
@@ -584,7 +586,7 @@ impl<'a, 's> Machine<'a, 's> {
                 other => unexpected(x.at, "coerce of non-dynamic", &other),
             },
             Op::Typeof(x) => match self.open(x)? {
-                RtValue::Dyn(t, _) => Ok(RtValue::Str(t.to_string())),
+                RtValue::Dyn(t, _) => Ok(RtValue::Str(t.to_string().into())),
                 other => unexpected(x.at, "typeof of non-dynamic", &other),
             },
             Op::Extern(h, v) => {
@@ -615,7 +617,7 @@ impl<'a, 's> Machine<'a, 's> {
             }
             Op::Tag(label, payload) => {
                 let v = self.eval(payload)?.materialized();
-                Ok(RtValue::Tagged(label.clone(), Box::new(v)))
+                Ok(RtValue::Tagged(*label, Box::new(v)))
             }
             Op::Case(scrutinee, arms) => match self.open(scrutinee)? {
                 RtValue::Tagged(label, payload) => {
@@ -735,7 +737,7 @@ impl<'a, 's> Machine<'a, 's> {
                 self.cx.out.push(arg().to_string());
                 Ok(RtValue::Unit)
             }
-            Bi::Str => Ok(RtValue::Str(arg().to_string())),
+            Bi::Str => Ok(RtValue::Str(arg().to_string().into())),
             Bi::Panic => match arg() {
                 RtValue::Str(m) => panic!("{m}"),
                 other => panic!("{other}"),
@@ -875,12 +877,12 @@ impl<'a, 's> Machine<'a, 's> {
                     c("get.rows_scanned"),
                     c("get.rows_sealed"),
                 );
-                Ok(RtValue::Str(if analyze {
+                Ok(RtValue::Str(Arc::from(if analyze {
                     let ratio = cache_hit_ratio(hits, misses);
                     format!("{head} cache_hit_ratio={ratio}\n{}", tree(&spans))
                 } else {
                     format!("{head} subtype_cache_hits={hits} subtype_cache_misses={misses}")
-                }))
+                })))
             }
             Bi::ExplainJoin | Bi::ExplainAnalyzeJoin => {
                 let (l, r) = (relation(arg(), at)?, relation(arg(), at)?);
@@ -901,51 +903,53 @@ impl<'a, 's> Machine<'a, 's> {
                     c("join.partitioned.buckets"),
                     c("join.partitioned.fallback_rows"),
                 );
-                Ok(RtValue::Str(if analyze {
+                Ok(RtValue::Str(Arc::from(if analyze {
                     let pairs = c("join.reduce.pairs_compared");
                     format!("{head} reduce_pairs_compared={pairs}\n{}", tree(&spans))
                 } else {
                     let (serial, parallel) =
                         (c("join.products.serial"), c("join.products.parallel"));
                     format!("{head} products_serial={serial} products_parallel={parallel}")
-                }))
+                })))
             }
             Bi::Scrub => {
                 db(arg())?;
                 let (report, spans) = dbpl_obs::trace::capture("scrub_cmd", || self.cx.scrub());
-                Ok(RtValue::Str(format!(
-                    "{}\n{}",
-                    report.summary(),
-                    tree(&spans)
-                )))
+                Ok(RtValue::Str(
+                    format!("{}\n{}", report.summary(), tree(&spans)).into(),
+                ))
             }
             Bi::Timeline => {
                 db(arg())?;
                 Ok(RtValue::Str(
                     dbpl_obs::timeline::render_active(10)
-                        .unwrap_or_else(|| "timeline: no recorder active".to_string()),
+                        .unwrap_or_else(|| "timeline: no recorder active".to_string())
+                        .into(),
                 ))
             }
             Bi::Analyze => {
                 db(arg())?;
                 let catalog = self.cx.db.stats_catalog();
                 let rows: u64 = catalog.values().map(|s| s.rows).sum();
-                Ok(RtValue::Str(format!(
-                    "analyze: statistics for {} carried type(s), {rows} row(s)",
-                    catalog.len()
-                )))
+                Ok(RtValue::Str(
+                    format!(
+                        "analyze: statistics for {} carried type(s), {rows} row(s)",
+                        catalog.len()
+                    )
+                    .into(),
+                ))
             }
             Bi::ExtentStats => {
                 db(arg())?;
-                Ok(RtValue::Str(dbpl_stats::render_catalog(
-                    &self.cx.db.stats_catalog(),
-                )))
+                Ok(RtValue::Str(
+                    dbpl_stats::render_catalog(&self.cx.db.stats_catalog()).into(),
+                ))
             }
             Bi::Workload => {
                 db(arg())?;
                 if !dbpl_obs::trace::is_active() {
                     return Ok(RtValue::Str(
-                        "workload: tracing is off, so no queries were recorded".to_string(),
+                        "workload: tracing is off, so no queries were recorded".into(),
                     ));
                 }
                 let records = dbpl_stats::queries(&dbpl_obs::trace::buffered());
@@ -962,7 +966,7 @@ impl<'a, 's> Machine<'a, 's> {
                         agg.max_dur_us
                     ));
                 }
-                Ok(RtValue::Str(out))
+                Ok(RtValue::Str(out.into()))
             }
         }
     }
@@ -1009,7 +1013,7 @@ fn bin_op(op: BinOp, l: RtValue, r: RtValue, at: usize) -> Evaluated {
             Some(eq) => Ok(Bool(eq == (op == Eq))),
             None => Err(LangError::eval(at, "cannot compare functions")),
         },
-        (Concat, Str(a), Str(b)) => Ok(Str(a + &b)),
+        (Concat, Str(a), Str(b)) => Ok(Str([a, b].concat().into())),
         (Div, Int(_), Int(0)) => Err(LangError::eval(at, "division by zero")),
         (Add, Int(a), Int(b)) => Ok(Int(a.wrapping_add(b))),
         (Sub, Int(a), Int(b)) => Ok(Int(a.wrapping_sub(b))),

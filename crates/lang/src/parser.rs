@@ -8,7 +8,7 @@
 use crate::ast::{BinOp, Expr, ExprKind, Item, Program};
 use crate::error::LangError;
 use crate::token::{lex, Spanned, Tok};
-use dbpl_types::{Fields, Type};
+use dbpl_types::{Fields, Label, Type};
 
 /// How deeply expressions and types may nest in program text, counting
 /// each operator of a chain like `a + b + c` as a level: the chain
@@ -143,6 +143,11 @@ impl Parser {
                 format!("expected identifier, found `{other}`"),
             )),
         }
+    }
+
+    /// A field or variant label: an identifier, interned.
+    fn label(&mut self) -> Result<Label, LangError> {
+        self.ident().map(Label::from)
     }
 
     // ---------- items ----------
@@ -301,10 +306,10 @@ impl Parser {
                 let mut fields = Fields::new();
                 if self.peek() != &Tok::RBrace {
                     loop {
-                        let l = self.ident()?;
+                        let l = self.label()?;
                         self.expect(Tok::Colon)?;
                         let t = self.ty()?;
-                        if fields.insert(l.clone(), t).is_some() {
+                        if fields.insert(l, t).is_some() {
                             return Err(LangError::parse(at, format!("duplicate field `{l}`")));
                         }
                         if self.peek() == &Tok::Comma {
@@ -348,10 +353,10 @@ impl Parser {
                 // Variant type: <A: T | B: U>
                 let mut arms = Fields::new();
                 loop {
-                    let l = self.ident()?;
+                    let l = self.label()?;
                     self.expect(Tok::Colon)?;
                     let t = self.ty()?;
-                    if arms.insert(l.clone(), t).is_some() {
+                    if arms.insert(l, t).is_some() {
                         return Err(LangError::parse(at, format!("duplicate arm `{l}`")));
                     }
                     if self.peek() == &Tok::Pipe {
@@ -442,7 +447,7 @@ impl Parser {
                 self.expect(Tok::Of)?;
                 let mut arms = Vec::new();
                 loop {
-                    let label = self.ident()?;
+                    let label = self.label()?;
                     let binder = self.ident()?;
                     self.expect(Tok::FatArrow)?;
                     let body = self.expr()?;
@@ -554,7 +559,7 @@ impl Parser {
             }
             Tok::Tag => {
                 self.bump();
-                let label = self.ident()?;
+                let label = self.label()?;
                 let e = self.postfix_expr()?;
                 Ok(Expr::new(at, ExprKind::TagE(label, Box::new(e))))
             }
@@ -576,7 +581,7 @@ impl Parser {
                 Tok::Dot => {
                     let at = self.at();
                     self.bump();
-                    let field = self.ident()?;
+                    let field = self.label()?;
                     e = Expr::new(at, ExprKind::Field(Box::new(e), field));
                 }
                 Tok::LParen => {
@@ -624,11 +629,11 @@ impl Parser {
         Ok(e)
     }
 
-    fn record_fields(&mut self) -> Result<Vec<(String, Expr)>, LangError> {
+    fn record_fields(&mut self) -> Result<Vec<(Label, Expr)>, LangError> {
         let mut fields = Vec::new();
         if self.peek() != &Tok::RBrace {
             loop {
-                let l = self.ident()?;
+                let l = self.label()?;
                 self.expect(Tok::Eq)?;
                 let v = self.expr()?;
                 fields.push((l, v));

@@ -29,10 +29,11 @@ use crate::builtins::{sig, Bi};
 use crate::error::LangError;
 use dbpl_core::{GetView, StoredRow};
 use dbpl_types::Type;
-use dbpl_values::{Oid, Value};
+use dbpl_values::{Label, Oid, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// A function literal evaluated in a frame: its code and the values it
 /// captured there.
@@ -64,14 +65,14 @@ pub enum RtValue {
     Int(i64),
     /// Float.
     Float(f64),
-    /// String.
-    Str(String),
+    /// String, shared with the values it came from.
+    Str(Arc<str>),
     /// List.
     List(Vec<RtValue>),
     /// Record.
-    Record(BTreeMap<String, RtValue>),
+    Record(BTreeMap<Label, RtValue>),
     /// Tagged (variant) value.
-    Tagged(String, Box<RtValue>),
+    Tagged(Label, Box<RtValue>),
     /// Dynamic: a value carrying its type.
     Dyn(Type, Rc<RtValue>),
     /// An object reference (appears when database values contain them).
@@ -113,10 +114,10 @@ impl RtValue {
             ),
             RtValue::Record(fs) => Value::Record(
                 fs.iter()
-                    .map(|(l, v)| Ok((l.clone(), v.to_value(at)?)))
+                    .map(|(l, v)| Ok((*l, v.to_value(at)?)))
                     .collect::<Result<_, LangError>>()?,
             ),
-            RtValue::Tagged(l, v) => Value::Tagged(l.clone(), Box::new(v.to_value(at)?)),
+            RtValue::Tagged(l, v) => Value::Tagged(*l, Box::new(v.to_value(at)?)),
             RtValue::Dyn(t, v) => Value::dynamic(t.clone(), v.to_value(at)?),
             RtValue::Ref(o) => Value::Ref(*o),
             RtValue::Closure(_) | RtValue::Builtin(..) | RtValue::Partial(_) => {
@@ -177,10 +178,10 @@ impl RtValue {
             Value::Set(xs) => RtValue::List(xs.iter().map(RtValue::from_value).collect()),
             Value::Record(fs) => RtValue::Record(
                 fs.iter()
-                    .map(|(l, x)| (l.clone(), RtValue::from_value(x)))
+                    .map(|(l, x)| (*l, RtValue::from_value(x)))
                     .collect(),
             ),
-            Value::Tagged(l, x) => RtValue::Tagged(l.clone(), Box::new(RtValue::from_value(x))),
+            Value::Tagged(l, x) => RtValue::Tagged(*l, Box::new(RtValue::from_value(x))),
             Value::Dyn(d) => RtValue::Dyn(d.ty.clone(), Rc::new(RtValue::from_value(&d.value))),
             Value::Ref(o) => RtValue::Ref(*o),
         }
@@ -324,7 +325,7 @@ mod tests {
     fn display_forms() {
         assert_eq!(RtValue::List(vec![RtValue::Int(1)]).to_string(), "[1]");
         assert_eq!(RtValue::Float(2.0).to_string(), "2.0");
-        let r = RtValue::Record(BTreeMap::from([("a".to_string(), RtValue::Unit)]));
+        let r = RtValue::Record(BTreeMap::from([("a".into(), RtValue::Unit)]));
         assert_eq!(r.to_string(), "{a = ()}");
     }
 }

@@ -340,12 +340,10 @@ fn remap_refs(value: &Value, remap: &BTreeMap<Oid, Oid>) -> Value {
         Value::Ref(o) => Value::Ref(remap.get(o).copied().unwrap_or(*o)),
         Value::List(xs) => Value::List(xs.iter().map(|v| remap_refs(v, remap)).collect()),
         Value::Set(xs) => Value::Set(xs.iter().map(|v| remap_refs(v, remap)).collect()),
-        Value::Record(fs) => Value::Record(
-            fs.iter()
-                .map(|(l, v)| (l.clone(), remap_refs(v, remap)))
-                .collect(),
-        ),
-        Value::Tagged(l, v) => Value::Tagged(l.clone(), Box::new(remap_refs(v, remap))),
+        Value::Record(fs) => {
+            Value::Record(fs.iter().map(|(l, v)| (*l, remap_refs(v, remap))).collect())
+        }
+        Value::Tagged(l, v) => Value::Tagged(*l, Box::new(remap_refs(v, remap))),
         Value::Dyn(d) => Value::dynamic(d.ty.clone(), remap_refs(&d.value, remap)),
         other => other.clone(),
     }

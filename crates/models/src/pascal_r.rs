@@ -93,7 +93,7 @@ impl PascalRDatabase {
         for (name, rel) in &self.relations {
             format::put_str(&mut out, name);
             // schema
-            let attrs: Vec<(&String, &dbpl_types::Type)> = rel
+            let attrs: Vec<(&dbpl_types::Label, &dbpl_types::Type)> = rel
                 .schema()
                 .attr_names()
                 .map(|a| (a, rel.schema().attr_type(a).expect("own attr")))

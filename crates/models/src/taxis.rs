@@ -92,12 +92,12 @@ impl TaxisSchema {
                             )));
                         }
                     }
-                    all.insert(l.clone(), t.clone());
+                    all.insert(*l, t.clone());
                 }
             }
         }
         for (l, t) in fields {
-            all.insert(l.to_string(), t);
+            all.insert(l.into(), t);
         }
         self.env
             .declare(name.to_string(), Type::Record(all))

@@ -94,7 +94,7 @@ pub fn project_to_type(value: &Value, ty: &Type, env: &TypeEnv) -> Value {
         (Value::Record(fs), Type::Record(want)) => Value::Record(
             fs.iter()
                 .filter(|(l, _)| want.contains_key(*l))
-                .map(|(l, v)| (l.clone(), project_to_type(v, &want[l], env)))
+                .map(|(l, v)| (*l, project_to_type(v, &want[l], env)))
                 .collect(),
         ),
         (Value::List(xs), Type::List(elem)) => {
@@ -104,7 +104,7 @@ pub fn project_to_type(value: &Value, ty: &Type, env: &TypeEnv) -> Value {
             Value::Set(xs.iter().map(|x| project_to_type(x, elem, env)).collect())
         }
         (Value::Tagged(l, v), Type::Variant(arms)) => match arms.get(l) {
-            Some(at) => Value::Tagged(l.clone(), Box::new(project_to_type(v, at, env))),
+            Some(at) => Value::Tagged(*l, Box::new(project_to_type(v, at, env))),
             None => value.clone(),
         },
         _ => value.clone(),

@@ -877,10 +877,10 @@ mod tests {
     fn compaction_shrinks_the_log() {
         let (_dir, path) = fresh("compact");
         let mut s = IntrinsicStore::open(&path).unwrap();
-        let o = s.alloc(Type::Str, Value::Str("v".repeat(512)));
+        let o = s.alloc(Type::Str, Value::str("v".repeat(512)));
         s.set_handle("root", Type::Str, Value::Ref(o));
         for i in 0..50 {
-            s.update(o, Value::Str(format!("{i}").repeat(512))).unwrap();
+            s.update(o, Value::str(format!("{i}").repeat(512))).unwrap();
             s.commit().unwrap();
         }
         let before = s.stored_bytes().unwrap();

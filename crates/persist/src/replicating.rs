@@ -711,7 +711,7 @@ mod tests {
         // A large shared payload is stored once per handle.
         let (_dir, s) = store("waste");
         let mut heap = Heap::new();
-        let big = heap.alloc(Type::Str, Value::Str("x".repeat(10_000)));
+        let big = heap.alloc(Type::Str, Value::str("x".repeat(10_000)));
         let a = DynValue::new(Type::Top, Value::record([("p", Value::Ref(big))]));
         let b = DynValue::new(Type::Top, Value::record([("p", Value::Ref(big))]));
         s.extern_value("A", &a, &heap).unwrap();

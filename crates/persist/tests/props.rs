@@ -32,10 +32,8 @@ fn arb_type() -> impl Strategy<Value = Type> {
         prop_oneof![
             inner.clone().prop_map(Type::list),
             inner.clone().prop_map(Type::set),
-            prop::collection::btree_map("[a-c]", inner.clone(), 0..3)
-                .prop_map(|m| Type::Record(m.into())),
-            prop::collection::btree_map("[A-C]", inner.clone(), 1..3)
-                .prop_map(|m| Type::Variant(m.into())),
+            prop::collection::btree_map("[a-c]", inner.clone(), 0..3).prop_map(Type::record),
+            prop::collection::btree_map("[A-C]", inner.clone(), 1..3).prop_map(Type::variant),
             (inner.clone(), inner.clone()).prop_map(|(a, r)| Type::fun(a, r)),
             ("[t-v]", prop::option::of(inner.clone()), inner.clone())
                 .prop_map(|(v, b, body)| Type::forall(v, b, body)),
@@ -58,8 +56,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
         prop_oneof![
             prop::collection::vec(inner.clone(), 0..4).prop_map(Value::List),
             prop::collection::btree_set(inner.clone(), 0..4).prop_map(Value::Set),
-            prop::collection::btree_map("[a-c]", inner.clone(), 0..4)
-                .prop_map(|fs| Value::Record(fs.into())),
+            prop::collection::btree_map("[a-c]", inner.clone(), 0..4).prop_map(Value::record),
             ("[A-C]", inner.clone()).prop_map(|(l, v)| Value::tagged(l, v)),
         ]
     })

@@ -87,8 +87,8 @@ impl Pred {
     /// false rather than erroring (checked upfront by `RelExpr::eval`).
     pub fn eval(&self, t: &Tuple) -> bool {
         match self {
-            Pred::Cmp(a, op, v) => t.get(a).is_some_and(|x| op.eval(x, v)),
-            Pred::CmpAttrs(a, op, b) => match (t.get(a), t.get(b)) {
+            Pred::Cmp(a, op, v) => t.get(a.as_str()).is_some_and(|x| op.eval(x, v)),
+            Pred::CmpAttrs(a, op, b) => match (t.get(a.as_str()), t.get(b.as_str())) {
                 (Some(x), Some(y)) => op.eval(x, y),
                 _ => false,
             },

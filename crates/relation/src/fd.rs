@@ -22,7 +22,7 @@ pub type Attrs = BTreeSet<Label>;
 
 /// Build an attribute set from names.
 pub fn attrs<S: AsRef<str>>(names: impl IntoIterator<Item = S>) -> Attrs {
-    names.into_iter().map(|s| s.as_ref().to_string()).collect()
+    names.into_iter().map(|s| Label::new(s.as_ref())).collect()
 }
 
 /// A functional dependency `X → Y`.
@@ -54,8 +54,8 @@ impl Fd {
 
 impl fmt::Display for Fd {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let l: Vec<&str> = self.lhs.iter().map(String::as_str).collect();
-        let r: Vec<&str> = self.rhs.iter().map(String::as_str).collect();
+        let l: Vec<&str> = self.lhs.iter().map(|l| l.as_str()).collect();
+        let r: Vec<&str> = self.rhs.iter().map(|l| l.as_str()).collect();
         write!(f, "{} -> {}", l.join(","), r.join(","))
     }
 }
@@ -171,7 +171,7 @@ impl FdSet {
             let mut cand = essential.clone();
             for (i, a) in optional.iter().enumerate() {
                 if m & (1 << i) != 0 {
-                    cand.insert((*a).clone());
+                    cand.insert(*(*a));
                 }
             }
             if keys.iter().any(|k| k.is_subset(&cand)) {
@@ -194,7 +194,7 @@ impl FdSet {
             .flat_map(|f| {
                 f.rhs.iter().map(move |r| Fd {
                     lhs: f.lhs.clone(),
-                    rhs: BTreeSet::from([r.clone()]),
+                    rhs: BTreeSet::from([*r]),
                 })
             })
             .filter(|f| !f.is_trivial())
@@ -255,7 +255,7 @@ impl FdSet {
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| m & (1 << i) != 0)
-                .map(|(_, a)| (*a).clone())
+                .map(|(_, a)| *(*a))
                 .collect();
             let cx = self.closure(&x);
             let rhs: Attrs = cx
@@ -456,7 +456,7 @@ pub fn satisfies_flat(rel: &Relation, fd: &Fd) -> bool {
 /// the partial-record semantics).
 pub fn satisfies_generalized(rel: &GenRelation, fd: &Fd) -> bool {
     let rows = rel.rows();
-    let path = |a: &Label| Path::field(a.clone());
+    let path = |a: &Label| Path::field(*a);
     for (i, a) in rows.iter().enumerate() {
         for b in &rows[i + 1..] {
             let lhs_match = fd.lhs.iter().all(|x| {

@@ -26,13 +26,13 @@ impl Schema {
     pub fn new<I, S>(attrs: I) -> Result<Schema, RelationError>
     where
         I: IntoIterator<Item = (S, Type)>,
-        S: Into<String>,
+        S: Into<Label>,
     {
         let attrs: BTreeMap<Label, Type> = attrs.into_iter().map(|(l, t)| (l.into(), t)).collect();
         for (l, t) in &attrs {
             if !t.is_base() {
                 return Err(RelationError::NotFirstNormalForm {
-                    attr: l.clone(),
+                    attr: *l,
                     ty: t.clone(),
                 });
             }
@@ -82,7 +82,7 @@ impl Schema {
                     )))
                 }
                 _ => {
-                    attrs.insert(l.clone(), t.clone());
+                    attrs.insert(*l, t.clone());
                 }
             }
         }
@@ -96,9 +96,9 @@ impl Schema {
             let n = n.as_ref();
             match self.attrs.get(n) {
                 Some(t) => {
-                    attrs.insert(n.to_string(), t.clone());
+                    attrs.insert(Label::new(n), t.clone());
                 }
-                None => return Err(RelationError::UnknownAttribute(n.to_string())),
+                None => return Err(RelationError::UnknownAttribute(Label::new(n))),
             }
         }
         Ok(Schema { attrs })
@@ -107,7 +107,7 @@ impl Schema {
     /// Rename an attribute.
     pub fn rename(&self, from: &str, to: &str) -> Result<Schema, RelationError> {
         if !self.has(from) {
-            return Err(RelationError::UnknownAttribute(from.to_string()));
+            return Err(RelationError::UnknownAttribute(Label::new(from)));
         }
         if self.has(to) {
             return Err(RelationError::SchemaMismatch(format!(
@@ -116,7 +116,7 @@ impl Schema {
         }
         let mut attrs = self.attrs.clone();
         let t = attrs.remove(from).expect("checked");
-        attrs.insert(to.to_string(), t);
+        attrs.insert(Label::new(to), t);
         Ok(Schema { attrs })
     }
 }
@@ -148,10 +148,10 @@ impl Relation {
     /// Impose a key. Fails if existing tuples already violate it or the
     /// attributes are unknown.
     pub fn with_key<S: AsRef<str>>(mut self, attrs: &[S]) -> Result<Relation, RelationError> {
-        let key: BTreeSet<Label> = attrs.iter().map(|s| s.as_ref().to_string()).collect();
+        let key: BTreeSet<Label> = attrs.iter().map(|s| Label::new(s.as_ref())).collect();
         for a in &key {
             if !self.schema.has(a) {
-                return Err(RelationError::UnknownAttribute(a.clone()));
+                return Err(RelationError::UnknownAttribute(*a));
             }
         }
         let mut seen = BTreeSet::new();
@@ -213,16 +213,14 @@ impl Relation {
     pub fn insert_row<I, S>(&mut self, pairs: I) -> Result<bool, RelationError>
     where
         I: IntoIterator<Item = (S, Value)>,
-        S: Into<String>,
+        S: Into<Label>,
     {
         self.insert(pairs.into_iter().map(|(l, v)| (l.into(), v)).collect())
     }
 
     fn check_tuple(&self, tuple: &Tuple) -> Result<(), RelationError> {
         for (l, ty) in &self.schema.attrs {
-            let v = tuple
-                .get(l)
-                .ok_or_else(|| RelationError::MissingAttribute(l.clone()))?;
+            let v = tuple.get(l).ok_or(RelationError::MissingAttribute(*l))?;
             let ok = matches!(
                 (v, ty),
                 (Value::Int(_), Type::Int)
@@ -234,7 +232,7 @@ impl Relation {
             );
             if !ok {
                 return Err(RelationError::TupleTypeMismatch {
-                    attr: l.clone(),
+                    attr: *l,
                     expected: ty.clone(),
                     got: v.to_string(),
                 });
@@ -242,7 +240,7 @@ impl Relation {
         }
         for l in tuple.keys() {
             if !self.schema.has(l) {
-                return Err(RelationError::UnknownAttribute(l.clone()));
+                return Err(RelationError::UnknownAttribute(*l));
             }
         }
         Ok(())
@@ -267,7 +265,7 @@ impl Relation {
             .map(|t| {
                 t.iter()
                     .filter(|(l, _)| names.contains(l.as_str()))
-                    .map(|(l, v)| (l.clone(), v.clone()))
+                    .map(|(l, v)| (*l, v.clone()))
                     .collect()
             })
             .collect();
@@ -288,7 +286,7 @@ impl Relation {
                 if common.iter().all(|l| a[l] == b[l]) {
                     let mut t = a.clone();
                     for (l, v) in b {
-                        t.insert(l.clone(), v.clone());
+                        t.insert(*l, v.clone());
                     }
                     tuples.insert(t);
                 }
@@ -340,7 +338,7 @@ impl Relation {
             .map(|t| {
                 let mut t = t.clone();
                 let v = t.remove(from).expect("schema checked");
-                t.insert(to.to_string(), v);
+                t.insert(Label::new(to), v);
                 t
             })
             .collect();

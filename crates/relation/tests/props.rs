@@ -18,7 +18,7 @@ use std::collections::BTreeSet;
 /// collisions (hence joins and subsumptions) are common.
 fn arb_partial_record() -> impl Strategy<Value = Value> {
     prop::collection::btree_map("[abcd]", 0i64..3, 0..4)
-        .prop_map(|m| Value::Record(m.into_iter().map(|(k, v)| (k, Value::Int(v))).collect()))
+        .prop_map(|m| Value::record(m.into_iter().map(|(k, v)| (k, Value::Int(v)))))
 }
 
 fn arb_gen_relation() -> impl Strategy<Value = GenRelation> {
@@ -30,7 +30,7 @@ fn arb_gen_relation() -> impl Strategy<Value = GenRelation> {
 fn arb_nested_record() -> impl Strategy<Value = Value> {
     (arb_partial_record(), prop::option::of(arb_partial_record())).prop_map(|(mut outer, inner)| {
         if let (Value::Record(fields), Some(nested)) = (&mut outer, inner) {
-            fields.insert("n".to_string(), nested);
+            fields.insert("n".into(), nested);
         }
         outer
     })
@@ -43,7 +43,7 @@ fn arb_nested_record() -> impl Strategy<Value = Value> {
 fn arb_key_partial_relation() -> impl Strategy<Value = GenRelation> {
     fn with_k(mut row: Value, k: Value) -> Value {
         if let Value::Record(fields) = &mut row {
-            fields.insert("k".to_string(), k);
+            fields.insert("k".into(), k);
         }
         row
     }
@@ -79,7 +79,7 @@ fn arb_set() -> impl Strategy<Value = Option<BTreeSet<Value>>> {
 /// `row` with `set`, if any, as its field `s`.
 fn with_set(mut row: Value, set: Option<BTreeSet<Value>>) -> Value {
     if let (Value::Record(fields), Some(set)) = (&mut row, set) {
-        fields.insert("s".to_string(), Value::Set(set));
+        fields.insert("s".into(), Value::Set(set));
     }
     row
 }
@@ -91,7 +91,7 @@ fn arb_join_record() -> impl Strategy<Value = Value> {
         prop::collection::btree_map("[abcd]", arb_join_leaf(), 0..4),
         arb_set(),
     )
-        .prop_map(|(m, set)| with_set(Value::Record(m.into_iter().collect()), set))
+        .prop_map(|(m, set)| with_set(Value::record(m), set))
 }
 
 /// Rows with no ground leaf at all: `{}`, an empty nested record `n`, a
@@ -118,7 +118,7 @@ fn arb_join_relation() -> impl Strategy<Value = GenRelation> {
 fn arb_nested_join_record() -> impl Strategy<Value = Value> {
     (arb_join_record(), prop::option::of(arb_join_record())).prop_map(|(mut outer, inner)| {
         if let (Value::Record(fields), Some(nested)) = (&mut outer, inner) {
-            fields.insert("n".to_string(), nested);
+            fields.insert("n".into(), nested);
         }
         outer
     })
@@ -376,13 +376,13 @@ proptest! {
 
     #[test]
     fn closure_is_monotone_and_extensive(fds in arb_fdset(), seed in prop::collection::btree_set(prop::sample::select(vec!["A","B","C","D","E"]), 0..4)) {
-        let x: Attrs = seed.into_iter().map(str::to_string).collect();
+        let x: Attrs = seed.into_iter().map(Into::into).collect();
         let cx = fds.closure(&x);
         prop_assert!(x.is_subset(&cx), "extensive");
         prop_assert_eq!(fds.closure(&cx).len(), cx.len());
         // Monotone: add an attribute, closure can only grow.
         let mut bigger = x.clone();
-        bigger.insert("E".to_string());
+        bigger.insert("E".into());
         prop_assert!(cx.is_subset(&fds.closure(&bigger)));
     }
 

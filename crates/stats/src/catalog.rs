@@ -76,7 +76,7 @@ fn walk_leaves<'a>(
     match v {
         Value::Record(fields) if depth < MAX_PATH_DEPTH && !fields.is_empty() => {
             for (k, x) in fields {
-                prefix.push(k.clone());
+                prefix.push(*k);
                 walk_leaves(x, depth + 1, prefix, f);
                 prefix.pop();
             }

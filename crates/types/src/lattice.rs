@@ -43,7 +43,7 @@ pub fn join(a: &Type, b: &Type, env: &TypeEnv) -> Type {
             let mut out = BTreeMap::new();
             for (l, f) in fs {
                 if let Some(g) = gs.get(l) {
-                    out.insert(l.clone(), join(f, g, env));
+                    out.insert(*l, join(f, g, env));
                 }
             }
             Type::Record(out.into())
@@ -55,10 +55,10 @@ pub fn join(a: &Type, b: &Type, env: &TypeEnv) -> Type {
                 match out.get(l) {
                     Some(f) => {
                         let j = join(f, g, env);
-                        out.insert(l.clone(), j);
+                        out.insert(*l, j);
                     }
                     None => {
-                        out.insert(l.clone(), g.clone());
+                        out.insert(*l, g.clone());
                     }
                 }
             }
@@ -100,10 +100,10 @@ pub fn meet(a: &Type, b: &Type, env: &TypeEnv) -> Option<Type> {
                 match out.get(l) {
                     Some(f) => {
                         let m = meet(f, g, env)?;
-                        out.insert(l.clone(), m);
+                        out.insert(*l, m);
                     }
                     None => {
-                        out.insert(l.clone(), g.clone());
+                        out.insert(*l, g.clone());
                     }
                 }
             }
@@ -115,7 +115,7 @@ pub fn meet(a: &Type, b: &Type, env: &TypeEnv) -> Option<Type> {
             for (l, f) in fs {
                 if let Some(g) = gs.get(l) {
                     if let Some(m) = meet(f, g, env) {
-                        out.insert(l.clone(), m);
+                        out.insert(*l, m);
                     }
                 }
             }

@@ -28,6 +28,7 @@ pub mod cache;
 pub mod display;
 pub mod env;
 pub mod error;
+pub mod label;
 pub mod lattice;
 pub mod parse;
 pub mod subtype;
@@ -36,6 +37,7 @@ pub mod ty;
 pub use cache::SubtypeCache;
 pub use env::{SubtypePolicy, TypeEnv};
 pub use error::TypeError;
+pub use label::LabelKey;
 pub use lattice::{consistent, join, meet};
 pub use parse::{parse_type, ParseError};
 pub use subtype::{is_equiv, is_proper_subtype, is_subtype, is_subtype_uncached, is_subtype_with};

@@ -23,7 +23,7 @@
 //! Identifiers beginning with an upper-case letter denote *named* types;
 //! those beginning with a lower-case letter denote *type variables*.
 
-use crate::ty::{Fields, Type};
+use crate::ty::{Fields, Label, Type};
 use std::fmt;
 
 /// A parse failure, with a byte offset into the input.
@@ -165,10 +165,10 @@ impl<'a> Parser<'a> {
                 let mut fields = Fields::new();
                 if self.peek() != Some(b'}') {
                     loop {
-                        let l = self.ident()?;
+                        let l = Label::from(self.ident()?);
                         self.expect(":")?;
                         let t = self.ty()?;
-                        if fields.insert(l.clone(), t).is_some() {
+                        if fields.insert(l, t).is_some() {
                             return Err(self.err(format!("duplicate field `{l}`")));
                         }
                         if !self.eat(",") {
@@ -183,10 +183,10 @@ impl<'a> Parser<'a> {
                 self.expect("<")?;
                 let mut arms = Fields::new();
                 loop {
-                    let l = self.ident()?;
+                    let l = Label::from(self.ident()?);
                     self.expect(":")?;
                     let t = self.ty()?;
-                    if arms.insert(l.clone(), t).is_some() {
+                    if arms.insert(l, t).is_some() {
                         return Err(self.err(format!("duplicate variant arm `{l}`")));
                     }
                     if !self.eat("|") {

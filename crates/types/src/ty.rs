@@ -15,14 +15,15 @@
 //! [`TypeEnv`](crate::env::TypeEnv); recursive types are expressed by names
 //! that mention themselves and are treated equi-recursively by the subtype
 //! and equivalence algorithms.
+//!
+//! Labels are interned [`Label`] symbols, shared with the values; the name
+//! table behind them only grows, bounded by the distinct labels ever seen.
 
+pub use crate::label::Label;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
-
-/// A field or variant label.
-pub type Label = String;
 
 /// A type variable name (bound by a quantifier).
 pub type TyVar = String;
@@ -174,7 +175,7 @@ impl Type {
     pub fn record<I, S>(fields: I) -> Type
     where
         I: IntoIterator<Item = (S, Type)>,
-        S: Into<String>,
+        S: Into<Label>,
     {
         Type::Record(fields.into_iter().map(|(l, t)| (l.into(), t)).collect())
     }
@@ -183,7 +184,7 @@ impl Type {
     pub fn variant<I, S>(arms: I) -> Type
     where
         I: IntoIterator<Item = (S, Type)>,
-        S: Into<String>,
+        S: Into<Label>,
     {
         Type::Variant(arms.into_iter().map(|(l, t)| (l.into(), t)).collect())
     }
@@ -320,12 +321,12 @@ impl Type {
             ),
             Type::Record(fs) => Type::Record(
                 fs.iter()
-                    .map(|(l, t)| (l.clone(), t.subst(var, replacement)))
+                    .map(|(l, t)| (*l, t.subst(var, replacement)))
                     .collect(),
             ),
             Type::Variant(fs) => Type::Variant(
                 fs.iter()
-                    .map(|(l, t)| (l.clone(), t.subst(var, replacement)))
+                    .map(|(l, t)| (*l, t.subst(var, replacement)))
                     .collect(),
             ),
             Type::Forall(q) => Type::Forall(Box::new(Self::subst_quant(q, var, replacement))),

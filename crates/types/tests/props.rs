@@ -30,10 +30,8 @@ fn types_over(leaf: impl Strategy<Value = Type> + 'static) -> impl Strategy<Valu
         prop_oneof![
             inner.clone().prop_map(Type::list),
             inner.clone().prop_map(Type::set),
-            prop::collection::btree_map("[a-d]", inner.clone(), 0..4)
-                .prop_map(|m| Type::Record(m.into())),
-            prop::collection::btree_map("[a-d]", inner.clone(), 1..4)
-                .prop_map(|m| Type::Variant(m.into())),
+            prop::collection::btree_map("[a-d]", inner.clone(), 0..4).prop_map(Type::record),
+            prop::collection::btree_map("[a-d]", inner.clone(), 1..4).prop_map(Type::variant),
             (inner.clone(), inner).prop_map(|(a, r)| Type::fun(a, r)),
         ]
     })
@@ -59,8 +57,7 @@ fn arb_type_with_names() -> impl Strategy<Value = Type> {
 /// edges, keeping those the environment accepts.
 fn arb_named_env() -> impl Strategy<Value = TypeEnv> {
     let field = prop_oneof![Just(Type::Int), Just(Type::Str), Just(Type::Top)];
-    let record =
-        prop::collection::btree_map("[a-c]", field, 0..4).prop_map(|m| Type::Record(m.into()));
+    let record = prop::collection::btree_map("[a-c]", field, 0..4).prop_map(Type::record);
     (
         any::<bool>(),
         prop::collection::vec(record, NAMES.len()),

@@ -198,10 +198,10 @@ fn rewrite_refs(value: &Value, remap: &BTreeMap<Oid, Oid>) -> Result<Value, Valu
         ),
         Value::Record(fs) => Value::Record(
             fs.iter()
-                .map(|(l, v)| Ok((l.clone(), rewrite_refs(v, remap)?)))
+                .map(|(l, v)| Ok((*l, rewrite_refs(v, remap)?)))
                 .collect::<Result<_, ValueError>>()?,
         ),
-        Value::Tagged(l, v) => Value::Tagged(l.clone(), Box::new(rewrite_refs(v, remap)?)),
+        Value::Tagged(l, v) => Value::Tagged(*l, Box::new(rewrite_refs(v, remap)?)),
         Value::Dyn(d) => Value::dynamic(d.ty.clone(), rewrite_refs(&d.value, remap)?),
         other => other.clone(),
     })

@@ -65,7 +65,7 @@ pub fn join(a: &Value, b: &Value) -> Option<Value> {
             for step in fa.merge(fb) {
                 out.push(match step {
                     Step::Left(pair) | Step::Right(pair) => pair.clone(),
-                    Step::Both((l, va), (_, vb)) => (l.clone(), join(va, vb)?),
+                    Step::Both((l, va), (_, vb)) => (*l, join(va, vb)?),
                 });
             }
             Some(())
@@ -73,7 +73,7 @@ pub fn join(a: &Value, b: &Value) -> Option<Value> {
         .map(Value::Record),
         (Value::Tagged(la, va), Value::Tagged(lb, vb)) => {
             if la == lb {
-                Some(Value::Tagged(la.clone(), Box::new(join(va, vb)?)))
+                Some(Value::Tagged(*la, Box::new(join(va, vb)?)))
             } else {
                 None
             }
@@ -117,7 +117,7 @@ pub fn meet(a: &Value, b: &Value) -> Option<Value> {
             for step in fa.merge(fb) {
                 if let Step::Both((l, va), (_, vb)) = step {
                     if let Some(m) = meet(va, vb) {
-                        out.push((l.clone(), m));
+                        out.push((*l, m));
                     }
                 }
             }
@@ -126,7 +126,7 @@ pub fn meet(a: &Value, b: &Value) -> Option<Value> {
         .map(Value::Record),
         (Value::Tagged(la, va), Value::Tagged(lb, vb)) => {
             if la == lb {
-                meet(va, vb).map(|m| Value::Tagged(la.clone(), Box::new(m)))
+                meet(va, vb).map(|m| Value::Tagged(*la, Box::new(m)))
             } else {
                 None
             }

@@ -18,13 +18,13 @@ impl Path {
         Path(
             s.split('.')
                 .filter(|p| !p.is_empty())
-                .map(str::to_string)
+                .map(Label::new)
                 .collect(),
         )
     }
 
     /// A single-segment path.
-    pub fn field(l: impl Into<String>) -> Path {
+    pub fn field(l: impl Into<Label>) -> Path {
         Path(vec![l.into()])
     }
 
@@ -85,7 +85,7 @@ fn put_at(v: &mut Value, path: &[Label], new: Value) -> Result<(), ValueError> {
             // with one rebuild of this record's array.
             let mut child = Value::Record(RecordFields::new());
             put_at(&mut child, rest, new)?;
-            fields.insert(seg.clone(), child);
+            fields.insert(*seg, child);
             Ok(())
         }
     }
@@ -99,7 +99,7 @@ fn put_at(v: &mut Value, path: &[Label], new: Value) -> Result<(), ValueError> {
 pub fn extend<I, S>(base: &Value, additions: I) -> Result<Value, ValueError>
 where
     I: IntoIterator<Item = (S, Value)>,
-    S: Into<String>,
+    S: Into<Label>,
 {
     let mut fields = base
         .as_record()

@@ -45,11 +45,11 @@ pub fn type_of(v: &Value, env: &TypeEnv, heap: &Heap) -> Result<Type, ValueError
         Value::Record(fs) => {
             let mut fields = dbpl_types::Fields::new();
             for (l, x) in fs {
-                fields.insert(l.clone(), type_of(x, env, heap)?);
+                fields.insert(*l, type_of(x, env, heap)?);
             }
             Type::Record(fields)
         }
-        Value::Tagged(l, x) => Type::variant([(l.clone(), type_of(x, env, heap)?)]),
+        Value::Tagged(l, x) => Type::variant([(*l, type_of(x, env, heap)?)]),
         Value::Dyn(_) => Type::Dynamic,
         Value::Ref(oid) => heap.get(*oid)?.ty.clone(),
     })

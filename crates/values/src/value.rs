@@ -9,17 +9,18 @@
 //! A record value is inherently *partial*: `{Name = 'J Doe'}` carries less
 //! information than `{Name = 'J Doe', Emp_no = 1234}`. It is a finite
 //! partial function from labels, kept as one shared array of
-//! `(label, value)` pairs in label order ([`RecordFields`]). The
-//! information ordering and join live in [`crate::order`].
+//! `(label, value)` pairs in label order ([`RecordFields`]), whose labels
+//! are interned [`Label`] symbols (compared by pointer, ordered by name;
+//! the name table only grows, bounded by the distinct labels ever seen)
+//! and whose strings are shared `Arc<str>`s, so a join candidate copies
+//! neither. The information ordering and join live in [`crate::order`].
 
-use dbpl_types::Type;
+pub use dbpl_types::Label;
+use dbpl_types::{LabelKey, Type};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
-
-/// A field label (shared with `dbpl_types::Label`).
-pub type Label = String;
 
 /// A totally ordered `f64` wrapper so that [`Value`] can implement `Ord`
 /// (required to put values in sets, i.e. relations).
@@ -143,29 +144,30 @@ impl RecordFields {
         self.0.is_empty()
     }
 
-    /// The field's position. A record of a few fields is scanned with
-    /// `==`, which compares lengths before bytes; a larger one is
-    /// binary searched.
-    fn index_of(&self, label: &str) -> Option<usize> {
+    /// The field's position. A record of a few fields is scanned (a
+    /// [`Label`] key compares pointers, a name bytes); a larger one is
+    /// binary searched by name.
+    fn index_of(&self, label: impl LabelKey) -> Option<usize> {
         if self.0.len() <= 8 {
-            self.0.iter().position(|(l, _)| l == label)
+            self.0.iter().position(|(l, _)| label.is(*l))
         } else {
-            self.0.binary_search_by(|(l, _)| l.as_str().cmp(label)).ok()
+            let name = label.name();
+            self.0.binary_search_by(|(l, _)| l.as_str().cmp(name)).ok()
         }
     }
 
     /// The value of a field.
-    pub fn get(&self, label: &str) -> Option<&Value> {
+    pub fn get(&self, label: impl LabelKey) -> Option<&Value> {
         self.index_of(label).map(|i| &self.0[i].1)
     }
 
     /// Is the field present?
-    pub fn contains_key(&self, label: &str) -> bool {
+    pub fn contains_key(&self, label: impl LabelKey) -> bool {
         self.index_of(label).is_some()
     }
 
     /// The value of a field, to overwrite in place.
-    pub fn get_mut(&mut self, label: &str) -> Option<&mut Value> {
+    pub fn get_mut(&mut self, label: impl LabelKey) -> Option<&mut Value> {
         let i = self.index_of(label)?;
         Some(&mut Arc::make_mut(&mut self.0)[i].1)
     }
@@ -173,7 +175,7 @@ impl RecordFields {
     /// Set a field, returning the value it replaces. A new label
     /// rebuilds the array (one allocation).
     pub fn insert(&mut self, label: Label, value: Value) -> Option<Value> {
-        match self.get_mut(&label) {
+        match self.get_mut(label) {
             Some(slot) => Some(std::mem::replace(slot, value)),
             None => {
                 self.extend([(label, value)]);
@@ -183,7 +185,7 @@ impl RecordFields {
     }
 
     /// Drop a field, returning its value.
-    pub fn remove(&mut self, label: &str) -> Option<Value> {
+    pub fn remove(&mut self, label: impl LabelKey) -> Option<Value> {
         let i = self.index_of(label)?;
         let (fields, (_, value)) = with_buffer(|buf| {
             self.drain_into(buf);
@@ -232,7 +234,7 @@ impl RecordFields {
             Some(pairs) => out.extend(
                 pairs
                     .iter_mut()
-                    .map(|p| std::mem::replace(p, (Label::new(), Value::Unit))),
+                    .map(|(l, v)| (*l, std::mem::replace(v, Value::Unit))),
             ),
             None => out.extend_from_slice(&self.0),
         }
@@ -268,16 +270,11 @@ fn normalize(buf: &mut Vec<Pair>) {
     if buf.is_sorted_by(|x, y| x.0 < y.0) {
         return;
     }
-    // Stable, so the pairs of one label keep the order they came in.
-    buf.sort_by(|x, y| x.0.cmp(&y.0));
-    buf.dedup_by(|later, kept| {
-        if later.0 == kept.0 {
-            std::mem::swap(later, kept);
-            true
-        } else {
-            false
-        }
-    });
+    // Reversed, a stable sort puts the last pair given for a label first
+    // among its label's pairs, where `dedup_by_key` keeps it.
+    buf.reverse();
+    buf.sort_by_key(|x| x.0);
+    buf.dedup_by_key(|x| x.0);
 }
 
 /// Make the array of staged pairs, which are strictly ascending by label:
@@ -381,7 +378,7 @@ impl<'a> Iterator for Merge<'a> {
             (Some(x), None) => Step::Left(x),
             (None, Some(y)) => Step::Right(y),
             // Records met in a join or an ordering mostly share labels,
-            // so test `==` (lengths first) before ordering them.
+            // so test `==` (one pointer compare) before ordering names.
             (Some(x), Some(y)) if x.0 == y.0 => Step::Both(x, y),
             (Some(x), Some(y)) if x.0 < y.0 => Step::Left(x),
             (Some(_), Some(y)) => Step::Right(y),
@@ -407,8 +404,8 @@ pub enum Value {
     Int(i64),
     /// A 64-bit float (totally ordered wrapper).
     Float(F64),
-    /// A string.
-    Str(String),
+    /// A string, shared.
+    Str(Arc<str>),
     /// A homogeneous list.
     List(Vec<Value>),
     /// A set of values.
@@ -430,15 +427,15 @@ impl Value {
     }
 
     /// String constructor.
-    pub fn str(s: impl Into<String>) -> Value {
-        Value::Str(s.into())
+    pub fn str(s: impl AsRef<str>) -> Value {
+        Value::Str(s.as_ref().into())
     }
 
     /// Record constructor.
     pub fn record<I, S>(fields: I) -> Value
     where
         I: IntoIterator<Item = (S, Value)>,
-        S: Into<String>,
+        S: Into<Label>,
     {
         Value::Record(fields.into_iter().map(|(l, v)| (l.into(), v)).collect())
     }
@@ -454,7 +451,7 @@ impl Value {
     }
 
     /// Variant constructor.
-    pub fn tagged(label: impl Into<String>, payload: Value) -> Value {
+    pub fn tagged(label: impl Into<Label>, payload: Value) -> Value {
         Value::Tagged(label.into(), Box::new(payload))
     }
 
@@ -485,7 +482,7 @@ impl Value {
     }
 
     /// Field projection on records.
-    pub fn field(&self, label: &str) -> Option<&Value> {
+    pub fn field(&self, label: impl LabelKey) -> Option<&Value> {
         self.as_record().and_then(|fs| fs.get(label))
     }
 
@@ -611,7 +608,7 @@ impl From<&str> for Value {
 }
 impl From<String> for Value {
     fn from(s: String) -> Self {
-        Value::Str(s)
+        Value::Str(s.into())
     }
 }
 
@@ -685,7 +682,7 @@ mod tests {
             ("b", Value::Int(3)),
         ]);
         let fields = v.as_record().unwrap();
-        let labels: Vec<&str> = fields.keys().map(String::as_str).collect();
+        let labels: Vec<&str> = fields.keys().map(|l| l.as_str()).collect();
         assert_eq!(labels, ["a", "b"]);
         assert_eq!(format!("{fields:?}"), r#"{"a": Int(2), "b": Int(3)}"#);
     }
@@ -695,9 +692,7 @@ mod tests {
         let v = Value::record([("a", Value::Int(1))]);
         let mut w = v.clone();
         assert!(v.as_record().unwrap().ptr_eq(w.as_record().unwrap()));
-        w.as_record_mut()
-            .unwrap()
-            .insert("b".to_string(), Value::Int(2));
+        w.as_record_mut().unwrap().insert("b".into(), Value::Int(2));
         assert!(!v.as_record().unwrap().ptr_eq(w.as_record().unwrap()));
         assert_eq!(v, Value::record([("a", Value::Int(1))]));
         assert!(v < w, "order is the pairs' order, as a map's");

@@ -26,7 +26,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
     ];
     leaf.prop_recursive(3, 32, 4, |inner| {
         prop_oneof![
-            4 => prop::collection::btree_map("[xyz]", inner.clone(), 0..4).prop_map(|fs| Value::Record(fs.into())),
+            4 => prop::collection::btree_map("[xyz]", inner.clone(), 0..4).prop_map(Value::record),
             1 => prop::collection::vec(inner.clone(), 0..3).prop_map(Value::List),
             1 => ("[AB]", inner).prop_map(|(l, v)| Value::tagged(l, v)),
         ]
@@ -225,13 +225,13 @@ fn arb_any_value() -> impl Strategy<Value = Value> {
         ])
         .prop_map(Value::float),
         any::<f64>().prop_map(Value::float),
-        arb_text().prop_map(Value::Str),
+        arb_text().prop_map(Value::str),
         prop::sample::select(vec![0u64, 1, u64::MAX]).prop_map(|n| Value::Ref(Oid(n))),
     ];
     leaf.prop_recursive(3, 32, 4, |inner| {
         prop_oneof![
             3 => prop::collection::btree_map(arb_text(), inner.clone(), 0..3)
-                .prop_map(|fs| Value::Record(fs.into())),
+                .prop_map(Value::record),
             1 => prop::collection::vec(inner.clone(), 0..3).prop_map(Value::List),
             1 => prop::collection::btree_set(inner.clone(), 0..3).prop_map(Value::Set),
             1 => (arb_text(), inner.clone()).prop_map(|(l, v)| Value::tagged(l, v)),
@@ -351,7 +351,7 @@ fn arb_field() -> impl Strategy<Value = Value> {
     leaf.prop_recursive(3, 24, 4, |inner| {
         prop_oneof![
             4 => prop::collection::btree_map(arb_label(), inner.clone(), 0..4)
-                .prop_map(|fs| Value::Record(fs.into())),
+                .prop_map(Value::record),
             1 => prop::collection::btree_set(inner.clone(), 0..3).prop_map(Value::Set),
             1 => prop::collection::vec(inner.clone(), 0..3).prop_map(Value::List),
             1 => ("[AB]", inner.clone()).prop_map(|(l, v)| Value::tagged(l, v)),
@@ -363,13 +363,12 @@ fn arb_field() -> impl Strategy<Value = Value> {
 
 /// A record over [`arb_label`] whose fields are [`arb_field`]s.
 fn arb_record() -> impl Strategy<Value = Value> {
-    prop::collection::btree_map(arb_label(), arb_field(), 0..5)
-        .prop_map(|fs| Value::Record(fs.into()))
+    prop::collection::btree_map(arb_label(), arb_field(), 0..5).prop_map(Value::record)
 }
 
 /// A partial function back as a record value, built from its graph.
 fn partial_fn_record(f: &PartialFn<Label, Value>) -> Value {
-    Value::record(f.domain().map(|l| (l.clone(), f.apply(l).unwrap().clone())))
+    Value::record(f.domain().map(|l| (*l, f.apply(l).unwrap().clone())))
 }
 
 /// `⊑`, `⊔` and `⊓` on two records are the pointwise ordering, join and
@@ -462,7 +461,10 @@ fn arb_field_op() -> impl Strategy<Value = FieldOp> {
 fn agrees(fields: &RecordFields, model: &BTreeMap<String, Value>) -> TestCaseResult {
     prop_assert_eq!(fields.len(), model.len());
     prop_assert!(
-        fields.iter().eq(model.iter()),
+        fields
+            .iter()
+            .map(|(l, v)| (l.as_str(), v))
+            .eq(model.iter().map(|(l, v)| (l.as_str(), v))),
         "{:?} vs {:?}",
         fields,
         model
@@ -487,18 +489,18 @@ fn record_fields_follow_the_model(
     pairs: Vec<(String, Value)>,
     ops: Vec<FieldOp>,
 ) -> TestCaseResult {
-    let mut fields: RecordFields = pairs.iter().cloned().collect();
+    let mut fields: RecordFields = pairs.iter().map(|(l, v)| (l.into(), v.clone())).collect();
     let mut model: BTreeMap<String, Value> = pairs.into_iter().collect();
     agrees(&fields, &model)?;
     for op in ops {
         let (before, model_before) = (fields.clone(), model.clone());
         match op {
             FieldOp::Insert(l, v) => {
-                prop_assert_eq!(fields.insert(l.clone(), v.clone()), model.insert(l, v));
+                prop_assert_eq!(fields.insert((&l).into(), v.clone()), model.insert(l, v));
             }
             FieldOp::Remove(l) => prop_assert_eq!(fields.remove(&l), model.remove(&l)),
             FieldOp::Extend(adds) => {
-                fields.extend(adds.clone());
+                fields.extend(adds.iter().map(|(l, v)| (l.into(), v.clone())));
                 model.extend(adds);
             }
             FieldOp::Overwrite(l, v) => {
@@ -518,7 +520,12 @@ fn record_fields_follow_the_model(
 
 /// The map form of a record value (its top level).
 fn map_form(v: &Value) -> BTreeMap<String, Value> {
-    v.as_record().unwrap().clone().into_iter().collect()
+    v.as_record()
+        .unwrap()
+        .clone()
+        .into_iter()
+        .map(|(l, v)| (l.to_string(), v))
+        .collect()
 }
 
 /// `put_path` on the map form: missing records along the path are made,
@@ -533,7 +540,7 @@ fn model_put_path(v: &Value, path: &[String], new: Value) -> Option<Value> {
         .cloned()
         .unwrap_or_else(|| Value::Record(Default::default()));
     map.insert(seg.clone(), model_put_path(&child, rest, new)?);
-    Some(Value::Record(map.into()))
+    Some(Value::record(map))
 }
 
 fn hash_of(x: &impl Hash) -> u64 {
@@ -578,7 +585,7 @@ proptest! {
         agrees(less.as_record().unwrap(), &model_less)?;
 
         let mut put = v.clone();
-        let ok = put_path(&mut put, &Path(path.clone()), new.clone()).is_ok();
+        let ok = put_path(&mut put, &Path(path.iter().map(Into::into).collect()), new.clone()).is_ok();
         let model_put = model_put_path(&v, &path, new);
         prop_assert_eq!(ok, model_put.is_some());
         if let Some(want) = model_put {

@@ -18,7 +18,7 @@ fn relation(names: &[&str], rows: &[Vec<i64>]) -> Relation {
             names
                 .iter()
                 .zip(row)
-                .map(|(n, v)| (n.to_string(), Value::Int(*v)))
+                .map(|(n, v)| ((*n).into(), Value::Int(*v)))
                 .collect(),
         )
         .unwrap();

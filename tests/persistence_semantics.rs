@@ -21,7 +21,7 @@ fn replicating_update_anomaly_and_waste() {
     let dir = fresh_dir("anomaly");
     let store = ReplicatingStore::open(&dir).unwrap();
     let mut heap = Heap::new();
-    let shared = heap.alloc(Type::Str, Value::Str("x".repeat(4096)));
+    let shared = heap.alloc(Type::Str, Value::str("x".repeat(4096)));
     let a = DynValue::new(Type::Top, Value::record([("c", Value::Ref(shared))]));
     let b = DynValue::new(Type::Top, Value::record([("c", Value::Ref(shared))]));
     store.extern_value("A", &a, &heap).unwrap();
